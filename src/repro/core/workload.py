@@ -27,10 +27,12 @@ in tests) and differ only in mechanics and cost:
 
 from __future__ import annotations
 
+from collections.abc import Callable
+from functools import partial
 from typing import Literal
 
 from repro.exceptions import AnalysisError
-from repro.graph.parallel import par_sets_oracle
+from repro.graph.parallel import par_sets_oracle, parallel_masks
 from repro.ilp import BinaryProgram, solve
 from repro.model.dag import DAG
 from repro.model.task import DAGTask
@@ -72,7 +74,8 @@ def mu_array(
     if method not in _MU_METHODS:
         raise AnalysisError(f"unknown mu method {method!r}; choose from {_MU_METHODS}")
     dag = task.graph if isinstance(task, DAGTask) else task
-    return [mu_value(dag, c, method) for c in range(1, m + 1)]
+    mu = _solver(dag, method)
+    return [mu(c) for c in range(1, m + 1)]
 
 
 #: Process-level μ memo keyed by DAG *content* (DAG equality/hash ignore
@@ -109,43 +112,47 @@ def mu_value(dag: DAG, c: int, method: MuMethod = "search") -> float:
         raise AnalysisError(f"core count c must be >= 1, got {c}")
     if method not in _MU_METHODS:
         raise AnalysisError(f"unknown mu method {method!r}; choose from {_MU_METHODS}")
-    if c > len(dag):
-        return 0.0
-    if c == 1:
-        # The paper computes μ[1] directly as the largest NPR.
-        return max(node.wcet for node in dag.nodes)
+    return _solver(dag, method)(c)
+
+
+def _solver(dag: DAG, method: MuMethod) -> Callable[[int], float]:
+    """``c ↦ μ[c]`` for one DAG; the search builds its tables once."""
     if method == "search":
-        return _mu_search(dag, c)
-    if method == "ilp":
-        return _mu_ilp_pairwise(dag, c)
-    return _mu_ilp_paper(dag, c)
+        solve = _mu_search(dag)
+    elif method == "ilp":
+        solve = partial(_mu_ilp_pairwise, dag)
+    else:
+        solve = partial(_mu_ilp_paper, dag)
+
+    def mu(c: int) -> float:
+        if c > len(dag):
+            return 0.0
+        if c == 1:
+            # The paper computes μ[1] directly as the largest NPR.
+            return max(node.wcet for node in dag.nodes)
+        return solve(c)
+
+    return mu
 
 
 # ----------------------------------------------------------------------
 # solver 1: bitmask branch-and-bound over antichains
 # ----------------------------------------------------------------------
-def _mu_search(dag: DAG, c: int) -> float:
+def _mu_search(dag: DAG) -> Callable[[int], float]:
     """Maximum-weight antichain of exactly ``c`` nodes, or 0 if none.
 
-    Nodes are ordered by decreasing WCET; the search keeps a bitmask of
-    nodes still compatible with the current partial antichain and prunes
-    on (a) not enough compatible nodes left, and (b) an optimistic bound
+    Returns the search as a function of ``c``; the node order, weights
+    and parallelism masks it reads are built once per DAG.  Nodes are
+    ordered by decreasing WCET; the search keeps a bitmask of nodes
+    still compatible with the current partial antichain and prunes on
+    (a) not enough compatible nodes left, and (b) an optimistic bound
     (current weight + the ``c − k`` heaviest remaining compatible
     nodes) failing to beat the incumbent.
     """
     names = sorted(dag.node_names, key=lambda n: (-dag.wcet(n), n))
-    index = {name: i for i, name in enumerate(names)}
     weights = [dag.wcet(name) for name in names]
-    par = par_sets_oracle(dag)
-    masks = [0] * len(names)
-    for name, others in par.items():
-        i = index[name]
-        for other in others:
-            masks[i] |= 1 << index[other]
-
+    masks = parallel_masks(dag, names)
     n = len(names)
-    best = 0.0
-    found = False
 
     # prefix_weights[i] = weights[i:] summed over the k heaviest is just
     # the first k of the slice, because ``weights`` is sorted descending.
@@ -164,23 +171,29 @@ def _mu_search(dag: DAG, c: int) -> float:
             return float("-inf")
         return total
 
-    def search(start: int, candidates: int, chosen: int, weight: float) -> None:
-        nonlocal best, found
-        if chosen == c:
-            if not found or weight > best:
-                best = weight
-                found = True
-            return
-        need = c - chosen
-        if weight + optimistic(start, candidates, need) <= (best if found else float("-inf")):
-            return
-        for i in range(start, n - need + 1):
-            if not (candidates >> i) & 1:
-                continue
-            search(i + 1, candidates & masks[i], chosen + 1, weight + weights[i])
+    def mu(c: int) -> float:
+        best = 0.0
+        found = False
 
-    search(0, (1 << n) - 1, 0, 0.0)
-    return best if found else 0.0
+        def search(start: int, candidates: int, chosen: int, weight: float) -> None:
+            nonlocal best, found
+            if chosen == c:
+                if not found or weight > best:
+                    best = weight
+                    found = True
+                return
+            need = c - chosen
+            if weight + optimistic(start, candidates, need) <= (best if found else float("-inf")):
+                return
+            for i in range(start, n - need + 1):
+                if not (candidates >> i) & 1:
+                    continue
+                search(i + 1, candidates & masks[i], chosen + 1, weight + weights[i])
+
+        search(0, (1 << n) - 1, 0, 0.0)
+        return best if found else 0.0
+
+    return mu
 
 
 # ----------------------------------------------------------------------

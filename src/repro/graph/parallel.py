@@ -6,6 +6,8 @@ order. This module provides:
 
 * :func:`par_sets_oracle` — the reachability-based definition, computed
   from the transitive closure (always correct);
+* :func:`parallel_masks` — the same sets as integer bitmasks, from
+  bitset reachability (what the μ search consumes);
 * :func:`algorithm1_par_sets` — a faithful transcription of the paper's
   Algorithm 1 (Section V-A1), with an optional correction knob (see
   below);
@@ -28,13 +30,15 @@ reachability, which is sound for any single-source DAG;
 
 from __future__ import annotations
 
-from typing import Literal
-
-import networkx as nx
+from collections.abc import Sequence
+from typing import TYPE_CHECKING, Literal
 
 from repro.exceptions import GraphError
 from repro.graph.topology import ancestors_map, descendants_map
 from repro.model.dag import DAG
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def par_sets_oracle(dag: DAG) -> dict[str, frozenset[str]]:
@@ -50,6 +54,32 @@ def par_sets_oracle(dag: DAG) -> dict[str, frozenset[str]]:
     return {
         v: frozenset(all_nodes - {v} - succ[v] - pred[v]) for v in dag.node_names
     }
+
+
+def parallel_masks(dag: DAG, names: Sequence[str]) -> list[int]:
+    """``Par(v)`` of each node of ``names`` as a bitmask over ``names``.
+
+    Bit ``j`` of entry ``i`` is set iff ``names[j]`` may run in parallel
+    with ``names[i]``: the same relation as :func:`par_sets_oracle`,
+    from reachability held as bitsets (one backward topological pass
+    for the descendants, one forward pass for the ancestors).
+    """
+    bit = {name: 1 << i for i, name in enumerate(names)}
+    order = dag.topological_order
+    below: dict[str, int] = {}
+    for name in reversed(order):
+        reach = 0
+        for child in dag.successors(name):
+            reach |= bit[child] | below[child]
+        below[name] = reach
+    above: dict[str, int] = {}
+    for name in order:
+        reach = 0
+        for parent in dag.predecessors(name):
+            reach |= bit[parent] | above[parent]
+        above[name] = reach
+    everything = (1 << len(names)) - 1
+    return [everything & ~(bit[n] | below[n] | above[n]) for n in names]
 
 
 def algorithm1_par_sets(
@@ -142,6 +172,8 @@ def parallelism_graph(dag: DAG) -> nx.Graph:
     cliques of this graph, which is how :mod:`repro.core.workload`
     searches for the worst-case parallel workload ``μ_i[c]``.
     """
+    import networkx as nx
+
     graph = nx.Graph()
     for node in dag.nodes:
         graph.add_node(node.name, wcet=node.wcet)

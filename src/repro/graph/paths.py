@@ -21,15 +21,24 @@ def longest_path_length(dag: DAG) -> float:
 
     Computed by dynamic programming over a topological order:
     ``dist(v) = C(v) + max(dist(p) for p in pred(v), default 0)``.
-    A single node's longest path is its own WCET.
+    A single node's longest path is its own WCET. The result is
+    memoised on the DAG instance (DAGs are immutable).
     """
+    cached = dag.__dict__.get("_longest_path")
+    if cached is not None:
+        return cached
+    # Runs once per DAG: read the adjacency directly, not through the
+    # checked per-node accessors.
+    pred = dag._pred
+    nodes = dag._nodes
     dist: dict[str, float] = {}
     best = 0.0
     for name in dag.topological_order:
-        incoming = max((dist[p] for p in dag.predecessors(name)), default=0.0)
-        dist[name] = incoming + dag.wcet(name)
-        if dist[name] > best:
-            best = dist[name]
+        length = max([dist[p] for p in pred[name]], default=0.0) + nodes[name].wcet
+        dist[name] = length
+        if length > best:
+            best = length
+    dag.__dict__["_longest_path"] = best
     return best
 
 

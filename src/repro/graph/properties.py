@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-import networkx as nx
-
 from repro.exceptions import GraphError
 from repro.graph.topology import descendants_map
 from repro.model.dag import DAG
@@ -88,6 +86,8 @@ def max_parallelism(dag: DAG) -> int:
     """
     if len(dag) == 0:
         return 0
+    import networkx as nx
+
     succ = descendants_map(dag)
     bipartite = nx.Graph()
     left = {name: ("L", name) for name in dag.node_names}

@@ -3,15 +3,18 @@
 The :class:`DAG` is the structural half of a DAG task ``G_k = (V_k, E_k)``
 (paper Section III-A): nodes are NPRs labelled with WCETs, edges are
 precedence constraints. The class is an immutable container with O(1)
-adjacency queries; the heavier algorithms (topological order, longest
-path, parallelism sets) live in :mod:`repro.graph` and take a ``DAG`` as
-input.
+adjacency queries. Its topological order is computed at construction,
+by the same Kahn pass that rejects cycles. The heavier algorithms
+(longest path, parallelism sets) live in :mod:`repro.graph` and take a
+``DAG`` as input; the longest path ``L`` is memoised on the instance, so
+each DAG pays for it once.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
 from functools import cached_property
+from heapq import heappop, heappush
 
 from repro.exceptions import CycleError, ModelError
 from repro.model.node import Node
@@ -40,7 +43,7 @@ class DAG:
         If the edge set contains a directed cycle.
     """
 
-    __slots__ = ("_nodes", "_succ", "_pred", "_edges", "__dict__")
+    __slots__ = ("_nodes", "_succ", "_pred", "_edges", "_order", "__dict__")
 
     def __init__(
         self,
@@ -59,25 +62,44 @@ class DAG:
                 raise ModelError(f"duplicate node name {node.name!r}")
             self._nodes[node.name] = node
 
-        self._succ: dict[str, tuple[str, ...]] = {name: () for name in self._nodes}
-        self._pred: dict[str, tuple[str, ...]] = {name: () for name in self._nodes}
-        seen: set[Edge] = set()
-        edge_list: list[Edge] = []
+        rank = {name: i for i, name in enumerate(self._nodes)}
+        succ: list[list[str]] = [[] for _ in rank]
+        pred: list[list[str]] = [[] for _ in rank]
+        edge_set: dict[Edge, None] = {}
         for u, v in edges:
-            if u not in self._nodes:
+            if u not in rank:
                 raise ModelError(f"edge ({u!r}, {v!r}): unknown source node {u!r}")
-            if v not in self._nodes:
+            if v not in rank:
                 raise ModelError(f"edge ({u!r}, {v!r}): unknown destination node {v!r}")
             if u == v:
                 raise ModelError(f"self-loop on node {u!r} is not allowed")
-            if (u, v) in seen:
+            if (u, v) in edge_set:
                 raise ModelError(f"duplicate edge ({u!r}, {v!r})")
-            seen.add((u, v))
-            edge_list.append((u, v))
-            self._succ[u] = self._succ[u] + (v,)
-            self._pred[v] = self._pred[v] + (u,)
-        self._edges: tuple[Edge, ...] = tuple(edge_list)
-        self._check_acyclic()
+            edge_set[(u, v)] = None
+            succ[rank[u]].append(v)
+            pred[rank[v]].append(u)
+        self._edges: tuple[Edge, ...] = tuple(edge_set)
+        self._succ: dict[str, tuple[str, ...]] = dict(zip(rank, map(tuple, succ)))
+        self._pred: dict[str, tuple[str, ...]] = dict(zip(rank, map(tuple, pred)))
+
+        # One Kahn pass both rejects cycles and fixes the topological
+        # order.  Popping the ready node of least insertion rank breaks
+        # ties by insertion order.
+        names = list(rank)
+        indegree = [len(p) for p in pred]
+        ready = [i for i, count in enumerate(indegree) if not count]
+        order: list[str] = []
+        while ready:
+            current = heappop(ready)
+            order.append(names[current])
+            for child in succ[current]:
+                j = rank[child]
+                indegree[j] -= 1
+                if not indegree[j]:
+                    heappush(ready, j)
+        if len(order) != len(names):
+            raise CycleError("graph contains a directed cycle")
+        self._order: tuple[str, ...] = tuple(order)
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -172,46 +194,15 @@ class DAG:
         """Nodes with no successors, in insertion order."""
         return tuple(n for n in self._nodes if not self._succ[n])
 
-    @cached_property
+    @property
     def topological_order(self) -> tuple[str, ...]:
         """A deterministic topological order (Kahn's algorithm).
 
         Ties are broken by node insertion order, so the result is stable
-        across runs for the same construction sequence.
+        across runs for the same construction sequence.  Computed once,
+        at construction.
         """
-        indegree = {name: len(self._pred[name]) for name in self._nodes}
-        ready = [name for name in self._nodes if indegree[name] == 0]
-        order: list[str] = []
-        while ready:
-            current = ready.pop(0)
-            order.append(current)
-            appended: list[str] = []
-            for succ in self._succ[current]:
-                indegree[succ] -= 1
-                if indegree[succ] == 0:
-                    appended.append(succ)
-            if appended:
-                # keep deterministic order: re-sort ready set by insertion rank
-                ready.extend(appended)
-                rank = {name: i for i, name in enumerate(self._nodes)}
-                ready.sort(key=rank.__getitem__)
-        if len(order) != len(self._nodes):  # pragma: no cover - guarded in ctor
-            raise CycleError("graph contains a directed cycle")
-        return tuple(order)
-
-    def _check_acyclic(self) -> None:
-        indegree = {name: len(self._pred[name]) for name in self._nodes}
-        stack = [name for name in self._nodes if indegree[name] == 0]
-        visited = 0
-        while stack:
-            current = stack.pop()
-            visited += 1
-            for succ in self._succ[current]:
-                indegree[succ] -= 1
-                if indegree[succ] == 0:
-                    stack.append(succ)
-        if visited != len(self._nodes):
-            raise CycleError("graph contains a directed cycle")
+        return self._order
 
     # ------------------------------------------------------------------
     # equality / repr

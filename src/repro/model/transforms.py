@@ -15,6 +15,9 @@ Pure functions returning new objects (tasks/DAGs are immutable):
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
+
 from repro.exceptions import ModelError
 from repro.model.dag import DAG
 from repro.model.node import Node
@@ -97,33 +100,8 @@ def split_node(dag: DAG, name: str, parts: int, overhead: float = 0.0) -> DAG:
         raise ModelError(f"parts must be >= 1, got {parts}")
     if overhead < 0:
         raise ModelError(f"overhead must be >= 0, got {overhead}")
-    original = dag.node(name)
-    sub_names = [f"{name}#{i}" for i in range(parts)]
-    for sub in sub_names:
-        if sub in dag:
-            raise ModelError(f"split of {name!r} collides with existing {sub!r}")
-
-    share = original.wcet / parts
-    nodes: list[Node] = []
-    for node in dag.nodes:
-        if node.name == name:
-            running = 0.0
-            for i, sub in enumerate(sub_names):
-                wcet = share if i < parts - 1 else original.wcet - running
-                running += wcet
-                if i > 0:
-                    wcet += overhead
-                nodes.append(Node(sub, wcet))
-        else:
-            nodes.append(node)
-
-    edges: list[tuple[str, str]] = []
-    for u, v in dag.edges:
-        u2 = sub_names[-1] if u == name else u
-        v2 = sub_names[0] if v == name else v
-        edges.append((u2, v2))
-    edges.extend((sub_names[i], sub_names[i + 1]) for i in range(parts - 1))
-    return DAG(nodes, edges)
+    dag.node(name)
+    return _split(dag, lambda node: parts if node.name == name else 0, overhead)
 
 
 def split_all_nodes(dag: DAG, max_wcet: float, overhead: float = 0.0) -> DAG:
@@ -135,21 +113,69 @@ def split_all_nodes(dag: DAG, max_wcet: float, overhead: float = 0.0) -> DAG:
     preemption-point placement policy "insert a point at least every
     ``max_wcet`` time units" (cf. the paper's refs [12], [17]).
 
+    The result is built in one pass, and equals :func:`split_node`
+    applied to each heavy node in turn, in node order.
+
     Raises
     ------
     ModelError
-        If ``max_wcet <= 0`` or ``overhead < 0``.
+        If ``max_wcet <= 0``, or ``overhead < 0`` while some node is
+        heavy, or a sub-node name collides as in :func:`split_node`.
     """
-    import math
-
     if max_wcet <= 0:
         raise ModelError(f"max_wcet must be > 0, got {max_wcet}")
-    result = dag
+    return _split(
+        dag,
+        lambda node: math.ceil(node.wcet / max_wcet) if node.wcet > max_wcet else 0,
+        overhead,
+    )
+
+
+def _split(dag: DAG, parts_of: Callable[[Node], int], overhead: float) -> DAG:
+    """Replace each node with ``parts_of(node) > 0`` by a chain of that many.
+
+    Node order is kept with each chain in its node's place; the edges
+    are the original ones, re-attached to the chains' ends, followed by
+    each chain's own edges in node order.  Name collisions are checked
+    against the graph as it stands after the earlier splits, so one
+    pass matches splitting the nodes one at a time.  Returns ``dag``
+    itself when no node is split.
+    """
+    present = set(dag.node_names)
+    chains: dict[str, list[str]] = {}
+    nodes: list[Node] = []
     for node in dag.nodes:
-        if node.wcet > max_wcet:
-            parts = math.ceil(node.wcet / max_wcet)
-            result = split_node(result, node.name, parts, overhead=overhead)
-    return result
+        parts = parts_of(node)
+        if not parts:
+            nodes.append(node)
+            continue
+        if overhead < 0:
+            raise ModelError(f"overhead must be >= 0, got {overhead}")
+        sub_names = [f"{node.name}#{i}" for i in range(parts)]
+        for sub in sub_names:
+            if sub in present:
+                raise ModelError(f"split of {node.name!r} collides with existing {sub!r}")
+        present.remove(node.name)
+        present.update(sub_names)
+        share = node.wcet / parts
+        running = 0.0
+        for i, sub in enumerate(sub_names):
+            wcet = share if i < parts - 1 else node.wcet - running
+            running += wcet
+            if i > 0:
+                wcet += overhead
+            nodes.append(Node(sub, wcet))
+        chains[node.name] = sub_names
+    if not chains:
+        return dag
+
+    edges = [
+        (chains[u][-1] if u in chains else u, chains[v][0] if v in chains else v)
+        for u, v in dag.edges
+    ]
+    for sub_names in chains.values():
+        edges.extend(zip(sub_names, sub_names[1:]))
+    return DAG(nodes, edges)
 
 
 def with_split_nodes(
