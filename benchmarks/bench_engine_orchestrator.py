@@ -154,6 +154,8 @@ def test_daemon_dispatch_beats_subprocess_launch_overhead(benchmark, tmp_path):
         finally:
             daemon.stop()
     daemon_seconds = benchmark.stats.stats.mean / launches
+    benchmark.extra_info["subprocess_launch_s"] = subprocess_seconds
+    benchmark.extra_info["daemon_launch_s"] = daemon_seconds
 
     assert daemon_seconds < subprocess_seconds, (
         f"daemon dispatch ({daemon_seconds * 1e3:.0f}ms/launch) should beat "

@@ -12,7 +12,8 @@ i.e. pick ``|s_l|`` distinct tasks of ``lp(k)``, give each one part
 
 Solvers
 -------
-* :func:`rho_assignment` (default) — exact rectangular assignment via
+* :func:`rho_assignment` (default) — exact rectangular assignment by
+  Crouse's shortest augmenting path, a pure-Python port of
   ``scipy.optimize.linear_sum_assignment``. Parts may stay idle when
   ``lp(k)`` has fewer tasks than parts, which keeps the bound *sound*
   for small task-sets (see DESIGN.md, "Known paper issues");
@@ -24,14 +25,18 @@ Solvers
 With non-negative μ the assignment optimum equals the paper ILP optimum
 whenever the latter is feasible (leaving a part idle never helps), which
 tests assert on random instances.
+
+The port keeps scipy's tie-breaking and numpy's summation order, so ρ
+is the float scipy gave, bit for bit; SciPy is only a test oracle (see
+DESIGN.md, "Bit-identical ρ without SciPy").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf, isfinite
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.exceptions import AnalysisError
 from repro.combinatorics.partitions import partitions
@@ -107,6 +112,12 @@ def rho_assignment(
     matched, so surplus parts stay idle (sound) and surplus tasks stay
     unused (required: one task contributes at most once).
 
+    The matching comes from :func:`_max_weight_matching`, a port of
+    ``scipy.optimize.linear_sum_assignment`` that breaks ties the same
+    way. The picked ``μ`` are summed in ascending task order by numpy,
+    whose pairwise rule regroups the terms from eight on, so the result
+    is bit for bit ``V[rows, cols].sum()`` over scipy's ``(rows, cols)``.
+
     Parameters
     ----------
     mu_by_task:
@@ -119,22 +130,105 @@ def rho_assignment(
     float
         The maximal summed workload; 0.0 for an empty scenario or an
         empty ``lp(k)``.
+
+    Raises
+    ------
+    AnalysisError
+        When a ``μ_i`` array is too short for the scenario, or when an
+        entry the scenario reads is NaN or infinite.
     """
-    if not mu_by_task or not scenario.parts:
+    parts = scenario.parts
+    if not mu_by_task or not parts:
         return 0.0
-    names = list(mu_by_task)
-    for name in names:
-        if len(mu_by_task[name]) < max(scenario.parts):
+    top = parts[0]
+    value = []
+    for name, mu in mu_by_task.items():
+        if len(mu) < top:
             raise AnalysisError(
-                f"mu array of task {name!r} has {len(mu_by_task[name])} entries, "
-                f"but the scenario needs mu[{max(scenario.parts)}]"
+                f"mu array of task {name!r} has {len(mu)} entries, "
+                f"but the scenario needs mu[{top}]"
             )
-    value = np.array(
-        [[mu_by_task[name][part - 1] for part in scenario.parts] for name in names],
-        dtype=float,
-    )
-    rows, cols = linear_sum_assignment(value, maximize=True)
-    return float(value[rows, cols].sum())
+        row = [mu[part - 1] for part in parts]
+        if not all(map(isfinite, row)):
+            raise AnalysisError(f"mu array of task {name!r} has a non-finite entry: {row}")
+        value.append(row)
+    pairs = _max_weight_matching(value)
+    return float(np.array([value[i][j] for i, j in pairs], dtype=float).sum())
+
+
+def _max_weight_matching(value: list[list[float]]) -> list[tuple[int, int]]:
+    """Maximum-weight matching of the smaller side of ``value``.
+
+    Returns the matched ``(row, column)`` pairs in ascending row order:
+    what ``scipy.optimize.linear_sum_assignment(value, maximize=True)``
+    returns, pair for pair. It is Crouse's shortest augmenting path
+    (D. F. Crouse, "On implementing 2D rectangular assignment
+    algorithms", IEEE TAES 2016) on the negated matrix, transposed when
+    it has more rows than columns, ported step for step from scipy: the
+    same scan order, tie-breaking and dual updates, so equal-weight
+    optima resolve to the same pairs.
+    """
+    transpose = len(value[0]) < len(value)
+    if transpose:
+        cost = [[-x for x in col] for col in zip(*value)]
+    else:
+        cost = [[-x for x in row] for row in value]
+    nr = len(cost)
+    nc = len(cost[0])
+    u = [0.0] * nr
+    v = [0.0] * nc
+    path = [-1] * nc
+    col4row = [-1] * nr
+    row4col = [-1] * nc
+    for cur in range(nr):
+        # Shortest path from row ``cur`` to an unmatched column.
+        spc = [inf] * nc
+        remaining = list(range(nc - 1, -1, -1))
+        rows_seen = []
+        cols_seen = []
+        min_val = 0.0
+        i = cur
+        while True:
+            rows_seen.append(i)
+            row = cost[i]
+            ui = u[i]
+            index = -1
+            lowest = inf
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - ui - v[j]
+                if r < spc[j]:
+                    path[j] = i
+                    spc[j] = r
+                else:
+                    r = spc[j]
+                # On a tie, a later unmatched column wins: it ends the path.
+                if r < lowest or (r == lowest and row4col[j] == -1):
+                    lowest = r
+                    index = it
+            min_val = lowest
+            j = remaining[index]
+            cols_seen.append(j)
+            last = remaining.pop()
+            if index < len(remaining):
+                remaining[index] = last
+            i = row4col[j]
+            if i == -1:
+                break
+        u[cur] += min_val
+        for i in rows_seen[1:]:
+            u[i] += min_val - spc[col4row[i]]
+        for j in cols_seen:
+            v[j] -= min_val - spc[j]
+        # Augment along the path; ``j`` is the sink.
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    if transpose:
+        return sorted(zip(col4row, range(nr)))
+    return list(enumerate(col4row))
 
 
 # ----------------------------------------------------------------------

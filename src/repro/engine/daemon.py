@@ -148,6 +148,7 @@ def preload() -> None:
     time).
     """
     import numpy  # noqa: F401
+    import numpy.random  # noqa: F401  (numpy defers it to first use)
 
     import repro.cli  # noqa: F401
     import repro.engine  # noqa: F401

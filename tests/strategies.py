@@ -191,15 +191,21 @@ def job_specs(draw):
 
 
 @st.composite
-def mu_tables(draw, max_tasks: int = 5, m: int = 4) -> dict[str, list[float]]:
+def mu_tables(
+    draw,
+    max_tasks: int = 5,
+    m: int = 4,
+    min_tasks: int = 1,
+    values: st.SearchStrategy = st.integers(0, 30),
+) -> dict[str, list[float]]:
     """Random per-task μ arrays: non-negative, zero-padded past a cut."""
-    n_tasks = draw(st.integers(1, max_tasks))
+    n_tasks = draw(st.integers(min_tasks, max_tasks))
     table: dict[str, list[float]] = {}
     for i in range(n_tasks):
         cut = draw(st.integers(1, m))
-        values = sorted(
-            (draw(st.integers(0, 30)) for _ in range(cut)),
+        drawn = sorted(
+            (draw(values) for _ in range(cut)),
         )
-        arr = [float(v) for v in values] + [0.0] * (m - cut)
+        arr = [float(v) for v in drawn] + [0.0] * (m - cut)
         table[f"t{i}"] = arr
     return table

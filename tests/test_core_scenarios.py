@@ -109,6 +109,15 @@ class TestAssignmentSolver:
         with pytest.raises(AnalysisError, match="mu array"):
             rho_assignment({"a": [1.0]}, ExecutionScenario((2,)))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_mu_rejected(self, bad):
+        # A Node accepts an infinite WCET, so μ can be infinite.
+        mu = {"a": [4.0, 6.0], "b": [bad, 5.0]}
+        with pytest.raises(AnalysisError, match="non-finite"):
+            rho_assignment(mu, ExecutionScenario((1, 1)))
+        # An entry the scenario does not read is not an error.
+        assert rho_assignment(mu, ExecutionScenario((2,))) == 6.0
+
 
 class TestIlpSolver:
     def test_scenario_core_mismatch_rejected(self, fig1_mu):

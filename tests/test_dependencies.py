@@ -6,7 +6,9 @@ there even when this machine happens to have the package installed.
 """
 
 import ast
+import os
 import re
+import subprocess
 import sys
 import tomllib
 from pathlib import Path
@@ -43,7 +45,10 @@ def declared_dependencies() -> set[str]:
 
 
 def test_scan_sees_the_known_imports():
-    assert {"numpy", "scipy", "networkx"} <= set(third_party_imports())
+    found = third_party_imports()
+    assert {"numpy", "networkx"} <= set(found)
+    # SciPy is a test oracle only; the runtime solves ρ in-repo.
+    assert "scipy" not in found
 
 
 def test_every_third_party_import_is_declared():
@@ -52,3 +57,39 @@ def test_every_third_party_import_is_declared():
     undeclared = {name: sorted(files) for name, files in third_party_imports().items()
                   if name.lower() not in declared}
     assert not undeclared, f"imported but not in pyproject.toml: {undeclared}"
+
+
+#: A tiny figure2 sweep and the split-sweep example job, as CLI argv.
+RUNS = (
+    ["figure2", "--m", "2", "--tasksets", "2"],
+    ["sweep-run", "--job", "examples/jobs/splitsweep-small.json"],
+)
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_runs_with_scipy_unimportable():
+    # ``sys.modules[name] = None`` makes every import of it fail, as in an
+    # environment that has only the declared dependencies.
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from repro.cli import main\n"
+            f"for argv in {RUNS!r}:\n"
+            "    assert main(argv) == 0, argv\n")
+    done = run_python(code)
+    assert done.returncode == 0, done.stderr
+
+
+def test_scipy_stays_unloaded():
+    code = ("import sys\n"
+            "from repro.cli import main\n"
+            "assert 'scipy' not in sys.modules, 'import repro.cli'\n"
+            f"for argv in {RUNS!r}:\n"
+            "    assert main(argv) == 0, argv\n"
+            "    assert 'scipy' not in sys.modules, argv\n")
+    done = run_python(code)
+    assert done.returncode == 0, done.stderr

@@ -509,6 +509,28 @@ class TestDaemonBackend:
             daemon.stop()
 
 
+def test_preload_imports_everything_shard_runs_need():
+    """A forked shard must find every module it uses already imported."""
+    code = (
+        "import contextlib, io, sys\n"
+        "from repro.engine.daemon import preload\n"
+        "preload()\n"
+        "before = set(sys.modules)\n"
+        "from repro.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['figure2', '--m', '2', '--tasksets', '1', '--step', '4.0'])\n"
+        "    for kind in ('group2', 'splitsweep'):\n"
+        "        main(['sweep-run', '--job', f'examples/jobs/{kind}-small.json'])\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 class TestDaemonProcess:
     """The real thing: a sweep-daemon subprocess, killed with SIGKILL."""
 

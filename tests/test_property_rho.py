@@ -1,0 +1,98 @@
+"""The in-repo ρ assignment against SciPy, bit for bit.
+
+``rho_assignment`` used to hand its value matrix to
+``scipy.optimize.linear_sum_assignment``. Its port must pick the same
+pairs, including among equal-weight optima, and return the same float:
+the reference below is the old formula, kept verbatim. Floats are
+compared with ``float.hex`` so a last-bit difference fails.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.scenarios import (
+    ExecutionScenario,
+    _max_weight_matching,
+    execution_scenarios,
+    rho_assignment,
+)
+
+from tests.strategies import mu_tables
+
+scipy_optimize = pytest.importorskip("scipy.optimize")
+
+SMALL_INTS = st.integers(0, 3)
+CONTINUOUS = st.floats(-1000, 1000, allow_nan=False, allow_infinity=False)
+NON_NEGATIVE = st.floats(0, 1000, allow_nan=False, allow_infinity=False)
+
+
+def scipy_rho(mu_by_task: dict[str, list[float]], scenario: ExecutionScenario) -> float:
+    """``rho_assignment`` as it was when SciPy solved the matching."""
+    if not mu_by_task or not scenario.parts:
+        return 0.0
+    value = np.array(
+        [[mu_by_task[name][part - 1] for part in scenario.parts] for name in mu_by_task],
+        dtype=float,
+    )
+    rows, cols = scipy_optimize.linear_sum_assignment(value, maximize=True)
+    return float(value[rows, cols].sum())
+
+
+@st.composite
+def matrices(draw, shape: str):
+    """A ``rows × columns`` matrix of one shape, sides up to 16."""
+    a = draw(st.integers(1, 16))
+    b = a if shape == "square" else draw(st.integers(1, 16).filter(lambda n: n != a))
+    n_rows, n_cols = (max(a, b), min(a, b)) if shape == "tall" else (min(a, b), max(a, b))
+    elements = draw(st.sampled_from([SMALL_INTS, CONTINUOUS]))
+    return [[draw(elements) for _ in range(n_cols)] for _ in range(n_rows)]
+
+
+@pytest.mark.parametrize("shape", ["tall", "wide", "square"])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_matching_equals_scipy(shape, data):
+    value = data.draw(matrices(shape))
+    rows, cols = scipy_optimize.linear_sum_assignment(np.array(value, dtype=float), maximize=True)
+    assert _max_weight_matching(value) == list(zip(rows.tolist(), cols.tolist()))
+
+
+def assert_same_bits(table: dict[str, list[float]], m: int) -> None:
+    for scenario in execution_scenarios(m):
+        got = rho_assignment(table, scenario)
+        assert type(got) is float
+        assert got.hex() == scipy_rho(table, scenario).hex(), scenario.parts
+
+
+# The second case always has eight matched parts or more, where numpy's
+# pairwise sum regroups the terms.
+@pytest.mark.parametrize("fewest", [1, 8])
+@given(data=st.data(), values=st.sampled_from([SMALL_INTS, NON_NEGATIVE]))
+@settings(max_examples=60, deadline=None)
+def test_rho_equals_scipy_formula(fewest, data, values):
+    m = data.draw(st.integers(fewest, 16))
+    table = data.draw(mu_tables(min_tasks=fewest, max_tasks=20, m=m, values=values))
+    assert_same_bits(table, m)
+    assert_same_bits(table, m - 1)
+
+
+def test_rho_sum_of_eight_is_numpy_not_left_to_right():
+    values = [47.66, 58.34, 90.81, 50.47, 28.18, 75.58, 61.84, 25.05]
+    table = {f"t{i}": [v] for i, v in enumerate(values)}
+    left_to_right = 0.0
+    for v in values:
+        left_to_right += v
+    got = rho_assignment(table, ExecutionScenario((1,) * 8))
+    assert got.hex() == float(np.array(values).sum()).hex()
+    assert got != left_to_right
+
+
+def test_integer_mu_gives_a_float():
+    # μ[1] of a generated DAG is its largest WCET, an int.
+    table = {"a": [7, 9.5], "b": [3, 4.0]}
+    for parts in [(1,), (2,), (1, 1)]:
+        got = rho_assignment(table, ExecutionScenario(parts))
+        assert type(got) is float
+        assert got.hex() == scipy_rho(table, ExecutionScenario(parts)).hex()
