@@ -10,11 +10,14 @@ c* in the task's precedence order (Eq. 6):
 ``μ_i[c] = 0`` when no ``c`` NPRs are pairwise parallel (Table I:
 ``μ2[3] = μ2[4] = 0``).
 
-Three exact solvers are provided; all return identical values (asserted
-in tests) and differ only in mechanics and cost:
+Three exact solvers are provided.  For integer WCETs all three return
+identical values (asserted in tests) and differ only in mechanics and
+cost.  For non-integer WCETs the ILP objectives can differ in the last
+bit: the search, like the exhaustive oracle :func:`mu_bruteforce`, sums
+each antichain heaviest first and returns the largest such float.
 
-* ``"search"`` (default) — bitmask branch-and-bound over the
-  parallelism relation; fastest, used by the production analysis path;
+* ``"search"`` (default) — bitmask branch-and-bound over classes of
+  interchangeable NPRs; fastest, used by the production analysis path;
 * ``"ilp"`` — a clean pairwise-conflict binary ILP
   (``b_j + b_k <= 1`` for every *non*-parallel pair) solved by
   :mod:`repro.ilp`;
@@ -142,48 +145,55 @@ def _mu_search(dag: DAG) -> Callable[[int], float]:
     """Maximum-weight antichain of exactly ``c`` nodes, or 0 if none.
 
     Returns the search as a function of ``c``; the node order, weights
-    and parallelism masks it reads are built once per DAG.  Nodes are
-    ordered by decreasing WCET; the search keeps a bitmask of nodes
-    still compatible with the current partial antichain and prunes on
+    and parallelism masks it reads are built once per DAG.
+
+    The search runs on a quotient of the DAG.  Nodes that share one
+    parallel set ``Par(v)`` are pairwise ordered and interchangeable in
+    any antichain, so each such class is kept as a single node: its
+    first member in (−WCET, name) order, i.e. its heaviest.  A chain of
+    split sub-NPRs collapses to one node, and so does a sequential task.
+
+    Nodes are ordered by decreasing WCET, and each antichain's weight is
+    summed in that order.  The search keeps a bitmask of nodes still
+    compatible with the current partial antichain and prunes on
     (a) not enough compatible nodes left, and (b) an optimistic bound
-    (current weight + the ``c − k`` heaviest remaining compatible
-    nodes) failing to beat the incumbent.
+    failing to beat the incumbent.  The bound adds the ``c − k``
+    heaviest remaining compatible nodes to the current weight one at a
+    time, in the search's own order, so rounding never lowers it below
+    a sum the search can reach.  The result is the largest such float
+    sum over all ``c``-antichains of the full DAG (DESIGN.md, "μ over
+    classes of interchangeable NPRs").
     """
-    names = sorted(dag.node_names, key=lambda n: (-dag.wcet(n), n))
+    order = sorted(dag.node_names, key=lambda n: (-dag.wcet(n), n))
+    heaviest: dict[int, str] = {}
+    for name, par in zip(order, parallel_masks(dag, order)):
+        heaviest.setdefault(par, name)
+    names = list(heaviest.values())
     weights = [dag.wcet(name) for name in names]
     masks = parallel_masks(dag, names)
     n = len(names)
 
-    # prefix_weights[i] = weights[i:] summed over the k heaviest is just
-    # the first k of the slice, because ``weights`` is sorted descending.
-    def optimistic(start: int, candidates: int, need: int) -> float:
-        total = 0.0
-        taken = 0
+    def optimistic(start: int, candidates: int, need: int, weight: float) -> float:
         bits = candidates >> start
         i = start
-        while bits and taken < need:
+        while bits and need:
             if bits & 1:
-                total += weights[i]
-                taken += 1
+                weight += weights[i]
+                need -= 1
             bits >>= 1
             i += 1
-        if taken < need:
-            return float("-inf")
-        return total
+        return float("-inf") if need else weight
 
     def mu(c: int) -> float:
-        best = 0.0
-        found = False
+        best = float("-inf")
 
         def search(start: int, candidates: int, chosen: int, weight: float) -> None:
-            nonlocal best, found
+            nonlocal best
             if chosen == c:
-                if not found or weight > best:
-                    best = weight
-                    found = True
+                best = max(best, weight)
                 return
             need = c - chosen
-            if weight + optimistic(start, candidates, need) <= (best if found else float("-inf")):
+            if optimistic(start, candidates, need, weight) <= best:
                 return
             for i in range(start, n - need + 1):
                 if not (candidates >> i) & 1:
@@ -191,7 +201,7 @@ def _mu_search(dag: DAG) -> Callable[[int], float]:
                 search(i + 1, candidates & masks[i], chosen + 1, weight + weights[i])
 
         search(0, (1 << n) - 1, 0, 0.0)
-        return best if found else 0.0
+        return max(best, 0.0)  # 0 when no c-antichain exists
 
     return mu
 
@@ -272,14 +282,21 @@ def _mu_ilp_paper(dag: DAG, c: int) -> float:
 
 
 def mu_bruteforce(dag: DAG, c: int) -> float:
-    """Exhaustive μ[c] oracle over all antichains (tests only)."""
+    """Exhaustive μ[c] oracle over all antichains (tests only).
+
+    Each antichain is summed heaviest first, the order in which the
+    search adds it, so the oracle defines μ's float value for
+    non-integer WCETs too.
+    """
     from repro.graph.properties import antichains
 
     best = 0.0
     found = False
     for chain in antichains(dag, max_size=c):
         if len(chain) == c:
-            weight = sum(dag.wcet(v) for v in chain)
+            weight = 0.0
+            for wcet in sorted((dag.wcet(v) for v in chain), reverse=True):
+                weight += wcet
             if not found or weight > best:
                 best = weight
                 found = True

@@ -6,8 +6,9 @@ order. This module provides:
 
 * :func:`par_sets_oracle` — the reachability-based definition, computed
   from the transitive closure (always correct);
-* :func:`parallel_masks` — the same sets as integer bitmasks, from
-  bitset reachability (what the μ search consumes);
+* :func:`parallel_masks` — the same sets as integer bitmasks over any
+  subset of the nodes, from bitset reachability (what the μ search
+  consumes);
 * :func:`algorithm1_par_sets` — a faithful transcription of the paper's
   Algorithm 1 (Section V-A1), with an optional correction knob (see
   below);
@@ -63,8 +64,13 @@ def parallel_masks(dag: DAG, names: Sequence[str]) -> list[int]:
     with ``names[i]``: the same relation as :func:`par_sets_oracle`,
     from reachability held as bitsets (one backward topological pass
     for the descendants, one forward pass for the ancestors).
+
+    ``names`` may be any subset of the nodes, in any order.  The masks
+    are then ``Par(v)`` restricted to that subset: reachability still
+    runs through the nodes left out, which only have no bit.
     """
-    bit = {name: 1 << i for i, name in enumerate(names)}
+    bit = dict.fromkeys(dag.node_names, 0)
+    bit.update((name, 1 << i) for i, name in enumerate(names))
     order = dag.topological_order
     below: dict[str, int] = {}
     for name in reversed(order):

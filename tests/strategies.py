@@ -19,16 +19,25 @@ def random_dags(
     max_wcet: int = 20,
     edge_probability: float = 0.35,
     single_source: bool = False,
+    fractional: bool = False,
 ) -> DAG:
     """Random DAGs: edges only go from lower to higher node index.
 
     With ``single_source=True`` every later node with no predecessor is
     wired to node 0, producing the OpenMP-style shape the paper's
-    Algorithm 1 assumes.
+    Algorithm 1 assumes.  With ``fractional=True`` each WCET is a
+    multiple of a tenth or a third up to ``max_wcet``, so sums of WCETs
+    round, as the shares ``split_all_nodes`` produces do.
     """
+
+    def wcet() -> float:
+        if not fractional:
+            return float(draw(st.integers(1, max_wcet)))
+        denominator = draw(st.sampled_from((10, 3)))
+        return draw(st.integers(1, max_wcet * denominator)) / denominator
+
     n = draw(st.integers(min_nodes, max_nodes))
-    wcets = [draw(st.integers(1, max_wcet)) for _ in range(n)]
-    nodes = [Node(f"n{i}", float(w)) for i, w in enumerate(wcets)]
+    nodes = [Node(f"n{i}", wcet()) for i in range(n)]
     edges: list[tuple[str, str]] = []
     for i in range(n):
         for j in range(i + 1, n):

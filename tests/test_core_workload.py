@@ -86,3 +86,22 @@ class TestMuSemantics:
 
     def test_mu1_is_max_wcet(self, fig1_tau3):
         assert mu_value(fig1_tau3, 1) == 6.0
+
+    def test_bound_adds_in_the_search_order(self):
+        """μ[3] is the largest 3-antichain sum in heaviest-first order.
+
+        {p4, p2, p3} sums to 3.1 and is found first. {p2, p1, p0} sums to
+        (1.3 + 1.1) + 0.7 = 3.1000000000000005, but a bound that adds the
+        remaining nodes apart from the partial weight, 1.3 + (1.1 + 0.7),
+        rounds to 3.1 and would prune it.
+        """
+        dag = (
+            DagBuilder()
+            .nodes({"p0": 0.7, "p1": 1.1, "p2": 1.3, "p3": 0.1, "p4": 1.7})
+            .edge("p0", "p3")
+            .edge("p0", "p4")
+            .edge("p1", "p4")
+            .build()
+        )
+        assert mu_value(dag, 3).hex() == (3.1000000000000005).hex()
+        assert mu_bruteforce(dag, 3).hex() == (3.1000000000000005).hex()

@@ -2,9 +2,10 @@
 
 A ``DAG`` orders its nodes once at construction, ``split_all_nodes``
 rebuilds the graph once for all heavy nodes, and ``mu_array`` builds
-the μ search's tables once for every core count. Each is pinned here to
-a straightforward reference: ordered tuples and float bits must match,
-and so must the errors raised.
+the μ search's tables once for every core count, over one node per
+class of interchangeable NPRs. Each is pinned here to a straightforward
+reference: ordered tuples and float bits must match, and so must the
+errors raised.
 """
 
 import math
@@ -210,3 +211,42 @@ class TestMuTables:
         par = par_sets_oracle(dag)
         expected = [sum(1 << index[other] for other in par[name]) for name in names]
         assert parallel_masks(dag, names) == expected
+
+    @given(shuffled_dags(max_nodes=14), st.data())
+    @settings(max_examples=150)
+    def test_subset_masks_equal_restricted_oracle_masks(self, dag, data):
+        names = data.draw(st.permutations(dag.node_names))
+        subset = names[: data.draw(st.integers(0, len(names)))]
+        index = {name: i for i, name in enumerate(subset)}
+        par = par_sets_oracle(dag)
+        expected = [
+            sum(1 << index[other] for other in par[name] if other in index)
+            for name in subset
+        ]
+        assert parallel_masks(dag, subset) == expected
+
+
+# ----------------------------------------------------------------------
+# μ over classes of interchangeable NPRs, on non-integer WCETs
+# ----------------------------------------------------------------------
+class TestMuFloatWcets:
+    """The search returns the oracle's float, bit for bit.
+
+    Integer WCETs sum exactly in any order; tenths and thirds do not, so
+    here the class representative and the order of every sum matter.
+    """
+
+    @given(random_dags(max_nodes=9, fractional=True), st.integers(1, 6))
+    @settings(max_examples=200, deadline=None)
+    def test_fractional_wcets_equal_bruteforce_bits(self, dag, c):
+        assert mu_value(dag, c).hex() == mu_bruteforce(dag, c).hex()
+
+    @given(
+        random_dags(max_nodes=6, max_wcet=12, fractional=True),
+        st.floats(3.0, 12.0),
+        st.integers(1, 6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_split_dags_equal_bruteforce_bits(self, dag, max_wcet, c):
+        split = split_all_nodes(dag, max_wcet)
+        assert mu_value(split, c).hex() == mu_bruteforce(split, c).hex()
