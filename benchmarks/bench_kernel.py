@@ -1,8 +1,8 @@
-"""Fast-kernel floors: verdict-cache warm-up and RTA memoisation.
+"""Fast-kernel floors: verdict cache, RTA memoisation and cache routing.
 
-Two speedup floors keep the analysis kernel honest, and both double as
-bit-identity checks (the optimised paths must change *nothing* but the
-wall-clock):
+Three floors keep the analysis kernel honest, and each doubles as a
+bit-identity check (the optimised paths must change *nothing* but the
+wall-clock or the number of cold analyses):
 
 * a warm verdict cache must replay a whole sweep at least 5x faster
   than the cold run that populated it — the cache read path (fingerprint
@@ -10,8 +10,10 @@ wall-clock):
 * the :class:`~repro.core.interference.InterferenceMemo` must evaluate
   the fixpoint's ``I^hp_k`` query stream at least 1.5x faster than the
   seed kernel's per-call :func:`higher_priority_interference` on the
-  group-2 shape (wide, parallel-only task-sets), while summing to the
-  bit-identical total.
+  group-2 shape (parallel-only task-sets), while summing to the
+  bit-identical total;
+* cache-aware routing must need at least 2x fewer cold analyses than
+  strided sharding on a duplicate-heavy corpus.
 
 Each run appends its numbers to ``BENCH_kernel.json`` at the repo root
 — the checked-in benchmark trajectory.  Sizes are tunable via
@@ -159,8 +161,8 @@ def _fixpoint_queries(taskset, m):
 
 
 def test_interference_memo_beats_seed_kernel(bench_tasksets, bench_check):
-    # Group-2 shape: parallel-only DAG tasks, wide enough that the
-    # memo's numpy batch path engages on the low-priority ranks.
+    # Group-2 shape: parallel-only DAG tasks, 5-8 per set at u = 6, so
+    # every query sums a short hp prefix and the win is the W_i memo.
     m = 8
     tasksets = [
         generate_taskset(np.random.default_rng(SEED + i), 6.0, GROUP2)
@@ -216,63 +218,7 @@ def test_interference_memo_beats_seed_kernel(bench_tasksets, bench_check):
     assert speedup >= 1.5, (
         f"InterferenceMemo is only {speedup:.2f}x faster than the seed "
         f"kernel ({memo_seconds:.4f}s vs {seed_seconds:.4f}s) on the "
-        "group-2 shape; the memoised/vectorised hot path has regressed"
-    )
-
-
-def test_batched_rta_beats_per_item_loop(bench_tasksets, bench_check):
-    # The cross-lane kernel: analysing the corpus through
-    # analyze_taskset_multi_batch must beat the per-item loop it is
-    # semantically equal to.  The shape is a *wide* group-2 variant
-    # (small per-task utilisations, so u = 6 packs ~35 tasks per set):
-    # every fixpoint step sums a long hp prefix, which is where one
-    # cross-lane 2-D kernel amortises the numpy dispatch the per-item
-    # path pays per taskset per iteration.  Narrow corpora stay
-    # bookkeeping-bound and neither path can beat the other.
-    from repro.core.analyzer import (
-        analyze_taskset_multi,
-        analyze_taskset_multi_batch,
-    )
-
-    m = 8
-    wide = dataclasses.replace(
-        GROUP2, beta=0.1, u_task_max=0.25, utilization_mode="uniform"
-    )
-    tasksets = [
-        generate_taskset(np.random.default_rng(SEED + i), 6.0, wide)
-        for i in range(max(24, 2 * bench_tasksets))
-    ]
-
-    def run_serial():
-        return [analyze_taskset_multi(taskset, m) for taskset in tasksets]
-
-    def run_batch():
-        return analyze_taskset_multi_batch(tasksets, m)
-
-    assert run_batch() == run_serial()  # bit-identical verdicts, always
-
-    serial_seconds = _best_of(run_serial)
-    batch_seconds = _best_of(run_batch)
-    speedup = serial_seconds / batch_seconds
-    _record(
-        "batched_rta",
-        {
-            "tasksets": len(tasksets),
-            "tasks_per_set": round(
-                sum(len(ts.tasks) for ts in tasksets) / len(tasksets), 1
-            ),
-            "m": m,
-            "serial_seconds": round(serial_seconds, 4),
-            "batch_seconds": round(batch_seconds, 4),
-            "speedup": round(speedup, 2),
-            "floor": 1.3,
-        },
-        check=bench_check,
-    )
-    assert speedup >= 1.3, (
-        f"batched RTA is only {speedup:.2f}x faster than the per-item "
-        f"loop ({batch_seconds:.4f}s vs {serial_seconds:.4f}s) on the "
-        "group-2 shape; the cross-lane fixpoint kernel has regressed"
+        "group-2 shape; the memoised hot path has regressed"
     )
 
 

@@ -8,10 +8,12 @@ fixpoint into the three analyses the paper evaluates (Section VI):
 * ``LP-ILP``  — Eq. 4 with Δ from Eq. 8.
 
 :func:`analyze_taskset` runs one method; :func:`analyze_taskset_multi`
-evaluates several methods in a single pass, sharing the validation and
-the LP-ILP μ cache and (by default) exploiting the dominance ordering
-``LP-max ⊆ LP-ILP ⊆ FP-ideal`` to skip analyses whose verdict is
-already decided — the fast path of the experiment sweeps.
+evaluates several methods in a single pass, sharing the validation, the
+interference memo and the LP-ILP μ cache and (by default) exploiting
+the dominance ordering ``LP-max ⊆ LP-ILP ⊆ FP-ideal`` to skip analyses
+whose verdict is already decided.  Both run every fixpoint through the
+one kernel, :func:`~repro.core.rta.response_time_bounds`; the sweep
+engine calls :func:`analyze_taskset_multi` once per work item.
 
 Example
 -------
@@ -30,7 +32,7 @@ from repro.exceptions import AnalysisError
 from repro.core.blocking import RhoSolver, lp_ilp_deltas, lp_max_deltas
 from repro.core.interference import InterferenceMemo
 from repro.core.results import MultiAnalysis, TaskAnalysis, TasksetAnalysis
-from repro.core.rta import response_time_bounds, response_time_bounds_batch
+from repro.core.rta import response_time_bounds
 from repro.core.workload import MuMethod
 from repro.model.taskset import TaskSet
 from repro.model.validation import validate_taskset_for_analysis
@@ -276,202 +278,6 @@ def analyze_taskset_multi(
     if cache is not None and key is not None:
         cache.put(key, result)
     return result
-
-
-def _compute_multi_batch(
-    tasksets: Sequence[TaskSet],
-    m: int,
-    wanted: Sequence[AnalysisMethod],
-    mu_method: MuMethod,
-    rho_solver: RhoSolver,
-    dominance_pruning: bool,
-) -> list[MultiAnalysis]:
-    """The multi-method pruning flow of :func:`analyze_taskset_multi`,
-    computed for a whole batch of (already validated) task-sets.
-
-    Each phase (FP-ideal, LP-max, LP-ILP) runs as one
-    :func:`~repro.core.rta.response_time_bounds_batch` call over the
-    lanes the serial flow would run it on, so every lane sees the exact
-    per-item sequence of methods, warm starts, provider invocations and
-    memo state — results are bit-identical to the per-item analyzer.
-    """
-    n = len(tasksets)
-    if n == 0:
-        return []
-    memos = [InterferenceMemo(ts, m) for ts in tasksets]
-    mu_caches: list[dict[str, list[float]]] = [{} for _ in range(n)]
-    computed: list[dict[AnalysisMethod, TasksetAnalysis]] = [{} for _ in range(n)]
-
-    def provider_for(method: AnalysisMethod, i: int):
-        taskset = tasksets[i]
-        if method is AnalysisMethod.LP_MAX:
-            def provider(task, taskset=taskset):
-                return lp_max_deltas(taskset.lp(task.name), m)
-        else:
-            mu_cache = mu_caches[i]
-            def provider(task, taskset=taskset, mu_cache=mu_cache):
-                return lp_ilp_deltas(
-                    taskset.lp(task.name),
-                    m,
-                    mu_method=mu_method,
-                    rho_solver=rho_solver,
-                    mu_cache=mu_cache,
-                )
-        return provider
-
-    def run(
-        method: AnalysisMethod,
-        indices: Sequence[int],
-        warm_by_index: dict[int, dict[str, float]] | None = None,
-    ) -> None:
-        subsets = [tasksets[i] for i in indices]
-        submemos = [memos[i] for i in indices]
-        if method is AnalysisMethod.FP_IDEAL:
-            tasks_lists = response_time_bounds_batch(subsets, m, memos=submemos)
-        else:
-            tasks_lists = response_time_bounds_batch(
-                subsets,
-                m,
-                delta_providers=[provider_for(method, i) for i in indices],
-                limited_preemption=True,
-                warm_starts_list=[
-                    warm_by_index.get(i) if warm_by_index else None
-                    for i in indices
-                ],
-                memos=submemos,
-            )
-        for i, tasks in zip(indices, tasks_lists):
-            computed[i][method] = TasksetAnalysis(method.value, m, tuple(tasks))
-
-    all_lanes = list(range(n))
-    if not dominance_pruning:
-        for method in wanted:
-            run(method, all_lanes)
-    else:
-        lp_wanted = [mm for mm in wanted if mm is not AnalysisMethod.FP_IDEAL]
-        run(AnalysisMethod.FP_IDEAL, all_lanes)
-        if lp_wanted:
-            survivors: list[int] = []
-            warm_by_index: dict[int, dict[str, float]] = {}
-            for i in all_lanes:
-                fp = computed[i][AnalysisMethod.FP_IDEAL]
-                if not fp.schedulable:
-                    for method in lp_wanted:
-                        computed[i][method] = _pruned_unschedulable(
-                            method, tasksets[i], m
-                        )
-                    continue
-                survivors.append(i)
-                warm_by_index[i] = {
-                    t.name: t.response for t in fp.tasks if t.schedulable
-                }
-            if survivors:
-                run(AnalysisMethod.LP_MAX, survivors, warm_by_index)
-                if AnalysisMethod.LP_ILP in lp_wanted:
-                    ilp_lanes = []
-                    for i in survivors:
-                        lp_max = computed[i][AnalysisMethod.LP_MAX]
-                        if lp_max.schedulable:
-                            computed[i][AnalysisMethod.LP_ILP] = TasksetAnalysis(
-                                AnalysisMethod.LP_ILP.value, m, lp_max.tasks
-                            )
-                        else:
-                            ilp_lanes.append(i)
-                    if ilp_lanes:
-                        run(AnalysisMethod.LP_ILP, ilp_lanes, warm_by_index)
-    return [
-        MultiAnalysis(m=m, analyses=tuple(computed[i][mm] for mm in wanted))
-        for i in all_lanes
-    ]
-
-
-def analyze_taskset_multi_batch(
-    tasksets: Sequence[TaskSet],
-    m: int,
-    methods: Sequence[AnalysisMethod | str] | None = None,
-    mu_method: MuMethod = "search",
-    rho_solver: RhoSolver = "assignment",
-    dominance_pruning: bool = True,
-    cache=None,
-) -> list[MultiAnalysis]:
-    """Analyse a batch of task-sets, bit-identical to per-item calls.
-
-    Semantically ``[analyze_taskset_multi(ts, m, ...) for ts in
-    tasksets]``, but the RTA fixpoints of the whole batch iterate in
-    lock-step so each step's interference terms are evaluated by one
-    cross-lane numpy kernel (:class:`~repro.core.interference.`
-    ``InterferenceLanes``) instead of per-task-set numpy calls — the
-    sweep engine's chunk hot path.
-
-    The verdict-cache protocol mirrors the serial loop's counters:
-    first occurrences of each key are looked up (and computed/stored on
-    miss) before duplicate occurrences are looked up, so per-chunk
-    hit/miss totals equal the per-item loop's in both ``read`` and
-    ``readwrite`` modes.  Returns one :class:`MultiAnalysis` per input,
-    in input order.
-    """
-    if methods is None:
-        methods = tuple(AnalysisMethod)
-    wanted: list[AnalysisMethod] = []
-    for method in methods:
-        coerced = _coerce_method(method)
-        if coerced not in wanted:
-            wanted.append(coerced)
-    if not wanted:
-        raise AnalysisError("need at least one analysis method")
-    n = len(tasksets)
-    for taskset in tasksets:
-        validate_taskset_for_analysis(taskset, m)
-
-    results: list[MultiAnalysis | None] = [None] * n
-    compute_lanes: list[int] = []
-    keys: list[str | None] = [None] * n
-    first_for_key: dict[str, int] = {}
-    deferred: list[int] = []
-    if cache is None:
-        compute_lanes = list(range(n))
-    else:
-        method_values = tuple(mm.value for mm in wanted)
-        for i, taskset in enumerate(tasksets):
-            key = cache.key_for(
-                taskset, m, method_values, mu_method, rho_solver,
-                dominance_pruning,
-            )
-            keys[i] = key
-            if key in first_for_key:
-                # Duplicate within the batch: the serial loop would
-                # look it up only after computing and storing the first
-                # occurrence, so defer the lookup to keep hit/miss
-                # counts identical.
-                deferred.append(i)
-                continue
-            first_for_key[key] = i
-            hit = cache.get(key)
-            if hit is not None:
-                results[i] = hit
-            else:
-                compute_lanes.append(i)
-
-    computed = _compute_multi_batch(
-        [tasksets[i] for i in compute_lanes],
-        m, wanted, mu_method, rho_solver, dominance_pruning,
-    )
-    for i, multi in zip(compute_lanes, computed):
-        results[i] = multi
-        if cache is not None:
-            cache.put(keys[i], multi)
-
-    for i in deferred:
-        hit = cache.get(keys[i])
-        if hit is None:
-            # Read-only cache: the store above was a no-op, exactly as
-            # in the serial loop, which would recompute the identical
-            # verdict here.  Reuse the first occurrence's result (same
-            # key ⟹ same inputs) and issue the same no-op store.
-            hit = results[first_for_key[keys[i]]]
-            cache.put(keys[i], hit)
-        results[i] = hit
-    return results
 
 
 def is_schedulable(

@@ -23,16 +23,10 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
-import numpy as np
-
 from repro.exceptions import AnalysisError
 from repro.core.preemptions import _safe_ceil
 from repro.model.task import DAGTask
 from repro.model.taskset import TaskSet
-
-#: Minimum hp-task count before the batched numpy path beats the scalar
-#: loop (array setup costs more than a handful of scalar evaluations).
-_VECTOR_MIN_TASKS = 16
 
 
 def workload_bound(task: DAGTask, window: float, m: int, response: float) -> float:
@@ -121,11 +115,9 @@ class InterferenceMemo:
       only on the hp periods, so they are shared across methods
       unconditionally.
 
-    For wide task-sets (``hp-count >= vector_min_tasks``) the ``W_i``
-    terms are evaluated as one numpy batch.  The batch replicates
-    CPython's float floor-division (``fmod``-based, with the 0.5
-    correction) element-wise and accumulates in task order with scalar
-    adds, so the result is bit-identical to the scalar loop — asserted
+    ``W_i`` is evaluated with the same float operations as
+    :func:`workload_bound` and summed in priority order, so every total
+    equals :func:`higher_priority_interference` bit for bit — asserted
     by the property suite.
     """
 
@@ -137,15 +129,9 @@ class InterferenceMemo:
         "_qs",
         "_w_memo",
         "_h_memo",
-        "_np_vols",
-        "_np_offsets",
-        "_np_periods",
-        "vector_min_tasks",
     )
 
-    def __init__(
-        self, taskset: TaskSet, m: int, vector_min_tasks: int = _VECTOR_MIN_TASKS
-    ) -> None:
+    def __init__(self, taskset: TaskSet, m: int) -> None:
         if m < 1:
             raise AnalysisError(f"core count m must be >= 1, got {m}")
         tasks = taskset.tasks
@@ -156,10 +142,6 @@ class InterferenceMemo:
         self._qs = [t.q for t in tasks]
         self._w_memo: dict[tuple[int, float, float], float] = {}
         self._h_memo: dict[tuple[int, float], int] = {}
-        self._np_vols = None
-        self._np_offsets = None
-        self._np_periods = None
-        self.vector_min_tasks = vector_min_tasks
 
     def interference(self, count: int, window: float, responses: Sequence[float]) -> float:
         """``I^hp_k`` over the first ``count`` tasks (the hp prefix).
@@ -167,8 +149,6 @@ class InterferenceMemo:
         ``responses`` holds the already-computed response bounds of
         those tasks, indexed by priority rank.
         """
-        if count >= self.vector_min_tasks:
-            return self._interference_batch(count, window, responses)
         total = 0.0
         memo = self._w_memo
         m = self.m
@@ -193,30 +173,6 @@ class InterferenceMemo:
             total += w
         return total
 
-    def _interference_batch(
-        self, count: int, window: float, responses: Sequence[float]
-    ) -> float:
-        if self._np_vols is None:
-            self._np_vols = np.array(self._vols, dtype=np.float64)
-            self._np_offsets = np.array(self._offsets, dtype=np.float64)
-            self._np_periods = np.array(self._periods, dtype=np.float64)
-        vols = self._np_vols[:count]
-        periods = self._np_periods[:count]
-        shifted = window + np.asarray(responses, dtype=np.float64) - self._np_offsets[:count]
-        # Replicate CPython's float floor division exactly: fmod-based
-        # quotient with the 0.5 correction (floatobject.c, float_divmod).
-        mod = np.fmod(shifted, periods)
-        div = (shifted - mod) / periods
-        whole = np.floor(div)
-        whole = np.where(div - whole > 0.5, whole + 1.0, whole)
-        remainder = shifted - whole * periods
-        w = whole * vols + np.minimum(vols, self.m * remainder)
-        w = np.where(shifted > 0.0, w, 0.0)
-        total = 0.0
-        for value in w.tolist():
-            total += value
-        return total
-
     def preemptions(self, rank: int, window: float) -> int:
         """``p_k = min(q_k, h_k(window))`` for the task at ``rank``."""
         count = rank
@@ -235,126 +191,6 @@ class InterferenceMemo:
             self._h_memo[key] = releases
         q = self._qs[rank]
         return q if q <= releases else releases
-
-
-class InterferenceLanes:
-    """Cross-lane ``W_i`` evaluator: one numpy op for many task-sets.
-
-    The :class:`InterferenceMemo` batches the ``W_i`` terms of one
-    query's hp prefix; during a sweep chunk, *many* task-sets iterate
-    their fixpoints concurrently (one lane per task-set), each issuing
-    one interference query per step.  Evaluating those queries lane by
-    lane pays the numpy dispatch overhead per lane; this evaluator
-    stacks every lane's per-task constants into padded matrices once
-    and answers a whole step's wide queries in a single 2-D kernel.
-
-    Bit-identity with the per-lane paths is preserved by construction:
-    the kernel runs the exact element-wise operations of
-    :meth:`InterferenceMemo._interference_batch` on matrix rows (numpy
-    element-wise semantics do not depend on array rank) — and that
-    pipeline replicates the scalar ``W_i`` loop float-for-float,
-    including CPython's floor division (asserted by the property
-    suite) — then accumulates each row with the same in-order scalar
-    adds.  Unlike the per-lane memo, the cross-lane kernel vectorises
-    *narrow* hp prefixes too: one wide 2-D op amortises the numpy
-    dispatch cost over every active lane, which is exactly the win a
-    single lane cannot have (hence the per-lane
-    ``vector_min_tasks`` threshold).  A lone query (one active lane
-    left) delegates to that lane's own memo — the scalar loop with its
-    cross-iteration ``W_i`` memoisation wins there.
-
-    Padded columns (beyond a lane's task count) use ``period = 1`` /
-    ``vol = 0`` so the kernel stays finite; their values are never
-    summed — each lane's total only covers its hp prefix.
-    """
-
-    __slots__ = ("memos", "m", "_vols", "_offsets", "_periods", "_responses")
-
-    def __init__(self, memos: Sequence[InterferenceMemo]) -> None:
-        if not memos:
-            raise AnalysisError("InterferenceLanes needs at least one lane")
-        self.memos = list(memos)
-        self.m = memos[0].m
-        for memo in self.memos:
-            if memo.m != self.m:
-                raise AnalysisError(
-                    "every lane of an InterferenceLanes batch must share "
-                    f"one core count; got {memo.m} and {self.m}"
-                )
-        width = max(len(memo._vols) for memo in self.memos)
-        n = len(self.memos)
-        self._vols = np.zeros((n, width), dtype=np.float64)
-        self._offsets = np.zeros((n, width), dtype=np.float64)
-        self._periods = np.ones((n, width), dtype=np.float64)
-        self._responses = np.zeros((n, width), dtype=np.float64)
-        for row, memo in enumerate(self.memos):
-            k = len(memo._vols)
-            self._vols[row, :k] = memo._vols
-            self._offsets[row, :k] = memo._offsets
-            self._periods[row, :k] = memo._periods
-
-    def set_response(self, lane: int, rank: int, response: float) -> None:
-        """Record lane ``lane``'s converged response at priority ``rank``."""
-        self._responses[lane, rank] = response
-
-    def interference_many(
-        self, queries: Sequence[tuple[int, int, float]]
-    ) -> list[float]:
-        """``I^hp_k`` for one step's queries, one numpy kernel for all.
-
-        Each query is ``(lane, count, window)``; the hp responses are
-        the lane's recorded ``set_response`` values for ranks below
-        ``count``.  Returns totals in query order, each bit-identical
-        to ``memos[lane].interference(count, window, responses)``.
-        """
-        rows = np.array([lane for lane, _, _ in queries], dtype=np.intp)
-        counts = np.array([c for _, c, _ in queries], dtype=np.intp)
-        windows = np.array([w for _, _, w in queries], dtype=np.float64)
-        return self.interference_rows(rows, counts, windows).tolist()
-
-    def interference_rows(
-        self, rows: np.ndarray, counts: np.ndarray, windows: np.ndarray
-    ) -> np.ndarray:
-        """Array-in/array-out core of :meth:`interference_many`.
-
-        The batched RTA loop keeps its lane state in numpy arrays, so
-        this variant skips the tuple packing/unpacking entirely.
-        """
-        if rows.shape[0] == 1:
-            # A lone active lane: the scalar loop with its W_i memo
-            # beats the matrix dispatch (and is bit-identical to it).
-            lane, count = int(rows[0]), int(counts[0])
-            memo = self.memos[lane]
-            responses = self._responses[lane, :count].tolist()
-            return np.array(
-                [memo.interference(count, float(windows[0]), responses)]
-            )
-        # The exact element-wise pipeline of _interference_batch,
-        # on stacked rows: (window + R_i) - vol_i/m, CPython floor
-        # division via fmod + the 0.5 correction, then the
-        # volume/dense-execution minimum, zeroed where the shifted
-        # window is non-positive.
-        vols = self._vols[rows]
-        periods = self._periods[rows]
-        shifted = (windows[:, None] + self._responses[rows]) - self._offsets[rows]
-        mod = np.fmod(shifted, periods)
-        div = (shifted - mod) / periods
-        whole = np.floor(div)
-        whole = np.where(div - whole > 0.5, whole + 1.0, whole)
-        remainder = shifted - whole * periods
-        w = whole * vols + np.minimum(vols, self.m * remainder)
-        w = np.where(shifted > 0.0, w, 0.0)
-        # Each lane's total is the in-order sum of its hp prefix.
-        # cumsum is a sequential prefix scan — every output equals the
-        # left-to-right accumulation up to that column — so reading the
-        # (count-1)-th prefix is bit-identical to the scalar loop's
-        # running total.
-        prefix = np.cumsum(w, axis=1)
-        return np.where(
-            counts > 0,
-            prefix[np.arange(rows.shape[0]), np.maximum(counts, 1) - 1],
-            0.0,
-        )
 
 
 def lower_priority_interference(

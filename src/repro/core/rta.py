@@ -14,13 +14,14 @@ unschedulable as soon as the estimate exceeds ``D_k``.
 
 Hot path
 --------
-The interference terms are evaluated through an
+:func:`response_time_bounds` is the one fixpoint kernel: every analysis
+(single method, multi-method, sweep item) runs through it, one task-set
+at a time.  The interference terms are evaluated through an
 :class:`~repro.core.interference.InterferenceMemo` — precomputed
-per-task constants, a cross-iteration/cross-method ``W_i`` memo and a
-numpy batch for wide hp prefixes — instead of the reference functions in
-:mod:`repro.core.interference`.  The memo reproduces the reference
-float-for-float (asserted by the property suite), so results are
-bit-identical to the seed kernel.
+per-task constants and a cross-iteration/cross-method ``W_i`` memo —
+instead of the reference functions in :mod:`repro.core.interference`.
+The memo reproduces the reference float-for-float (asserted by the
+property suite), so results are bit-identical to the seed kernel.
 
 ``warm_starts`` lets a caller seed the fixpoint of a task with a known
 *lower bound* on its response (e.g. the converged FP-ideal response when
@@ -34,17 +35,10 @@ fixpoint converges to the *same* least fixpoint — only the informational
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Mapping, Sequence
-from itertools import compress
-
-import numpy as np
+from collections.abc import Callable, Mapping
 
 from repro.exceptions import AnalysisError
-from repro.core.interference import (
-    InterferenceLanes,
-    InterferenceMemo,
-    lower_priority_interference,
-)
+from repro.core.interference import InterferenceMemo, lower_priority_interference
 from repro.core.results import TaskAnalysis
 from repro.model.task import DAGTask
 from repro.model.taskset import TaskSet
@@ -146,248 +140,6 @@ def response_time_bounds(
         else:
             failed = True
     return results
-
-
-class _Lane:
-    """One task-set's fixpoint state inside a batched RTA pass."""
-
-    __slots__ = (
-        "index", "tasks", "memo", "provider", "warm", "results",
-        "responses", "failed", "done", "rank", "task", "base", "window",
-        "deadline", "delta_m", "delta_m1", "preemptions",
-    )
-
-    def __init__(self, index, tasks, memo, provider, warm) -> None:
-        self.index = index
-        self.tasks = tasks
-        self.memo = memo
-        self.provider = provider
-        self.warm = warm
-        self.results: list[TaskAnalysis] = []
-        self.responses: list[float] = []
-        self.failed = False
-        self.done = False
-        self.rank = -1
-
-
-def response_time_bounds_batch(
-    tasksets: Sequence[TaskSet],
-    m: int,
-    delta_providers: Sequence[DeltaProvider | None] | None = None,
-    limited_preemption: bool = False,
-    *,
-    warm_starts_list: Sequence[Mapping[str, float] | None] | None = None,
-    memos: Sequence[InterferenceMemo | None] | None = None,
-) -> list[list[TaskAnalysis]]:
-    """Run the RTA over a *batch* of task-sets in lock-step.
-
-    Semantically ``[response_time_bounds(ts, m, ...) for ts in
-    tasksets]`` with per-task-set providers/warm-starts/memos — and
-    bit-identical to it: each task-set ("lane") advances through the
-    exact priority loop and fixpoint logic of the serial kernel, but
-    every step's interference queries across all active lanes are
-    answered by one :class:`~repro.core.interference.InterferenceLanes`
-    numpy kernel instead of per-lane evaluations.  Lanes progress
-    heterogeneously (a lane whose task converged moves to its next
-    rank while others keep iterating), so iteration counters, abandon
-    points and warm-start effects match the serial path exactly.
-
-    Parameters mirror :func:`response_time_bounds`, itemised per lane:
-    ``delta_providers[i]`` / ``warm_starts_list[i]`` / ``memos[i]``
-    apply to ``tasksets[i]`` (``None`` entries take the serial
-    defaults).  Returns one ``TaskAnalysis`` list per lane, in input
-    order.
-    """
-    if m < 1:
-        raise AnalysisError(f"core count m must be >= 1, got {m}")
-    n = len(tasksets)
-    providers = list(delta_providers) if delta_providers is not None else [None] * n
-    warms = list(warm_starts_list) if warm_starts_list is not None else [None] * n
-    lane_memos = list(memos) if memos is not None else [None] * n
-    if not (len(providers) == len(warms) == len(lane_memos) == n):
-        raise AnalysisError(
-            "response_time_bounds_batch: per-lane argument lists must "
-            "match the task-set count"
-        )
-    if limited_preemption and any(p is None for p in providers):
-        raise AnalysisError("limited_preemption=True requires a delta_provider")
-
-    lanes: list[_Lane] = []
-    for i, taskset in enumerate(tasksets):
-        memo = lane_memos[i]
-        if memo is None:
-            memo = InterferenceMemo(taskset, m)
-        lanes.append(
-            _Lane(i, list(taskset), memo, providers[i] or _no_blocking, warms[i])
-        )
-    if not lanes:
-        return []
-    evaluator = InterferenceLanes([lane.memo for lane in lanes])
-
-    def advance(lane: _Lane) -> None:
-        """Enter the lane's next rank (skipping past a failed verdict)."""
-        lane.rank += 1
-        while lane.rank < len(lane.tasks):
-            task = lane.tasks[lane.rank]
-            if lane.failed:
-                lane.results.append(
-                    TaskAnalysis(
-                        name=task.name,
-                        schedulable=False,
-                        response=math.inf,
-                        iterations=0,
-                        analyzed=False,
-                    )
-                )
-                lane.rank += 1
-                continue
-            lane.task = task
-            lane.delta_m, lane.delta_m1 = (
-                lane.provider(task) if limited_preemption else (0.0, 0.0)
-            )
-            base = task.longest_path + (task.volume - task.longest_path) / m
-            window = base
-            warm = lane.warm.get(task.name) if lane.warm else None
-            if warm is not None and warm > base:
-                window = warm
-            lane.base = base
-            lane.window = window
-            lane.deadline = task.deadline
-            lane.preemptions = 0
-            return
-        lane.done = True
-
-    for lane in lanes:
-        advance(lane)
-    active = [lane for lane in lanes if not lane.done]
-
-    # Lock-step state lives in compact numpy arrays aligned with
-    # ``active`` (one slot per active lane, in list order), so a whole
-    # step — candidate windows, deadline abandons, fixpoint detection —
-    # is a handful of array ops.  Per-lane Python runs only for lanes
-    # that *transition* this step (converge, fail, or trip a guard);
-    # the rest carry their candidate forward entirely inside numpy.
-    # Each transition re-checks its branch with the scalar expressions
-    # of the serial kernel on the same float64 values the masks saw, so
-    # verdicts, responses and iteration counters stay bit-identical.
-    # Iteration counts are derived from step numbers (``step`` minus the
-    # step at rank entry) instead of per-lane counters, which keeps the
-    # non-transition path free of any per-lane work.
-    m_float = float(m)
-
-    def state_arrays(group: Sequence[_Lane], entry_step: int):
-        count = len(group)
-        return (
-            np.fromiter((l.index for l in group), dtype=np.intp, count=count),
-            np.fromiter((l.window for l in group), dtype=np.float64, count=count),
-            np.fromiter((l.base for l in group), dtype=np.float64, count=count),
-            np.fromiter((l.deadline for l in group), dtype=np.float64, count=count),
-            np.fromiter((l.rank for l in group), dtype=np.intp, count=count),
-            np.full(count, entry_step, dtype=np.int64),
-        )
-
-    act, windows, bases, deadlines, ranks, entries = state_arrays(active, 0)
-    step = 0
-    while active:
-        step += 1
-        interference = evaluator.interference_rows(act, ranks, windows)
-        if limited_preemption:
-            totals = interference.tolist()
-            window_list = windows.tolist()
-            for j, lane in enumerate(active):
-                lane.preemptions = lane.memo.preemptions(
-                    lane.rank, window_list[j]
-                )
-                totals[j] += lower_priority_interference(
-                    lane.delta_m, lane.delta_m1, lane.preemptions
-                )
-            interference = np.asarray(totals, dtype=np.float64)
-        candidates = bases + np.floor(interference / m_float)
-        settled = (
-            (candidates > deadlines)
-            | (
-                np.abs(candidates - windows)
-                <= _FIXPOINT_TOL * np.maximum(1.0, np.abs(windows))
-            )
-            | (candidates < windows)
-            | (step - entries >= _MAX_ITERATIONS)
-        )
-        if not settled.any():
-            windows = candidates
-            continue
-        positions = np.flatnonzero(settled).tolist()
-        cand_list = candidates[settled].tolist()
-        win_list = windows[settled].tolist()
-        entry_list = entries[settled].tolist()
-        reentered: list[_Lane] = []
-        for pos, candidate, window, entered in zip(
-            positions, cand_list, win_list, entry_list
-        ):
-            lane = active[pos]
-            iteration = step - entered
-            if candidate > lane.deadline:
-                lane.results.append(
-                    TaskAnalysis(
-                        name=lane.task.name,
-                        schedulable=False,
-                        response=math.inf,
-                        iterations=iteration,
-                        delta_m=lane.delta_m,
-                        delta_m_minus_1=lane.delta_m1,
-                        preemptions=lane.preemptions,
-                    )
-                )
-                lane.failed = True
-                advance(lane)
-            elif abs(candidate - window) <= _FIXPOINT_TOL * max(
-                1.0, abs(window)
-            ):
-                lane.results.append(
-                    TaskAnalysis(
-                        name=lane.task.name,
-                        schedulable=True,
-                        response=candidate,
-                        iterations=iteration,
-                        delta_m=lane.delta_m,
-                        delta_m_minus_1=lane.delta_m1,
-                        preemptions=lane.preemptions,
-                    )
-                )
-                lane.responses.append(candidate)
-                evaluator.set_response(lane.index, lane.rank, candidate)
-                advance(lane)
-            elif candidate < window:  # pragma: no cover - monotonicity guard
-                raise AnalysisError(
-                    f"task {lane.task.name!r}: response-time iteration "
-                    f"decreased ({window} -> {candidate}); this is a bug"
-                )
-            else:
-                raise AnalysisError(
-                    f"task {lane.task.name!r}: fixpoint did not converge "
-                    f"within {_MAX_ITERATIONS} iterations"
-                )
-            if not lane.done:
-                reentered.append(lane)
-        keep = ~settled
-        survivors = list(compress(active, keep.tolist()))
-        if reentered:
-            tails = state_arrays(reentered, step)
-            act = np.concatenate((act[keep], tails[0]))
-            windows = np.concatenate((candidates[keep], tails[1]))
-            bases = np.concatenate((bases[keep], tails[2]))
-            deadlines = np.concatenate((deadlines[keep], tails[3]))
-            ranks = np.concatenate((ranks[keep], tails[4]))
-            entries = np.concatenate((entries[keep], tails[5]))
-            survivors.extend(reentered)
-        else:
-            act = act[keep]
-            windows = candidates[keep]
-            bases = bases[keep]
-            deadlines = deadlines[keep]
-            ranks = ranks[keep]
-            entries = entries[keep]
-        active = survivors
-    return [lane.results for lane in lanes]
 
 
 def _fixpoint(

@@ -48,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.exceptions import AnalysisError, CacheError
-from repro.core.analyzer import AnalysisMethod, analyze_taskset_multi_batch
+from repro.core.analyzer import AnalysisMethod, analyze_taskset_multi
 from repro.core.blocking import RhoSolver
 from repro.core.workload import MuMethod
 from repro.engine.checkpoint import (
@@ -265,28 +265,20 @@ def _run_chunk(payload, cache=None) -> ChunkRecord:
     if cache is None and len(payload) > 3:
         cache = _cache_for(payload[3])
     counts: dict[int, dict[str, int]] = {}
-    point_indices: list[int] = []
-    tasksets = []
     for item in range(start, stop):
         point_index, taskset_index = divmod(item, spec.n_tasksets)
         rng = spec.taskset_rng(point_index, taskset_index)
-        point_indices.append(point_index)
-        tasksets.append(
-            generate_taskset(rng, spec.utilizations[point_index], spec.profile)
+        taskset = generate_taskset(rng, spec.utilizations[point_index], spec.profile)
+        # Each item is generated and analysed on its own: the chunk only
+        # amortises the executor round-trip, never the analysis.
+        multi = analyze_taskset_multi(
+            taskset,
+            spec.m,
+            spec.methods,
+            mu_method=spec.mu_method,
+            rho_solver=spec.rho_solver,
+            cache=cache,
         )
-    # The whole chunk analyses as one batch: every fixpoint step's
-    # interference terms across the chunk's task-sets are evaluated by
-    # a single cross-lane numpy kernel, bit-identical to the per-item
-    # analyzer (and counter-identical on the verdict cache).
-    multis = analyze_taskset_multi_batch(
-        tasksets,
-        spec.m,
-        spec.methods,
-        mu_method=spec.mu_method,
-        rho_solver=spec.rho_solver,
-        cache=cache,
-    )
-    for point_index, multi in zip(point_indices, multis):
         point = counts.setdefault(
             point_index, {method.value: 0 for method in spec.methods}
         )

@@ -17,7 +17,9 @@ drops suppressed findings before baseline matching.
 from __future__ import annotations
 
 import ast
+import io
 import re
+import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,7 +30,7 @@ from repro.lint.rules import iter_rules
 from repro.lint.rules.base import Finding
 
 _SUPPRESS_RE = re.compile(
-    r"#\s*repro-lint:\s*(disable(?:-file)?)\s*=\s*([A-Za-z0-9_,\s]+)"
+    r"#\s*repro-lint:\s*(disable(?:-file)?)\s*=\s*([A-Za-z0-9_,\s]*)"
 )
 
 
@@ -46,12 +48,21 @@ class Suppressions:
 
 
 def parse_suppressions(lines: list[str]) -> Suppressions:
+    """Collect the suppressions of one source file, given as ``lines``.
+
+    Only comment tokens are read: a marker inside a string literal is
+    text, neither a suppression nor an error.
+    """
     file_wide: set[str] = set()
     by_line: dict[int, set[str]] = {}
-    for lineno, text in enumerate(lines, start=1):
-        match = _SUPPRESS_RE.search(text)
+    source = io.StringIO("\n".join(lines) + "\n")
+    for token in tokenize.generate_tokens(source.readline):
+        if token.type != tokenize.COMMENT:
+            continue
+        match = _SUPPRESS_RE.search(token.string)
         if match is None:
             continue
+        lineno, column = token.start
         kind, codes_text = match.groups()
         codes = {c.strip() for c in codes_text.split(",") if c.strip()}
         if not codes:
@@ -62,7 +73,7 @@ def parse_suppressions(lines: list[str]) -> Suppressions:
             file_wide |= codes
             continue
         by_line.setdefault(lineno, set()).update(codes)
-        if text.lstrip().startswith("#"):
+        if not lines[lineno - 1][:column].strip():
             # A standalone suppression comment covers the next line.
             by_line.setdefault(lineno + 1, set()).update(codes)
     return Suppressions(

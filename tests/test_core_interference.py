@@ -98,7 +98,7 @@ class TestLowerPriorityInterference:
 
 
 class TestInterferenceMemo:
-    """The memoised/vectorised ``I^hp_k`` path must be bit-identical."""
+    """The memoised ``I^hp_k`` path must be bit-identical."""
 
     @staticmethod
     def _taskset(seed: int, utilization: float):
@@ -140,33 +140,6 @@ class TestInterferenceMemo:
             assert memo.interference(count, window, responses[:count]) == expected
             # Memoised re-query returns the identical value.
             assert memo.interference(count, window, responses[:count]) == expected
-
-    @given(
-        seed=st.integers(0, 2**16),
-        window=st.floats(0.0, 500.0, allow_nan=False),
-        data=st.data(),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_vector_batch_bit_identical_to_scalar_loop(
-        self, seed, window, data
-    ):
-        from repro.core.interference import InterferenceMemo
-
-        ts = self._taskset(seed, 2.0)
-        m = 4
-        responses = [
-            data.draw(
-                st.floats(0.0, 300.0, allow_nan=False), label=f"R_{i}"
-            )
-            for i in range(len(ts))
-        ]
-        # Force the numpy batch on one memo, forbid it on the other.
-        batch = InterferenceMemo(ts, m, vector_min_tasks=1)
-        scalar = InterferenceMemo(ts, m, vector_min_tasks=10**9)
-        for count in range(len(ts) + 1):
-            assert batch.interference(
-                count, window, responses[:count]
-            ) == scalar.interference(count, window, responses[:count])
 
     def test_preemptions_formula(self, diamond):
         from repro.core.interference import InterferenceMemo

@@ -292,6 +292,53 @@ class TestLazyOpen:
         }
 
 
+class TestCacheSessionCounters:
+    """Hit/miss counts of the sweep's per-item loop on a corpus with
+    duplicates: a repeat is a hit exactly when its first occurrence
+    was stored before it."""
+
+    @staticmethod
+    def _duplicate_heavy():
+        # Three distinct task-sets, each appearing twice (identical
+        # generator draws give identical fingerprints).
+        base = [_taskset(seed=2016 + i) for i in range(3)]
+        dupes = [_taskset(seed=2016 + i) for i in range(3)]
+        return [base[0], dupes[0], base[1], base[2], dupes[1], dupes[2]]
+
+    @staticmethod
+    def _analyse(tasksets, cache):
+        from repro.engine.sweep import _CacheSession
+
+        session = _CacheSession(cache)
+        results = [analyze_taskset_multi(ts, 2, cache=session) for ts in tasksets]
+        return results, (session.hits, session.misses)
+
+    def test_cold_readwrite_serves_repeats(self, tmp_path):
+        tasksets = self._duplicate_heavy()
+        with VerdictCache(tmp_path / "c", mode="readwrite") as cache:
+            results, counters = self._analyse(tasksets, cache)
+        assert counters == (3, 3)
+        assert results == [analyze_taskset_multi(ts, 2) for ts in tasksets]
+
+    def test_empty_read_only_cache_misses_every_item(self, tmp_path):
+        tasksets = self._duplicate_heavy()
+        (tmp_path / "empty").mkdir()
+        cache = VerdictCache(tmp_path / "empty", mode="read")
+        results, counters = self._analyse(tasksets, cache)
+        assert counters == (0, 6)
+        assert results == [analyze_taskset_multi(ts, 2) for ts in tasksets]
+
+    def test_warm_cache_serves_every_item(self, tmp_path):
+        tasksets = self._duplicate_heavy()
+        with VerdictCache(tmp_path / "c", mode="readwrite") as cache:
+            cold, _ = self._analyse(tasksets, cache)
+        warm, counters = self._analyse(
+            tasksets, VerdictCache(tmp_path / "c", mode="read")
+        )
+        assert counters == (6, 0)
+        assert warm == cold
+
+
 class TestCacheLifecycle:
     def test_stats_summarises_without_decoding(self, tmp_path, monkeypatch):
         with VerdictCache(tmp_path / "c", mode="readwrite") as writer:

@@ -243,6 +243,20 @@ class TestSuppressions:
         with pytest.raises(LintError, match="empty"):
             parse_suppressions(["# repro-lint: disable=  "])
 
+    def test_marker_inside_a_string_is_text(self):
+        # Only comments suppress: a string spelling the marker, even an
+        # empty one, is neither a suppression nor an error.
+        sup = parse_suppressions([
+            'x = "# repro-lint: disable=DET001"',
+            "y = '# repro-lint: disable=  '",
+            '"""',
+            "# repro-lint: disable-file=IO001",
+            '"""',
+        ])
+        assert not sup.is_suppressed("DET001", 1)
+        assert not sup.is_suppressed("DET001", 2)
+        assert not sup.is_suppressed("IO001", 999)
+
     def test_end_to_end_inline_suppression(self, tmp_path):
         mod = tmp_path / "mod.py"
         mod.write_text(
