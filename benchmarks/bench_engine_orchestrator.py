@@ -25,11 +25,11 @@ import time
 from pathlib import Path
 
 from benchmarks.conftest import sweep_grid
-from repro.engine import LiveMerger, plan_figure2
+from repro.engine import LiveMerger, plan_from_jobspec, run_job
 from repro.engine.backends import DaemonBackend, LocalBackend
 from repro.engine.daemon import WorkerDaemon
 from repro.engine.orchestrator import Orchestrator
-from repro.experiments.figure2 import run_figure2
+from repro.experiments.figure2 import figure2_job
 
 SEED = 2016
 SHARDS = 3
@@ -88,10 +88,11 @@ def test_orchestration_overhead_is_bounded(benchmark, bench_points, bench_taskse
     step = round(grid[1] - grid[0], 4) if len(grid) > 1 else 1.0
 
     start = time.perf_counter()
-    serial = run_figure2(m=m, n_tasksets=bench_tasksets, seed=SEED, step=step)
+    job = figure2_job(m=m, n_tasksets=bench_tasksets, seed=SEED, step=step)
+    serial = run_job(job)
     serial_seconds = time.perf_counter() - start
 
-    plan = plan_figure2(m=m, n_tasksets=bench_tasksets, seed=SEED, step=step)
+    plan = plan_from_jobspec(job)
 
     def orchestrate_full_sweep():
         return Orchestrator(

@@ -7,22 +7,22 @@ LP-ILP-over-LP-max gap somewhere mid-range.
 """
 
 from benchmarks.conftest import sweep_grid
+from repro.engine import SweepEngine, SweepSpec
 from repro.experiments.figure2 import check_figure2_shape
-from repro.experiments.runner import run_sweep
 from repro.generator.profiles import GROUP1
 
 M = 8
 
 
 def run(points, tasksets):
-    return run_sweep(
+    return SweepEngine().run(SweepSpec(
         m=M,
         utilizations=sweep_grid(M, points),
         n_tasksets=tasksets,
         profile=GROUP1,
         seed=2016,
         label=f"figure2b-m{M}",
-    )
+    ))
 
 
 def test_figure2b(benchmark, bench_points, bench_tasksets):

@@ -8,22 +8,22 @@ scenarios per task.
 """
 
 from benchmarks.conftest import sweep_grid
+from repro.engine import SweepEngine, SweepSpec
 from repro.experiments.figure2 import check_figure2_shape
-from repro.experiments.runner import run_sweep
 from repro.generator.profiles import GROUP1
 
 M = 16
 
 
 def run(points, tasksets):
-    return run_sweep(
+    return SweepEngine().run(SweepSpec(
         m=M,
         utilizations=sweep_grid(M, points),
         n_tasksets=tasksets,
         profile=GROUP1,
         seed=2016,
         label=f"figure2c-m{M}",
-    )
+    ))
 
 
 def test_figure2c(benchmark, bench_points, bench_tasksets):

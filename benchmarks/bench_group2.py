@@ -9,22 +9,21 @@ schedulability ratios stay close — in sharp contrast to group 1.
 
 import pytest
 
-from repro.experiments.group2 import run_group2
+from repro.engine.session import run_job
+from repro.experiments.group2 import group2_job, summarize_group2
+
+
+def run(m, tasksets, step):
+    return summarize_group2(run_job(group2_job(
+        m=m, n_tasksets=tasksets, seed=2016, step=step,
+    )))
 
 
 @pytest.mark.parametrize("m", [4, 8])
 def test_group2(benchmark, m, bench_points, bench_tasksets):
     step = (m - 1.0) / max(1, bench_points - 1)
     report = benchmark.pedantic(
-        run_group2,
-        kwargs={
-            "m": m,
-            "n_tasksets": bench_tasksets,
-            "seed": 2016,
-            "step": step,
-        },
-        rounds=1,
-        iterations=1,
+        run, args=(m, bench_tasksets, step), rounds=1, iterations=1
     )
     # "Very similar": allow sampling noise on small default sizes.
     assert report.max_gap <= 0.25, (

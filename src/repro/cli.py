@@ -5,53 +5,38 @@ Sub-commands map one-to-one onto the paper's artefacts:
 * ``figure1`` — the worked example (Tables I–III and the Δ terms);
 * ``figure2`` — a schedulability sweep (choose ``--m 4|8|16``);
 * ``group2``  — the uniform-parallelism sweep (LP-max ≈ LP-ILP);
+* ``splitsweep`` — schedulability vs preemption-point granularity;
 * ``timing``  — analysis runtime vs core count;
 * ``demo``    — generate one task-set, analyse and simulate it;
-* ``sweep-merge`` — recombine ``--shard I/N`` artifacts into the exact
-  unsharded result;
-* ``sweep-orchestrate`` — run a whole sharded sweep as one command:
-  partition, dispatch every shard to a backend (local worker pool by
-  default, SSH/queue via ``--backend-template``, persistent worker
-  daemons via ``--backend daemon``), live-merge partial streams, retry
-  failed/stalled shards, optionally re-partition stragglers onto idle
-  slots (``--elastic``), merge and validate;
-* ``sweep-daemon`` — serve shard work orders from a local socket with
-  the repro stack imported once (forked children skip the per-shard
-  interpreter + import cost);
-* ``sweep-status`` — inspect a running or finished orchestration
-  directory from its streams and artifacts;
+* ``breakdown`` — breakdown utilisation of random task-sets;
 * ``sweep-run`` — execute a *declarative job*: a versioned JSON
   :class:`~repro.engine.jobspec.JobSpec` (``--job job.json`` or
-  ``--job-json '<spec>'``) naming the workload (figure2 / group2 /
-  splitsweep + parameters) and the execution policy; ``--set
-  key=value`` and the engine flags layer overrides on top, and the
-  orchestration flags (``--workers`` / ``--backend`` / ``--elastic``
-  ...) run the same job as a whole sharded orchestration instead of a
-  single inline invocation;
-* ``sweep-cache`` — verdict-cache lifecycle: ``stats`` (file/entry/byte
-  summary), ``compact`` (fold every committed verdict into one
-  consolidated shard) and ``gc`` (age/size-bounded cleanup); all three
-  are safe to run while sweeps are actively reading and writing the
-  same directory;
-* ``sweep-db`` — the durable result store: ``publish`` a complete
-  shard-artifact set into the append-only sqlite database, list
-  ``runs``, ``query`` a run's canonical rows, ``validate``
-  (completeness + cross-run drift), and ``export-csv`` a published run
-  bit-identically to the legacy CSV writers.  The sweep commands
-  publish directly with ``--publish``/``--store-dir``.
+  ``--job-json '<spec>'``) naming the workload kind and its parameters
+  plus the execution policy.  ``--set key=value`` and the engine flags
+  layer overrides on top, and the orchestration flags (``--workers`` /
+  ``--backend`` / ``--elastic`` ...) run the same job as a whole
+  sharded orchestration — shards dispatched to local workers, SSH/queue
+  templates or persistent worker daemons, live-merged, retried and
+  validated — instead of a single inline invocation;
+* ``sweep-merge`` — recombine ``--shard I/N`` artifacts into the exact
+  unsharded result;
+* ``sweep-status`` — inspect a running or finished orchestration
+  directory from its streams and artifacts;
+* ``sweep-daemon`` — serve shard work orders from a local socket with
+  the repro stack imported once;
+* ``sweep-cache`` — verdict-cache lifecycle (``stats``, ``compact``,
+  ``gc``), safe while sweeps read and write the same directory;
+* ``sweep-db`` — the durable result store: ``publish`` shard
+  artifacts, list ``runs``, ``query`` rows, ``validate`` completeness
+  and drift, ``export-csv`` bit-identically to the CSV writers.
 
-The sweep sub-commands share the engine flags: ``--jobs`` (worker
-processes), ``--shard I/N`` + ``--shard-out`` (run one slice of the
-sweep, e.g. one CI matrix job), and ``--stream`` (incremental JSONL
-results); ``figure2`` and ``group2`` additionally take ``--checkpoint``
-(resume an interrupted run), ``--chunk-size`` (pin the engine's
-otherwise-adaptive chunking), ``--shard-items`` (evaluate an
-explicit item subset of the shard's slice — how the orchestrator
-dispatches elastic sub-shards) and ``--cache``/``--cache-dir`` (the
-content-addressed verdict cache: bit-identical results, repeated
-sweeps skip recomputation).  Every experiment subcommand is sugar
-over the same spec-building path as ``sweep-run``: the flags construct
-a JobSpec, and ``sweep-run --save-job`` round-trips it to a file.
+``figure2``, ``group2`` and ``splitsweep`` are aliases of ``sweep-run``:
+their few workload flags build the job, and every execution,
+orchestration and output flag of ``sweep-run`` applies unchanged
+(``--jobs``, ``--shard``, ``--stream``, ``--checkpoint``, ``--cache``,
+``--workers``, ``--csv``, ``--dry-run`` ...).  One handler runs every
+sweep, so flags, errors and output are the same whichever way a job
+starts.
 """
 
 from __future__ import annotations
@@ -62,7 +47,6 @@ import sys
 import numpy as np
 
 from repro.exceptions import ReproError, ShardError
-
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
@@ -88,24 +72,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p1 = sub.add_parser("figure1", help="worked example: Tables I-III and deltas")
     p1.set_defaults(handler=_cmd_figure1)
 
-    p2 = sub.add_parser("figure2", help="schedulability sweep (Figure 2)")
-    p2.add_argument("--m", type=int, default=4, help="core count (paper: 4, 8, 16)")
-    p2.add_argument("--tasksets", type=int, default=300, help="task-sets per point")
-    p2.add_argument("--seed", type=int, default=2016)
-    p2.add_argument("--step", type=float, default=None, help="utilisation grid step")
-    p2.add_argument("--csv", type=str, default=None, help="write series to CSV")
-    p2.add_argument("--chart", action="store_true", help="print an ASCII chart")
-    _add_engine_args(p2)
-    p2.set_defaults(handler=_cmd_figure2)
-
-    p3 = sub.add_parser("group2", help="uniform-parallelism sweep (LP-max ~ LP-ILP)")
-    p3.add_argument("--m", type=int, default=4)
-    p3.add_argument("--tasksets", type=int, default=300)
-    p3.add_argument("--seed", type=int, default=2016)
-    p3.add_argument("--step", type=float, default=None)
-    p3.add_argument("--csv", type=str, default=None)
-    _add_engine_args(p3)
-    p3.set_defaults(handler=_cmd_group2)
+    for kind, text in (
+        ("figure2", "schedulability sweep (Figure 2)"),
+        ("group2", "uniform-parallelism sweep (LP-max ~ LP-ILP)"),
+        ("splitsweep", "schedulability vs preemption-point granularity "
+                       "(NPR splitting)"),
+    ):
+        alias = sub.add_parser(
+            kind, help=f"{text}; takes every sweep-run flag",
+            description=f"{text}.  An alias of 'sweep-run': the workload "
+                        "flags build the job, the rest are sweep-run's.",
+        )
+        _add_workload_args(alias, kind)
+        _add_run_args(alias)
+        alias.set_defaults(handler=_cmd_sweep_run, kind=kind)
 
     p4 = sub.add_parser("timing", help="analysis runtime vs core count")
     p4.add_argument("--m", type=int, nargs="+", default=[4, 8, 16])
@@ -133,30 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p6.add_argument("--samples", type=int, default=5)
     p6.set_defaults(handler=_cmd_breakdown)
 
-    p7 = sub.add_parser(
-        "splitsweep",
-        help="schedulability vs preemption-point granularity (NPR splitting)",
-    )
-    p7.add_argument("--m", type=int, default=4)
-    p7.add_argument("--utilization", type=float, default=1.75)
-    p7.add_argument("--tasksets", type=int, default=30)
-    p7.add_argument("--seed", type=int, default=2016)
-    p7.add_argument(
-        "--thresholds", type=float, nargs="+",
-        default=[1000.0, 100.0, 50.0, 25.0, 10.0, 5.0],
-    )
-    p7.add_argument(
-        "--overhead", type=float, default=0.0,
-        help="WCET inflation per inserted preemption point",
-    )
-    p7.add_argument(
-        "-j", "--jobs", type=int, default=1,
-        help="worker processes (results identical for any value)",
-    )
-    _add_shard_args(p7)
-    _add_store_args(p7)
-    p7.set_defaults(handler=_cmd_splitsweep)
-
     p8 = sub.add_parser(
         "sweep-merge",
         help="recombine --shard artifacts into the exact unsharded result",
@@ -169,114 +125,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p8.add_argument("--chart", action="store_true", help="print an ASCII chart")
     p8.set_defaults(handler=_cmd_sweep_merge)
 
-    p9 = sub.add_parser(
-        "sweep-orchestrate",
-        help="run a whole sharded sweep: dispatch shards to a backend, "
-             "live-merge their streams, retry failures, merge + validate",
-    )
-    p9.add_argument(
-        "experiment", choices=("figure2", "group2", "splitsweep"),
-        help="which sweep to orchestrate",
-    )
-    p9.add_argument(
-        "--workers", type=int, default=2,
-        help="concurrent shard invocations (backend slots)",
-    )
-    p9.add_argument(
-        "--shards", type=int, default=None,
-        help="shard count (default: one per worker)",
-    )
-    p9.add_argument(
-        "--retries", type=int, default=2,
-        help="extra launch attempts per failed/stalled shard",
-    )
-    p9.add_argument(
-        "--backend", choices=("local", "template", "daemon"), default="local",
-        help="where shard commands run",
-    )
-    p9.add_argument(
-        "--backend-template", type=str, default=None, metavar="TMPL",
-        help="command template containing {command}, e.g. "
-             "'ssh worker1 {command}' (implies --backend template)",
-    )
-    p9.add_argument(
-        "--daemon-socket", action="append", default=None, metavar="SOCK",
-        dest="daemon_sockets",
-        help="socket of a running sweep-daemon; repeat once per daemon "
-             "(implies --backend daemon)",
-    )
-    p9.add_argument(
-        "--daemon-capacity", type=int, default=None, metavar="N",
-        help="cap concurrent shard jobs packed onto each daemon "
-             "(default: each daemon's declared capacity)",
-    )
-    p9.add_argument(
-        "--elastic", action="store_true",
-        help="re-partition a straggling shard's remaining items onto "
-             "idle slots (figure2/group2: needs checkpoint support)",
-    )
-    p9.add_argument(
-        "--elastic-after", type=float, default=2.0, metavar="S",
-        help="seconds a shard must run before it may be split",
-    )
-    p9.add_argument(
-        "--max-splits", type=int, default=8, metavar="N",
-        help="ceiling on elastic re-partitions per orchestration",
-    )
-    p9.add_argument(
-        "--out", type=str, default=None, metavar="DIR",
-        help="orchestration directory (default: orchestration-<experiment>-"
-             "m<M>); reuse it to resume an interrupted run",
-    )
-    p9.add_argument(
-        "--jobs-per-shard", type=int, default=1, metavar="J",
-        help="worker processes inside each shard invocation",
-    )
-    p9.add_argument(
-        "--poll-interval", type=float, default=0.2,
-        help="seconds between dispatch/stream polls",
-    )
-    p9.add_argument(
-        "--stall-timeout", type=float, default=None, metavar="S",
-        help="kill and relaunch a shard whose stream makes no progress "
-             "for S seconds (default: off)",
-    )
-    p9.add_argument("--m", type=int, default=4)
-    p9.add_argument(
-        "--tasksets", type=int, default=None,
-        help="task-sets per point (default: 300; splitsweep: 30)",
-    )
-    p9.add_argument("--seed", type=int, default=2016)
-    p9.add_argument("--step", type=float, default=None,
-                    help="utilisation grid step (figure2/group2)")
-    p9.add_argument("--utilization", type=float, default=1.75,
-                    help="corpus utilisation (splitsweep)")
-    p9.add_argument(
-        "--thresholds", type=float, nargs="+",
-        default=[1000.0, 100.0, 50.0, 25.0, 10.0, 5.0],
-        help="NPR size caps (splitsweep)",
-    )
-    p9.add_argument("--overhead", type=float, default=0.0,
-                    help="per-preemption-point WCET inflation (splitsweep)")
-    _add_cache_args(p9, default=None)
-    p9.add_argument(
-        "--placement", choices=("strided", "cache-aware"), default="strided",
-        help="shard placement: 'strided' round-robins items; "
-             "'cache-aware' clusters items with equal task-set "
-             "fingerprints onto one shard so duplicates hit that "
-             "shard's warm verdict cache (figure2/group2; results are "
-             "bit-identical either way)",
-    )
-    _add_store_args(p9)
-    p9.add_argument("--csv", type=str, default=None, help="write series to CSV")
-    p9.add_argument("--chart", action="store_true", help="print an ASCII chart")
-    p9.add_argument("--quiet", action="store_true",
-                    help="suppress live progress lines")
-    p9.set_defaults(handler=_cmd_sweep_orchestrate)
-
     p10 = sub.add_parser(
         "sweep-status",
-        help="inspect a running or finished sweep-orchestrate directory",
+        help="inspect a running or finished orchestration directory",
     )
     p10.add_argument("out_dir", metavar="DIR", help="orchestration directory")
     p10.set_defaults(handler=_cmd_sweep_status)
@@ -314,99 +165,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="the JobSpec JSON inline (how orchestrators and daemons "
              "embed the job verbatim in work orders)",
     )
-    p12.add_argument(
-        "--set", action="append", default=[], metavar="KEY=VALUE",
-        dest="overrides",
-        help="override one spec field, e.g. --set workload.m=8 or "
-             "--set execution.jobs=4 (repeatable; bare field names "
-             "resolve to their section)",
-    )
-    p12.add_argument(
-        "--save-job", type=str, default=None, metavar="FILE",
-        help="write the effective (post-override) spec to FILE and "
-             "continue",
-    )
-    p12.add_argument(
-        "--dry-run", action="store_true",
-        help="print the effective spec and exit without running",
-    )
-    # Engine flag overrides (None = keep the job file's value).
-    p12.add_argument("-j", "--jobs", type=int, default=None,
-                     help="override execution.jobs")
-    p12.add_argument("--executor", choices=("process", "thread"),
-                     default=None, help="override execution.executor")
-    p12.add_argument("--checkpoint", type=str, default=None,
-                     help="override execution.checkpoint")
-    p12.add_argument("--chunk-size", type=int, default=None, metavar="N",
-                     help="override execution.chunk_size")
-    p12.add_argument("--shard", type=_shard_arg, default=None, metavar="I/N",
-                     help="override execution.shard")
-    p12.add_argument("--shard-out", type=str, default=None, metavar="PATH",
-                     help="override execution.shard_out")
-    p12.add_argument("--stream", type=str, default=None, metavar="PATH",
-                     help="override execution.stream")
-    p12.add_argument("--shard-items", type=_items_arg, default=None,
-                     metavar="I,J,...", help="override execution.items")
-    _add_cache_args(p12, default=None)
-    p12.add_argument(
-        "--placement", choices=("strided", "cache-aware"), default=None,
-        help="override execution.placement (orchestrated runs only; "
-             "'cache-aware' clusters duplicate task-sets onto one shard)",
-    )
-    _add_store_args(p12)
-    # Orchestration flags: any of them switches from one inline
-    # invocation to a whole sharded orchestration of the same job.
-    p12.add_argument(
-        "--workers", type=int, default=None,
-        help="orchestrate with this many backend slots",
-    )
-    p12.add_argument(
-        "--shards", type=int, default=None,
-        help="orchestration shard count (default: one per worker)",
-    )
-    p12.add_argument("--retries", type=int, default=2,
-                     help="extra launch attempts per failed/stalled shard")
-    p12.add_argument(
-        "--backend", choices=("local", "template", "daemon"), default=None,
-        help="orchestrate on this backend instead of running inline",
-    )
-    p12.add_argument(
-        "--backend-template", type=str, default=None, metavar="TMPL",
-        help="command template containing {command} (implies --backend "
-             "template)",
-    )
-    p12.add_argument(
-        "--daemon-socket", action="append", default=None, metavar="SOCK",
-        dest="daemon_sockets",
-        help="socket of a running sweep-daemon; repeat once per daemon "
-             "(implies --backend daemon)",
-    )
-    p12.add_argument(
-        "--daemon-capacity", type=int, default=None, metavar="N",
-        help="cap concurrent shard jobs packed onto each daemon",
-    )
-    p12.add_argument("--elastic", action="store_true",
-                     help="re-partition straggling shards onto idle slots")
-    p12.add_argument("--elastic-after", type=float, default=2.0, metavar="S",
-                     help="seconds a shard must run before it may be split")
-    p12.add_argument("--max-splits", type=int, default=8, metavar="N",
-                     help="ceiling on elastic re-partitions")
-    p12.add_argument(
-        "--out", type=str, default=None, metavar="DIR",
-        help="orchestration directory (default: orchestration-<kind>-m<M>)",
-    )
-    p12.add_argument("--poll-interval", type=float, default=0.2,
-                     help="seconds between dispatch/stream polls")
-    p12.add_argument("--stall-timeout", type=float, default=None, metavar="S",
-                     help="relaunch a shard with no stream progress for S "
-                          "seconds")
-    p12.add_argument("--quiet", action="store_true",
-                     help="suppress live progress lines")
-    p12.add_argument("--csv", type=str, default=None,
-                     help="write series to CSV")
-    p12.add_argument("--chart", action="store_true",
-                     help="print an ASCII chart (sweep kinds)")
-    p12.set_defaults(handler=_cmd_sweep_run)
+    _add_run_args(p12)
+    p12.set_defaults(handler=_cmd_sweep_run, kind=None)
 
     p13 = sub.add_parser(
         "sweep-cache",
@@ -516,8 +276,67 @@ def _items_arg(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _add_shard_args(parser: argparse.ArgumentParser) -> None:
-    """Sharding/streaming flags shared by every sweep sub-command."""
+def _add_workload_args(parser: argparse.ArgumentParser, kind: str) -> None:
+    """An alias's workload flags, each ``dest`` a ``Workload`` field;
+    ``None`` lets ``Workload`` default them."""
+    parser.add_argument("--m", type=int, default=None,
+                        help="core count (paper: 4, 8, 16; default 4)")
+    parser.add_argument("--tasksets", type=int, default=None,
+                        dest="n_tasksets",
+                        help="task-sets per utilisation point (figure2/group2, "
+                             "default 300) or in the corpus (splitsweep, "
+                             "default 30)")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="root seed (default 2016)")
+    if kind != "splitsweep":
+        parser.add_argument("--step", type=float, default=None,
+                            help="utilisation grid step (default m/16)")
+        return
+    parser.add_argument("--utilization", type=float, default=None,
+                        help="corpus utilisation (default 1.75)")
+    parser.add_argument("--thresholds", type=float, nargs="+", default=None,
+                        help="NPR size caps (default 1000 100 50 25 10 5)")
+    parser.add_argument("--overhead", type=float, default=None,
+                        help="WCET inflation per inserted preemption point")
+
+
+def _add_run_args(parser: argparse.ArgumentParser) -> None:
+    """``sweep-run``'s execution, orchestration and output flags.
+
+    Execution flags default to ``None`` so a job file's value survives
+    when the flag is not given.  Any orchestration flag switches from
+    one inline invocation to a whole sharded orchestration of the job.
+    """
+    parser.add_argument(
+        "--set", action="append", default=[], metavar="KEY=VALUE",
+        dest="overrides",
+        help="override one spec field, e.g. --set workload.m=8 or "
+             "--set execution.jobs=4 (repeatable; bare field names "
+             "resolve to their section)",
+    )
+    parser.add_argument(
+        "--save-job", type=str, default=None, metavar="FILE",
+        help="write the effective (post-override) spec to FILE and "
+             "continue",
+    )
+    parser.add_argument("--dry-run", action="store_true",
+                        help="print the effective spec and exit without running")
+    parser.add_argument(
+        "-j", "--jobs", type=int, default=None,
+        help="worker processes, per shard when orchestrated (results are "
+             "identical for any value)",
+    )
+    parser.add_argument("--executor", choices=("process", "thread"),
+                        default=None, help="pool flavour for --jobs > 1")
+    parser.add_argument(
+        "--checkpoint", type=str, default=None,
+        help="JSON checkpoint path; an interrupted sweep resumes from it",
+    )
+    parser.add_argument(
+        "--chunk-size", type=int, default=None, metavar="N",
+        help="pin work items per executor task (default: adaptive on "
+             "pool executors)",
+    )
     parser.add_argument(
         "--shard", type=_shard_arg, default=None, metavar="I/N",
         help="run only shard I of N (one-based); merge artifacts with "
@@ -525,60 +344,34 @@ def _add_shard_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--shard-out", type=str, default=None, metavar="PATH",
-        help="shard artifact path (default: <command>-shardIofN.json)",
+        help="shard artifact path (default: <kind>-m<M>-shardIofN.json)",
     )
     parser.add_argument(
         "--stream", type=str, default=None, metavar="PATH",
         help="append each completed chunk to this JSONL file as it finishes",
     )
-
-
-def _add_engine_args(parser: argparse.ArgumentParser) -> None:
-    """Sweep-engine flags shared by the sweep-running sub-commands."""
-    parser.add_argument(
-        "-j", "--jobs", type=int, default=1,
-        help="worker processes (1 = serial; counts are identical either way)",
-    )
-    parser.add_argument(
-        "--checkpoint", type=str, default=None,
-        help="JSON checkpoint path; an interrupted sweep resumes from it",
-    )
-    parser.add_argument(
-        "--chunk-size", type=int, default=None, metavar="N",
-        help="pin work items per executor task (default: adaptive sizing "
-             "from per-chunk wall-times on pool executors)",
-    )
-    _add_shard_args(parser)
     parser.add_argument(
         "--shard-items", type=_items_arg, default=None, metavar="I,J,...",
         help="evaluate only these work items of the shard's slice (the "
              "orchestrator's elastic sub-shard dispatch)",
     )
-    _add_cache_args(parser, default=None)
-    _add_store_args(parser)
-
-
-def _add_cache_args(
-    parser: argparse.ArgumentParser, default: str | None
-) -> None:
-    """Verdict-cache flags (``default=None`` keeps a job file's value,
-    or — on the flag-driven subcommands — resolves through
-    :func:`_resolve_cache_mode`)."""
     parser.add_argument(
-        "--cache", choices=("off", "read", "readwrite"), default=default,
+        "--cache", choices=("off", "read", "readwrite"), default=None,
         help="content-addressed verdict cache: 'readwrite' records every "
              "analysed task-set, 'read' only consumes prior entries; "
              "results are bit-identical in every mode",
     )
     parser.add_argument(
         "--cache-dir", type=str, default=None, metavar="DIR",
-        help="verdict cache directory (default: results/cache)",
+        help="verdict cache directory (default: results/cache; implies "
+             "--cache readwrite)",
     )
-
-
-def _add_store_args(parser: argparse.ArgumentParser) -> None:
-    """Result-store flags (``--publish`` default ``None`` so a job
-    file's value survives when the flag is not given)."""
+    parser.add_argument(
+        "--placement", choices=("strided", "cache-aware"), default=None,
+        help="orchestrated shard placement: 'cache-aware' clusters "
+             "duplicate task-sets onto one shard (results are "
+             "bit-identical either way)",
+    )
     parser.add_argument(
         "--publish", action="store_true", default=None,
         help="publish the merged result into the durable result store "
@@ -590,95 +383,71 @@ def _add_store_args(parser: argparse.ArgumentParser) -> None:
         help="result-store directory (default: results; implies "
              "--publish)",
     )
-
-
-def _resolve_publish(args: argparse.Namespace) -> bool:
-    """The effective ``--publish`` of a flag-driven subcommand.
-
-    Naming a store directory is an intent to publish into it, so
-    ``--store-dir`` alone implies ``--publish`` (the same contract as
-    ``--cache-dir`` implying ``--cache readwrite``).
-    """
-    publish = getattr(args, "publish", None)
-    if publish is not None:
-        return bool(publish)
-    return bool(getattr(args, "store_dir", None))
-
-
-def _shard_out_path(args: argparse.Namespace, stem: str) -> str | None:
-    """The artifact path for a sharded run (explicit or derived)."""
-    if args.shard is None and args.shard_out is None:
-        return None
-    if args.shard_out is not None:
-        return args.shard_out
-    shard = args.shard
-    return f"{stem}-shard{shard.index + 1}of{shard.count}.json"
-
-
-def _print_shard_note(args: argparse.Namespace, shard_out: str) -> None:
-    print(
-        f"\nshard {args.shard.label} artifact written to {shard_out}\n"
-        "(partial counts above cover only this shard; recombine every "
-        "shard with: python -m repro sweep-merge SHARD.json ...)"
+    parser.add_argument("--workers", type=int, default=None,
+                        help="orchestrate with this many backend slots")
+    parser.add_argument(
+        "--shards", type=int, default=None,
+        help="orchestration shard count (default: one per worker)",
     )
-
-
-def _resolve_cache_mode(args: argparse.Namespace) -> str:
-    """The effective ``--cache`` mode of a flag-driven subcommand.
-
-    ``--cache-dir`` without ``--cache`` used to be silently ignored
-    (the cache stayed off); naming a directory is an intent to use it,
-    so it implies ``readwrite``.  An explicit ``--cache`` always wins.
-    """
-    cache = getattr(args, "cache", None)
-    if cache is not None:
-        return cache
-    return "readwrite" if getattr(args, "cache_dir", None) else "off"
-
-
-def _job_from_args(
-    kind: str, args: argparse.Namespace, shard_out: str | None
-):
-    """The :class:`~repro.engine.jobspec.JobSpec` an experiment
-    subcommand's flags denote — built through the experiments' own
-    ``*_job`` helpers, so the CLI, the programmatic API and the
-    orchestrator plans can never drift apart."""
-    from repro.engine.jobspec import ExecutionPolicy
-
-    execution = ExecutionPolicy(
-        jobs=args.jobs,
-        chunk_size=getattr(args, "chunk_size", None),
-        checkpoint=getattr(args, "checkpoint", None),
-        stream=args.stream,
-        shard_out=shard_out,
-        shard=args.shard,
-        items=getattr(args, "shard_items", None),
-        cache=_resolve_cache_mode(args),
-        cache_dir=getattr(args, "cache_dir", None),
-        publish=_resolve_publish(args),
-        store_dir=getattr(args, "store_dir", None),
+    parser.add_argument("--retries", type=int, default=2,
+                        help="extra launch attempts per failed/stalled shard")
+    parser.add_argument(
+        "--backend", choices=("local", "template", "daemon"), default=None,
+        help="orchestrate on this backend instead of running inline",
     )
-    if kind == "figure2":
-        from repro.experiments.figure2 import figure2_job
-
-        return figure2_job(
-            m=args.m, n_tasksets=args.tasksets, seed=args.seed,
-            step=args.step, execution=execution,
-        )
-    if kind == "group2":
-        from repro.experiments.group2 import group2_job
-
-        return group2_job(
-            m=args.m, n_tasksets=args.tasksets, seed=args.seed,
-            step=args.step, execution=execution,
-        )
-    from repro.experiments.splitsweep import splitsweep_job
-
-    return splitsweep_job(
-        m=args.m, utilization=args.utilization,
-        thresholds=tuple(args.thresholds), n_tasksets=args.tasksets,
-        seed=args.seed, overhead=args.overhead, execution=execution,
+    parser.add_argument(
+        "--backend-template", type=str, default=None, metavar="TMPL",
+        help="command template containing {command}, e.g. "
+             "'ssh worker1 {command}' (implies --backend template)",
     )
+    parser.add_argument(
+        "--daemon-socket", action="append", default=None, metavar="SOCK",
+        dest="daemon_sockets",
+        help="socket of a running sweep-daemon; repeat once per daemon "
+             "(implies --backend daemon)",
+    )
+    parser.add_argument(
+        "--daemon-capacity", type=int, default=None, metavar="N",
+        help="cap concurrent shard jobs packed onto each daemon",
+    )
+    parser.add_argument("--elastic", action="store_true",
+                        help="re-partition straggling shards onto idle slots")
+    parser.add_argument("--elastic-after", type=float, default=2.0, metavar="S",
+                        help="seconds a shard must run before it may be split")
+    parser.add_argument("--max-splits", type=int, default=8, metavar="N",
+                        help="ceiling on elastic re-partitions")
+    parser.add_argument(
+        "--out", type=str, default=None, metavar="DIR",
+        help="orchestration directory (default: orchestration-<kind>-m<M>); "
+             "reuse it to resume an interrupted run",
+    )
+    parser.add_argument("--poll-interval", type=float, default=0.2,
+                        help="seconds between dispatch/stream polls")
+    parser.add_argument("--stall-timeout", type=float, default=None, metavar="S",
+                        help="relaunch a shard with no stream progress for S "
+                             "seconds")
+    parser.add_argument("--quiet", action="store_true",
+                        help="suppress live progress lines")
+    parser.add_argument("--csv", type=str, default=None,
+                        help="write series to CSV")
+    parser.add_argument("--chart", action="store_true",
+                        help="print an ASCII chart (figure2/group2)")
+
+
+def _print_outputs(spec, result, args: argparse.Namespace) -> None:
+    """The ``--chart`` and ``--csv`` outputs shared by run and merge."""
+    if args.chart:
+        if spec.artifact_kind == "sweep":
+            from repro.experiments.reporting import sweep_chart
+
+            print()
+            print(sweep_chart(result))
+        else:
+            print(f"\n(--chart applies to figure2/group2 sweeps; "
+                  f"{spec.name} results have no chart form)")
+    if args.csv:
+        path = spec.write_csv(result, args.csv)
+        print(f"series written to {path}")
 
 
 # ----------------------------------------------------------------------
@@ -712,48 +481,6 @@ def _cmd_figure1(_: argparse.Namespace) -> int:
     for method, (d_m, d_m1) in paper_deltas().items():
         print(f"{method}: Delta^4 = {d_m:g}, Delta^3 = {d_m1:g}")
     print("(paper: LP-ILP 19/15, LP-max 20/16)")
-    return 0
-
-
-def _cmd_figure2(args: argparse.Namespace) -> int:
-    from repro.engine.session import run_job
-    from repro.experiments.reporting import sweep_chart, sweep_table, write_sweep_csv
-
-    shard_out = _shard_out_path(args, f"figure2-m{args.m}")
-    result = run_job(_job_from_args("figure2", args, shard_out))
-    shard_note = f", shard {args.shard.label}" if args.shard else ""
-    print(sweep_table(result, title=f"Figure 2 (m={args.m}, group 1, "
-                                    f"{args.tasksets} task-sets/point"
-                                    f"{shard_note})"))
-    if args.chart:
-        print()
-        print(sweep_chart(result))
-    print(f"\nelapsed: {result.elapsed_seconds:.1f}s")
-    if args.csv:
-        path = write_sweep_csv(result, args.csv)
-        print(f"series written to {path}")
-    if args.shard:
-        _print_shard_note(args, shard_out)
-    return 0
-
-
-def _cmd_group2(args: argparse.Namespace) -> int:
-    from repro.engine.session import run_job
-    from repro.experiments.group2 import summarize_group2
-    from repro.experiments.reporting import sweep_table, write_sweep_csv
-
-    shard_out = _shard_out_path(args, f"group2-m{args.m}")
-    report = summarize_group2(run_job(_job_from_args("group2", args, shard_out)))
-    shard_note = f", shard {args.shard.label}" if args.shard else ""
-    print(sweep_table(report.sweep, title=f"Group 2 (m={args.m}{shard_note})"))
-    print(f"\nLP-max vs LP-ILP ratio gap: max {100 * report.max_gap:.1f} pts, "
-          f"mean {100 * report.mean_gap:.1f} pts "
-          f"({'agree' if report.methods_agree else 'diverge'})")
-    if args.csv:
-        path = write_sweep_csv(report.sweep, args.csv)
-        print(f"series written to {path}")
-    if args.shard:
-        _print_shard_note(args, shard_out)
     return 0
 
 
@@ -861,74 +588,183 @@ def _cmd_breakdown(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_splitsweep(args: argparse.Namespace) -> int:
-    from repro.engine.session import run_job
-    from repro.experiments.reporting import split_sweep_table
+def _job_from_args(args: argparse.Namespace):
+    """The effective :class:`~repro.engine.jobspec.JobSpec` of a
+    ``sweep-run`` (or alias) invocation: the job source, then ``--set``
+    overrides, then the execution flags."""
+    from repro.engine.jobspec import (
+        JobSpec,
+        Workload,
+        load_job,
+        parse_set_override,
+    )
+    from repro.engine.registry import kind_spec
 
-    shard_out = _shard_out_path(args, f"splitsweep-m{args.m}")
-    points = run_job(_job_from_args("splitsweep", args, shard_out))
-    print(split_sweep_table(
-        points,
-        title=(f"Preemption-point granularity sweep "
-               f"(m={args.m}, U={args.utilization}, "
-               f"overhead={args.overhead:g}, {args.tasksets} task-sets)"),
-    ))
-    if args.overhead == 0.0:
-        print("\nOverhead-free (the paper's model): finer NPRs only shrink the")
-        print("blocking terms, so LP-ILP approaches FP-ideal monotonically.")
-        print("Re-run with --overhead > 0 to see the placement tradeoff the")
-        print("paper's introduction motivates (each point inflates WCETs).")
+    if args.kind is not None:
+        # An alias's flag dests are workload field names.
+        job = JobSpec(workload=Workload(kind=args.kind, **{
+            key: getattr(args, key) for key in kind_spec(args.kind).keys[1:]
+            if getattr(args, key, None) is not None
+        }))
+    elif args.job is not None:
+        job = load_job(args.job)
     else:
-        print("\nWith per-point overhead, inserted points inflate WCETs: past")
-        print("some granularity the added utilisation outweighs the blocking")
-        print("reduction - the tradeoff of the paper's refs [12], [17], [18].")
-    if args.shard:
-        _print_shard_note(args, shard_out)
+        job = JobSpec.from_json(args.job_json)
+    overrides = dict(parse_set_override(pair) for pair in args.overrides)
+    if overrides:
+        job = job.with_overrides(overrides)
+    flag_overrides = {
+        key: getattr(args, attr)
+        for attr, key in (
+            ("jobs", "execution.jobs"),
+            ("executor", "execution.executor"),
+            ("checkpoint", "execution.checkpoint"),
+            ("chunk_size", "execution.chunk_size"),
+            ("shard", "execution.shard"),
+            ("shard_out", "execution.shard_out"),
+            ("stream", "execution.stream"),
+            ("shard_items", "execution.items"),
+            ("cache", "execution.cache"),
+            ("cache_dir", "execution.cache_dir"),
+            ("placement", "execution.placement"),
+            ("publish", "execution.publish"),
+            ("store_dir", "execution.store_dir"),
+        )
+        if getattr(args, attr) is not None
+    }
+    if flag_overrides:
+        job = job.with_overrides(flag_overrides)
+    if (
+        args.cache is None
+        and args.cache_dir is not None
+        and job.execution.cache == "off"
+    ):
+        # Naming a cache directory is an intent to use it.
+        job = job.with_overrides({"execution.cache": "readwrite"})
+    if (
+        args.publish is None
+        and args.store_dir is not None
+        and not job.execution.publish
+    ):
+        # Likewise, naming a store directory is an intent to publish.
+        job = job.with_overrides({"execution.publish": True})
+    if job.execution.shard is not None and job.execution.shard_out is None:
+        # A sharded run always persists its artifact, or the slice's
+        # work could never be merged.
+        shard = job.execution.shard
+        job = job.with_overrides({
+            "execution.shard_out":
+            f"{job.kind}-m{job.workload.m}"
+            f"-shard{shard.index + 1}of{shard.count}.json"
+        })
+    return job
+
+
+def _orchestrate(job, args: argparse.Namespace):
+    """Run ``job`` as a whole orchestration on the backend the flags
+    describe; returns ``(outcome, out_dir)``."""
+    import shlex
+
+    from repro.engine.backends import make_backend
+    from repro.engine.orchestrator import Orchestrator, plan_from_jobspec
+
+    out_dir = args.out or f"orchestration-{job.kind}-m{job.workload.m}"
+    kind = args.backend or "local"
+    if args.backend_template:
+        kind = "template"
+    if args.daemon_sockets:
+        kind = "daemon"
+    template = (
+        shlex.split(args.backend_template) if args.backend_template else None
+    )
+    with make_backend(
+        kind,
+        slots=args.workers if args.workers is not None else 2,
+        template=template,
+        sockets=args.daemon_sockets,
+        daemon_capacity=args.daemon_capacity,
+    ) as backend:
+        outcome = Orchestrator(
+            plan_from_jobspec(job),
+            out_dir,
+            backend=backend,
+            shards=args.shards,
+            retries=args.retries,
+            poll_interval=args.poll_interval,
+            stall_timeout=args.stall_timeout,
+            elastic=args.elastic,
+            elastic_after=args.elastic_after,
+            max_splits=args.max_splits,
+            progress=None if args.quiet else _orchestrate_progress(),
+        ).run()
+    return outcome, out_dir
+
+
+def _cmd_sweep_run(args: argparse.Namespace) -> int:
+    """``sweep-run`` and its ``figure2``/``group2``/``splitsweep`` aliases."""
+    from repro.engine.jobspec import save_job
+    from repro.engine.registry import kind_spec
+    from repro.engine.session import run_job
+
+    orchestrated = (
+        args.workers is not None
+        or args.shards is not None
+        or args.out is not None
+        or args.elastic
+        or args.backend is not None
+        or bool(args.backend_template)
+        or bool(args.daemon_sockets)
+    )
+    try:
+        job = _job_from_args(args)
+        if args.save_job:
+            save_job(args.save_job, job)
+            print(f"effective job written to {args.save_job}")
+        if args.dry_run:
+            print(job.to_json())
+            return 0
+        if orchestrated:
+            outcome, out_dir = _orchestrate(job, args)
+            result = outcome.result
+        else:
+            result = run_job(job)
+        spec = kind_spec(job.kind)
+        shard = job.execution.shard
+        if orchestrated:
+            note = f", {len(outcome.attempts)} shards"
+        else:
+            note = f", shard {shard.label}" if shard else ""
+        print(spec.render(result, job.workload, note))
+        _print_outputs(spec, result, args)
+    except ReproError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 1
+    if orchestrated:
+        _print_orchestration_summary(outcome, out_dir)
+    elif shard is not None:
+        print(
+            f"\nshard {shard.label} artifact written to "
+            f"{job.execution.shard_out}\n"
+            "(partial counts above cover only this shard; recombine every "
+            "shard with: python -m repro sweep-merge SHARD.json ...)"
+        )
     return 0
 
 
 def _cmd_sweep_merge(args: argparse.Namespace) -> int:
     from repro.engine.registry import spec_for_artifact
-    from repro.engine.shard import KIND_SWEEP, load_shard, merge_shards
-    from repro.experiments.reporting import sweep_chart, sweep_table, write_sweep_csv
+    from repro.engine.shard import load_shard
 
     try:
         artifacts = [load_shard(path) for path in args.shards]
-        kind = artifacts[0].kind
-        if kind != KIND_SWEEP:
-            # Row-based artifacts (splitsweep, sensitivity, simulate,
-            # timing, ...): the registry owns merge + rendering.
-            spec = spec_for_artifact(kind)
-            result = spec.merge(artifacts)
-            print(spec.render_merged(
-                result, artifacts[0].meta, len(artifacts)
-            ))
-            if args.chart:
-                print(f"\n(--chart applies to figure2/group2 sweep shards; "
-                      f"{kind} artifacts have no chart form)")
-            if args.csv:
-                path = spec.write_csv(result, args.csv)
-                print(f"series written to {path}")
-            return 0
-        result = merge_shards(artifacts)
-        print(sweep_table(
-            result,
-            title=(f"Merged sweep {result.label} (m={result.m}, "
-                   f"{len(artifacts)} shards, "
-                   f"{result.points[0].n_tasksets if result.points else 0} "
-                   f"task-sets/point)"),
-        ))
-        if args.chart:
-            print()
-            print(sweep_chart(result))
-        print(f"\ntotal shard compute: {result.elapsed_seconds:.1f}s")
-        if args.csv:
-            path = write_sweep_csv(result, args.csv)
-            print(f"series written to {path}")
-        return 0
+        spec = spec_for_artifact(artifacts[0].kind)
+        result = spec.merge(artifacts)
+        print(spec.render_merged(result, artifacts[0].meta, len(artifacts)))
+        _print_outputs(spec, result, args)
     except ReproError as exc:
         print(f"sweep-merge: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def _orchestrate_progress():
@@ -954,51 +790,6 @@ def _orchestrate_progress():
         print(line, flush=True)
 
     return callback
-
-
-def _orchestrate_plan(plan, args: argparse.Namespace, default_out: str):
-    """Run ``plan`` on the backend the orchestration flags describe.
-
-    The execution half shared by ``sweep-orchestrate`` and an
-    orchestrated ``sweep-run``; raises ``ReproError`` subclasses on
-    failure.  Returns ``(outcome, out_dir)``.
-    """
-    import shlex
-
-    from repro.engine.backends import make_backend
-    from repro.engine.orchestrator import Orchestrator
-
-    out_dir = args.out or default_out
-    kind = getattr(args, "backend", None) or "local"
-    if args.backend_template:
-        kind = "template"
-    if args.daemon_sockets:
-        kind = "daemon"
-    workers = args.workers if args.workers is not None else 2
-    template = (
-        shlex.split(args.backend_template) if args.backend_template else None
-    )
-    with make_backend(
-        kind,
-        slots=workers,
-        template=template,
-        sockets=args.daemon_sockets,
-        daemon_capacity=args.daemon_capacity,
-    ) as backend:
-        outcome = Orchestrator(
-            plan,
-            out_dir,
-            backend=backend,
-            shards=args.shards,
-            retries=args.retries,
-            poll_interval=args.poll_interval,
-            stall_timeout=args.stall_timeout,
-            elastic=args.elastic,
-            elastic_after=args.elastic_after,
-            max_splits=args.max_splits,
-            progress=None if args.quiet else _orchestrate_progress(),
-        ).run()
-    return outcome, out_dir
 
 
 def _print_orchestration_summary(outcome, out_dir) -> None:
@@ -1031,222 +822,6 @@ def _print_orchestration_summary(outcome, out_dir) -> None:
         print(f"published run {publication['run_id']} "
               f"({publication['row_count']} rows, {note}) "
               f"-> {publication['store']}")
-
-
-def _cmd_sweep_orchestrate(args: argparse.Namespace) -> int:
-    from repro.engine.orchestrator import (
-        plan_figure2,
-        plan_group2,
-        plan_splitsweep,
-    )
-    from repro.experiments.reporting import (
-        split_sweep_table,
-        sweep_chart,
-        sweep_table,
-        write_split_sweep_csv,
-        write_sweep_csv,
-    )
-
-    cache = _resolve_cache_mode(args)
-    publish = _resolve_publish(args)
-    try:
-        if args.experiment == "figure2":
-            tasksets = args.tasksets if args.tasksets is not None else 300
-            plan = plan_figure2(
-                m=args.m, n_tasksets=tasksets, seed=args.seed,
-                step=args.step, jobs=args.jobs_per_shard,
-                cache=cache, cache_dir=args.cache_dir,
-                placement=args.placement,
-                publish=publish, store_dir=args.store_dir,
-            )
-        elif args.experiment == "group2":
-            tasksets = args.tasksets if args.tasksets is not None else 300
-            plan = plan_group2(
-                m=args.m, n_tasksets=tasksets, seed=args.seed,
-                step=args.step, jobs=args.jobs_per_shard,
-                cache=cache, cache_dir=args.cache_dir,
-                placement=args.placement,
-                publish=publish, store_dir=args.store_dir,
-            )
-        else:
-            if args.placement != "strided":
-                print(
-                    "sweep-orchestrate: splitsweep does not support "
-                    "--placement (cache-aware routing clusters items by "
-                    "task-set fingerprint, which only the cache-backed "
-                    "grid sweeps define)",
-                    file=sys.stderr,
-                )
-                return 1
-            if cache != "off":
-                print(
-                    "sweep-orchestrate: splitsweep does not support "
-                    "--cache (the verdict cache keys full multi-method "
-                    "analyses)",
-                    file=sys.stderr,
-                )
-                return 1
-            tasksets = args.tasksets if args.tasksets is not None else 30
-            plan = plan_splitsweep(
-                m=args.m, utilization=args.utilization,
-                thresholds=args.thresholds, n_tasksets=tasksets,
-                seed=args.seed, overhead=args.overhead,
-                jobs=args.jobs_per_shard,
-                publish=publish, store_dir=args.store_dir,
-            )
-        outcome, out_dir = _orchestrate_plan(
-            plan, args, f"orchestration-{args.experiment}-m{args.m}"
-        )
-    except ReproError as exc:
-        print(f"sweep-orchestrate: {exc}", file=sys.stderr)
-        return 1
-
-    shard_count = len(outcome.attempts)
-    if args.experiment == "splitsweep":
-        points = outcome.result
-        print(split_sweep_table(
-            points,
-            title=(f"Orchestrated splitsweep (m={args.m}, "
-                   f"U={args.utilization}, {tasksets} task-sets, "
-                   f"{shard_count} shards)"),
-        ))
-        if args.csv:
-            path = write_split_sweep_csv(points, args.csv)
-            print(f"series written to {path}")
-    else:
-        result = outcome.result
-        print(sweep_table(
-            result,
-            title=(f"Orchestrated {args.experiment} (m={result.m}, "
-                   f"{shard_count} shards, {tasksets} task-sets/point)"),
-        ))
-        if args.chart:
-            print()
-            print(sweep_chart(result))
-        if args.csv:
-            path = write_sweep_csv(result, args.csv)
-            print(f"series written to {path}")
-    _print_orchestration_summary(outcome, out_dir)
-    return 0
-
-
-def _cmd_sweep_run(args: argparse.Namespace) -> int:
-    from repro.engine.jobspec import (
-        JobSpec,
-        load_job,
-        parse_set_override,
-        save_job,
-    )
-    from repro.engine.orchestrator import plan_from_jobspec
-    from repro.engine.registry import kind_spec
-    from repro.engine.session import run_job
-    from repro.experiments.reporting import sweep_chart
-
-    try:
-        job = (
-            load_job(args.job) if args.job is not None
-            else JobSpec.from_json(args.job_json)
-        )
-        overrides = dict(parse_set_override(pair) for pair in args.overrides)
-        if overrides:
-            job = job.with_overrides(overrides)
-        flag_overrides = {
-            key: getattr(args, attr)
-            for attr, key in (
-                ("jobs", "execution.jobs"),
-                ("executor", "execution.executor"),
-                ("checkpoint", "execution.checkpoint"),
-                ("chunk_size", "execution.chunk_size"),
-                ("shard", "execution.shard"),
-                ("shard_out", "execution.shard_out"),
-                ("stream", "execution.stream"),
-                ("shard_items", "execution.items"),
-                ("cache", "execution.cache"),
-                ("cache_dir", "execution.cache_dir"),
-                ("placement", "execution.placement"),
-                ("publish", "execution.publish"),
-                ("store_dir", "execution.store_dir"),
-            )
-            if getattr(args, attr) is not None
-        }
-        if flag_overrides:
-            job = job.with_overrides(flag_overrides)
-        if (
-            args.cache is None
-            and args.cache_dir is not None
-            and job.execution.cache == "off"
-        ):
-            # --cache-dir without --cache used to be silently ignored
-            # (the cache stayed off); naming a directory is an intent
-            # to use it, so it now implies --cache readwrite.
-            job = job.with_overrides({"execution.cache": "readwrite"})
-        if (
-            args.publish is None
-            and args.store_dir is not None
-            and not job.execution.publish
-        ):
-            # Same contract as --cache-dir: naming a store directory
-            # is an intent to publish into it.
-            job = job.with_overrides({"execution.publish": True})
-        if job.execution.shard is not None and job.execution.shard_out is None:
-            # Same fallback as the legacy subcommands: a sharded run
-            # always persists its artifact, or the slice's work could
-            # never be merged.
-            shard = job.execution.shard
-            job = job.with_overrides({
-                "execution.shard_out":
-                f"{job.kind}-m{job.workload.m}"
-                f"-shard{shard.index + 1}of{shard.count}.json"
-            })
-        if args.save_job:
-            save_job(args.save_job, job)
-            print(f"effective job written to {args.save_job}")
-        if args.dry_run:
-            print(job.to_json())
-            return 0
-
-        workload = job.workload
-        orchestrated = (
-            args.workers is not None
-            or args.shards is not None
-            or args.out is not None
-            or args.elastic
-            or args.backend is not None
-            or bool(args.backend_template)
-            or bool(args.daemon_sockets)
-        )
-        if orchestrated:
-            outcome, out_dir = _orchestrate_plan(
-                plan_from_jobspec(job), args,
-                f"orchestration-{workload.kind}-m{workload.m}",
-            )
-            result = outcome.result
-        else:
-            result = run_job(job)
-    except ReproError as exc:
-        print(f"sweep-run: {exc}", file=sys.stderr)
-        return 1
-
-    spec = kind_spec(workload.kind)
-    shard = job.execution.shard
-    shard_note = f", shard {shard.label}" if shard else ""
-    print(spec.render(result, workload, shard_note))
-    if args.chart and spec.artifact_kind == "sweep":
-        print()
-        print(sweep_chart(result))
-    if args.csv:
-        path = spec.write_csv(result, args.csv)
-        print(f"series written to {path}")
-    if orchestrated:
-        _print_orchestration_summary(outcome, out_dir)
-    elif job.execution.shard is not None and job.execution.shard_out:
-        print(
-            f"\nshard {job.execution.shard.label} artifact written to "
-            f"{job.execution.shard_out}\n"
-            "(partial counts above cover only this shard; recombine every "
-            "shard with: python -m repro sweep-merge SHARD.json ...)"
-        )
-    return 0
 
 
 def _cmd_sweep_status(args: argparse.Namespace) -> int:

@@ -1,40 +1,45 @@
-"""Parallel multi-method sweep engine.
+"""The execution stack: one declarative job, two sweep shapes.
 
-The experiment stack's execution core: chunked ``(utilisation,
-task-set)`` work items, one-pass multi-method analysis per item,
-pluggable serial / multiprocessing executors, order-independent RNG
-derivation (serial and parallel runs are bit-identical) and resumable
-JSON checkpoints.
+Every run enters the same way: a :class:`JobSpec` (workload + execution
+policy) goes to :class:`Session` (:func:`run_job`, or ``python -m repro
+sweep-run`` and its per-kind aliases), which dispatches through the
+workload-kind registry to one of two shapes — the chunked
+``(utilisation, task-set)`` grid sweep of :class:`SweepEngine`
+(figure2, group2) or the row-per-item corpus sweep of
+:mod:`repro.engine.rowsweep` (splitsweep, sensitivity, simulate,
+timing).  Either shape is bit-identical across executors, chunkings,
+shards, resumes and orchestrations.
 
-* :class:`~repro.engine.sweep.SweepSpec` — what to sweep;
-* :class:`~repro.engine.sweep.SweepEngine` — how to run it;
+* :mod:`repro.engine.jobspec` — the declarative, serializable
+  :class:`JobSpec` every tier speaks;
+* :mod:`repro.engine.registry` — the workload-kind registry mapping
+  each kind to its validator, runner and merge/render hooks (the one
+  place a new kind plugs in);
+* :mod:`repro.engine.session` — the :class:`Session` façade running,
+  submitting and resuming jobs;
+* :mod:`repro.engine.sweep` — :class:`SweepSpec` (what a grid sweep
+  covers) and :class:`SweepEngine` (how it runs);
+* :mod:`repro.engine.rowsweep` — the shared row-sweep runner and merge;
 * :mod:`repro.engine.executors` — where the work executes (serial,
   process pool, thread pool);
-* :mod:`repro.engine.checkpoint` — how interrupted sweeps resume;
+* :mod:`repro.engine.chunking` — adaptive chunk sizing from per-chunk
+  wall-time telemetry;
+* :mod:`repro.engine.checkpoint` — how interrupted grid sweeps resume;
 * :mod:`repro.engine.shard` — how one sweep splits across independent
   invocations and merges back bit-identically;
 * :mod:`repro.engine.streaming` — incremental JSONL result streams;
-* :mod:`repro.engine.results` — the stable result types
+* :mod:`repro.engine.results` — the grid sweep's result types
   (:class:`SweepPoint`, :class:`SweepResult`);
-* :mod:`repro.engine.chunking` — adaptive chunk sizing from per-chunk
-  wall-time telemetry;
-* :mod:`repro.engine.backends` — pluggable dispatch of whole shard
-  invocations (local subprocesses, SSH/queue command templates,
-  persistent worker-daemon pools);
-* :mod:`repro.engine.daemon` — the persistent worker daemon itself:
-  imports the stack once, forks warm shard children on socket-delivered
-  work orders;
-* :mod:`repro.engine.livemerge` — cluster-wide live merge of partial
-  shard streams;
-* :mod:`repro.engine.orchestrator` — the tier that turns the manual
-  shard workflow into a one-command cluster run;
-* :mod:`repro.engine.jobspec` — the declarative, serializable
-  :class:`JobSpec` (workload + execution policy) every tier speaks;
-* :mod:`repro.engine.registry` — the workload-kind registry mapping
-  each :class:`JobSpec` kind to its builder, validator, runner and
-  merge/render hooks (the one place a new kind plugs in);
-* :mod:`repro.engine.session` — the :class:`Session` façade running,
-  submitting and resuming jobs uniformly.
+* :mod:`repro.engine.vcache` — the content-addressed verdict cache;
+* :mod:`repro.engine.orchestrator` — a whole sharded job as one
+  command: dispatch, live merge (:mod:`repro.engine.livemerge`),
+  retries, elastic re-partitioning;
+* :mod:`repro.engine.backends` — where shard invocations run (local
+  subprocesses, SSH/queue command templates, worker daemons);
+* :mod:`repro.engine.daemon` — the persistent worker daemon: imports
+  the stack once, forks warm shard children on work orders;
+* :mod:`repro.engine.store` / :mod:`repro.engine.validation` — the
+  durable sqlite result store and its completeness/drift checks.
 """
 
 from repro.engine.backends import (
@@ -98,11 +103,7 @@ from repro.engine.orchestrator import (
     OrchestrationPlan,
     OrchestrationStatus,
     Orchestrator,
-    orchestrate,
-    plan_figure2,
     plan_from_jobspec,
-    plan_group2,
-    plan_splitsweep,
     read_status,
 )
 from repro.engine.session import JobHandle, JobStatus, Session, run_job
@@ -179,11 +180,7 @@ __all__ = [
     "OrchestrationPlan",
     "OrchestrationOutcome",
     "OrchestrationStatus",
-    "orchestrate",
-    "plan_figure2",
     "plan_from_jobspec",
-    "plan_group2",
-    "plan_splitsweep",
     "read_status",
     "JOBSPEC_VERSION",
     "WORKLOAD_KINDS",

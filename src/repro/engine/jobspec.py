@@ -18,11 +18,12 @@ sections:
   restricting the invocation to a slice of the item space.
 
 Everything speaks this one schema: ``python -m repro sweep-run --job
-job.json`` executes a spec from disk, the legacy experiment subcommands
-build one from their flags, the orchestrator dispatches per-shard
-specs as ``sweep-run --job-json '<spec>'`` command lines (so daemon
-work orders embed the JobSpec JSON verbatim), and
-:class:`~repro.engine.session.Session` is the programmatic façade.
+job.json`` executes a spec from disk, its ``figure2`` / ``group2`` /
+``splitsweep`` aliases build one from their workload flags, the
+orchestrator dispatches per-shard specs as ``sweep-run --job-json
+'<spec>'`` command lines (so daemon work orders embed the JobSpec JSON
+verbatim), and :class:`~repro.engine.session.Session` is the
+programmatic façade.
 
 The on-disk format is versioned (:data:`JOBSPEC_VERSION`) and *strict*:
 unknown keys, keys that do not apply to the workload's kind, and
@@ -35,6 +36,7 @@ key=value``) patches a loaded spec without mutating the file.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -199,6 +201,12 @@ _FIELD_DEFAULTS = {
     "utilization_factor": None,
 }
 
+#: Workload fields holding floats (or a tuple of them): each must be
+#: finite — an infinite utilisation or horizon never terminates, and a
+#: NaN step silently collapses the grid to one point.
+_FLOAT_FIELDS = ("step", "utilization", "thresholds", "overhead",
+                 "max_scale", "horizon_factor", "utilization_factor")
+
 
 @dataclass(frozen=True, slots=True)
 class Workload:
@@ -281,6 +289,11 @@ class Workload:
                     f"{self.kind} workloads take no {name!r}"
                     + (f" ({hint})" if hint else "")
                 )
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            values = value if isinstance(value, (tuple, list)) else (value,)
+            if value is not None and not all(math.isfinite(v) for v in values):
+                raise JobSpecError(f"{name} must be finite, got {value}")
         if "m" in spec.keys and self.m < 1:
             raise JobSpecError(f"core count m must be >= 1, got {self.m}")
         if self.n_tasksets is None:
@@ -296,9 +309,9 @@ class Workload:
         """The exact engine :class:`~repro.engine.sweep.SweepSpec` this
         workload denotes (utilisation-grid kinds only).
 
-        Delegates to the experiments' own spec builders so a job's
-        fingerprint is *identical* to the legacy subcommand's — the
-        property the conformance suite pins.
+        Delegates to the experiments' own spec builders, so a job's
+        fingerprint is *identical* to the spec's run straight on the
+        engine — the property the conformance suite pins.
         """
         spec = kind_spec(self.kind)
         if spec.sweep_spec is None:
@@ -367,7 +380,7 @@ class Workload:
                 kwargs[key] = _KEY_CODERS[key](payload[key])
         except JobSpecError:
             raise
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise JobSpecError(f"malformed workload value ({exc})") from exc
         return cls(**kwargs)
 
@@ -536,7 +549,7 @@ class ExecutionPolicy:
             raise
         except ShardError as exc:
             raise JobSpecError(str(exc)) from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise JobSpecError(f"malformed execution value ({exc})") from exc
         return cls(**kwargs)
 

@@ -5,9 +5,10 @@ bit-identically); a human still had to launch every shard and run
 ``sweep-merge``.  The orchestrator closes that loop.  It owns whole
 :class:`~repro.engine.shard.ShardSpec` s:
 
-1. **partition** — an :class:`OrchestrationPlan` (built from an
-   experiment's parameters without running it) fixes the sweep
-   fingerprint, the item count and the base command line;
+1. **partition** — an :class:`OrchestrationPlan` (built from a
+   :class:`~repro.engine.jobspec.JobSpec` by :func:`plan_from_jobspec`,
+   without running it) fixes the sweep fingerprint, the item count and
+   the base command line;
 2. **dispatch** — each shard becomes one ``python -m repro sweep-run
    --job-json '<spec>' --shard I/N --shard-out ... --stream ...
    [--checkpoint ...]`` invocation — the declarative
@@ -32,12 +33,11 @@ bit-identically); a human still had to launch every shard and run
    checkpoint so no finished work is redone.  Sub-shard artifacts
    carry the original shard coordinates with disjoint item subsets and
    reassemble through the same merge as an unsplit run;
-6. **merge** — completed shard artifacts go through the *existing*
-   fingerprint-validated merge machinery
-   (:func:`~repro.engine.shard.merge_shards` /
-   :func:`~repro.experiments.splitsweep.merge_split_shards`), so the
-   final result is bit-identical to the serial run or an error — never
-   a silent mixture.
+6. **merge** — completed shard artifacts go through the kind's
+   fingerprint-validated registry merge
+   (:func:`~repro.engine.registry.merge_artifacts`), so the final
+   result is bit-identical to the serial run or an error — never a
+   silent mixture.
 
 Everything lives under one output directory: shard artifacts, streams,
 checkpoints, per-shard logs and an ``orchestration.json`` manifest,
@@ -79,8 +79,8 @@ class OrchestrationPlan:
     Attributes
     ----------
     experiment:
-        Human name of the experiment (``"figure2"``, ``"group2"``,
-        ``"splitsweep"``) — also the sub-command dispatched to workers.
+        The job's workload kind (``"figure2"``, ``"splitsweep"``, ...),
+        recorded in the manifest.
     kind:
         Artifact kind the shards will write (``"sweep"`` for the
         chunked grid sweeps, a row-based kind's own tag otherwise);
@@ -934,14 +934,8 @@ class Orchestrator:
         write_json_atomic(self.out_dir / MANIFEST_NAME, payload)
 
 
-def orchestrate(plan: OrchestrationPlan, out_dir: str | Path, **kwargs):
-    """One-call convenience wrapper: build an :class:`Orchestrator`, run it."""
-    return Orchestrator(plan, out_dir, **kwargs).run()
-
-
 # ----------------------------------------------------------------------
-# Plan builders (lazy experiment imports keep engine -> experiments
-# dependencies out of module import time).
+# Plan builder.
 
 def plan_from_jobspec(job) -> OrchestrationPlan:
     """The :class:`OrchestrationPlan` dispatching one declarative job.
@@ -1004,82 +998,6 @@ def plan_from_jobspec(job) -> OrchestrationPlan:
         store_dir=store_dir,
         job_json=job.to_json(indent=None),
     )
-
-
-def plan_figure2(
-    m: int,
-    n_tasksets: int = 300,
-    seed: int = 2016,
-    step: float | None = None,
-    jobs: int = 1,
-    cache: str = "off",
-    cache_dir: str | None = None,
-    placement: str = "strided",
-    publish: bool = False,
-    store_dir: str | None = None,
-) -> OrchestrationPlan:
-    """Plan a Figure-2 sweep (same parameters as ``run_figure2``)."""
-    from repro.engine.jobspec import ExecutionPolicy
-    from repro.experiments.figure2 import figure2_job
-
-    return plan_from_jobspec(figure2_job(
-        m=m, n_tasksets=n_tasksets, seed=seed, step=step,
-        execution=ExecutionPolicy(jobs=jobs, cache=cache, cache_dir=cache_dir,
-                                  placement=placement, publish=publish,
-                                  store_dir=store_dir),
-    ))
-
-
-def plan_group2(
-    m: int,
-    n_tasksets: int = 300,
-    seed: int = 2016,
-    step: float | None = None,
-    jobs: int = 1,
-    cache: str = "off",
-    cache_dir: str | None = None,
-    placement: str = "strided",
-    publish: bool = False,
-    store_dir: str | None = None,
-) -> OrchestrationPlan:
-    """Plan a group-2 sweep (same parameters as ``run_group2``)."""
-    from repro.engine.jobspec import ExecutionPolicy
-    from repro.experiments.group2 import group2_job
-
-    return plan_from_jobspec(group2_job(
-        m=m, n_tasksets=n_tasksets, seed=seed, step=step,
-        execution=ExecutionPolicy(jobs=jobs, cache=cache, cache_dir=cache_dir,
-                                  placement=placement, publish=publish,
-                                  store_dir=store_dir),
-    ))
-
-
-def plan_splitsweep(
-    m: int,
-    utilization: float,
-    thresholds: Sequence[float],
-    n_tasksets: int = 30,
-    seed: int = 2016,
-    overhead: float = 0.0,
-    jobs: int = 1,
-    publish: bool = False,
-    store_dir: str | None = None,
-) -> OrchestrationPlan:
-    """Plan a split sweep (same parameters as ``run_split_sweep``).
-
-    Split sweeps have no checkpoint support (items are whole task-sets
-    re-analysed per threshold), so a retried shard restarts its slice.
-    """
-    from repro.engine.jobspec import ExecutionPolicy
-    from repro.experiments.splitsweep import splitsweep_job
-
-    return plan_from_jobspec(splitsweep_job(
-        m=m, utilization=utilization,
-        thresholds=tuple(float(t) for t in thresholds),
-        n_tasksets=n_tasksets, seed=seed, overhead=overhead,
-        execution=ExecutionPolicy(jobs=jobs, publish=publish,
-                                  store_dir=store_dir),
-    ))
 
 
 # ----------------------------------------------------------------------

@@ -107,7 +107,7 @@ class KindSpec:
         kind's typed row tuple; ``None`` for chunk-record (``"sweep"``)
         artifacts.
     sweep_spec:
-        Builder of the legacy engine ``SweepSpec``, for kinds that are
+        Builder of the engine ``SweepSpec``, for kinds that are
         utilisation-grid sweeps; ``None`` otherwise.
     reject_hints:
         Optional per-field hints appended to the generic
@@ -280,7 +280,21 @@ def _run_sweep_job(job, progress):
 
     policy = job.execution
     with make_executor(policy.jobs, kind=policy.executor) as executor:
-        return SweepEngine(executor=executor, progress=progress).run(job)
+        engine = SweepEngine(
+            executor=executor,
+            chunk_size=policy.chunk_size,
+            checkpoint_path=policy.checkpoint,
+            progress=progress,
+            cache=policy.cache,
+            cache_dir=policy.cache_dir,
+        )
+        return engine.run(
+            job.workload.sweep_spec(),
+            shard=policy.shard,
+            shard_out=policy.shard_out,
+            stream=policy.stream,
+            items=policy.items,
+        )
 
 
 def _merge_sweep(artifacts):
@@ -322,7 +336,7 @@ def _render_merged_sweep(result, meta: Mapping, n_shards: int) -> str:
                f"{n_shards} shards, "
                f"{result.points[0].n_tasksets if result.points else 0} "
                f"task-sets/point)"),
-    )
+    ) + f"\n\ntotal shard compute: {result.elapsed_seconds:.1f}s"
 
 
 def _write_sweep_csv(result, path) -> Path:
@@ -342,6 +356,8 @@ def _validate_splitsweep(w) -> None:
     )
     if not thresholds:
         raise JobSpecError("splitsweep needs at least one threshold")
+    if not thresholds[-1] > 0:
+        raise JobSpecError(f"thresholds must be > 0, got {thresholds[-1]:g}")
     _set(w, "thresholds", thresholds)
     if w.overhead < 0:
         raise JobSpecError(f"overhead must be >= 0, got {w.overhead}")
@@ -363,44 +379,41 @@ def _splitsweep_fingerprint(w) -> str:
 
 
 def _run_splitsweep_job(job, progress):
-    from repro.core.analyzer import AnalysisMethod
-    from repro.experiments.splitsweep import _run_split_sweep
-    from repro.generator.profiles import GROUP1
+    from repro.experiments.splitsweep import run_splitsweep_job
 
-    workload, policy = job.workload, job.execution
-    return _run_split_sweep(
-        m=workload.m,
-        utilization=workload.utilization,
-        thresholds=list(workload.thresholds),
-        n_tasksets=workload.n_tasksets,
-        seed=workload.seed,
-        profile=GROUP1,
-        method=AnalysisMethod.LP_ILP,
-        overhead=workload.overhead,
-        jobs=policy.jobs,
-        executor_kind=policy.executor,
-        shard=policy.shard,
-        shard_out=policy.shard_out,
-        stream=policy.stream,
-    )
+    return run_splitsweep_job(job)
 
 
 def _merge_splitsweep(artifacts):
-    from repro.experiments.splitsweep import merge_split_shards
+    from repro.experiments.splitsweep import merge_splitsweep_shards
 
-    return merge_split_shards(artifacts)
+    return merge_splitsweep_shards(artifacts)
 
 
 def _render_splitsweep(result, w, shard_note: str = "") -> str:
     from repro.experiments.reporting import split_sweep_table
 
-    return split_sweep_table(
+    table = split_sweep_table(
         result,
         title=(f"Preemption-point granularity sweep "
                f"(m={w.m}, U={w.utilization}, "
                f"overhead={w.overhead:g}, "
-               f"{w.n_tasksets} task-sets)"),
+               f"{w.n_tasksets} task-sets{shard_note})"),
     )
+    if w.overhead == 0.0:
+        note = (
+            "Overhead-free (the paper's model): finer NPRs only shrink the\n"
+            "blocking terms, so LP-ILP approaches FP-ideal monotonically.\n"
+            "Re-run with --overhead > 0 to see the placement tradeoff the\n"
+            "paper's introduction motivates (each point inflates WCETs)."
+        )
+    else:
+        note = (
+            "With per-point overhead, inserted points inflate WCETs: past\n"
+            "some granularity the added utilisation outweighs the blocking\n"
+            "reduction - the tradeoff of the paper's refs [12], [17], [18]."
+        )
+    return f"{table}\n\n{note}"
 
 
 def _render_merged_splitsweep(result, meta: Mapping, n_shards: int) -> str:

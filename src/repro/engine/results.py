@@ -1,7 +1,7 @@
 """Sweep result types: one point per utilisation, counts per method.
 
-These are the stable public result types of the experiment stack; the
-:mod:`repro.experiments.runner` façade re-exports them unchanged.
+These are the stable public result types of the experiment stack
+(:mod:`repro.engine` re-exports them).
 """
 
 from __future__ import annotations

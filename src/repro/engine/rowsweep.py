@@ -8,18 +8,13 @@ width *row* of primitives, rows reduced in corpus order so serial,
 parallel, sharded and merged runs are bit-identical — float
 accumulation included.
 
-PR 7's registry promotes three more kinds with exactly that shape
-(``sensitivity``, ``simulate``, ``timing``), so the shape itself moves
-here: :func:`run_row_sweep` is the generic execute-and-persist half
-(stream header/item/summary lines, ``map_unordered`` over an executor,
-shard-artifact save), and :func:`collect_rows` is the generic merge
-half (shard-set validation, per-item row decode, corpus-order
-reassembly).  Each kind supplies only its evaluation function, row
-codec and reduction.
-
-``splitsweep`` itself still carries its original private runner — its
-artifacts are a stable on-disk format and its code path is pinned by
-golden tests — but new row-based kinds should not copy it again.
+Every row-based kind (``splitsweep``, ``sensitivity``, ``simulate``,
+``timing``) runs on this one shape: :func:`run_row_sweep` is the
+generic execute-and-persist half (stream header/item/summary lines,
+``map_unordered`` over an executor, shard-artifact save), and
+:func:`collect_rows` is the generic merge half (shard-set validation,
+per-item row decode, corpus-order reassembly).  Each kind supplies only
+its evaluation function, row codec and reduction.
 """
 
 from __future__ import annotations

@@ -5,11 +5,12 @@ A :class:`Session` is the one programmatic entry point for executing
 spec does not say: the workload picks the experiment, the execution
 policy picks executors/paths, and the session merely routes —
 
-* :meth:`Session.run` executes a job **inline** (in this process) on
-  the engine: figure2/group2 workloads through
-  :class:`~repro.engine.sweep.SweepEngine`, splitsweep workloads
-  through the split-sweep runner.  Serial engine, process pool or
-  thread pool is purely the policy's choice;
+* :meth:`Session.run` executes a job **inline** (in this process)
+  through its kind's registry hook: figure2/group2 workloads on
+  :class:`~repro.engine.sweep.SweepEngine`, row-based kinds
+  (splitsweep, sensitivity, ...) on :mod:`repro.engine.rowsweep`.
+  Serial engine, process pool or thread pool is purely the policy's
+  choice;
 * :meth:`Session.submit` dispatches a job **asynchronously** onto any
   :class:`~repro.engine.backends.DispatchBackend` — local subprocesses
   by default, SSH/queue templates or persistent worker daemons alike —
@@ -220,14 +221,13 @@ class Session:
         Waits for completion first; a failed job raises
         :class:`~repro.exceptions.DispatchError` with the log tail.
 
-        A whole-sweep job yields the experiment's merged result (a
-        :class:`~repro.engine.results.SweepResult` or split-sweep
-        point list).  A job restricted to a shard or item subset can
-        never yield one on its own — its
+        A whole-sweep job yields its kind's merged result (a
+        :class:`~repro.engine.results.SweepResult`, a split-sweep
+        point list, ...).  A job restricted to a shard or item subset
+        can never yield one on its own — its
         :class:`~repro.engine.shard.ShardArtifact` is returned
         instead, to be combined with the sweep's other artifacts via
-        :func:`~repro.engine.shard.merge_shards` /
-        :func:`~repro.experiments.splitsweep.merge_split_shards`.
+        :func:`~repro.engine.registry.merge_artifacts`.
         """
         status = self.wait(handle)
         if status.state != "done":

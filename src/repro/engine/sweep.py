@@ -378,14 +378,12 @@ class SweepEngine:
         executor, events for a chunk fire together on its completion.
     cache:
         Verdict-cache mode: ``"off"`` (default), ``"read"`` or
-        ``"readwrite"``.  ``None`` defers to the job's execution
-        policy (and means ``"off"`` for bare :class:`SweepSpec` runs).
-        Cached verdicts are keyed by analysis content
+        ``"readwrite"``.  Cached verdicts are keyed by analysis content
         (:mod:`repro.engine.vcache`), so any mode yields bit-identical
         results — hits merely skip recomputation.
     cache_dir:
-        Verdict-cache directory; ``None`` defers to the policy and
-        falls back to :data:`~repro.engine.vcache.DEFAULT_CACHE_DIR`.
+        Verdict-cache directory; ``None`` means
+        :data:`~repro.engine.vcache.DEFAULT_CACHE_DIR`.
     """
 
     #: Batches dispatched per adaptive wave, as a multiple of the
@@ -401,12 +399,12 @@ class SweepEngine:
         checkpoint_path: str | Path | None = None,
         checkpoint_interval: float = 5.0,
         progress: EngineProgress | None = None,
-        cache: str | None = None,
+        cache: str = "off",
         cache_dir: str | Path | None = None,
     ) -> None:
         if chunk_size is not None and chunk_size < 1:
             raise AnalysisError(f"chunk_size must be >= 1, got {chunk_size}")
-        if cache is not None and cache not in CACHE_MODES:
+        if cache not in CACHE_MODES:
             raise CacheError(
                 f"unknown cache mode {cache!r}; expected one of {CACHE_MODES}"
             )
@@ -422,7 +420,7 @@ class SweepEngine:
     # ------------------------------------------------------------------
     def run(
         self,
-        spec,
+        spec: SweepSpec,
         shard: ShardSpec | None = None,
         shard_out: str | Path | None = None,
         stream: str | Path | None = None,
@@ -433,15 +431,11 @@ class SweepEngine:
         Parameters
         ----------
         spec:
-            What to sweep: a :class:`SweepSpec`, or a whole
-            :class:`~repro.engine.jobspec.JobSpec` — the declarative
-            path.  A job's workload resolves to its exact
-            :class:`SweepSpec` and its execution policy supplies the
-            shard / artifact / stream / item-subset placement plus any
-            checkpoint and pinned chunk size the engine's constructor
-            left unset (the engine's own executor is used either way —
-            worker-pool choice belongs to whoever built the engine,
-            e.g. :class:`~repro.engine.session.Session`).
+            What to sweep.  A declarative
+            :class:`~repro.engine.jobspec.JobSpec` runs through
+            :class:`~repro.engine.session.Session` instead, whose
+            registry hook builds this engine from the job's execution
+            policy and passes the workload's :class:`SweepSpec` here.
         shard:
             When set, evaluate only this slice of the item space; the
             returned partial result reports, per utilisation point, the
@@ -468,37 +462,6 @@ class SweepEngine:
             derivation depends only on the item index, so any subset
             produces exactly the per-item results of the full run.
         """
-        from repro.engine.jobspec import JobSpec
-
-        if isinstance(spec, JobSpec):
-            job = spec
-            policy = job.execution
-            engine = SweepEngine(
-                executor=self.executor,
-                chunk_size=(
-                    self.chunk_size if self.chunk_size is not None
-                    else policy.chunk_size
-                ),
-                chunker=self.chunker,
-                checkpoint_path=(
-                    self.checkpoint_path if self.checkpoint_path is not None
-                    else policy.checkpoint
-                ),
-                checkpoint_interval=self.checkpoint_interval,
-                progress=self.progress,
-                cache=self.cache if self.cache is not None else policy.cache,
-                cache_dir=(
-                    self.cache_dir if self.cache_dir is not None
-                    else policy.cache_dir
-                ),
-            )
-            return engine.run(
-                job.workload.sweep_spec(),
-                shard=shard if shard is not None else policy.shard,
-                shard_out=shard_out if shard_out is not None else policy.shard_out,
-                stream=stream if stream is not None else policy.stream,
-                items=items if items is not None else policy.items,
-            )
         start_time = time.perf_counter()
         if shard is None and (shard_out is not None or items is not None):
             shard = ShardSpec(0, 1)
@@ -581,7 +544,7 @@ class SweepEngine:
         # workers open their own handle (with per-pid write shards) on
         # first use, so no cross-process state needs coordinating here.
         cache_config: CacheConfig = None
-        if self.cache is not None and self.cache != "off":
+        if self.cache != "off":
             cache_config = (
                 self.cache,
                 self.cache_dir if self.cache_dir is not None

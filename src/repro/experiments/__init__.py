@@ -7,8 +7,13 @@
 * :mod:`repro.experiments.group2` — the unplotted second-group result
   (LP-max ≈ LP-ILP for uniformly parallel task-sets);
 * :mod:`repro.experiments.timing` — the analysis-runtime measurement;
-* :mod:`repro.experiments.runner` / ``reporting`` — shared sweep and
-  output machinery.
+* :mod:`repro.experiments.splitsweep`, ``sensitivity``, ``simulate`` —
+  extension sweeps beyond the paper's figures;
+* :mod:`repro.experiments.reporting` — tables, charts and CSV output.
+
+Every sweep runs as a declarative job
+(:class:`~repro.engine.jobspec.JobSpec`) through
+:func:`repro.engine.session.run_job` or ``python -m repro sweep-run``.
 """
 
 from repro.experiments.figure1 import (

@@ -19,21 +19,11 @@ the surrounding text discusses it as the same utilisation sweep as
 
 from __future__ import annotations
 
-import warnings
-from collections.abc import Sequence
-from pathlib import Path
-
 from repro.exceptions import AnalysisError
 from repro.core.blocking import RhoSolver
 from repro.core.workload import MuMethod
-from repro.engine import ShardSpec, SweepSpec
+from repro.engine import DEFAULT_METHODS, SweepResult, SweepSpec
 from repro.engine.jobspec import ExecutionPolicy, JobSpec, Workload
-from repro.engine.session import run_job
-from repro.experiments.runner import (
-    DEFAULT_METHODS,
-    SweepResult,
-    utilization_grid,
-)
 from repro.generator.profiles import GROUP1
 
 #: Core counts of sub-figures (a), (b), (c).
@@ -46,6 +36,26 @@ PAPER_TASKSETS_PER_POINT = 300
 DEFAULT_SEED = 2016
 
 
+def utilization_grid(m: int, step: float | None = None, start: float = 1.0) -> list[float]:
+    """The x-axis of Figure 2: ``start .. m`` in steps of ``step``.
+
+    The default step scales with ``m`` (0.25 for m=4, 0.5 for m=8, 1.0
+    for m=16) matching the resolution visible in the paper's plots.
+    """
+    if m < 1:
+        raise AnalysisError(f"core count m must be >= 1, got {m}")
+    if step is None:
+        step = m / 16.0
+    if step <= 0:
+        raise AnalysisError(f"step must be > 0, got {step}")
+    grid: list[float] = []
+    u = start
+    while u <= m + 1e-9:
+        grid.append(round(u, 6))
+        u += step
+    return grid
+
+
 def figure2_spec(
     m: int,
     n_tasksets: int = PAPER_TASKSETS_PER_POINT,
@@ -56,11 +66,10 @@ def figure2_spec(
 ) -> SweepSpec:
     """The exact :class:`~repro.engine.SweepSpec` one Figure-2 run uses.
 
-    The single source of the sweep's identity: :func:`run_figure2`
-    executes it, while the orchestrator
-    (:func:`repro.engine.orchestrator.plan_figure2`) uses its
-    fingerprint and item count to dispatch and validate shard
-    invocations without running anything locally.
+    The single source of the sweep's identity: a ``kind="figure2"``
+    job executes it, and the orchestrator uses its fingerprint and item
+    count to dispatch and validate shard invocations without running
+    anything locally.
     """
     if m < 1:
         raise AnalysisError(f"core count m must be >= 1, got {m}")
@@ -96,83 +105,6 @@ def figure2_job(
         ),
         execution=execution if execution is not None else ExecutionPolicy(),
     )
-
-
-def run_figure2(
-    m: int,
-    n_tasksets: int = PAPER_TASKSETS_PER_POINT,
-    seed: int = DEFAULT_SEED,
-    step: float | None = None,
-    mu_method: MuMethod = "search",
-    rho_solver: RhoSolver = "assignment",
-    jobs: int = 1,
-    checkpoint: str | Path | None = None,
-    shard: ShardSpec | None = None,
-    shard_out: str | Path | None = None,
-    stream: str | Path | None = None,
-    chunk_size: int | None = None,
-    items: Sequence[int] | None = None,
-) -> SweepResult:
-    """Regenerate one sub-figure of Figure 2.
-
-    .. deprecated::
-        A thin shim over the declarative job API — it builds the same
-        :class:`~repro.engine.jobspec.JobSpec` as
-        ``python -m repro sweep-run`` and executes it through
-        :class:`~repro.engine.session.Session`, bit-identically to
-        every previous release.  New code should build the job
-        directly (:func:`figure2_job`) or ship a job file.
-
-    Parameters
-    ----------
-    m:
-        4, 8 or 16 for the paper's sub-figures; any ≥ 1 accepted.
-    n_tasksets:
-        Task-sets per utilisation point (paper: 300; reduce for quick
-        runs).
-    seed:
-        Root seed for reproducibility.
-    step:
-        Utilisation grid step; default scales with m.
-    jobs:
-        Worker processes (1 = in-process; counts are identical either
-        way).
-    checkpoint:
-        Optional JSON checkpoint path for resumable runs.
-    shard / shard_out:
-        Run only one :class:`~repro.engine.ShardSpec` slice, writing its
-        artifact to ``shard_out``; merging all shards with
-        :func:`~repro.engine.merge_shards` reproduces the unsharded
-        result bit-for-bit.
-    stream:
-        Optional JSONL stream path (one line per completed chunk).
-    chunk_size:
-        Pin the engine's chunk size (default: adaptive on pool
-        executors, per-item serially).
-    items:
-        Explicit work-item subset of the shard's slice (elastic
-        sub-shard dispatch); see :meth:`repro.engine.SweepEngine.run`.
-    """
-    warnings.warn(
-        "run_figure2() is deprecated: build a JobSpec (figure2_job()) and "
-        "run it through repro.engine.session.Session / sweep-run",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    job = figure2_job(
-        m=m, n_tasksets=n_tasksets, seed=seed, step=step,
-        mu_method=mu_method, rho_solver=rho_solver,
-        execution=ExecutionPolicy(
-            jobs=jobs,
-            chunk_size=chunk_size,
-            checkpoint=checkpoint,
-            stream=stream,
-            shard_out=shard_out,
-            shard=shard,
-            items=tuple(items) if items is not None else None,
-        ),
-    )
-    return run_job(job)
 
 
 def check_figure2_shape(result: SweepResult, tolerance: float = 0.05) -> list[str]:

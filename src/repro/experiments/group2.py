@@ -9,19 +9,11 @@ regenerates that claim and quantifies the gap.
 
 from __future__ import annotations
 
-import warnings
-from collections.abc import Sequence
 from dataclasses import dataclass
-from pathlib import Path
 
-from repro.engine import ShardSpec, SweepSpec
+from repro.engine import DEFAULT_METHODS, SweepResult, SweepSpec
 from repro.engine.jobspec import ExecutionPolicy, JobSpec, Workload
-from repro.engine.session import run_job
-from repro.experiments.runner import (
-    DEFAULT_METHODS,
-    SweepResult,
-    utilization_grid,
-)
+from repro.experiments.figure2 import utilization_grid
 from repro.generator.profiles import GROUP2
 
 
@@ -47,9 +39,9 @@ def group2_spec(
 ) -> SweepSpec:
     """The exact :class:`~repro.engine.SweepSpec` one group-2 run uses.
 
-    Shared by :func:`run_group2` and the orchestrator's
-    :func:`repro.engine.orchestrator.plan_group2`, so dispatched shard
-    invocations are fingerprint-validated against the same identity.
+    Shared by ``kind="group2"`` jobs and the orchestrator, so dispatched
+    shard invocations are fingerprint-validated against the same
+    identity.
     """
     return SweepSpec(
         m=m,
@@ -89,50 +81,3 @@ def summarize_group2(sweep: SweepResult) -> Group2Report:
         max_gap=max(gaps),
         mean_gap=sum(gaps) / len(gaps),
     )
-
-
-def run_group2(
-    m: int,
-    n_tasksets: int = 300,
-    seed: int = 2016,
-    step: float | None = None,
-    jobs: int = 1,
-    checkpoint: str | Path | None = None,
-    shard: ShardSpec | None = None,
-    shard_out: str | Path | None = None,
-    stream: str | Path | None = None,
-    chunk_size: int | None = None,
-    items: Sequence[int] | None = None,
-) -> Group2Report:
-    """Run the group-2 sweep and summarise the LP-max vs LP-ILP gap.
-
-    .. deprecated::
-        A thin shim over the declarative job API (see
-        :func:`group2_job` / :func:`summarize_group2`); results are
-        bit-identical to previous releases.
-
-    ``shard`` / ``shard_out`` / ``stream`` / ``chunk_size`` / ``items``
-    behave as in
-    :func:`repro.experiments.figure2.run_figure2`; note the gap summary
-    of a sharded run covers only that shard's task-sets — merge the
-    shards for the full-population gap.
-    """
-    warnings.warn(
-        "run_group2() is deprecated: build a JobSpec (group2_job()) and "
-        "run it through repro.engine.session.Session / sweep-run",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    job = group2_job(
-        m=m, n_tasksets=n_tasksets, seed=seed, step=step,
-        execution=ExecutionPolicy(
-            jobs=jobs,
-            chunk_size=chunk_size,
-            checkpoint=checkpoint,
-            stream=stream,
-            shard_out=shard_out,
-            shard=shard,
-            items=tuple(items) if items is not None else None,
-        ),
-    )
-    return summarize_group2(run_job(job))

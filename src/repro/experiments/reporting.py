@@ -12,7 +12,7 @@ import os
 from collections.abc import Sequence
 from pathlib import Path
 
-from repro.experiments.runner import SweepResult
+from repro.engine.results import SweepResult
 
 
 def format_table(

@@ -19,44 +19,28 @@ Two regimes, matching the paper's framing:
   so utilisation grows as NPRs shrink and schedulability becomes
   non-monotone — the placement problem of refs [12], [17], [18].
 
-The corpus is generated once in the parent process; each task-set's
-evaluation across all thresholds is one work item on a
-:mod:`repro.engine.executors` executor (``jobs``), and per-threshold
-aggregates are reduced in corpus order, so serial and parallel runs are
-bit-identical.
-
-Like the grid sweeps, a split sweep shards across independent
-invocations: a :class:`~repro.engine.shard.ShardSpec` selects a strided
-slice of the corpus (every shard regenerates the identical corpus from
-the seed, then evaluates only its own task-sets), each invocation
-writes a ``kind="splitsweep"`` shard artifact storing its per-item
-rows, and :func:`merge_split_shards` re-reduces the rows in corpus
-order — bit-identical to the unsharded serial run, float sums included.
-A ``stream`` path emits one JSONL line per task-set as it completes.
+Execution shape: a row-per-item sweep on the shared
+:mod:`repro.engine.rowsweep` runner.  The corpus is regenerated from
+the seed in every invocation; each task-set's evaluation across all
+thresholds is one work item, and per-threshold aggregates are reduced
+in corpus order, so serial == parallel == sharded == merged, bit for
+bit, float sums included.  A shard invocation writes a
+``kind="splitsweep"`` artifact of per-item rows, and a ``stream`` path
+emits one JSONL line per task-set as it completes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from repro.exceptions import AnalysisError, ShardError
 from repro.core.analyzer import AnalysisMethod, analyze_taskset
-from repro.engine.executors import make_executor
-from repro.engine.shard import (
-    KIND_SPLITSWEEP,
-    ShardArtifact,
-    ShardSpec,
-    load_shard,
-    save_shard,
-    validate_shard_set,
-)
-from repro.engine.streaming import StreamWriter
+from repro.engine.rowsweep import collect_rows, run_row_sweep
+from repro.engine.shard import KIND_SPLITSWEEP
 from repro.generator.profiles import GROUP1, TasksetProfile
 from repro.generator.taskset_gen import generate_taskset
 from repro.model.taskset import TaskSet
@@ -149,8 +133,8 @@ def _reduce_split_rows(
     """Fold per-item rows (already in corpus order) into sweep points.
 
     This is the single reduction path shared by direct runs and
-    :func:`merge_split_shards`, so both sum in the same order and agree
-    bit-for-bit.
+    :func:`merge_splitsweep_shards`, so both sum in the same order and
+    agree bit-for-bit.
     """
     points: list[SplitSweepPoint] = []
     for t_index, threshold in enumerate(thresholds):
@@ -189,8 +173,7 @@ def splitsweep_job(
     """The declarative :class:`~repro.engine.jobspec.JobSpec` of one
     split-sweep run — what the CLI subcommand, ``sweep-run`` job files
     and the orchestrator all build.  The job form fixes the paper's
-    GROUP1 corpus and LP-ILP analysis; the ``profile`` / ``method``
-    research knobs remain on :func:`run_split_sweep`."""
+    GROUP1 corpus and LP-ILP analysis."""
     from repro.engine.jobspec import ExecutionPolicy, JobSpec, Workload
 
     return JobSpec(
@@ -206,192 +189,54 @@ def splitsweep_job(
     )
 
 
-def run_split_sweep(
-    m: int,
-    utilization: float,
-    thresholds: list[float],
-    n_tasksets: int = 30,
-    seed: int = 2016,
-    profile: TasksetProfile = GROUP1,
-    method: AnalysisMethod = AnalysisMethod.LP_ILP,
-    overhead: float = 0.0,
-    jobs: int = 1,
-    shard: ShardSpec | None = None,
-    shard_out: str | Path | None = None,
-    stream: str | Path | None = None,
-) -> list[SplitSweepPoint]:
-    """Schedulability vs NPR-size threshold on a fixed task-set corpus.
-
-    .. deprecated::
-        A thin shim over the declarative job API: the default
-        profile/method configuration is exactly what a
-        ``kind="splitsweep"`` :class:`~repro.engine.jobspec.JobSpec`
-        describes (run through
-        :class:`~repro.engine.session.Session` / ``sweep-run``);
-        results are bit-identical to previous releases.  The
-        ``profile`` / ``method`` research knobs remain available here.
+def run_splitsweep_job(job) -> list[SplitSweepPoint]:
+    """Execute a ``kind="splitsweep"`` :class:`JobSpec` placement.
 
     The same ``n_tasksets`` task-sets are re-analysed at every
     threshold, so points are directly comparable.
-
-    Parameters
-    ----------
-    m / utilization / n_tasksets / seed / profile:
-        Corpus definition (same knobs as the Figure-2 sweeps).
-    thresholds:
-        NPR-size caps to test, e.g. ``[1000, 100, 50, 25, 10]``.
-    method:
-        Analysis applied (LP-ILP by default).
-    overhead:
-        WCET inflation per inserted preemption point (see
-        :func:`repro.model.transforms.split_node`); 0 reproduces the
-        paper's overhead-free model.
-    jobs:
-        Worker processes; results are identical for any value.
-    shard / shard_out:
-        Evaluate only the shard's slice of the corpus (the corpus
-        itself is regenerated identically from the seed in every
-        shard), writing a ``kind="splitsweep"`` artifact to
-        ``shard_out``; recombine with :func:`merge_split_shards`.
-    stream:
-        Optional JSONL path; one ``item`` line per task-set, flushed as
-        each completes.
     """
-    import warnings
-
-    warnings.warn(
-        "run_split_sweep() is deprecated: build a kind='splitsweep' "
-        "JobSpec and run it through repro.engine.session.Session / "
-        "sweep-run",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _run_split_sweep(
-        m=m, utilization=utilization, thresholds=thresholds,
-        n_tasksets=n_tasksets, seed=seed, profile=profile, method=method,
-        overhead=overhead, jobs=jobs, shard=shard, shard_out=shard_out,
-        stream=stream,
-    )
-
-
-def _run_split_sweep(
-    m: int,
-    utilization: float,
-    thresholds: list[float],
-    n_tasksets: int = 30,
-    seed: int = 2016,
-    profile: TasksetProfile = GROUP1,
-    method: AnalysisMethod = AnalysisMethod.LP_ILP,
-    overhead: float = 0.0,
-    jobs: int = 1,
-    executor_kind: str = "process",
-    shard: ShardSpec | None = None,
-    shard_out: str | Path | None = None,
-    stream: str | Path | None = None,
-) -> list[SplitSweepPoint]:
-    """The split-sweep runner behind :func:`run_split_sweep` and the
-    Session's ``kind="splitsweep"`` jobs (which also pick the executor
-    flavour)."""
-    if not thresholds:
-        raise AnalysisError("need at least one threshold")
-    thresholds = tuple(thresholds)
-    if shard is None and shard_out is not None:
-        shard = ShardSpec(0, 1)
-    rng = np.random.default_rng(seed)
-    corpus = [generate_taskset(rng, utilization, profile) for _ in range(n_tasksets)]
-    indexes = (
-        list(shard.items(n_tasksets)) if shard is not None else list(range(n_tasksets))
-    )
-    payloads = [
-        (index, corpus[index], m, thresholds, method, overhead) for index in indexes
+    workload, policy = job.workload, job.execution
+    m, thresholds, overhead = workload.m, workload.thresholds, workload.overhead
+    method = AnalysisMethod.LP_ILP
+    rng = np.random.default_rng(workload.seed)
+    corpus = [
+        generate_taskset(rng, workload.utilization, GROUP1)
+        for _ in range(workload.n_tasksets)
     ]
-
-    fingerprint = split_sweep_fingerprint(
-        m, utilization, thresholds, n_tasksets, seed, profile, method, overhead
-    )
     meta = {
         "m": m,
-        "utilization": utilization,
+        "utilization": workload.utilization,
         "thresholds": list(thresholds),
-        "n_tasksets": n_tasksets,
-        "seed": seed,
+        "n_tasksets": workload.n_tasksets,
+        "seed": workload.seed,
         "overhead": overhead,
         "method": method.value,
     }
-
-    start_time = time.perf_counter()
-    writer = StreamWriter(stream) if stream is not None else None
-    rows_by_index: dict[int, list[tuple[int, int, float, bool]]] = {}
-    try:
-        if writer is not None:
-            writer.write_header(
-                kind=KIND_SPLITSWEEP,
-                fingerprint=fingerprint,
-                total_items=n_tasksets,
-                meta=meta,
-                shard=(
-                    {"index": shard.index, "count": shard.count}
-                    if shard is not None
-                    else None
-                ),
-            )
-        with make_executor(jobs, kind=executor_kind) as executor:
-            for index, rows in executor.map_unordered(
-                _evaluate_split_item, payloads
-            ):
-                rows_by_index[index] = rows
-                if writer is not None:
-                    writer.write_item(index, rows=rows)
-        if writer is not None:
-            writer.write_summary(
-                len(rows_by_index), time.perf_counter() - start_time
-            )
-    finally:
-        if writer is not None:
-            writer.close()
-
-    rows_in_order = [rows_by_index[index] for index in indexes]
-    if shard_out is not None:
-        save_shard(
-            shard_out,
-            ShardArtifact(
-                kind=KIND_SPLITSWEEP,
-                fingerprint=fingerprint,
-                shard=shard,
-                total_items=n_tasksets,
-                meta=meta,
-                records=[
-                    {"item": index, "rows": [list(row) for row in rows_by_index[index]]}
-                    for index in indexes
-                ],
-                elapsed_seconds=time.perf_counter() - start_time,
-            ),
-        )
+    indexes, rows_in_order = run_row_sweep(
+        kind=KIND_SPLITSWEEP,
+        fingerprint=job.fingerprint(),
+        total_items=workload.n_tasksets,
+        meta=meta,
+        evaluate=_evaluate_split_item,
+        payload_for=lambda index: (
+            index, corpus[index], m, thresholds, method, overhead
+        ),
+        jobs=policy.jobs,
+        executor_kind=policy.executor,
+        shard=policy.shard,
+        shard_out=policy.shard_out,
+        stream=policy.stream,
+    )
     return _reduce_split_rows(thresholds, rows_in_order, len(indexes))
 
 
-def merge_split_shards(
-    shards: list[ShardArtifact | str | Path],
-) -> list[SplitSweepPoint]:
-    """Recombine split-sweep shard artifacts into the unsharded points.
+def merge_splitsweep_shards(shards) -> list[SplitSweepPoint]:
+    """Recombine split-sweep shard artifacts, bit-identical to serial."""
+    from repro.engine.registry import row_codec_for
 
-    Validates the set like :func:`repro.engine.shard.merge_shards`
-    (fingerprints, format version, duplicate/missing shards, per-item
-    gaps and overlaps), reassembles every task-set's rows in corpus
-    order and re-runs the exact serial reduction — the merged points
-    are bit-identical to a single-process run, float means included.
-    """
-    artifacts = [
-        shard if isinstance(shard, ShardArtifact) else load_shard(shard)
-        for shard in shards
-    ]
-    validate_shard_set(artifacts)
-    first = artifacts[0]
-    if first.kind != KIND_SPLITSWEEP:
-        raise ShardError(
-            f"merge_split_shards() merges {KIND_SPLITSWEEP!r} artifacts; "
-            f"got {first.kind!r} (use repro.engine.merge_shards)"
-        )
+    first, rows_in_order = collect_rows(
+        shards, kind=KIND_SPLITSWEEP, row_codec=row_codec_for(KIND_SPLITSWEEP),
+    )
     raw_thresholds = first.meta.get("thresholds")
     if not isinstance(raw_thresholds, (list, tuple)) or not raw_thresholds:
         raise ShardError(
@@ -399,19 +244,9 @@ def merge_split_shards(
             "artifact is corrupt"
         )
     thresholds = tuple(float(t) for t in raw_thresholds)
-    rows_by_index: dict[int, list[tuple[int, int, float, bool]]] = {}
-    for artifact in artifacts:
-        for entry in artifact.records:
-            rows = [
-                (int(q), int(tasks), float(u), bool(schedulable))
-                for q, tasks, u, schedulable in entry["rows"]
-            ]
-            if len(rows) != len(thresholds):
-                raise ShardError(
-                    f"splitsweep shard {artifact.shard.label} item "
-                    f"{entry['item']} has {len(rows)} rows for "
-                    f"{len(thresholds)} thresholds; artifact is corrupt"
-                )
-            rows_by_index[int(entry["item"])] = rows
-    rows_in_order = [rows_by_index[index] for index in sorted(rows_by_index)]
+    if any(len(rows) != len(thresholds) for rows in rows_in_order):
+        raise ShardError(
+            f"a splitsweep shard item does not hold one row for each of "
+            f"the {len(thresholds)} thresholds; artifact is corrupt"
+        )
     return _reduce_split_rows(thresholds, rows_in_order, first.total_items)

@@ -255,14 +255,15 @@ class TestEngineFlagInterplay:
                               if line and line[0].isdigit()]
         assert table(first) == table(second)
 
-    def test_checkpoint_from_other_sweep_rejected(self, tmp_path):
-        from repro.exceptions import AnalysisError
-
+    def test_checkpoint_from_other_sweep_rejected(self, capsys, tmp_path):
         checkpoint = tmp_path / "cp.json"
         assert main(FIG2_SMALL + ["--checkpoint", str(checkpoint)]) == 0
-        with pytest.raises(AnalysisError):
-            main(["figure2", "--m", "2", "--tasksets", "5", "--seed", "3",
-                  "--step", "1.0", "--checkpoint", str(checkpoint)])
+        capsys.readouterr()
+        assert main(["figure2", "--m", "2", "--tasksets", "5", "--seed", "3",
+                     "--step", "1.0", "--checkpoint", str(checkpoint)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("figure2:")
+        assert "different sweep" in err
 
     def test_shard_with_checkpoint_and_stream(self, capsys, tmp_path):
         stream = tmp_path / "s.jsonl"
@@ -277,9 +278,69 @@ class TestEngineFlagInterplay:
         assert '"type": "summary"' in lines[-1]
 
 
+class TestAliases:
+    """figure2 / group2 / splitsweep are aliases of ``sweep-run``."""
+
+    WORKLOADS = {
+        "figure2": (["--m", "2", "--tasksets", "4", "--seed", "3",
+                     "--step", "1.0"],
+                    {"m": 2, "n_tasksets": 4, "seed": 3, "step": 1.0}),
+        "group2": (["--m", "2", "--tasksets", "4", "--seed", "3",
+                    "--step", "1.0"],
+                   {"m": 2, "n_tasksets": 4, "seed": 3, "step": 1.0}),
+        "splitsweep": (["--m", "2", "--tasksets", "3", "--seed", "5",
+                        "--utilization", "1.2", "--thresholds", "100", "20",
+                        "--overhead", "0.5"],
+                       {"m": 2, "n_tasksets": 3, "seed": 5,
+                        "utilization": 1.2, "thresholds": [100.0, 20.0],
+                        "overhead": 0.5}),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(WORKLOADS))
+    def test_alias_matches_sweep_run(self, kind, capsys, tmp_path):
+        import json
+
+        flags, workload = self.WORKLOADS[kind]
+        alias_csv, job_csv = tmp_path / "alias.csv", tmp_path / "job.csv"
+        assert main([kind, *flags, "--csv", str(alias_csv)]) == 0
+        alias_out = capsys.readouterr().out
+        job = {"version": 1, "workload": {"kind": kind, **workload}}
+        assert main(["sweep-run", "--job-json", json.dumps(job),
+                     "--csv", str(job_csv)]) == 0
+        job_out = capsys.readouterr().out
+        assert alias_csv.read_bytes() == job_csv.read_bytes()
+        table = lambda text: text.split("series written to")[0]  # noqa: E731
+        assert table(alias_out) == table(job_out)
+
+    @pytest.mark.parametrize("argv", [
+        ["figure2", "--m", "0"],
+        ["group2", "--step", "0"],
+        ["splitsweep", "--overhead", "-1"],
+    ], ids=["figure2", "group2", "splitsweep"])
+    def test_bad_input_is_one_line_error(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"{argv[0]}:")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_dry_run_prints_the_alias_job(self, capsys):
+        import json
+
+        assert main(["splitsweep", "--m", "3", "--thresholds", "5", "50",
+                     "--jobs", "2", "--dry-run"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["workload"]["m"] == 3
+        assert printed["workload"]["thresholds"] == [50.0, 5.0]
+        assert printed["workload"]["n_tasksets"] == 30  # the kind default
+        assert printed["execution"]["jobs"] == 2
+
+
 class TestSweepOrchestrate:
+    """A sweep subcommand given orchestration flags runs orchestrated."""
+
     ARGS = [
-        "sweep-orchestrate", "figure2", "--m", "2", "--tasksets", "4",
+        "figure2", "--m", "2", "--tasksets", "4",
         "--seed", "11", "--step", "0.5", "--workers", "2",
         "--poll-interval", "0.05", "--quiet",
     ]
@@ -291,7 +352,7 @@ class TestSweepOrchestrate:
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "Orchestrated figure2" in out
+        assert "Figure 2 (m=2, 4 task-sets/point, 2 shards)" in out
         assert "orchestrated 2 shard invocations" in out
         ref_csv = tmp_path / "ref.csv"
         assert main(["figure2", "--m", "2", "--tasksets", "4", "--seed", "11",
@@ -348,11 +409,11 @@ class TestSweepOrchestrate:
 
     def test_bad_worker_count_is_clean_error(self, capsys, tmp_path):
         code = main([
-            "sweep-orchestrate", "figure2", "--m", "2", "--tasksets", "2",
+            "figure2", "--m", "2", "--tasksets", "2",
             "--workers", "0", "--out", str(tmp_path / "orch"), "--quiet",
         ])
         assert code == 1
-        assert "sweep-orchestrate:" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("figure2:")
 
 
 class TestDispatch:
@@ -361,7 +422,7 @@ class TestDispatch:
         out = capsys.readouterr().out
         assert "figure1" in out
         assert "sweep-merge" in out
-        assert "sweep-orchestrate" in out
+        assert "sweep-run" in out
         assert "sweep-status" in out
 
     def test_unknown_command_rejected(self):

@@ -8,14 +8,19 @@ the whole mode matrix —
 * executors: serial, multiprocessing pool, thread pool;
 * chunking: any chunk size, including sizes that straddle points;
 * sharding: any partition into 1..4 shards, merged via
-  :func:`~repro.engine.merge_shards` (and the split sweep's own
-  :func:`~repro.experiments.splitsweep.merge_split_shards`);
+  :func:`~repro.engine.merge_shards` (and, for the row-based kinds,
+  :func:`~repro.engine.registry.merge_artifacts`);
 * interruption: a run killed mid-sweep and resumed from its checkpoint,
   sharded or not;
 * streaming: the JSONL stream's chunk records sum to the final counts;
 * orchestration: a whole sweep dispatched as shard subprocesses by the
   orchestrator tier — including a shard that fails and is retried —
   merges back to the exact serial result.
+
+Experiment-level cases start every run the way the CLI does: as a
+:class:`~repro.engine.jobspec.JobSpec`, through
+:func:`~repro.engine.session.run_job` or
+:func:`~repro.engine.orchestrator.plan_from_jobspec`.
 
 "Bit for bit" means full :class:`~repro.engine.SweepResult` dataclass
 equality with only the wall-clock field zeroed (:func:`_strip`): same
@@ -43,8 +48,12 @@ from repro.engine import (
     merge_shards,
     read_stream,
 )
-from repro.experiments.figure2 import run_figure2
-from repro.experiments.splitsweep import merge_split_shards, run_split_sweep
+from repro.engine.jobspec import ExecutionPolicy
+from repro.engine.orchestrator import plan_from_jobspec
+from repro.engine.registry import merge_artifacts
+from repro.engine.session import run_job
+from repro.experiments.figure2 import figure2_job
+from repro.experiments.splitsweep import splitsweep_job
 from repro.generator.profiles import GROUP1
 from tests.strategies import sweep_specs
 
@@ -293,15 +302,13 @@ class TestExperimentConformance:
     @pytest.mark.parametrize("shard_count", [1, 2, 3, 4])
     def test_figure2_sharded_merge_bit_identical(self, shard_count, tmp_path):
         kwargs = dict(m=2, n_tasksets=4, seed=11, step=0.5)
-        reference = _strip(run_figure2(**kwargs))
+        reference = _strip(run_job(figure2_job(**kwargs)))
         paths = []
         for index in range(shard_count):
             path = tmp_path / f"fig2-{index}.json"
-            run_figure2(
-                **kwargs,
-                shard=ShardSpec(index, shard_count),
-                shard_out=path,
-            )
+            run_job(figure2_job(**kwargs, execution=ExecutionPolicy(
+                shard=ShardSpec(index, shard_count), shard_out=path,
+            )))
             paths.append(path)
         assert _strip(merge_shards(paths)) == reference
 
@@ -310,22 +317,26 @@ class TestExperimentConformance:
             m=2, utilization=1.2, thresholds=[100.0, 25.0], n_tasksets=5,
             seed=9, overhead=0.5,
         )
-        reference = run_split_sweep(**kwargs)
+        reference = run_job(splitsweep_job(**kwargs))
         paths = []
         for index in range(2):
             path = tmp_path / f"split-{index}.json"
-            run_split_sweep(**kwargs, shard=ShardSpec(index, 2), shard_out=path)
+            run_job(splitsweep_job(**kwargs, execution=ExecutionPolicy(
+                shard=ShardSpec(index, 2), shard_out=path,
+            )))
             paths.append(path)
         # Bit-identical including the float means: the merge reduces
         # per-item rows in corpus order, exactly like the serial run.
-        assert merge_split_shards(paths) == reference
+        assert merge_artifacts("splitsweep", paths) == reference
 
     def test_splitsweep_parallel_jobs_bit_identical(self):
         kwargs = dict(
             m=2, utilization=1.2, thresholds=[100.0, 25.0], n_tasksets=4,
             seed=9,
         )
-        assert run_split_sweep(**kwargs, jobs=2) == run_split_sweep(**kwargs)
+        assert run_job(
+            splitsweep_job(**kwargs, execution=ExecutionPolicy(jobs=2))
+        ) == run_job(splitsweep_job(**kwargs))
 
 
 class TestOrchestratorConformance:
@@ -334,12 +345,12 @@ class TestOrchestratorConformance:
     KWARGS = dict(m=2, n_tasksets=4, seed=11, step=0.5)
 
     def _reference(self):
-        return _strip(run_figure2(**self.KWARGS))
+        return _strip(run_job(figure2_job(**self.KWARGS)))
 
     def test_orchestrated_figure2_bit_identical(self, tmp_path):
-        from repro.engine.orchestrator import Orchestrator, plan_figure2
+        from repro.engine.orchestrator import Orchestrator
 
-        plan = plan_figure2(**self.KWARGS)
+        plan = plan_from_jobspec(figure2_job(**self.KWARGS))
         outcome = Orchestrator(
             plan, tmp_path / "orch", workers=3, poll_interval=0.05
         ).run()
@@ -351,7 +362,7 @@ class TestOrchestratorConformance:
         import sys
 
         from repro.engine.backends import LocalBackend
-        from repro.engine.orchestrator import Orchestrator, plan_figure2
+        from repro.engine.orchestrator import Orchestrator
 
         class FlakyBackend(LocalBackend):
             """First launch of shard 2/3 dies immediately (exit 3)."""
@@ -368,7 +379,7 @@ class TestOrchestratorConformance:
                         argv = [sys.executable, "-c", "import sys; sys.exit(3)"]
                 return super().launch(argv, log_path, env=env)
 
-        plan = plan_figure2(**self.KWARGS)
+        plan = plan_from_jobspec(figure2_job(**self.KWARGS))
         with FlakyBackend() as backend:
             outcome = Orchestrator(
                 plan, tmp_path / "orch", backend=backend, retries=2,
@@ -380,32 +391,33 @@ class TestOrchestratorConformance:
         assert _strip(outcome.result) == self._reference()
 
     def test_orchestrated_splitsweep_identical(self, tmp_path):
-        from repro.engine.orchestrator import Orchestrator, plan_splitsweep
+        from repro.engine.orchestrator import Orchestrator
 
         kwargs = dict(
             m=2, utilization=1.2, thresholds=[100.0, 25.0], n_tasksets=5,
             seed=9, overhead=0.5,
         )
-        reference = run_split_sweep(**kwargs)
+        reference = run_job(splitsweep_job(**kwargs))
         outcome = Orchestrator(
-            plan_splitsweep(**kwargs), tmp_path / "orch", workers=2,
-            poll_interval=0.05,
+            plan_from_jobspec(splitsweep_job(**kwargs)), tmp_path / "orch",
+            workers=2, poll_interval=0.05,
         ).run()
         assert outcome.result == reference
 
     @pytest.mark.parametrize("cache", ["off", "readwrite"])
     def test_cache_aware_placement_bit_identical(self, cache, tmp_path):
-        from repro.engine.orchestrator import Orchestrator, plan_figure2
+        from repro.engine.orchestrator import Orchestrator
 
-        kwargs = dict(self.KWARGS, placement="cache-aware", cache=cache)
-        if cache != "off":
-            kwargs["cache_dir"] = str(tmp_path / "vc")
+        execution = ExecutionPolicy(
+            placement="cache-aware", cache=cache,
+            cache_dir=str(tmp_path / "vc") if cache != "off" else None,
+        )
+        plan = plan_from_jobspec(figure2_job(**self.KWARGS, execution=execution))
         outcome = Orchestrator(
-            plan_figure2(**kwargs), tmp_path / "orch", workers=3,
-            poll_interval=0.05,
+            plan, tmp_path / "orch", workers=3, poll_interval=0.05,
         ).run()
         assert _strip(outcome.result) == self._reference()
-        assert outcome.view.done_items == plan_figure2(**kwargs).total_items
+        assert outcome.view.done_items == plan.total_items
 
 
 class TestElasticConformance:
@@ -466,11 +478,11 @@ class TestElasticConformance:
         # 2 shards on 3 slots: the idle slot forces a split immediately
         # (elastic_after=0), so the merged result really is assembled
         # from sub-shard artifacts.
-        from repro.engine.orchestrator import Orchestrator, plan_figure2
+        from repro.engine.orchestrator import Orchestrator
 
         kwargs = dict(m=2, n_tasksets=6, seed=11, step=0.5)
-        reference = _strip(run_figure2(**kwargs))
-        plan = plan_figure2(**kwargs)
+        reference = _strip(run_job(figure2_job(**kwargs)))
+        plan = plan_from_jobspec(figure2_job(**kwargs))
         outcome = Orchestrator(
             plan, tmp_path / "orch", workers=3, shards=2,
             poll_interval=0.05, elastic=True, elastic_after=0.0,
@@ -484,12 +496,12 @@ class TestElasticConformance:
         assert _strip(merge_shards(artifacts)) == reference
 
     def test_elastic_requires_checkpoint_support(self, tmp_path):
-        from repro.engine.orchestrator import Orchestrator, plan_splitsweep
+        from repro.engine.orchestrator import Orchestrator
         from repro.exceptions import OrchestrationError
 
-        plan = plan_splitsweep(
+        plan = plan_from_jobspec(splitsweep_job(
             m=2, utilization=1.2, thresholds=[100.0], n_tasksets=4, seed=9
-        )
+        ))
         with pytest.raises(OrchestrationError, match="checkpoint"):
             Orchestrator(plan, tmp_path / "orch", workers=2, elastic=True)
 
@@ -519,10 +531,10 @@ class TestDaemonConformance:
 
     def test_daemon_orchestration_bit_identical(self, daemon_pool, tmp_path):
         from repro.engine.backends import DaemonBackend
-        from repro.engine.orchestrator import Orchestrator, plan_figure2
+        from repro.engine.orchestrator import Orchestrator
 
-        reference = _strip(run_figure2(**self.KWARGS))
-        plan = plan_figure2(**self.KWARGS)
+        reference = _strip(run_job(figure2_job(**self.KWARGS)))
+        plan = plan_from_jobspec(figure2_job(**self.KWARGS))
         with DaemonBackend([d.socket_path for d in daemon_pool]) as backend:
             outcome = Orchestrator(
                 plan, tmp_path / "orch", backend=backend, poll_interval=0.05,
@@ -536,10 +548,10 @@ class TestDaemonConformance:
         # The acceptance-criteria case: daemons + elastic splits + a
         # daemon dying mid-run, healed back to the exact serial result.
         from repro.engine.backends import DaemonBackend
-        from repro.engine.orchestrator import Orchestrator, plan_figure2
+        from repro.engine.orchestrator import Orchestrator
 
-        reference = _strip(run_figure2(**self.KWARGS))
-        plan = plan_figure2(**self.KWARGS)
+        reference = _strip(run_job(figure2_job(**self.KWARGS)))
+        plan = plan_from_jobspec(figure2_job(**self.KWARGS))
         killed = {"done": False}
 
         def progress(view):
@@ -648,11 +660,11 @@ class TestCacheConformance:
 
         from repro.engine.backends import DaemonBackend
         from repro.engine.daemon import WorkerDaemon
-        from repro.engine.jobspec import ExecutionPolicy, JobSpec, Workload
-        from repro.engine.orchestrator import Orchestrator, plan_figure2
+        from repro.engine.jobspec import JobSpec, Workload
+        from repro.engine.orchestrator import Orchestrator
 
         kwargs = dict(m=2, n_tasksets=6, seed=11, step=0.5)
-        reference = _strip(run_figure2(**kwargs))
+        reference = _strip(run_job(figure2_job(**kwargs)))
         cache_dir = tmp_path / "cache"
         # Warm the cache in-process: same workload, so same task-sets.
         warmup = JobSpec(
@@ -661,11 +673,9 @@ class TestCacheConformance:
                 cache="readwrite", cache_dir=str(cache_dir)
             ),
         )
-        assert _strip(SweepEngine().run(warmup)) == reference
+        assert _strip(run_job(warmup)) == reference
 
-        plan = plan_figure2(
-            **kwargs, cache="readwrite", cache_dir=str(cache_dir)
-        )
+        plan = plan_from_jobspec(warmup)
         killed = {"done": False}
 
         with tf.TemporaryDirectory(prefix="reprod-", dir="/tmp") as tmp:
@@ -792,7 +802,7 @@ class TestRegistryKindConformance:
 
     @_REGISTRY_KINDS
     def test_orchestrated_identical(self, workload_kwargs, tmp_path):
-        from repro.engine.orchestrator import Orchestrator, plan_from_jobspec
+        from repro.engine.orchestrator import Orchestrator
 
         reference = self._serial(workload_kwargs)
         kind = workload_kwargs["kind"]
@@ -809,7 +819,7 @@ class TestRegistryKindConformance:
 
         from repro.engine.backends import DaemonBackend
         from repro.engine.daemon import WorkerDaemon
-        from repro.engine.orchestrator import Orchestrator, plan_from_jobspec
+        from repro.engine.orchestrator import Orchestrator
 
         reference = self._serial(workload_kwargs)
         kind = workload_kwargs["kind"]
@@ -838,7 +848,7 @@ class TestRegistryKindConformance:
     def test_elastic_requires_checkpoint_support(
         self, workload_kwargs, tmp_path
     ):
-        from repro.engine.orchestrator import Orchestrator, plan_from_jobspec
+        from repro.engine.orchestrator import Orchestrator
         from repro.exceptions import OrchestrationError
 
         plan = plan_from_jobspec(_registry_job(workload_kwargs))

@@ -356,10 +356,10 @@ class TestDaemonBackend:
         # 2-shard orchestration — both shard jobs packed concurrently
         # onto the one socket — and the merged result is bit-identical.
         import dataclasses
-        import warnings
 
-        from repro.engine.orchestrator import Orchestrator, plan_figure2
-        from repro.experiments.figure2 import run_figure2
+        from repro.engine.orchestrator import Orchestrator, plan_from_jobspec
+        from repro.engine.session import run_job
+        from repro.experiments.figure2 import figure2_job
 
         kwargs = dict(m=2, n_tasksets=6, seed=11, step=0.5)
         daemon = _daemon(sock_dir, capacity=2)
@@ -378,7 +378,7 @@ class TestDaemonBackend:
                 return handle
 
         try:
-            plan = plan_figure2(**kwargs)
+            plan = plan_from_jobspec(figure2_job(**kwargs))
             with PackingProbe([daemon.socket_path]) as backend:
                 assert backend.slots == 2
                 outcome = Orchestrator(
@@ -389,9 +389,7 @@ class TestDaemonBackend:
             # packed concurrently onto the one daemon socket.
             assert len(outcome.attempts) == 2
             assert PackingProbe.peak == 2
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                reference = run_figure2(**kwargs)
+            reference = run_job(figure2_job(**kwargs))
             strip = lambda r: dataclasses.replace(r, elapsed_seconds=0.0)  # noqa: E731
             assert strip(outcome.result) == strip(reference)
         finally:
@@ -611,14 +609,15 @@ class TestDaemonProcess:
         # on a surviving daemon, and the result is still bit-identical.
         import dataclasses
 
-        from repro.engine.orchestrator import Orchestrator, plan_figure2
-        from repro.experiments.figure2 import run_figure2
+        from repro.engine.orchestrator import Orchestrator, plan_from_jobspec
+        from repro.engine.session import run_job
+        from repro.experiments.figure2 import figure2_job
 
         kwargs = dict(m=2, n_tasksets=6, seed=11, step=0.5)
         procs = [self._spawn(sock_dir / f"d{i}.sock") for i in range(2)]
         victim = procs[0]
         try:
-            plan = plan_figure2(**kwargs)
+            plan = plan_from_jobspec(figure2_job(**kwargs))
             sockets = [sock_dir / f"d{i}.sock" for i in range(2)]
 
             killed = {"done": False}
@@ -638,7 +637,7 @@ class TestDaemonProcess:
                 ).run()
             assert killed["done"]
             strip = lambda r: dataclasses.replace(r, elapsed_seconds=0.0)  # noqa: E731
-            assert strip(outcome.result) == strip(run_figure2(**kwargs))
+            assert strip(outcome.result) == strip(run_job(figure2_job(**kwargs)))
         finally:
             for proc in procs:
                 proc.kill()

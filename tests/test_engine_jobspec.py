@@ -304,6 +304,64 @@ class TestWorkloadSemantics:
         assert worker.execution.items is None
 
 
+class TestNonFiniteInputs:
+    """Every non-finite float, non-positive threshold and failed int
+    coercion is a JobSpecError at construction or parse time.
+
+    These workloads are only built, never run: an infinite utilisation,
+    horizon or utilisation factor would never terminate.
+    """
+
+    INF, NAN = float("inf"), float("nan")
+
+    @pytest.mark.parametrize("fields", [
+        dict(kind="splitsweep", utilization=INF),
+        dict(kind="simulate", horizon_factor=INF),
+        dict(kind="timing", utilization_factor=INF),
+        dict(kind="sensitivity", max_scale=INF),
+        dict(kind="figure2", step=NAN),
+        dict(kind="group2", step=INF),
+        dict(kind="splitsweep", overhead=NAN),
+        dict(kind="splitsweep", thresholds=(0.0,)),
+        dict(kind="splitsweep", thresholds=(100.0, -5.0)),
+        dict(kind="splitsweep", thresholds=(NAN,)),
+        dict(kind="splitsweep", thresholds=(INF, 10.0)),
+    ], ids=lambda fields: "-".join(f"{k}={v}" for k, v in fields.items()))
+    def test_constructed_workload_rejected(self, fields):
+        with pytest.raises(JobSpecError):
+            Workload(**fields)
+
+    @pytest.mark.parametrize("workload", [
+        '{"kind": "splitsweep", "utilization": Infinity}',
+        '{"kind": "simulate", "horizon_factor": Infinity}',
+        '{"kind": "timing", "utilization_factor": Infinity}',
+        '{"kind": "sensitivity", "max_scale": Infinity}',
+        '{"kind": "figure2", "m": Infinity}',
+        '{"kind": "figure2", "step": NaN}',
+        '{"kind": "timing", "core_counts": [4, Infinity]}',
+        '{"kind": "splitsweep", "thresholds": [100, NaN]}',
+        '{"kind": "splitsweep", "overhead": NaN}',
+    ])
+    def test_parsed_workload_rejected(self, workload):
+        with pytest.raises(JobSpecError):
+            JobSpec.from_json(f'{{"version": 1, "workload": {workload}}}')
+
+    def test_parsed_execution_int_overflow_rejected(self):
+        with pytest.raises(JobSpecError, match="malformed execution"):
+            JobSpec.from_json(
+                '{"version": 1, "workload": {"kind": "figure2"}, '
+                '"execution": {"jobs": Infinity}}'
+            )
+
+    @pytest.mark.parametrize("override", [
+        "workload.step=nan", "workload.step=inf", "workload.m=inf",
+    ])
+    def test_override_rejected(self, override):
+        job = _figure2_job()
+        with pytest.raises(JobSpecError):
+            job.with_overrides(dict([parse_set_override(override)]))
+
+
 class TestPlacement:
     """Cache-aware routing is a pure dispatch policy on the JobSpec."""
 

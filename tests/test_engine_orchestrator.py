@@ -17,18 +17,29 @@ from repro.engine.backends import (
     TemplateBackend,
     make_backend,
 )
+from repro.engine.jobspec import ExecutionPolicy
 from repro.engine.orchestrator import (
     MANIFEST_NAME,
     Orchestrator,
     load_manifest,
-    plan_figure2,
-    plan_group2,
-    plan_splitsweep,
+    plan_from_jobspec,
     read_status,
 )
+from repro.engine.session import run_job
 from repro.exceptions import DispatchError, OrchestrationError
-from repro.experiments.figure2 import figure2_spec
-from repro.experiments.group2 import group2_spec
+from repro.experiments.figure2 import figure2_job, figure2_spec
+from repro.experiments.group2 import group2_job, group2_spec
+from repro.experiments.splitsweep import splitsweep_job
+
+
+def _figure2_plan(**kwargs):
+    """The orchestration plan of a figure2 job; execution-policy
+    keywords (``jobs``, ``placement``, ...) go to its policy."""
+    execution = {key: kwargs.pop(key) for key in ("jobs", "placement")
+                 if key in kwargs}
+    return plan_from_jobspec(
+        figure2_job(**kwargs, execution=ExecutionPolicy(**execution))
+    )
 
 
 def _wait_exit(backend, handle, timeout=30.0):
@@ -225,7 +236,7 @@ class TestPlans:
         return json.loads(argv[argv.index("--job-json") + 1])
 
     def test_figure2_plan_matches_spec_identity(self):
-        plan = plan_figure2(m=2, n_tasksets=4, seed=11, step=0.5)
+        plan = _figure2_plan(m=2, n_tasksets=4, seed=11, step=0.5)
         spec = figure2_spec(m=2, n_tasksets=4, seed=11, step=0.5)
         assert plan.fingerprint == spec.fingerprint()
         assert plan.total_items == spec.total_items
@@ -236,17 +247,17 @@ class TestPlans:
         assert self._embedded_job(plan)["workload"]["kind"] == "figure2"
 
     def test_group2_plan_matches_spec_identity(self):
-        plan = plan_group2(m=2, n_tasksets=4, seed=11, step=0.5)
+        plan = plan_from_jobspec(group2_job(m=2, n_tasksets=4, seed=11, step=0.5))
         spec = group2_spec(m=2, n_tasksets=4, seed=11, step=0.5)
         assert plan.fingerprint == spec.fingerprint()
         assert plan.total_items == spec.total_items
         assert self._embedded_job(plan)["workload"]["kind"] == "group2"
 
     def test_splitsweep_plan(self):
-        plan = plan_splitsweep(
+        plan = plan_from_jobspec(splitsweep_job(
             m=2, utilization=1.2, thresholds=[25.0, 100.0], n_tasksets=5,
             seed=9,
-        )
+        ))
         assert plan.kind == "splitsweep"
         assert plan.total_items == 5
         assert not plan.supports_checkpoint
@@ -260,25 +271,25 @@ class TestPlans:
         # Per-shard placement is appended as flag overrides; a base
         # worker spec carrying any would make shards clobber each other.
         execution = self._embedded_job(
-            plan_figure2(m=2, n_tasksets=4, seed=11, step=0.5, jobs=3)
+            _figure2_plan(m=2, n_tasksets=4, seed=11, step=0.5, jobs=3)
         )["execution"]
         assert execution["jobs"] == 3
         for field in ("shard", "shard_out", "stream", "checkpoint", "items"):
             assert execution[field] is None
 
     def test_plans_differ_by_parameters(self):
-        base = plan_figure2(m=2, n_tasksets=4, seed=11, step=0.5)
-        assert base.fingerprint != plan_figure2(
+        base = _figure2_plan(m=2, n_tasksets=4, seed=11, step=0.5)
+        assert base.fingerprint != _figure2_plan(
             m=2, n_tasksets=4, seed=12, step=0.5
         ).fingerprint
-        assert base.fingerprint != plan_group2(
+        assert base.fingerprint != plan_from_jobspec(group2_job(
             m=2, n_tasksets=4, seed=11, step=0.5
-        ).fingerprint
+        )).fingerprint
 
 
 class TestOrchestratorValidation:
     def _plan(self):
-        return plan_figure2(m=2, n_tasksets=4, seed=11, step=0.5)
+        return _figure2_plan(m=2, n_tasksets=4, seed=11, step=0.5)
 
     def test_bad_parameters_rejected(self, tmp_path):
         with pytest.raises(OrchestrationError):
@@ -343,7 +354,7 @@ class TestOrchestratorIntegration:
     KWARGS = dict(m=2, n_tasksets=4, seed=11, step=0.5)
 
     def test_resume_reuses_finished_artifacts(self, tmp_path):
-        plan = plan_figure2(**self.KWARGS)
+        plan = _figure2_plan(**self.KWARGS)
         out = tmp_path / "orch"
         first = Orchestrator(plan, out, workers=2).run()
         assert first.attempts == {0: 1, 1: 1}
@@ -362,7 +373,7 @@ class TestOrchestratorIntegration:
         # still resume to the bit-identical result.
         import pathlib
 
-        plan = plan_figure2(**self.KWARGS)
+        plan = _figure2_plan(**self.KWARGS)
         out = tmp_path / "orch"
         first = Orchestrator(plan, out, workers=2).run()
 
@@ -380,7 +391,7 @@ class TestOrchestratorIntegration:
         # An interrupted orchestration leaves a partial stream behind;
         # the resumed first launch must discard it before tailing, or
         # the live merger double-counts / reads mid-line offsets.
-        plan = plan_figure2(**self.KWARGS)
+        plan = _figure2_plan(**self.KWARGS)
         out = tmp_path / "orch"
         out.mkdir()
         stale = out / "shard-1of2.jsonl"
@@ -401,7 +412,7 @@ class TestOrchestratorIntegration:
         assert all(s.restarts == 0 for s in outcome.view.shards)
 
     def test_exhausted_retries_raise(self, tmp_path):
-        plan = plan_figure2(**self.KWARGS)
+        plan = _figure2_plan(**self.KWARGS)
 
         class AlwaysFails(LocalBackend):
             def launch(self, argv, log_path, env=None):
@@ -423,7 +434,7 @@ class TestOrchestratorIntegration:
         # A slot can vanish between the orchestrator's slots check and
         # the launch (an idle daemon dying): the DispatchError must
         # count as a failed attempt and heal, not abort the run.
-        plan = plan_figure2(**self.KWARGS)
+        plan = _figure2_plan(**self.KWARGS)
 
         class LaunchFlake(LocalBackend):
             def __init__(self):
@@ -446,7 +457,7 @@ class TestOrchestratorIntegration:
         assert outcome.view.done_items == plan.total_items
 
     def test_exhausted_launch_failures_raise(self, tmp_path):
-        plan = plan_figure2(**self.KWARGS)
+        plan = _figure2_plan(**self.KWARGS)
 
         class NeverLaunches(LocalBackend):
             def __init__(self):
@@ -467,7 +478,7 @@ class TestOrchestratorIntegration:
         # whose process dies pre-open (here: never opens the stream and
         # never exits) must trip the stall relaunch purely off the
         # launch clock — there is no stream progress to wait on.
-        plan = plan_figure2(**self.KWARGS)
+        plan = _figure2_plan(**self.KWARGS)
 
         class NeverStarts(LocalBackend):
             def __init__(self):
@@ -495,7 +506,7 @@ class TestOrchestratorIntegration:
         assert outcome.view.done_items == plan.total_items
 
     def test_stalled_shard_is_relaunched(self, tmp_path):
-        plan = plan_figure2(**self.KWARGS)
+        plan = _figure2_plan(**self.KWARGS)
 
         class StallsOnce(LocalBackend):
             def __init__(self):
@@ -528,27 +539,22 @@ class TestOrchestratorIntegration:
         # resumed run must reuse them and dispatch only the uncovered
         # remainder, instead of recomputing the slice from scratch.
         import dataclasses
-        import warnings
 
         from repro.engine import ShardSpec
         from repro.engine.shard import load_shard
-        from repro.experiments.figure2 import run_figure2
 
-        plan = plan_figure2(**self.KWARGS)
+        plan = _figure2_plan(**self.KWARGS)
         out = tmp_path / "orch"
         out.mkdir()
         shard = ShardSpec(0, 2)
         slice_items = list(shard.items(plan.total_items))
         sub_items = slice_items[: len(slice_items) // 2]
         sub_artifact = out / "shard-1of2.sub1-1of2.artifact.json"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            run_figure2(
-                **self.KWARGS, shard=shard, items=sub_items,
-                shard_out=sub_artifact,
-                stream=out / "shard-1of2.sub1-1of2.jsonl",
-            )
-            reference = run_figure2(**self.KWARGS)
+        run_job(figure2_job(**self.KWARGS, execution=ExecutionPolicy(
+            shard=shard, items=sub_items, shard_out=sub_artifact,
+            stream=out / "shard-1of2.sub1-1of2.jsonl",
+        )))
+        reference = run_job(figure2_job(**self.KWARGS))
         before = sub_artifact.read_bytes()
 
         outcome = Orchestrator(plan, out, workers=2, poll_interval=0.05).run()
@@ -570,7 +576,7 @@ class TestOrchestratorIntegration:
         assert again.result == outcome.result
 
     def test_corrupt_sub_artifacts_cleaned_not_reused(self, tmp_path):
-        plan = plan_figure2(**self.KWARGS)
+        plan = _figure2_plan(**self.KWARGS)
         out = tmp_path / "orch"
         out.mkdir()
         stale = out / "shard-1of2.sub1-1of2.artifact.json"
@@ -587,22 +593,17 @@ class TestOrchestratorIntegration:
         # A valid sub artifact next to a corrupt one: the good one is
         # reused, the bad one must still be deleted or it would poison
         # the `shard-*.artifact.json` merge glob sweep-status prints.
-        import warnings
-
         from repro.engine import ShardSpec
-        from repro.experiments.figure2 import run_figure2
 
-        plan = plan_figure2(**self.KWARGS)
+        plan = _figure2_plan(**self.KWARGS)
         out = tmp_path / "orch"
         out.mkdir()
         shard = ShardSpec(0, 2)
         slice_items = list(shard.items(plan.total_items))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            run_figure2(
-                **self.KWARGS, shard=shard, items=slice_items[:2],
-                shard_out=out / "shard-1of2.sub1-1of2.artifact.json",
-            )
+        run_job(figure2_job(**self.KWARGS, execution=ExecutionPolicy(
+            shard=shard, items=slice_items[:2],
+            shard_out=out / "shard-1of2.sub1-1of2.artifact.json",
+        )))
         corrupt = out / "shard-1of2.sub1-2of2.artifact.json"
         corrupt.write_text("{ corrupt")
         outcome = Orchestrator(plan, out, workers=2, poll_interval=0.05).run()
@@ -610,31 +611,23 @@ class TestOrchestratorIntegration:
         assert sorted(outcome.attempts.values()).count(0) == 1  # reused
         import dataclasses
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            reference = run_figure2(**self.KWARGS)
+        reference = run_job(figure2_job(**self.KWARGS))
         strip = lambda r: dataclasses.replace(r, elapsed_seconds=0.0)  # noqa: E731
         assert strip(outcome.result) == strip(reference)
 
     def test_sub_artifact_of_other_sweep_not_reused(self, tmp_path):
-        import warnings
-
         from repro.engine import ShardSpec
-        from repro.experiments.figure2 import run_figure2
 
-        plan = plan_figure2(**self.KWARGS)
+        plan = _figure2_plan(**self.KWARGS)
         out = tmp_path / "orch"
         out.mkdir()
         shard = ShardSpec(0, 2)
         other = dict(self.KWARGS, seed=self.KWARGS["seed"] + 1)
         foreign = out / "shard-1of2.sub1-1of2.artifact.json"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            run_figure2(
-                **other, shard=shard,
-                items=list(shard.items(plan.total_items))[:1],
-                shard_out=foreign,
-            )
+        run_job(figure2_job(**other, execution=ExecutionPolicy(
+            shard=shard, items=list(shard.items(plan.total_items))[:1],
+            shard_out=foreign,
+        )))
         outcome = Orchestrator(plan, out, workers=2, poll_interval=0.05).run()
         assert outcome.attempts == {0: 1, 1: 1}  # recomputed whole shards
         assert not foreign.exists()
@@ -643,15 +636,14 @@ class TestOrchestratorIntegration:
         # Build a half-done orchestration by hand: one finished shard
         # artifact+stream, one shard mid-run (stream only).
         from repro.engine import ShardSpec
-        from repro.experiments.figure2 import run_figure2
 
-        plan = plan_figure2(**self.KWARGS)
+        plan = _figure2_plan(**self.KWARGS)
         out = tmp_path / "orch"
         out.mkdir()
-        run_figure2(
-            **self.KWARGS, shard=ShardSpec(0, 2),
+        run_job(figure2_job(**self.KWARGS, execution=ExecutionPolicy(
+            shard=ShardSpec(0, 2),
             shard_out=out / "shard-1of2.json", stream=out / "shard-1of2.jsonl",
-        )
+        )))
         manifest = {
             "version": 1, "experiment": "figure2", "kind": "sweep",
             "fingerprint": plan.fingerprint,
@@ -679,7 +671,7 @@ class TestCacheAwarePlacement:
     """Fingerprint-clustered dispatch: validation and job shapes."""
 
     def _plan(self, **kwargs):
-        return plan_figure2(
+        return _figure2_plan(
             m=2, n_tasksets=4, seed=11, step=0.5,
             placement="cache-aware", **kwargs,
         )
@@ -691,7 +683,7 @@ class TestCacheAwarePlacement:
         assert len(plan.item_fingerprints) == plan.total_items
 
     def test_strided_plan_skips_fingerprints(self):
-        plan = plan_figure2(m=2, n_tasksets=4, seed=11, step=0.5)
+        plan = _figure2_plan(m=2, n_tasksets=4, seed=11, step=0.5)
         assert plan.placement == "strided"
         assert plan.item_fingerprints is None
 
@@ -737,7 +729,7 @@ class TestCacheAwarePlacement:
         assert [j.items for j in again] == [j.items for j in jobs]
 
     def test_manifest_records_placement(self, tmp_path):
-        plan = plan_figure2(m=2, n_tasksets=2, seed=11, step=1.0,
+        plan = _figure2_plan(m=2, n_tasksets=2, seed=11, step=1.0,
                             placement="cache-aware")
         Orchestrator(
             plan, tmp_path, workers=2, poll_interval=0.05

@@ -1,16 +1,15 @@
 """The Session façade and the ``sweep-run`` CLI.
 
-Covers the tentpole's behavioural contract: inline job execution is
-bit-identical to the legacy entry points, submitted jobs run
+Covers the behavioural contract: inline job execution is bit-identical
+to running the workload's engine spec directly, submitted jobs run
 asynchronously on dispatch backends and rebuild their results from
 shard artifacts, job files resume through their checkpoints, and the
-``sweep-run`` subcommand reproduces the legacy subcommands' artifacts
+``sweep-run`` subcommand reproduces its alias subcommands' artifacts
 bit-for-bit (fingerprints included).
 """
 
 import dataclasses
 import json
-import warnings
 from pathlib import Path
 
 import pytest
@@ -40,17 +39,17 @@ def _figure2_job(**execution) -> JobSpec:
     )
 
 
-def _legacy_figure2(**kwargs):
-    from repro.experiments.figure2 import run_figure2
+def _engine_figure2():
+    """The same sweep run straight on the engine, without a job."""
+    from repro.engine import SweepEngine
+    from repro.experiments.figure2 import figure2_spec
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return run_figure2(m=2, n_tasksets=4, seed=3, step=1.0, **kwargs)
+    return SweepEngine().run(figure2_spec(m=2, n_tasksets=4, seed=3, step=1.0))
 
 
 class TestSessionRun:
     def test_inline_run_matches_legacy(self):
-        assert _strip(run_job(_figure2_job())) == _strip(_legacy_figure2())
+        assert _strip(run_job(_figure2_job())) == _strip(_engine_figure2())
 
     def test_executor_policy_is_respected_bit_identically(self):
         reference = _strip(run_job(_figure2_job()))
@@ -69,32 +68,45 @@ class TestSessionRun:
         assert loaded.shard == ShardSpec(0, 2)
 
     def test_group2_job_matches_legacy(self):
-        from repro.experiments.group2 import run_group2, summarize_group2
+        from repro.engine import SweepEngine
+        from repro.experiments.group2 import group2_spec, summarize_group2
 
         job = JobSpec(workload=Workload(
             kind="group2", m=2, n_tasksets=4, seed=3, step=1.0,
         ))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = run_group2(m=2, n_tasksets=4, seed=3, step=1.0)
+        legacy = summarize_group2(SweepEngine().run(
+            group2_spec(m=2, n_tasksets=4, seed=3, step=1.0)
+        ))
         report = summarize_group2(run_job(job))
         assert _strip(report.sweep) == _strip(legacy.sweep)
         assert report.max_gap == legacy.max_gap
 
     def test_splitsweep_job_matches_legacy(self):
-        from repro.experiments.splitsweep import run_split_sweep
+        # The per-item oracle: evaluate every corpus task-set directly
+        # and reduce in corpus order, with no runner in between.
+        import numpy as np
+
+        from repro.core.analyzer import AnalysisMethod
+        from repro.experiments.splitsweep import (
+            _evaluate_split_item,
+            _reduce_split_rows,
+        )
+        from repro.generator.profiles import GROUP1
+        from repro.generator.taskset_gen import generate_taskset
 
         job = JobSpec(workload=Workload(
             kind="splitsweep", m=2, n_tasksets=3, utilization=1.0,
             thresholds=(100.0, 20.0), seed=7,
         ))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = run_split_sweep(
-                m=2, utilization=1.0, thresholds=[100.0, 20.0],
-                n_tasksets=3, seed=7,
-            )
-        assert run_job(job) == legacy
+        rng = np.random.default_rng(7)
+        corpus = [generate_taskset(rng, 1.0, GROUP1) for _ in range(3)]
+        rows = [
+            _evaluate_split_item(
+                (index, taskset, 2, (100.0, 20.0), AnalysisMethod.LP_ILP, 0.0)
+            )[1]
+            for index, taskset in enumerate(corpus)
+        ]
+        assert run_job(job) == _reduce_split_rows((100.0, 20.0), rows, 3)
 
     def test_resume_runs_job_file_through_checkpoint(self, tmp_path):
         checkpoint = tmp_path / "ckpt.json"
@@ -116,7 +128,7 @@ class TestSessionSubmit:
             status = session.wait(handle, timeout=120.0)
             assert status.state == "done"
             result = session.result(handle)
-        assert _strip(result) == _strip(_legacy_figure2())
+        assert _strip(result) == _strip(_engine_figure2())
         # The dispatched spec is recorded next to the artifact.
         recorded = load_job(handle.job_file)
         assert recorded.workload == _figure2_job().workload
@@ -135,7 +147,7 @@ class TestSessionSubmit:
             ]
             partials = [session.result(handle) for handle in handles]
         assert all(isinstance(p, ShardArtifact) for p in partials)
-        assert _strip(merge_shards(partials)) == _strip(_legacy_figure2())
+        assert _strip(merge_shards(partials)) == _strip(_engine_figure2())
 
     def test_submit_requires_somewhere_to_write(self):
         with Session() as session:
@@ -378,24 +390,3 @@ class TestCacheDirImpliesReadwrite:
         assert cache_dir.is_dir()
         assert any(cache_dir.glob("*.jsonl"))  # verdicts actually written
 
-
-class TestDeprecatedShims:
-    def test_run_figure2_warns_but_matches(self):
-        from repro.experiments.figure2 import run_figure2
-
-        with pytest.warns(DeprecationWarning, match="run_figure2"):
-            legacy = run_figure2(m=2, n_tasksets=4, seed=3, step=1.0)
-        assert _strip(legacy) == _strip(run_job(_figure2_job()))
-
-    def test_run_group2_warns(self):
-        from repro.experiments.group2 import run_group2
-
-        with pytest.warns(DeprecationWarning, match="run_group2"):
-            run_group2(m=2, n_tasksets=2, seed=3, step=1.0)
-
-    def test_run_split_sweep_warns(self):
-        from repro.experiments.splitsweep import run_split_sweep
-
-        with pytest.warns(DeprecationWarning, match="run_split_sweep"):
-            run_split_sweep(m=2, utilization=1.0, thresholds=[50.0],
-                            n_tasksets=2)

@@ -160,18 +160,25 @@ class TestIdempotence:
             {"execution.shard_out": str(artifact)}
         ))
         store_dir = tmp_path / "store"
-        procs = [
-            subprocess.Popen(
-                [sys.executable, "-m", "repro", "sweep-db", "publish",
-                 str(artifact), "--store-dir", str(store_dir)],
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.PIPE,
-            )
-            for _ in range(2)
-        ]
-        for proc in procs:
-            _, stderr = proc.communicate(timeout=60)
-            assert proc.returncode == 0, stderr.decode()
+        procs = []
+        try:
+            for _ in range(2):
+                proc = subprocess.Popen(
+                    [sys.executable, "-m", "repro", "sweep-db", "publish",
+                     str(artifact), "--store-dir", str(store_dir)],
+                    stdout=subprocess.DEVNULL,
+                    stderr=subprocess.PIPE,
+                )
+                procs.append(proc)
+            for proc in procs:
+                _, stderr = proc.communicate(timeout=60)
+                assert proc.returncode == 0, stderr.decode()
+        finally:
+            # A timed-out communicate must not leak the other publisher.
+            for proc in procs:
+                proc.kill()
+                proc.wait()
+                proc.stderr.close()
         with open_store(store_dir) as store:
             assert len(store.runs()) == 1
             assert len(store.publications()) == 2

@@ -7,15 +7,20 @@ on small samples.
 
 import pytest
 
-from repro.experiments.figure2 import check_figure2_shape, run_figure2
-from repro.experiments.group2 import run_group2
+from repro.engine.session import run_job
+from repro.experiments.figure2 import check_figure2_shape, figure2_job
+from repro.experiments.group2 import group2_job, summarize_group2
 from repro.experiments.timing import run_timing
+
+
+def _group2(**kwargs):
+    return summarize_group2(run_job(group2_job(**kwargs)))
 
 
 class TestFigure2:
     @pytest.fixture(scope="class")
     def mini_sweep(self):
-        return run_figure2(m=2, n_tasksets=10, seed=9, step=0.5)
+        return run_job(figure2_job(m=2, n_tasksets=10, seed=9, step=0.5))
 
     def test_grid(self, mini_sweep):
         assert [p.utilization for p in mini_sweep.points] == [1.0, 1.5, 2.0]
@@ -27,7 +32,7 @@ class TestFigure2:
         assert mini_sweep.label == "figure2-m2-group1"
 
     def test_shape_checker_flags_violations(self):
-        from repro.experiments.runner import SweepPoint, SweepResult
+        from repro.engine import SweepPoint, SweepResult
 
         bad = SweepResult(
             2, "bad", 1,
@@ -41,12 +46,12 @@ class TestFigure2:
         from repro.exceptions import AnalysisError
 
         with pytest.raises(AnalysisError):
-            run_figure2(m=0)
+            run_job(figure2_job(m=0))
 
 
 class TestGroup2:
     def test_report(self):
-        report = run_group2(m=2, n_tasksets=10, seed=9, step=0.5)
+        report = _group2(m=2, n_tasksets=10, seed=9, step=0.5)
         assert 0.0 <= report.max_gap <= 1.0
         assert report.mean_gap <= report.max_gap
         assert report.sweep.label == "group2-m2"
@@ -54,7 +59,7 @@ class TestGroup2:
     def test_group2_methods_close(self):
         """The paper's claim: with uniform high parallelism the two
         blocking bounds give similar schedulability."""
-        report = run_group2(m=4, n_tasksets=15, seed=11, step=1.0)
+        report = _group2(m=4, n_tasksets=15, seed=11, step=1.0)
         assert report.max_gap <= 0.25  # generous for the small sample
 
 

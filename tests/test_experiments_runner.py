@@ -1,8 +1,16 @@
-"""Unit tests for :mod:`repro.experiments.runner` and reporting."""
+"""Unit tests for grid sweeps run on the engine, the Figure-2 grid and
+reporting."""
 
 import pytest
 
 from repro.core.analyzer import AnalysisMethod
+from repro.engine import (
+    SweepEngine,
+    SweepPoint,
+    SweepResult,
+    SweepSpec,
+    make_executor,
+)
 from repro.exceptions import AnalysisError
 from repro.experiments.reporting import (
     format_table,
@@ -12,13 +20,14 @@ from repro.experiments.reporting import (
     write_csv,
     write_sweep_csv,
 )
-from repro.experiments.runner import (
-    SweepPoint,
-    SweepResult,
-    run_sweep,
-    utilization_grid,
-)
+from repro.experiments.figure2 import utilization_grid
 from repro.generator.profiles import GROUP1
+
+#: The small grid sweep most tests below share.
+SPEC = SweepSpec(
+    m=2, utilizations=(0.5, 1.5), n_tasksets=6, profile=GROUP1, seed=42,
+    label="test",
+)
 
 
 class TestUtilizationGrid:
@@ -45,36 +54,13 @@ class TestUtilizationGrid:
 class TestRunSweep:
     @pytest.fixture(scope="class")
     def sweep(self):
-        return run_sweep(
-            m=2,
-            utilizations=[0.5, 1.5],
-            n_tasksets=6,
-            profile=GROUP1,
-            seed=42,
-            label="test",
-        )
+        return SweepEngine().run(SPEC)
 
     def test_structure(self, sweep):
         assert sweep.m == 2
         assert sweep.label == "test"
         assert len(sweep.points) == 2
         assert sweep.methods == ("FP-ideal", "LP-ILP", "LP-max")
-
-    def test_prebuilt_spec_conflicts_rejected(self):
-        from repro.engine import SweepSpec
-
-        spec = SweepSpec(
-            m=2, utilizations=(0.5,), n_tasksets=2, profile=GROUP1, seed=1
-        )
-        with pytest.raises(AnalysisError, match="one or the other"):
-            run_sweep(spec=spec, m=4)
-        with pytest.raises(AnalysisError, match="one or the other"):
-            run_sweep(spec=spec, methods=[AnalysisMethod.LP_ILP])
-        with pytest.raises(AnalysisError, match="one or the other"):
-            run_sweep(spec=spec, label="other")
-        # And neither-spec-nor-parameters is a clean error too.
-        with pytest.raises(AnalysisError, match="either a prebuilt spec"):
-            run_sweep(m=2, utilizations=[0.5])
 
     def test_counts_bounded(self, sweep):
         for point in sweep.points:
@@ -100,10 +86,7 @@ class TestRunSweep:
             sweep.points[0].ratio("EDF")
 
     def test_reproducible(self, sweep):
-        again = run_sweep(
-            m=2, utilizations=[0.5, 1.5], n_tasksets=6, profile=GROUP1,
-            seed=42, label="test",
-        )
+        again = SweepEngine().run(SPEC)
         assert [p.schedulable for p in again.points] == [
             p.schedulable for p in sweep.points
         ]
@@ -111,10 +94,8 @@ class TestRunSweep:
     def test_parallel_jobs_bit_identical(self, sweep):
         """Determinism regression: the pool executor must reproduce the
         serial counts exactly for the same seed."""
-        parallel = run_sweep(
-            m=2, utilizations=[0.5, 1.5], n_tasksets=6, profile=GROUP1,
-            seed=42, label="test", jobs=3,
-        )
+        with make_executor(3) as executor:
+            parallel = SweepEngine(executor=executor).run(SPEC)
         assert [p.schedulable for p in parallel.points] == [
             p.schedulable for p in sweep.points
         ]
@@ -122,33 +103,31 @@ class TestRunSweep:
 
     def test_checkpoint_resume(self, tmp_path):
         path = tmp_path / "sweep.json"
-        first = run_sweep(
-            m=2, utilizations=[0.5, 1.5], n_tasksets=6, profile=GROUP1,
-            seed=42, label="test", checkpoint=path,
-        )
+        first = SweepEngine(checkpoint_path=path).run(SPEC)
         assert path.exists()
         # Re-running over the complete checkpoint recomputes nothing
         # and returns the same counts.
-        again = run_sweep(
-            m=2, utilizations=[0.5, 1.5], n_tasksets=6, profile=GROUP1,
-            seed=42, label="test", checkpoint=path,
-        )
+        again = SweepEngine(checkpoint_path=path).run(SPEC)
         assert [p.schedulable for p in again.points] == [
             p.schedulable for p in first.points
         ]
 
     def test_progress_hook_called(self):
         calls = []
-        run_sweep(
-            m=2, utilizations=[0.5], n_tasksets=3, profile=GROUP1, seed=1,
+        SweepEngine(
+            progress=lambda e: calls.append(
+                (e.utilization, e.done_in_point, e.n_tasksets)
+            ),
+        ).run(SweepSpec(
+            m=2, utilizations=(0.5,), n_tasksets=3, profile=GROUP1, seed=1,
             methods=(AnalysisMethod.FP_IDEAL,),
-            progress=lambda u, i, n: calls.append((u, i, n)),
-        )
+        ))
         assert calls == [(0.5, 1, 3), (0.5, 2, 3), (0.5, 3, 3)]
 
     def test_n_tasksets_validated(self):
         with pytest.raises(AnalysisError):
-            run_sweep(2, [1.0], 0, GROUP1, seed=1)
+            SweepSpec(m=2, utilizations=(1.0,), n_tasksets=0, profile=GROUP1,
+                      seed=1)
 
     def test_crossover(self):
         points = (

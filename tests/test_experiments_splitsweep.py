@@ -2,9 +2,14 @@
 
 import pytest
 
+from repro.engine.session import run_job
 from repro.exceptions import AnalysisError
-from repro.experiments.splitsweep import run_split_sweep, split_taskset
+from repro.experiments.splitsweep import split_taskset, splitsweep_job
 from repro.model import DAGTask, DagBuilder, TaskSet
+
+
+def _splitsweep(**kwargs):
+    return run_job(splitsweep_job(**kwargs))
 
 
 @pytest.fixture
@@ -33,7 +38,7 @@ class TestSplitTaskset:
 
 class TestSweep:
     def test_points_structure(self):
-        points = run_split_sweep(
+        points = _splitsweep(
             m=2, utilization=1.0, thresholds=[200.0, 50.0],
             n_tasksets=5, seed=3,
         )
@@ -44,7 +49,7 @@ class TestSweep:
             assert p.mean_utilization >= 1.0 - 1e-9
 
     def test_q_grows_as_threshold_shrinks(self):
-        points = run_split_sweep(
+        points = _splitsweep(
             m=2, utilization=1.0, thresholds=[200.0, 10.0],
             n_tasksets=5, seed=3,
         )
@@ -52,18 +57,18 @@ class TestSweep:
 
     def test_overhead_free_never_hurts(self):
         """Within the paper's model, finer NPRs cannot reduce acceptance."""
-        points = run_split_sweep(
+        points = _splitsweep(
             m=2, utilization=1.0, thresholds=[1000.0, 10.0],
             n_tasksets=8, seed=4, overhead=0.0,
         )
         assert points[1].ratio >= points[0].ratio - 1e-9
 
     def test_overhead_inflates_mean_utilization(self):
-        free = run_split_sweep(
+        free = _splitsweep(
             m=2, utilization=1.0, thresholds=[10.0], n_tasksets=5,
             seed=3, overhead=0.0,
         )
-        costly = run_split_sweep(
+        costly = _splitsweep(
             m=2, utilization=1.0, thresholds=[10.0], n_tasksets=5,
             seed=3, overhead=2.0,
         )
@@ -71,4 +76,4 @@ class TestSweep:
 
     def test_empty_thresholds_rejected(self):
         with pytest.raises(AnalysisError):
-            run_split_sweep(m=2, utilization=1.0, thresholds=[], n_tasksets=3)
+            _splitsweep(m=2, utilization=1.0, thresholds=[], n_tasksets=3)
