@@ -2,7 +2,7 @@
 
 Three bounds keep the tier honest:
 
-* the live merger must fold thousands of stream chunk lines per second
+* the live merger must fold thousands of stream item lines per second
   — it runs inside the orchestrator's poll loop, so a slow merge would
   throttle dispatch itself;
 * a whole orchestrated run (subprocess dispatch + stream tailing +
@@ -25,7 +25,7 @@ import time
 from pathlib import Path
 
 from benchmarks.conftest import sweep_grid
-from repro.engine import LiveMerger, plan_from_jobspec, run_job
+from repro.engine import FORMAT_VERSION, LiveMerger, plan_from_jobspec, run_job
 from repro.engine.backends import DaemonBackend, LocalBackend
 from repro.engine.daemon import WorkerDaemon
 from repro.engine.orchestrator import Orchestrator
@@ -33,49 +33,47 @@ from repro.experiments.figure2 import figure2_job
 
 SEED = 2016
 SHARDS = 3
-CHUNKS_PER_SHARD = 3000
+ITEMS_PER_SHARD = 3000
 
 
-def _write_stream(path, fingerprint, shard_index, chunks):
+def _write_stream(path, fingerprint, shard_index, items):
     with path.open("w") as handle:
         handle.write(json.dumps({
-            "type": "header", "version": 1, "kind": "sweep",
+            "type": "header", "version": FORMAT_VERSION, "kind": "sweep",
             "fingerprint": fingerprint, "shard": None,
-            "total_items": SHARDS * chunks, "meta": {},
+            "total_items": SHARDS * items, "meta": {},
         }) + "\n")
-        for i in range(chunks):
-            item = shard_index + SHARDS * i
+        for i in range(items):
             handle.write(json.dumps({
-                "type": "chunk", "start": item, "stop": item + 1,
-                "counts": {"0": {"LP-ILP": 1, "LP-max": 0, "FP-ideal": 1}},
+                "type": "item", "item": shard_index + SHARDS * i,
+                "rows": [[True, True, False]],
                 "replayed": False, "elapsed_seconds": 0.001,
             }) + "\n")
         handle.write(json.dumps({
-            "type": "summary", "done_items": chunks, "elapsed_seconds": 1.0,
+            "type": "summary", "done_items": items, "elapsed_seconds": 1.0,
         }) + "\n")
 
 
-def test_livemerge_folds_thousands_of_chunks_fast(benchmark, tmp_path):
+def test_livemerge_folds_thousands_of_items_fast(benchmark, tmp_path):
     fingerprint = "b" * 64
     paths = []
     for index in range(SHARDS):
         path = tmp_path / f"s{index}.jsonl"
-        _write_stream(path, fingerprint, index, CHUNKS_PER_SHARD)
+        _write_stream(path, fingerprint, index, ITEMS_PER_SHARD)
         paths.append(path)
 
     def merge_from_scratch():
-        merger = LiveMerger(SHARDS * CHUNKS_PER_SHARD, fingerprint)
+        merger = LiveMerger(SHARDS * ITEMS_PER_SHARD, fingerprint)
         for index, path in enumerate(paths):
             merger.attach(index, path)
         return merger.poll()
 
     view = benchmark.pedantic(merge_from_scratch, rounds=3, iterations=1)
     assert view.finished
-    assert view.done_items == SHARDS * CHUNKS_PER_SHARD
-    assert view.counts[0]["LP-ILP"] == SHARDS * CHUNKS_PER_SHARD
-    assert len(view.timings) == SHARDS * CHUNKS_PER_SHARD
+    assert view.done_items == SHARDS * ITEMS_PER_SHARD
+    assert len(view.timings) == SHARDS * ITEMS_PER_SHARD
     mean = benchmark.stats.stats.mean
-    per_line = mean / (SHARDS * (CHUNKS_PER_SHARD + 2))
+    per_line = mean / (SHARDS * (ITEMS_PER_SHARD + 2))
     assert per_line < 1e-3, (
         f"live merge folds a stream line in {per_line * 1e6:.0f}us; "
         "too slow for the orchestrator's poll loop"

@@ -15,13 +15,8 @@ import dataclasses
 import time
 
 from benchmarks.conftest import sweep_grid
-from repro.engine import (
-    DEFAULT_METHODS,
-    ShardSpec,
-    SweepEngine,
-    SweepSpec,
-    merge_shards,
-)
+from repro.engine import DEFAULT_METHODS, ShardSpec, SweepEngine, SweepSpec
+from repro.engine.registry import merge_artifacts
 from repro.generator.profiles import GROUP1
 
 M = 4
@@ -60,7 +55,7 @@ def test_sharded_merge_overhead_is_small(benchmark, bench_points, bench_tasksets
                 spec, shard=ShardSpec(index, SHARDS), shard_out=path
             )
             paths.append(path)
-        return merge_shards(paths)
+        return merge_artifacts(paths)
 
     merged = benchmark.pedantic(
         run_all_shards_and_merge, rounds=1, iterations=1

@@ -348,7 +348,8 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--stream", type=str, default=None, metavar="PATH",
-        help="append each completed chunk to this JSONL file as it finishes",
+        help="append each completed work item to this JSONL file as it "
+             "finishes",
     )
     parser.add_argument(
         "--shard-items", type=_items_arg, default=None, metavar="I,J,...",
@@ -567,16 +568,20 @@ def _cmd_breakdown(args: argparse.Namespace) -> int:
     from repro.generator.profiles import GROUP1
     from repro.generator.taskset_gen import generate_taskset
 
-    rng = np.random.default_rng(args.seed)
-    rows = []
-    for i in range(args.samples):
-        taskset = generate_taskset(rng, args.utilization, GROUP1)
-        row = [f"set {i} (n={len(taskset)})"]
-        for method in (AnalysisMethod.FP_IDEAL, AnalysisMethod.LP_ILP,
-                       AnalysisMethod.LP_MAX):
-            value = breakdown_utilization(taskset, args.m, method)
-            row.append(f"{value:.2f}")
-        rows.append(row)
+    try:
+        rng = np.random.default_rng(args.seed)
+        rows = []
+        for i in range(args.samples):
+            taskset = generate_taskset(rng, args.utilization, GROUP1)
+            row = [f"set {i} (n={len(taskset)})"]
+            for method in (AnalysisMethod.FP_IDEAL, AnalysisMethod.LP_ILP,
+                           AnalysisMethod.LP_MAX):
+                value = breakdown_utilization(taskset, args.m, method)
+                row.append(f"{value:.2f}")
+            rows.append(row)
+    except ReproError as exc:
+        print(f"breakdown: {exc}", file=sys.stderr)
+        return 1
     print(format_table(
         ["task-set", "FP-ideal", "LP-ILP", "LP-max"],
         rows,
@@ -752,13 +757,13 @@ def _cmd_sweep_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep_merge(args: argparse.Namespace) -> int:
-    from repro.engine.registry import spec_for_artifact
+    from repro.engine.registry import merge_artifacts, spec_for_artifact
     from repro.engine.shard import load_shard
 
     try:
         artifacts = [load_shard(path) for path in args.shards]
         spec = spec_for_artifact(artifacts[0].kind)
-        result = spec.merge(artifacts)
+        result = merge_artifacts(artifacts)
         print(spec.render_merged(result, artifacts[0].meta, len(artifacts)))
         _print_outputs(spec, result, args)
     except ReproError as exc:

@@ -1,30 +1,31 @@
-"""The execution stack: one declarative job, two sweep shapes.
+"""The execution stack: one declarative job, one execution shape.
 
 Every run enters the same way: a :class:`JobSpec` (workload + execution
 policy) goes to :class:`Session` (:func:`run_job`, or ``python -m repro
-sweep-run`` and its per-kind aliases), which dispatches through the
-workload-kind registry to one of two shapes — the chunked
-``(utilisation, task-set)`` grid sweep of :class:`SweepEngine`
-(figure2, group2) or the row-per-item corpus sweep of
-:mod:`repro.engine.rowsweep` (splitsweep, sensitivity, simulate,
-timing).  Either shape is bit-identical across executors, chunkings,
-shards, resumes and orchestrations.
+sweep-run`` and its per-kind aliases), which takes the workload's sweep
+from the workload-kind registry and runs it on :class:`SweepEngine`:
+per-item rows over chunked work, reduced in item order — the
+``(utilisation, task-set)`` grid of figure2/group2 and the corpus
+sweeps of splitsweep, sensitivity, simulate and timing alike.  Every
+kind is bit-identical across executors, chunkings, shards, resumes and
+orchestrations.
 
 * :mod:`repro.engine.jobspec` — the declarative, serializable
   :class:`JobSpec` every tier speaks;
 * :mod:`repro.engine.registry` — the workload-kind registry mapping
-  each kind to its validator, runner and merge/render hooks (the one
-  place a new kind plugs in);
+  each kind to its validator, sweep, row codec, reduction and render
+  hooks (the one place a new kind plugs in);
 * :mod:`repro.engine.session` — the :class:`Session` façade running,
   submitting and resuming jobs;
-* :mod:`repro.engine.sweep` — :class:`SweepSpec` (what a grid sweep
-  covers) and :class:`SweepEngine` (how it runs);
-* :mod:`repro.engine.rowsweep` — the shared row-sweep runner and merge;
+* :mod:`repro.engine.sweep` — :class:`SweepSpec` (a grid sweep),
+  :class:`CorpusSweep` (a sweep over a corpus built up front) and
+  :class:`SweepEngine` (how every sweep runs);
 * :mod:`repro.engine.executors` — where the work executes (serial,
   process pool, thread pool);
 * :mod:`repro.engine.chunking` — adaptive chunk sizing from per-chunk
   wall-time telemetry;
-* :mod:`repro.engine.checkpoint` — how interrupted grid sweeps resume;
+* :mod:`repro.engine.checkpoint` — the per-item record, and how
+  interrupted sweeps resume;
 * :mod:`repro.engine.shard` — how one sweep splits across independent
   invocations and merges back bit-identically;
 * :mod:`repro.engine.streaming` — incremental JSONL result streams;
@@ -54,7 +55,6 @@ from repro.engine.backends import (
 )
 from repro.engine.checkpoint import (
     FORMAT_VERSION,
-    ChunkRecord,
     SweepCheckpoint,
     clean_stale_tmps,
     load_checkpoint,
@@ -112,7 +112,6 @@ from repro.engine.shard import (
     ShardArtifact,
     ShardSpec,
     load_shard,
-    merge_shards,
     parse_items,
     parse_shard,
     save_shard,
@@ -120,8 +119,7 @@ from repro.engine.shard import (
 from repro.engine.streaming import StreamDump, StreamTail, StreamWriter, read_stream
 from repro.engine.sweep import (
     DEFAULT_METHODS,
-    EngineProgress,
-    ProgressEvent,
+    CorpusSweep,
     SweepEngine,
     SweepSpec,
 )
@@ -130,9 +128,8 @@ __all__ = [
     "DEFAULT_METHODS",
     "FORMAT_VERSION",
     "SweepSpec",
+    "CorpusSweep",
     "SweepEngine",
-    "ProgressEvent",
-    "EngineProgress",
     "Executor",
     "SerialExecutor",
     "MultiprocessExecutor",
@@ -141,7 +138,6 @@ __all__ = [
     "map_ordered",
     "SweepPoint",
     "SweepResult",
-    "ChunkRecord",
     "SweepCheckpoint",
     "load_checkpoint",
     "save_checkpoint",
@@ -151,7 +147,6 @@ __all__ = [
     "parse_items",
     "save_shard",
     "load_shard",
-    "merge_shards",
     "read_covered_items",
     "StreamWriter",
     "StreamDump",

@@ -1,10 +1,11 @@
-"""Resumable-sweep checkpoints: periodic JSON snapshots of chunk counts.
+"""Resumable-sweep checkpoints: periodic JSON snapshots of per-item rows.
 
-A checkpoint records, per completed chunk of work items, the schedulable
-counts it contributed, keyed by point index and method name, plus a
-fingerprint of the :class:`~repro.engine.sweep.SweepSpec` that produced
-it.  Because every work item derives its RNG independently from the root
-seed, any partition of the remaining items resumes correctly — the
+A checkpoint records every completed work item's *rows* — the item's
+evaluation result as a list of JSON-primitive rows, e.g. one boolean
+per analysis method for a Figure-2 item, one row per NPR threshold for
+a split-sweep item — plus the fingerprint of the sweep that produced
+them.  Because every work item is evaluated independently of every
+other, any subset of the remaining items resumes correctly: the
 chunking of a resumed run need not match the interrupted one.
 
 Corrupt, truncated or version-skewed files raise
@@ -12,57 +13,75 @@ Corrupt, truncated or version-skewed files raise
 ``json.JSONDecodeError``); writes are atomic (unique tmp file + rename)
 so an interrupt mid-save can never destroy the previous snapshot.
 
-The per-chunk record schema (:func:`record_to_json` /
-:func:`record_from_json`) is shared with the shard artifacts of
-:mod:`repro.engine.shard` and the JSONL streams of
-:mod:`repro.engine.streaming`; bump :data:`FORMAT_VERSION` when it
-changes.
+The per-item record (:func:`record_json` / :func:`parse_records`,
+``{"item": i, "rows": [...]}``) is the engine's one record: shard
+artifacts (:mod:`repro.engine.shard`), JSONL stream lines
+(:mod:`repro.engine.streaming`) and the result store's canonical rows
+(:mod:`repro.engine.store`) all carry it.  Bump :data:`FORMAT_VERSION`
+when it changes.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.exceptions import AnalysisError, CheckpointError
 
 #: Bump when the on-disk schema changes; older files are rejected.
-FORMAT_VERSION = 1
+#: Version 2: per-item row records replace version 1's per-chunk
+#: schedulable counts.
+FORMAT_VERSION = 2
+
+#: Completed work items: item index -> that item's rows.
+Records = dict[int, list]
 
 
-@dataclass(frozen=True, slots=True)
-class ChunkRecord:
-    """Counts contributed by work items ``start .. stop - 1``."""
-
-    start: int
-    stop: int
-    #: point index → method name → schedulable count
-    counts: dict[int, dict[str, int]]
+def record_json(item: int, rows: Sequence) -> dict:
+    """The JSON form of one item's record (checkpoints, shards, streams)."""
+    return {"item": item, "rows": [list(row) for row in rows]}
 
 
-def record_to_json(record: ChunkRecord) -> dict:
-    """The JSON form of one chunk record (checkpoints, shards, streams)."""
-    return {
-        "start": record.start,
-        "stop": record.stop,
-        "counts": {
-            str(point): methods for point, methods in record.counts.items()
-        },
-    }
+def records_json(records: Mapping[int, Sequence]) -> list[dict]:
+    """Every record in item order, in :func:`record_json` form."""
+    return [record_json(item, records[item]) for item in sorted(records)]
 
 
-def record_from_json(entry: dict) -> ChunkRecord:
-    """Parse :func:`record_to_json` output (raises on malformed input)."""
-    return ChunkRecord(
-        start=int(entry["start"]),
-        stop=int(entry["stop"]),
-        counts={
-            int(point): {str(k): int(v) for k, v in methods.items()}
-            for point, methods in entry["counts"].items()
-        },
-    )
+def parse_records(
+    entries: Iterable[dict],
+    row_codec: Callable[[Sequence], tuple] | None,
+    error: type[AnalysisError],
+    where: str,
+) -> Records:
+    """Parse :func:`record_json` entries, decoding rows with ``row_codec``.
+
+    ``row_codec`` is the kind's row decoder (``None`` keeps the JSON
+    rows as they are).  A malformed entry, a row the codec rejects or
+    an item recorded twice raises ``error`` naming ``where``.
+    """
+    records: Records = {}
+    for entry in entries:
+        try:
+            item = int(entry["item"])
+            rows = entry["rows"]
+            if not isinstance(rows, list):
+                raise TypeError("rows must be a list")
+            if row_codec is not None:
+                rows = [row_codec(row) for row in rows]
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            # ``error`` is the caller's typed AnalysisError subclass.
+            # repro-lint: disable=ERR001
+            raise error(
+                f"{where} has a malformed record ({exc!r}); it is corrupt"
+            ) from exc
+        if item in records:
+            # repro-lint: disable=ERR001
+            raise error(f"{where} records item {item} twice; it is corrupt")
+        records[item] = rows
+    return records
 
 
 @dataclass(slots=True)
@@ -70,52 +89,28 @@ class SweepCheckpoint:
     """Everything needed to resume an interrupted sweep."""
 
     fingerprint: str
-    records: list[ChunkRecord] = field(default_factory=list)
+    records: Records = field(default_factory=dict)
 
     def covered_items(self) -> set[int]:
         """All work-item indexes already accounted for."""
-        covered: set[int] = set()
-        for record in self.records:
-            covered.update(range(record.start, record.stop))
-        return covered
+        return set(self.records)
 
 
-def coalesce_records(records: list[ChunkRecord]) -> list[ChunkRecord]:
-    """Merge adjacent chunk records so the file stays small.
-
-    Records are sorted by ``start``; a record whose ``start`` equals the
-    previous record's ``stop`` is folded into it (counts summed).
-    Overlapping records indicate a corrupt file and raise.
-    """
-    merged: list[ChunkRecord] = []
-    for record in sorted(records, key=lambda r: r.start):
-        if merged and record.start < merged[-1].stop:
-            raise CheckpointError(
-                f"overlapping checkpoint records at item {record.start}"
-            )
-        if merged and record.start == merged[-1].stop:
-            previous = merged.pop()
-            counts = {
-                point: dict(methods) for point, methods in previous.counts.items()
-            }
-            for point, methods in record.counts.items():
-                target = counts.setdefault(point, {})
-                for method, count in methods.items():
-                    target[method] = target.get(method, 0) + count
-            record = ChunkRecord(previous.start, record.stop, counts)
-        merged.append(record)
-    return merged
-
-
-def load_checkpoint(path: str | Path) -> SweepCheckpoint | None:
+def load_checkpoint(
+    path: str | Path,
+    row_codec: Callable[[Sequence], tuple] | None = None,
+) -> SweepCheckpoint | None:
     """Read a checkpoint; ``None`` when the file does not exist.
+
+    ``row_codec`` decodes every record's rows (the sweep kind's
+    registered codec); ``None`` keeps the JSON rows.
 
     Raises
     ------
     CheckpointError
-        On truncated or unreadable JSON, a missing field or an unknown
-        format version — delete the file (or point the sweep at a fresh
-        path) to start over.
+        On truncated or unreadable JSON, a missing field, a malformed
+        record or an unknown format version — delete the file (or
+        point the sweep at a fresh path) to start over.
     """
     path = Path(path)
     if not path.exists():
@@ -129,12 +124,15 @@ def load_checkpoint(path: str | Path) -> SweepCheckpoint | None:
         if payload.get("version") != FORMAT_VERSION:
             raise CheckpointError(
                 f"checkpoint {path} has format version "
-                f"{payload.get('version')!r}, expected {FORMAT_VERSION}"
+                f"{payload.get('version')!r}, expected {FORMAT_VERSION}; "
+                "delete it to restart"
             )
-        records = [record_from_json(entry) for entry in payload["records"]]
         return SweepCheckpoint(
             fingerprint=str(payload["fingerprint"]),
-            records=coalesce_records(records),
+            records=parse_records(
+                payload["records"], row_codec, CheckpointError,
+                f"checkpoint {path}",
+            ),
         )
     except AnalysisError:
         raise
@@ -214,13 +212,9 @@ def clean_stale_tmps(target: str | Path) -> list[Path]:
 
 
 def save_checkpoint(path: str | Path, checkpoint: SweepCheckpoint) -> None:
-    """Atomically write ``checkpoint`` (coalesced) as JSON."""
-    payload = {
+    """Atomically write ``checkpoint`` as JSON (records in item order)."""
+    write_json_atomic(path, {
         "version": FORMAT_VERSION,
         "fingerprint": checkpoint.fingerprint,
-        "records": [
-            record_to_json(record)
-            for record in coalesce_records(checkpoint.records)
-        ],
-    }
-    write_json_atomic(path, payload)
+        "records": records_json(checkpoint.records),
+    })

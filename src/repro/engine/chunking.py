@@ -11,14 +11,14 @@ end) or drowns it in overhead (chunks too small).
 ``(items, seconds)``; an exponentially-weighted estimate of the
 seconds-per-item rate then sizes the next chunks so each one takes
 about ``target_seconds`` of wall-clock.  The same telemetry is written
-into result streams (the ``elapsed_seconds`` field of each ``chunk``
+into result streams (the ``elapsed_seconds`` field of each ``item``
 line), so a *separate* process — the orchestrator live-merging shard
 streams — can seed a chunker from observed timings and pass a warmed-up
 ``--chunk-size`` to relaunched shards.
 
-Chunk sizing never affects results: every work item derives its own RNG
-from the root seed, so any chunking is bit-identical (the conformance
-suite pins this).  Adaptivity is purely a throughput/latency knob.
+Chunk sizing never affects results: every work item is evaluated on its
+own, so any chunking is bit-identical (the conformance suite pins
+this).  Adaptivity is purely a throughput/latency knob.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ def seed_chunker_from_timings(
     """Warm a chunker with ``(items, seconds)`` pairs (e.g. from a stream).
 
     Returns the chunker for chaining.  Use with
-    :attr:`repro.engine.streaming.StreamDump.chunk_timings` — or any
+    :attr:`repro.engine.streaming.StreamDump.timings` — or any
     telemetry a live merger collected — to hand a relaunched shard a
     chunk size matched to the observed item cost.
     """
@@ -136,10 +136,10 @@ def seed_chunker_from_timings(
 
 
 def suggest_chunk_size_from_stream(path: str | Path) -> int | None:
-    """One-shot: read a stream file's chunk timings, suggest a size.
+    """One-shot: read a stream file's item timings, suggest a size.
 
     Returns ``None`` when the stream is missing or carries no timing
-    telemetry (e.g. written by an older run or all-replayed chunks).
+    telemetry (e.g. all its items were replayed from a checkpoint).
     """
     from repro.engine.streaming import read_stream
 
@@ -150,7 +150,7 @@ def suggest_chunk_size_from_stream(path: str | Path) -> int | None:
         dump = read_stream(path)
     except AnalysisError:
         return None
-    if not dump.chunk_timings:
+    if not dump.timings:
         return None
-    chunker = seed_chunker_from_timings(AdaptiveChunker(), dump.chunk_timings)
+    chunker = seed_chunker_from_timings(AdaptiveChunker(), dump.timings)
     return chunker.chunk_size()

@@ -270,6 +270,12 @@ class WorkerDaemon:
         self._shutdown.set()
         listener = self._listener
         if listener is not None:
+            # close() alone does not wake a thread blocked in accept()
+            # on Linux; shutdown() does (accept then fails with EINVAL).
+            try:
+                listener.shutdown(socket.SHUT_RDWR)
+            except OSError:  # pragma: no cover - already closed
+                pass
             try:
                 listener.close()
             except OSError:  # pragma: no cover - already closed

@@ -7,11 +7,12 @@ forest (``jobs``, ``checkpoint``, ``shard``, ``shard_out``, ``stream``,
 that with a single frozen, JSON-round-trippable value with two
 sections:
 
-* the **workload** (:class:`Workload`): *what* to compute — a ``kind``
-  (``figure2`` / ``group2`` / ``splitsweep``) plus that experiment's
-  generator/analysis parameters.  The workload alone determines the
-  sweep fingerprint, so two jobs with equal workloads merge and resume
-  interchangeably regardless of how they execute;
+* the **workload** (:class:`Workload`): *what* to compute — a
+  registered ``kind`` (``figure2``, ``group2``, ``splitsweep``, ...)
+  plus that experiment's generator/analysis parameters.  The workload
+  alone determines the sweep fingerprint, so two jobs with equal
+  workloads merge and resume interchangeably regardless of how they
+  execute;
 * the **execution policy** (:class:`ExecutionPolicy`): *how* to run it
   — executor kind and worker count, chunk sizing, checkpoint / stream /
   shard-artifact paths, and an optional shard (or explicit item subset)
@@ -306,34 +307,24 @@ class Workload:
 
     # ------------------------------------------------------------------
     def sweep_spec(self):
-        """The exact engine :class:`~repro.engine.sweep.SweepSpec` this
-        workload denotes (utilisation-grid kinds only).
+        """The engine sweep this workload denotes: a
+        :class:`~repro.engine.sweep.SweepSpec` for figure2/group2, a
+        :class:`~repro.engine.sweep.CorpusSweep` for the other kinds.
 
-        Delegates to the experiments' own spec builders, so a job's
-        fingerprint is *identical* to the spec's run straight on the
+        Delegates to the experiments' own builders, so a job's
+        fingerprint is *identical* to the sweep's run straight on the
         engine — the property the conformance suite pins.
         """
-        spec = kind_spec(self.kind)
-        if spec.sweep_spec is None:
-            raise JobSpecError(
-                f"{self.kind} workloads have no SweepSpec; run them "
-                "through Session.run() / sweep-run"
-            )
-        return spec.sweep_spec(self)
+        return kind_spec(self.kind).sweep(self)
 
     def fingerprint(self) -> str:
         """The workload's sweep fingerprint (execution-independent)."""
-        return kind_spec(self.kind).fingerprint(self)
+        return self.sweep_spec().fingerprint()
 
     @property
     def total_items(self) -> int:
         """The full (unsharded) work-item count."""
-        return kind_spec(self.kind).total_items(self)
-
-    @property
-    def supports_checkpoint(self) -> bool:
-        """Whether invocations of this kind can resume from checkpoints."""
-        return kind_spec(self.kind).supports_checkpoint
+        return self.sweep_spec().total_items
 
     @property
     def supports_cache(self) -> bool:
@@ -402,7 +393,7 @@ class ExecutionPolicy:
     checkpoint:
         JSON checkpoint path; a re-run of the same job resumes from it.
     stream:
-        JSONL stream path (one line per completed chunk).
+        JSONL stream path (one line per completed work item).
     shard_out:
         Shard-artifact path written on completion.
     shard:
@@ -562,13 +553,6 @@ class JobSpec:
     execution: ExecutionPolicy = field(default_factory=ExecutionPolicy)
 
     def __post_init__(self) -> None:
-        if not self.workload.supports_checkpoint:
-            for name in ("checkpoint", "chunk_size", "items"):
-                if getattr(self.execution, name) is not None:
-                    raise JobSpecError(
-                        f"{self.workload.kind} workloads do not support "
-                        f"execution.{name}"
-                    )
         if self.execution.cache != "off" and not self.workload.supports_cache:
             raise JobSpecError(
                 f"{self.workload.kind} workloads do not support "

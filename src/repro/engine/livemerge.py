@@ -1,17 +1,18 @@
-"""Live merge of partial shard streams: cluster-wide progress and counts.
+"""Live merge of partial shard streams: cluster-wide progress and telemetry.
 
-:func:`~repro.engine.shard.merge_shards` recombines *finished* shard
-artifacts; this module merges shards *while they run*.  Every shard
-invocation appends one JSONL line per completed chunk to its ``--stream``
-file; a :class:`LiveMerger` keeps a :class:`~repro.engine.streaming.StreamTail`
-on each file and folds newly-completed lines into one cluster-wide
-:class:`ClusterView` — per-point schedulable counts so far, per-shard
-progress, and the pooled chunk-timing telemetry the adaptive chunk
-sizer (:mod:`repro.engine.chunking`) consumes.
+:func:`~repro.engine.registry.merge_artifacts` recombines *finished*
+shard artifacts; this module follows shards *while they run*.  Every
+shard invocation appends one JSONL line per completed work item to its
+``--stream`` file; a :class:`LiveMerger` keeps a
+:class:`~repro.engine.streaming.StreamTail` on each file and folds
+newly-completed lines into one cluster-wide :class:`ClusterView` —
+per-shard progress, verdict-cache counters, and the pooled item-timing
+telemetry the adaptive chunk sizer (:mod:`repro.engine.chunking`)
+consumes.
 
 The view is an *observation*: the orchestrator still validates the
 final result through the shard-artifact fingerprint machinery.  But it
-is an honest one — chunk lines are only ever whole (the tail never
+is an honest one — item lines are only ever whole (the tail never
 splits a line), restarts are detected (a retried shard truncates its
 stream, resetting that shard's contribution), and a header fingerprint
 that does not match the expected sweep raises
@@ -38,16 +39,14 @@ class ShardProgress:
     #: (summary line seen; the artifact may still be a moment behind).
     state: str = "waiting"
     done_items: int = 0
-    #: point index → method name → schedulable count, over chunk lines.
-    counts: dict[int, dict[str, int]] = field(default_factory=dict)
-    #: ``(items, seconds)`` chunk-timing telemetry from this shard.
+    #: ``(items, seconds)`` item-timing telemetry from this shard.
     timings: list[tuple[int, float]] = field(default_factory=list)
-    #: Verdict-cache hits/misses summed over this shard's chunk lines
+    #: Verdict-cache hits/misses summed over this shard's item lines
     #: (0 when the shard ran with the cache off).
     cache_hits: int = 0
     cache_misses: int = 0
     #: Cache-health telemetry: torn entries swept on open and index
-    #: entries found stale, summed over this shard's chunk lines.
+    #: entries found stale, summed over this shard's item lines.
     cache_swept: int = 0
     cache_stale: int = 0
     #: Stream restarts observed (shard was retried).
@@ -56,7 +55,6 @@ class ShardProgress:
     def _reset(self) -> None:
         self.state = "waiting"
         self.done_items = 0
-        self.counts = {}
         self.timings = []
         self.cache_hits = 0
         self.cache_misses = 0
@@ -70,8 +68,6 @@ class ClusterView:
 
     total_items: int
     done_items: int
-    #: point index → method name → schedulable count (partial).
-    counts: dict[int, dict[str, int]]
     shards: tuple[ShardProgress, ...]
     #: Pooled ``(items, seconds)`` telemetry across all shards.
     timings: tuple[tuple[int, float], ...]
@@ -171,7 +167,6 @@ class LiveMerger:
 
     def view(self) -> ClusterView:
         """The current merged snapshot (no file reads)."""
-        counts: dict[int, dict[str, int]] = {}
         timings: list[tuple[int, float]] = []
         done = 0
         cache_hits = 0
@@ -185,14 +180,9 @@ class LiveMerger:
             cache_misses += shard.cache_misses
             cache_swept += shard.cache_swept
             cache_stale += shard.cache_stale
-            for point, methods in shard.counts.items():
-                target = counts.setdefault(point, {})
-                for name, value in methods.items():
-                    target[name] = target.get(name, 0) + value
         return ClusterView(
             total_items=self.total_items,
             done_items=done,
-            counts=counts,
             shards=tuple(
                 self._shards[index] for index in sorted(self._shards)
             ),
@@ -205,8 +195,8 @@ class LiveMerger:
 
     # ------------------------------------------------------------------
     def _fold(self, shard: ShardProgress, line: dict) -> None:
-        kind = line.get("type")
-        if kind == "header":
+        line_type = line.get("type")
+        if line_type == "header":
             if (
                 self.fingerprint is not None
                 and line.get("fingerprint") != self.fingerprint
@@ -216,27 +206,15 @@ class LiveMerger:
                     "(fingerprint mismatch); refusing to live-merge it"
                 )
             shard.state = "running"
-        elif kind == "chunk":
-            shard.done_items += int(line["stop"]) - int(line["start"])
-            for point, methods in line.get("counts", {}).items():
-                target = shard.counts.setdefault(int(point), {})
-                for name, value in methods.items():
-                    target[name] = target.get(name, 0) + int(value)
+        elif line_type == "item":
+            shard.done_items += 1
             if "elapsed_seconds" in line:
-                shard.timings.append(
-                    (
-                        int(line["stop"]) - int(line["start"]),
-                        float(line["elapsed_seconds"]),
-                    )
-                )
+                shard.timings.append((1, float(line["elapsed_seconds"])))
             cache = line.get("cache")
             if isinstance(cache, dict):
                 shard.cache_hits += int(cache.get("hits", 0))
                 shard.cache_misses += int(cache.get("misses", 0))
                 shard.cache_swept += int(cache.get("swept", 0))
                 shard.cache_stale += int(cache.get("stale", 0))
-        elif kind == "item":
-            # Per-item experiment payloads (split sweep): progress only.
-            shard.done_items += 1
-        elif kind == "summary":
+        elif line_type == "summary":
             shard.state = "finished"

@@ -17,13 +17,12 @@ bit-identically); a human still had to launch every shard and run
    :class:`~repro.engine.backends.DispatchBackend`
    (local subprocess pool by default; SSH/queue templates drop in);
 3. **observe** — a :class:`~repro.engine.livemerge.LiveMerger` tails
-   every shard's JSONL stream as it grows and folds partial chunks into
-   a cluster-wide progress/result view;
+   every shard's JSONL stream as it grows and folds completed items
+   into a cluster-wide progress view;
 4. **heal** — failed or stalled shards are relaunched on a fresh slot
    (up to ``retries`` extra attempts each), resuming from their own
-   checkpoints where the experiment supports it, with a chunk size
-   seeded from the cluster's pooled wall-time telemetry
-   (:mod:`repro.engine.chunking`);
+   checkpoints, with a chunk size seeded from the cluster's pooled
+   wall-time telemetry (:mod:`repro.engine.chunking`);
 5. **re-partition** — with ``elastic=True``, a shard that trails the
    cluster while slots sit idle is killed and its *remaining* items
    (everything its checkpoint does not cover) are split into
@@ -33,8 +32,8 @@ bit-identically); a human still had to launch every shard and run
    checkpoint so no finished work is redone.  Sub-shard artifacts
    carry the original shard coordinates with disjoint item subsets and
    reassemble through the same merge as an unsplit run;
-6. **merge** — completed shard artifacts go through the kind's
-   fingerprint-validated registry merge
+6. **merge** — completed shard artifacts are validated by fingerprint
+   and coverage and reduced by the kind's registered reduction
    (:func:`~repro.engine.registry.merge_artifacts`), so the final
    result is bit-identical to the serial run or an error — never a
    silent mixture.
@@ -82,9 +81,9 @@ class OrchestrationPlan:
         The job's workload kind (``"figure2"``, ``"splitsweep"``, ...),
         recorded in the manifest.
     kind:
-        Artifact kind the shards will write (``"sweep"`` for the
-        chunked grid sweeps, a row-based kind's own tag otherwise);
-        selects the registry merge path.
+        Artifact kind the shards will write (``"sweep"`` for the grid
+        sweeps, the kind's own tag otherwise); recorded in the
+        manifest and checked against every reused artifact.
     fingerprint:
         The unsharded spec fingerprint every shard artifact and stream
         header must match.
@@ -94,12 +93,6 @@ class OrchestrationPlan:
         Base command for one shard invocation, *without* the per-shard
         ``--shard/--shard-out/--stream/--checkpoint`` flags (the
         orchestrator appends those).
-    supports_checkpoint:
-        Whether the experiment accepts ``--checkpoint`` (retried shards
-        then resume instead of restarting).
-    supports_chunk_size:
-        Whether the experiment accepts ``--chunk-size`` (relaunches are
-        then seeded from observed telemetry).
     placement:
         How the item space partitions across shards: ``"strided"``
         (round-robin slices) or ``"cache-aware"`` (items clustered by
@@ -127,8 +120,6 @@ class OrchestrationPlan:
     fingerprint: str
     total_items: int
     argv: tuple[str, ...]
-    supports_checkpoint: bool = True
-    supports_chunk_size: bool = True
     placement: str = "strided"
     item_fingerprints: tuple[str, ...] | None = None
     publish: bool = False
@@ -143,6 +134,7 @@ class _ShardJob:
     shard: ShardSpec
     artifact: Path
     stream: Path
+    #: ``None`` only for a finished partial reused as is (never launched).
     checkpoint: Path | None
     log: Path
     #: Unique key this job's stream is attached under in the live
@@ -232,7 +224,7 @@ class Orchestrator:
         pending shards, the job with the most remaining items is killed
         and its remainder (read from its checkpoint, so finished work
         is kept) is split across the idle slots plus its own as
-        sub-shard invocations.  Requires a checkpoint-capable plan.
+        sub-shard invocations.
     elastic_after:
         Seconds a job must have been running (since its last launch)
         before it may be split — the damping that keeps a short sweep
@@ -272,11 +264,6 @@ class Orchestrator:
         if stall_timeout is not None and stall_timeout <= 0:
             raise OrchestrationError(
                 f"stall_timeout must be > 0, got {stall_timeout}"
-            )
-        if elastic and not plan.supports_checkpoint:
-            raise OrchestrationError(
-                f"elastic re-partitioning needs checkpoint support, which "
-                f"the {plan.experiment!r} plan does not have"
             )
         if plan.placement == "cache-aware":
             if plan.item_fingerprints is None:
@@ -501,11 +488,7 @@ class Orchestrator:
                 shard=shard,
                 artifact=self.out_dir / f"{stem}.artifact.json",
                 stream=self.out_dir / f"{stem}.jsonl",
-                checkpoint=(
-                    self.out_dir / f"{stem}.checkpoint.json"
-                    if self.plan.supports_checkpoint
-                    else None
-                ),
+                checkpoint=self.out_dir / f"{stem}.checkpoint.json",
                 log=self.out_dir / f"{stem}.log",
                 merge_key=index,
                 label=shard.label,
@@ -518,14 +501,8 @@ class Orchestrator:
             # have left *finished sub-shard artifacts* (disjoint item
             # subsets of this shard's slice) behind.  Reuse them as
             # done jobs and dispatch only the uncovered remainder,
-            # instead of recomputing the whole slice.  Only
-            # checkpoint-capable plans can have produced sub-shards
-            # (and only they accept item-subset invocations).
-            partials = (
-                self._reusable_partials(shard, stem)
-                if self.plan.supports_checkpoint
-                else []
-            )
+            # instead of recomputing the whole slice.
+            partials = self._reusable_partials(shard, stem)
             if not partials:
                 # Nothing reusable: stale partial files (invalid
                 # artifacts, streams, seed checkpoints) from the dead
@@ -581,17 +558,15 @@ class Orchestrator:
                 ).exists():
                     generation += 1
                 resume_stem = f"{stem}.resume{generation}"
-                checkpoint = None
-                if self.plan.supports_checkpoint:
-                    checkpoint = self.out_dir / f"{resume_stem}.checkpoint.json"
-                    # The checkpoint survives interruptions, but a
-                    # remainder shrunk by newly-reused sub-artifacts
-                    # must not resume from coverage it no longer owns
-                    # (the engine rejects covered ⊄ planned).
-                    if checkpoint.exists() and not (
-                        read_covered_items(checkpoint) <= set(remaining)
-                    ):
-                        checkpoint.unlink(missing_ok=True)
+                checkpoint = self.out_dir / f"{resume_stem}.checkpoint.json"
+                # The checkpoint survives interruptions, but a remainder
+                # shrunk by newly-reused sub-artifacts must not resume
+                # from coverage it no longer owns (the engine rejects
+                # covered ⊄ planned).
+                if checkpoint.exists() and not (
+                    read_covered_items(checkpoint) <= set(remaining)
+                ):
+                    checkpoint.unlink(missing_ok=True)
                 jobs.append(
                     _ShardJob(
                         shard=shard,
@@ -630,11 +605,7 @@ class Orchestrator:
                 shard=ShardSpec(0, 1),
                 artifact=self.out_dir / f"{stem}.artifact.json",
                 stream=self.out_dir / f"{stem}.jsonl",
-                checkpoint=(
-                    self.out_dir / f"{stem}.checkpoint.json"
-                    if self.plan.supports_checkpoint
-                    else None
-                ),
+                checkpoint=self.out_dir / f"{stem}.checkpoint.json",
                 log=self.out_dir / f"{stem}.log",
                 merge_key=index,
                 label=f"{index + 1}/{len(groups)}",
@@ -718,9 +689,7 @@ class Orchestrator:
         argv += ["--stream", str(job.stream)]
         if job.checkpoint is not None:
             argv += ["--checkpoint", str(job.checkpoint)]
-        if self.plan.supports_chunk_size and (
-            job.attempts > 0 or job.items is not None
-        ):
+        if job.attempts > 0 or job.items is not None:
             # Relaunches (and fresh sub-shards) start with a chunk size
             # matched to the item cost the cluster has already
             # observed, instead of re-warming from single-item chunks.
@@ -805,23 +774,20 @@ class Orchestrator:
 
         base = f"shard-{job.shard.index + 1}of{job.shard.count}.sub{split_id}"
         planned = job.planned_items(self.plan.total_items)
-        covered: set[int] = set()
-        checkpoint0: Path | None = None
-        if job.checkpoint is not None:
-            # Snapshot the straggler's checkpoint under a fresh name
-            # and read the covered set from the *snapshot*: if the kill
-            # could not reach the process (its daemon died with it),
-            # the orphan keeps writing the original path, and items it
-            # finishes after this point belong to the other sub-shards
-            # — folding them into sub-shard 1's checkpoint would poison
-            # its planned-items validation.
-            checkpoint0 = self.out_dir / f"{base}-seed.checkpoint.json"
-            try:
-                shutil.copyfile(job.checkpoint, checkpoint0)
-            except OSError:
-                # No checkpoint yet: sub-shard 1 computes its items.
-                checkpoint0.unlink(missing_ok=True)
-            covered = read_covered_items(checkpoint0) & set(planned)
+        # Snapshot the straggler's checkpoint under a fresh name and
+        # read the covered set from the *snapshot*: if the kill could
+        # not reach the process (its daemon died with it), the orphan
+        # keeps writing the original path, and items it finishes after
+        # this point belong to the other sub-shards — folding them into
+        # sub-shard 1's checkpoint would poison its planned-items
+        # validation.
+        checkpoint0 = self.out_dir / f"{base}-seed.checkpoint.json"
+        try:
+            shutil.copyfile(job.checkpoint, checkpoint0)
+        except OSError:
+            # No checkpoint yet: sub-shard 1 computes its items.
+            checkpoint0.unlink(missing_ok=True)
+        covered = read_covered_items(checkpoint0) & set(planned)
         remaining = [i for i in planned if i not in covered]
         # Strided groups, like the top-level partition, so expensive
         # high-utilisation items spread across the sub-shards.
@@ -842,11 +808,7 @@ class Orchestrator:
                 # Inherits the straggler's progress via the snapshot:
                 # replays the covered items, computes only its group.
                 items = sorted(covered | set(group))
-                checkpoint = (
-                    checkpoint0
-                    if checkpoint0 is not None
-                    else self.out_dir / f"{stem}.checkpoint.json"
-                )
+                checkpoint = checkpoint0
             else:
                 items = sorted(group)
                 checkpoint = self.out_dir / f"{stem}.checkpoint.json"
@@ -870,7 +832,7 @@ class Orchestrator:
         paths = [job.artifact for job in jobs if job.state != "split"]
         from repro.engine.registry import merge_artifacts
 
-        return merge_artifacts(self.plan.kind, paths)
+        return merge_artifacts(paths)
 
     def _publish(self, jobs: Sequence[_ShardJob]) -> dict:
         """Publish the finished shard set into the result store.
@@ -990,8 +952,6 @@ def plan_from_jobspec(job) -> OrchestrationPlan:
         fingerprint=job.fingerprint(),
         total_items=job.total_items,
         argv=argv,
-        supports_checkpoint=job.workload.supports_checkpoint,
-        supports_chunk_size=job.workload.supports_checkpoint,
         placement=job.execution.placement,
         item_fingerprints=item_fingerprints,
         publish=job.execution.publish,

@@ -1,33 +1,27 @@
 """Workload-kind registry: every job kind behind one declarative schema.
 
-PR 5 unified execution behind :class:`~repro.engine.jobspec.JobSpec`,
-but the set of workloads it could describe was a closed enum baked into
-``jobspec.py`` — three kinds, each with its own ``if kind == ...``
-branch in validation, serialisation, session dispatch, orchestrator
-merging and CLI rendering.  Opening a new scenario meant touching every
-one of those layers.
-
-This module inverts that: a workload kind is a *registration* — one
-frozen :class:`KindSpec` record supplying everything the stack needs to
-know about it:
+A workload kind is a *registration* — one frozen :class:`KindSpec`
+record supplying everything the stack needs to know about it:
 
 * ``keys`` — the exact JSON keys the kind accepts, in emission order
   (strict: anything else is rejected, including known fields that do
   not apply to the kind);
 * ``validate`` — kind-scoped parameter validation and defaulting;
-* ``fingerprint`` / ``total_items`` — the workload's identity and item
-  space (what shards slice and merges are validated against);
-* ``run`` — execute a :class:`~repro.engine.jobspec.JobSpec` placement
-  (shard / stream / shard_out / executor) and return the kind's result;
-* ``merge`` + ``row_codec`` — recombine shard artifacts, and decode the
-  kind's per-item row schema from artifact JSON;
+* ``sweep`` — the workload's sweep for
+  :class:`~repro.engine.sweep.SweepEngine` (a
+  :class:`~repro.engine.sweep.SweepSpec` grid or a
+  :class:`~repro.engine.sweep.CorpusSweep`), which also fixes the
+  workload's fingerprint and item count;
+* ``row_codec`` + ``reduce`` — decode one per-item row from artifact,
+  checkpoint or store JSON, and reduce an artifact's records in item
+  order to the kind's result;
 * ``render`` / ``render_merged`` / ``write_csv`` — CLI presentation.
 
-``jobspec``, ``session``, ``shard``, the orchestrator and the CLI all
-dispatch through :func:`kind_spec` instead of branching on kind names,
-so promoting a new scenario to a first-class, shardable,
-daemon-dispatchable job is one ``register_kind`` call plus an
-experiments module — a config change, not a refactor.
+Every kind runs on the one engine, so a new scenario is one
+``register_kind`` call plus an experiments module; ``jobspec``,
+``session``, ``shard``, the store, the orchestrator and the CLI all
+dispatch through :func:`kind_spec` / :func:`spec_for_artifact` instead
+of branching on kind names.
 
 The registrations live at the bottom of this module; every callable
 imports its experiment module lazily so importing the engine stays
@@ -51,7 +45,6 @@ __all__ = [
     "known_artifact_kinds",
     "spec_for_artifact",
     "merge_artifacts",
-    "row_codec_for",
     "DEFAULT_THRESHOLDS",
 ]
 
@@ -75,40 +68,31 @@ class KindSpec:
         first).  Doubles as the strictness contract: a workload field
         *not* listed here must stay at its dataclass default.
     artifact_kind:
-        The ``kind`` tag of the shard artifacts this workload produces
-        (figure2/group2 share the chunked ``"sweep"`` tag; row-based
-        kinds each tag their own).
+        The ``kind`` tag of the shard artifacts and stream headers
+        this workload's sweeps write (figure2/group2 share the grid
+        ``"sweep"`` tag and its reduction; the other kinds tag their
+        own).
     default_tasksets:
         ``n_tasksets`` resolution for ``None``.
-    supports_checkpoint:
-        Whether invocations can resume from engine checkpoints (and
-        accept ``chunk_size`` / explicit ``items`` subsets — the
-        elastic orchestrator requires this).
     supports_cache:
         Whether the verdict cache applies (``execution.cache``).
     validate:
         Kind-scoped validation run at the end of
         ``Workload.__post_init__``; may materialise defaults via
         ``object.__setattr__``.
-    fingerprint / total_items:
-        Workload identity and unsharded item count.
-    run:
-        ``run(job, progress) -> result`` honouring the job's execution
-        placement (executor, jobs, shard, shard_out, stream).
-    merge:
-        Recombine a full shard set (paths or loaded artifacts) into
-        the kind's result type.
+    sweep:
+        ``sweep(workload)`` -> the engine sweep the workload denotes.
+    row_codec:
+        Decode one per-item row from JSON into the kind's typed row
+        tuple (raises ``TypeError``/``ValueError`` on a malformed row).
+    reduce:
+        ``reduce(artifact) -> result``: fold an artifact's records, in
+        item order, into the kind's result — the one reduction behind
+        inline runs, shard merges and store exports.
     render / render_merged / write_csv:
         CLI presentation hooks: ``render(result, workload,
         shard_note)``, ``render_merged(result, meta, n_shards)``, and
         ``write_csv(result, path) -> Path``.
-    row_codec:
-        Decode one per-item row from artifact/stream JSON into the
-        kind's typed row tuple; ``None`` for chunk-record (``"sweep"``)
-        artifacts.
-    sweep_spec:
-        Builder of the engine ``SweepSpec``, for kinds that are
-        utilisation-grid sweeps; ``None`` otherwise.
     reject_hints:
         Optional per-field hints appended to the generic
         "``<kind> workloads take no <field>``" rejection.
@@ -118,18 +102,14 @@ class KindSpec:
     keys: tuple[str, ...]
     artifact_kind: str
     default_tasksets: int
-    supports_checkpoint: bool
     supports_cache: bool
     validate: Callable[[Any], None]
-    fingerprint: Callable[[Any], str]
-    total_items: Callable[[Any], int]
-    run: Callable[[Any, Any], Any]
-    merge: Callable[[Sequence[Any]], Any]
+    sweep: Callable[[Any], Any]
+    row_codec: Callable[[Sequence], tuple]
+    reduce: Callable[[Any], Any]
     render: Callable[[Any, Any, str], str]
     render_merged: Callable[[Any, Mapping, int], str]
     write_csv: Callable[[Any, Any], Path]
-    row_codec: Callable[[Sequence], tuple] | None = None
-    sweep_spec: Callable[[Any], Any] | None = None
     reject_hints: Mapping[str, str] = field(default_factory=dict)
 
 
@@ -175,9 +155,9 @@ def known_artifact_kinds() -> tuple[str, ...]:
 def spec_for_artifact(artifact_kind: str) -> KindSpec:
     """The first registered kind producing ``artifact_kind`` artifacts.
 
-    figure2/group2 share the ``"sweep"`` tag and an identical merge
-    path, so first-match is well-defined; raises :class:`ShardError`
-    for a tag no registered kind produces.
+    figure2/group2 share the ``"sweep"`` tag and an identical
+    reduction, so first-match is well-defined; raises
+    :class:`ShardError` for a tag no registered kind produces.
     """
     for spec in _REGISTRY.values():
         if spec.artifact_kind == artifact_kind:
@@ -188,19 +168,46 @@ def spec_for_artifact(artifact_kind: str) -> KindSpec:
     )
 
 
-def merge_artifacts(artifact_kind: str, artifacts: Sequence[Any]):
-    """Merge a shard set by its artifact kind tag."""
-    return spec_for_artifact(artifact_kind).merge(artifacts)
+def merge_artifacts(shards: Sequence[Any]):
+    """Recombine a full shard set (paths or loaded artifacts) into the
+    kind's result, bit-identical to the serial unsharded run.
+
+    Raises :class:`ShardError` for an incomplete or inconsistent set,
+    or for records the kind's reduction rejects.
+    """
+    from repro.engine.shard import combine_shards
+
+    artifact = combine_shards(shards)
+    try:
+        return spec_for_artifact(artifact.kind).reduce(artifact)
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise ShardError(
+            f"{artifact.kind} shard records do not reduce ({exc!r}); "
+            "an artifact is corrupt"
+        ) from exc
 
 
-def row_codec_for(artifact_kind: str) -> Callable[[Sequence], tuple] | None:
-    """The row decoder for an artifact kind (``None`` = chunk records)."""
-    return spec_for_artifact(artifact_kind).row_codec
+def _lazy(module: str, name: str) -> Callable:
+    """A callable importing ``module`` on first use and calling ``name``.
+
+    Keeps ``import repro.engine`` from importing every experiment (and
+    their analysis stacks) just to register the kinds.
+    """
+    def call(*args):
+        from importlib import import_module
+
+        return getattr(import_module(module), name)(*args)
+
+    return call
 
 
 # ----------------------------------------------------------------------
-# Row codecs (artifact/stream JSON -> typed row tuples).  These are the
-# kinds' on-disk row schemas; merges re-validate shapes on top.
+# Row codecs (artifact/checkpoint/store JSON -> typed row tuples).  These
+# are the kinds' on-disk row schemas; reductions re-validate shapes.
+
+def _sweep_row(row: Sequence) -> tuple:
+    return tuple(bool(schedulable) for schedulable in row)
+
 
 def _splitsweep_row(row: Sequence) -> tuple:
     q, tasks, utilization, schedulable = row
@@ -223,7 +230,7 @@ def _timing_row(row: Sequence) -> tuple:
 
 
 # ----------------------------------------------------------------------
-# figure2 / group2: utilisation-grid sweeps over the chunked engine.
+# figure2 / group2: utilisation-grid sweeps.
 
 def _set(workload, name: str, value) -> None:
     object.__setattr__(workload, name, value)
@@ -266,43 +273,6 @@ def _group2_sweep_spec(w):
     )
 
 
-def _sweep_fingerprint(w) -> str:
-    return w.sweep_spec().fingerprint()
-
-
-def _sweep_total_items(w) -> int:
-    return w.sweep_spec().total_items
-
-
-def _run_sweep_job(job, progress):
-    from repro.engine.executors import make_executor
-    from repro.engine.sweep import SweepEngine
-
-    policy = job.execution
-    with make_executor(policy.jobs, kind=policy.executor) as executor:
-        engine = SweepEngine(
-            executor=executor,
-            chunk_size=policy.chunk_size,
-            checkpoint_path=policy.checkpoint,
-            progress=progress,
-            cache=policy.cache,
-            cache_dir=policy.cache_dir,
-        )
-        return engine.run(
-            job.workload.sweep_spec(),
-            shard=policy.shard,
-            shard_out=policy.shard_out,
-            stream=policy.stream,
-            items=policy.items,
-        )
-
-
-def _merge_sweep(artifacts):
-    from repro.engine.shard import merge_shards
-
-    return merge_shards(artifacts)
-
-
 def _sweep_title(title: str, w, shard_note: str) -> str:
     return (f"{title} (m={w.m}, {w.n_tasksets} task-sets/point{shard_note})")
 
@@ -339,14 +309,8 @@ def _render_merged_sweep(result, meta: Mapping, n_shards: int) -> str:
     ) + f"\n\ntotal shard compute: {result.elapsed_seconds:.1f}s"
 
 
-def _write_sweep_csv(result, path) -> Path:
-    from repro.experiments.reporting import write_sweep_csv
-
-    return write_sweep_csv(result, path)
-
-
 # ----------------------------------------------------------------------
-# splitsweep: preemption-point granularity ablation (row-based).
+# splitsweep: preemption-point granularity ablation.
 
 def _validate_splitsweep(w) -> None:
     if w.thresholds is None:
@@ -365,29 +329,6 @@ def _validate_splitsweep(w) -> None:
         _set(w, "utilization", 1.75)
     if not w.utilization > 0:
         raise JobSpecError(f"utilization must be > 0, got {w.utilization}")
-
-
-def _splitsweep_fingerprint(w) -> str:
-    from repro.core.analyzer import AnalysisMethod
-    from repro.experiments.splitsweep import split_sweep_fingerprint
-    from repro.generator.profiles import GROUP1
-
-    return split_sweep_fingerprint(
-        w.m, w.utilization, w.thresholds, w.n_tasksets,
-        w.seed, GROUP1, AnalysisMethod.LP_ILP, w.overhead,
-    )
-
-
-def _run_splitsweep_job(job, progress):
-    from repro.experiments.splitsweep import run_splitsweep_job
-
-    return run_splitsweep_job(job)
-
-
-def _merge_splitsweep(artifacts):
-    from repro.experiments.splitsweep import merge_splitsweep_shards
-
-    return merge_splitsweep_shards(artifacts)
 
 
 def _render_splitsweep(result, w, shard_note: str = "") -> str:
@@ -430,12 +371,6 @@ def _render_merged_splitsweep(result, meta: Mapping, n_shards: int) -> str:
     )
 
 
-def _write_splitsweep_csv(result, path) -> Path:
-    from repro.experiments.reporting import write_split_sweep_csv
-
-    return write_split_sweep_csv(result, path)
-
-
 # ----------------------------------------------------------------------
 # sensitivity: breakdown-utilisation / blocking-slack sweeps.
 
@@ -450,27 +385,6 @@ def _validate_sensitivity(w) -> None:
         raise JobSpecError(f"max_scale must be > 0, got {w.max_scale}")
 
 
-def _sensitivity_fingerprint(w) -> str:
-    from repro.experiments.sensitivity import sensitivity_fingerprint
-    from repro.generator.profiles import GROUP1
-
-    return sensitivity_fingerprint(
-        w.m, w.utilization, w.max_scale, w.n_tasksets, w.seed, GROUP1,
-    )
-
-
-def _run_sensitivity_job(job, progress):
-    from repro.experiments.sensitivity import run_sensitivity_job
-
-    return run_sensitivity_job(job)
-
-
-def _merge_sensitivity(artifacts):
-    from repro.experiments.sensitivity import merge_sensitivity_shards
-
-    return merge_sensitivity_shards(artifacts)
-
-
 def _render_sensitivity(result, w, shard_note: str = "") -> str:
     from repro.experiments.sensitivity import sensitivity_table
 
@@ -481,12 +395,6 @@ def _render_merged_sensitivity(result, meta: Mapping, n_shards: int) -> str:
     from repro.experiments.sensitivity import sensitivity_table
 
     return sensitivity_table(result, shard_note=f", {n_shards} shards")
-
-
-def _write_sensitivity_csv(result, path) -> Path:
-    from repro.experiments.sensitivity import write_sensitivity_csv
-
-    return write_sensitivity_csv(result, path)
 
 
 # ----------------------------------------------------------------------
@@ -505,27 +413,6 @@ def _validate_simulate(w) -> None:
         )
 
 
-def _simulate_fingerprint(w) -> str:
-    from repro.experiments.simulate import simulation_fingerprint
-    from repro.generator.profiles import GROUP1
-
-    return simulation_fingerprint(
-        w.m, w.utilization, w.horizon_factor, w.n_tasksets, w.seed, GROUP1,
-    )
-
-
-def _run_simulate_job(job, progress):
-    from repro.experiments.simulate import run_simulate_job
-
-    return run_simulate_job(job)
-
-
-def _merge_simulate(artifacts):
-    from repro.experiments.simulate import merge_simulation_shards
-
-    return merge_simulation_shards(artifacts)
-
-
 def _render_simulate(result, w, shard_note: str = "") -> str:
     from repro.experiments.simulate import simulation_table
 
@@ -536,12 +423,6 @@ def _render_merged_simulate(result, meta: Mapping, n_shards: int) -> str:
     from repro.experiments.simulate import simulation_table
 
     return simulation_table(result, shard_note=f", {n_shards} shards")
-
-
-def _write_simulate_csv(result, path) -> Path:
-    from repro.experiments.simulate import write_simulation_csv
-
-    return write_simulation_csv(result, path)
 
 
 # ----------------------------------------------------------------------
@@ -565,31 +446,6 @@ def _validate_timing(w) -> None:
         )
 
 
-def _timing_fingerprint(w) -> str:
-    from repro.experiments.timing import timing_fingerprint
-    from repro.generator.profiles import GROUP1
-
-    return timing_fingerprint(
-        w.core_counts, w.n_tasksets, w.seed, w.utilization_factor, GROUP1,
-    )
-
-
-def _timing_total_items(w) -> int:
-    return len(w.core_counts) * w.n_tasksets
-
-
-def _run_timing_job(job, progress):
-    from repro.experiments.timing import run_timing_job
-
-    return run_timing_job(job)
-
-
-def _merge_timing(artifacts):
-    from repro.experiments.timing import merge_timing_shards
-
-    return merge_timing_shards(artifacts)
-
-
 def _render_timing(result, w, shard_note: str = "") -> str:
     from repro.experiments.timing import timing_table
 
@@ -602,15 +458,12 @@ def _render_merged_timing(result, meta: Mapping, n_shards: int) -> str:
     return timing_table(result, shard_note=f", {n_shards} shards")
 
 
-def _write_timing_csv(result, path) -> Path:
-    from repro.experiments.timing import write_timing_csv
-
-    return write_timing_csv(result, path)
-
-
 # ----------------------------------------------------------------------
 # Registrations.  Order is user-facing (kind listings, error messages):
-# the three original kinds first, then the PR-7 promotions.
+# the three original kinds first, then the later promotions.
+
+_reduce_sweep = _lazy("repro.engine.sweep", "reduce_sweep")
+_write_sweep_csv = _lazy("repro.experiments.reporting", "write_sweep_csv")
 
 register_kind(KindSpec(
     name="figure2",
@@ -618,17 +471,14 @@ register_kind(KindSpec(
           "mu_method", "rho_solver"),
     artifact_kind="sweep",
     default_tasksets=300,
-    supports_checkpoint=True,
     supports_cache=True,
     validate=_validate_figure2,
-    fingerprint=_sweep_fingerprint,
-    total_items=_sweep_total_items,
-    run=_run_sweep_job,
-    merge=_merge_sweep,
+    sweep=_figure2_sweep_spec,
+    row_codec=_sweep_row,
+    reduce=_reduce_sweep,
     render=_render_figure2,
     render_merged=_render_merged_sweep,
     write_csv=_write_sweep_csv,
-    sweep_spec=_figure2_sweep_spec,
 ))
 
 register_kind(KindSpec(
@@ -636,17 +486,14 @@ register_kind(KindSpec(
     keys=("kind", "m", "n_tasksets", "seed", "step"),
     artifact_kind="sweep",
     default_tasksets=300,
-    supports_checkpoint=True,
     supports_cache=True,
     validate=_validate_group2,
-    fingerprint=_sweep_fingerprint,
-    total_items=_sweep_total_items,
-    run=_run_sweep_job,
-    merge=_merge_sweep,
+    sweep=_group2_sweep_spec,
+    row_codec=_sweep_row,
+    reduce=_reduce_sweep,
     render=_render_group2,
     render_merged=_render_merged_sweep,
     write_csv=_write_sweep_csv,
-    sweep_spec=_group2_sweep_spec,
     reject_hints={
         "mu_method": "the group-2 spec does not parameterise the solver",
         "rho_solver": "the group-2 spec does not parameterise the solver",
@@ -659,17 +506,14 @@ register_kind(KindSpec(
           "utilization", "thresholds", "overhead"),
     artifact_kind="splitsweep",
     default_tasksets=30,
-    supports_checkpoint=False,
     supports_cache=False,
     validate=_validate_splitsweep,
-    fingerprint=_splitsweep_fingerprint,
-    total_items=lambda w: w.n_tasksets,
-    run=_run_splitsweep_job,
-    merge=_merge_splitsweep,
+    sweep=_lazy("repro.experiments.splitsweep", "splitsweep_sweep"),
+    row_codec=_splitsweep_row,
+    reduce=_lazy("repro.experiments.splitsweep", "reduce_splitsweep"),
     render=_render_splitsweep,
     render_merged=_render_merged_splitsweep,
-    write_csv=_write_splitsweep_csv,
-    row_codec=_splitsweep_row,
+    write_csv=_lazy("repro.experiments.reporting", "write_split_sweep_csv"),
     reject_hints={
         "mu_method": "the split sweep fixes its LP-ILP solver",
         "rho_solver": "the split sweep fixes its LP-ILP solver",
@@ -681,17 +525,14 @@ register_kind(KindSpec(
     keys=("kind", "m", "n_tasksets", "seed", "utilization", "max_scale"),
     artifact_kind="sensitivity",
     default_tasksets=20,
-    supports_checkpoint=False,
     supports_cache=False,
     validate=_validate_sensitivity,
-    fingerprint=_sensitivity_fingerprint,
-    total_items=lambda w: w.n_tasksets,
-    run=_run_sensitivity_job,
-    merge=_merge_sensitivity,
+    sweep=_lazy("repro.experiments.sensitivity", "sensitivity_sweep"),
+    row_codec=_sensitivity_row,
+    reduce=_lazy("repro.experiments.sensitivity", "reduce_sensitivity"),
     render=_render_sensitivity,
     render_merged=_render_merged_sensitivity,
-    write_csv=_write_sensitivity_csv,
-    row_codec=_sensitivity_row,
+    write_csv=_lazy("repro.experiments.sensitivity", "write_sensitivity_csv"),
 ))
 
 register_kind(KindSpec(
@@ -700,17 +541,14 @@ register_kind(KindSpec(
           "utilization", "horizon_factor"),
     artifact_kind="simulate",
     default_tasksets=20,
-    supports_checkpoint=False,
     supports_cache=False,
     validate=_validate_simulate,
-    fingerprint=_simulate_fingerprint,
-    total_items=lambda w: w.n_tasksets,
-    run=_run_simulate_job,
-    merge=_merge_simulate,
+    sweep=_lazy("repro.experiments.simulate", "simulation_sweep"),
+    row_codec=_simulate_row,
+    reduce=_lazy("repro.experiments.simulate", "reduce_simulation"),
     render=_render_simulate,
     render_merged=_render_merged_simulate,
-    write_csv=_write_simulate_csv,
-    row_codec=_simulate_row,
+    write_csv=_lazy("repro.experiments.simulate", "write_simulation_csv"),
 ))
 
 register_kind(KindSpec(
@@ -719,17 +557,14 @@ register_kind(KindSpec(
           "utilization_factor"),
     artifact_kind="timing",
     default_tasksets=20,
-    supports_checkpoint=False,
     supports_cache=False,
     validate=_validate_timing,
-    fingerprint=_timing_fingerprint,
-    total_items=_timing_total_items,
-    run=_run_timing_job,
-    merge=_merge_timing,
+    sweep=_lazy("repro.experiments.timing", "timing_sweep"),
+    row_codec=_timing_row,
+    reduce=_lazy("repro.experiments.timing", "reduce_timing"),
     render=_render_timing,
     render_merged=_render_merged_timing,
-    write_csv=_write_timing_csv,
-    row_codec=_timing_row,
+    write_csv=_lazy("repro.experiments.timing", "write_timing_csv"),
     reject_hints={
         "m": "timing sweeps its per-point core count via 'core_counts'",
     },

@@ -5,12 +5,11 @@ A :class:`Session` is the one programmatic entry point for executing
 spec does not say: the workload picks the experiment, the execution
 policy picks executors/paths, and the session merely routes —
 
-* :meth:`Session.run` executes a job **inline** (in this process)
-  through its kind's registry hook: figure2/group2 workloads on
-  :class:`~repro.engine.sweep.SweepEngine`, row-based kinds
-  (splitsweep, sensitivity, ...) on :mod:`repro.engine.rowsweep`.
-  Serial engine, process pool or thread pool is purely the policy's
-  choice;
+* :meth:`Session.run` executes a job **inline** (in this process):
+  every kind's sweep (from the workload-kind registry) runs on
+  :class:`~repro.engine.sweep.SweepEngine`, built from the job's
+  execution policy.  Serial engine, process pool or thread pool is
+  purely the policy's choice;
 * :meth:`Session.submit` dispatches a job **asynchronously** onto any
   :class:`~repro.engine.backends.DispatchBackend` — local subprocesses
   by default, SSH/queue templates or persistent worker daemons alike —
@@ -38,8 +37,9 @@ from pathlib import Path
 from repro.exceptions import DispatchError, JobSpecError
 from repro.engine.backends import DispatchBackend, LocalBackend, worker_env
 from repro.engine.jobspec import JobSpec, save_job
+from repro.engine.executors import make_executor
 from repro.engine.shard import load_shard
-from repro.engine.sweep import EngineProgress
+from repro.engine.sweep import SweepEngine
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,21 +80,16 @@ class Session:
         Directory owning submit-time files (job copy, artifact, log)
         for jobs whose policy does not name a ``shard_out``.  Only
         required when such a job is submitted.
-    progress:
-        Optional per-item :class:`~repro.engine.sweep.ProgressEvent`
-        callback for inline sweep runs.
     """
 
     def __init__(
         self,
         backend: DispatchBackend | None = None,
         out_dir: str | Path | None = None,
-        progress: EngineProgress | None = None,
     ) -> None:
         self._backend = backend
         self._owns_backend = False
         self.out_dir = Path(out_dir) if out_dir is not None else None
-        self.progress = progress
         self._submits = 0
 
     # ------------------------------------------------------------------
@@ -105,9 +100,9 @@ class Session:
         Returns the workload's natural result: a
         :class:`~repro.engine.results.SweepResult` for figure2/group2,
         the :class:`~repro.experiments.splitsweep.SplitSweepPoint` list
-        for splitsweep, and so on per registered kind — dispatch goes
-        through the workload-kind registry, so any registered kind runs
-        here without Session changes.
+        for splitsweep, and so on per registered kind — the workload's
+        sweep comes from the workload-kind registry, so any registered
+        kind runs here without Session changes.
 
         A policy with ``publish`` on also publishes the completed run
         into the durable result store (:mod:`repro.engine.store`):
@@ -115,11 +110,9 @@ class Session:
         names no ``shard_out`` — is canonicalised and appended under
         the job's workload fingerprint.
         """
-        from repro.engine.registry import kind_spec
-
         policy = job.execution
         if not policy.publish:
-            return kind_spec(job.kind).run(job, self.progress)
+            return _run_inline(job)
 
         import tempfile
 
@@ -135,7 +128,7 @@ class Session:
                 {"execution.shard_out": shard_out}
             )
         try:
-            result = kind_spec(job.kind).run(effective, self.progress)
+            result = _run_inline(effective)
             publish_artifacts(
                 policy.store_dir, [shard_out], job=job, source="session",
             )
@@ -243,7 +236,7 @@ class Session:
             return artifact
         from repro.engine.registry import merge_artifacts
 
-        result = merge_artifacts(artifact.kind, [artifact])
+        result = merge_artifacts([artifact])
         if handle.job.execution.publish:
             # The worker's own inline run already published; this is a
             # deduplicated no-op then, and the safety net when the
@@ -277,9 +270,29 @@ class Session:
         self.close()
 
 
-def run_job(job: JobSpec, progress: EngineProgress | None = None):
+def _run_inline(job: JobSpec):
+    """Run ``job``'s sweep on an engine built from its execution policy."""
+    policy = job.execution
+    with make_executor(policy.jobs, kind=policy.executor) as executor:
+        engine = SweepEngine(
+            executor=executor,
+            chunk_size=policy.chunk_size,
+            checkpoint_path=policy.checkpoint,
+            cache=policy.cache,
+            cache_dir=policy.cache_dir,
+        )
+        return engine.run(
+            job.workload.sweep_spec(),
+            shard=policy.shard,
+            shard_out=policy.shard_out,
+            stream=policy.stream,
+            items=policy.items,
+        )
+
+
+def run_job(job: JobSpec):
     """One-call convenience: execute ``job`` inline in this process."""
-    with Session(progress=progress) as session:
+    with Session() as session:
         return session.run(job)
 
 

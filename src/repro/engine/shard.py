@@ -1,28 +1,28 @@
-"""Sharded sweep execution: partition, per-shard artifacts, merge.
+"""Sharded sweep execution: partition, per-shard artifacts, combine.
 
 A :class:`ShardSpec` splits a sweep's work-item space ``0 .. total - 1``
 into ``count`` disjoint, covering strided slices: shard ``i`` owns every
 item with ``item % count == i``.  The partition depends only on the item
 index, never on chunking or executors, so any chunk size, any executor
-and any shard count select exactly the same per-item RNG streams — a
-sweep run as N independent invocations (CI matrix jobs, a cluster,
-overnight batches) merges bit-identically to the single-process run.
-Striding (rather than contiguous blocks) spreads every utilisation
-point across all shards, so the expensive high-utilisation points are
-load-balanced instead of landing on the last shard.
+and any shard count evaluate exactly the same per-item work — a sweep
+run as N independent invocations (CI matrix jobs, a cluster, overnight
+batches) merges bit-identically to the single-process run.  Striding
+(rather than contiguous blocks) spreads every utilisation point across
+all shards, so the expensive high-utilisation points are load-balanced
+instead of landing on the last shard.
 
 Each shard invocation writes a versioned JSON *shard artifact*: the
-sweep fingerprint, the shard coordinates, the metadata needed to
-rebuild the result, and the chunk records the shard produced.
-:func:`merge_shards` validates a set of artifacts — same fingerprint,
-same format version, same shard count, no duplicate shards, no gaps or
-overlaps in item coverage — and reconstructs the exact
-:class:`~repro.engine.results.SweepResult` a single-process serial run
-would have produced (wall-clock aside).
-
-Artifacts carry a ``kind`` tag so other sharded experiments (the
-split-point sweep of :mod:`repro.experiments.splitsweep`) can reuse the
-same container and CLI merge command with their own record schema.
+sweep's kind tag and fingerprint, the shard coordinates, the metadata
+the kind's reduction needs, and one per-item record
+(``{"item": i, "rows": [...]}``, :mod:`repro.engine.checkpoint`) for
+every item the shard evaluated.  Every kind writes the same container;
+only the rows differ, and the kind's registered row codec decodes them
+on load.  :func:`combine_shards` validates a set of artifacts — same
+kind, fingerprint, format version and shard count, no duplicate items,
+no gaps — and unions their records into one whole-sweep artifact,
+which the kind's reduction
+(:func:`~repro.engine.registry.merge_artifacts`) turns into exactly the
+result a single-process serial run produces (wall-clock aside).
 
 Elastic re-partitioning (the orchestrator splitting a straggling
 shard's remaining items across idle slots) produces *sub-shard*
@@ -31,34 +31,25 @@ coordinates, each covering a disjoint subset of that shard's slice.
 :func:`validate_shard_set` therefore accepts any number of artifacts
 per shard index as long as their item sets are pairwise disjoint and
 the union over all artifacts covers the item space exactly — the merge
-result is bit-identical either way, because chunk records are keyed by
-item index, never by which invocation produced them.
+result is bit-identical either way, because records are keyed by item
+index, never by which invocation produced them.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.exceptions import ShardError
 from repro.engine.checkpoint import (
     FORMAT_VERSION,
-    ChunkRecord,
-    coalesce_records,
-    record_from_json,
-    record_to_json,
+    Records,
+    parse_records,
+    records_json,
     write_json_atomic,
 )
-from repro.engine.results import SweepPoint, SweepResult
-
-#: Artifact kinds understood by :func:`load_shard`.
-KIND_SWEEP = "sweep"
-KIND_SPLITSWEEP = "splitsweep"
-# The full set of artifact kinds lives in the workload-kind registry
-# (repro.engine.registry.known_artifact_kinds); these two constants
-# stay because the chunked "sweep" format is special-cased here and
-# splitsweep predates the registry.
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,7 +182,9 @@ class ShardArtifact:
     Attributes
     ----------
     kind:
-        Record schema tag (:data:`KIND_SWEEP` or :data:`KIND_SPLITSWEEP`).
+        The sweep kind's artifact tag (``"sweep"`` for the figure2 /
+        group2 grids, the kind's own name otherwise); selects the row
+        codec and the reduction.
     fingerprint:
         The *unsharded* spec fingerprint — identical across every shard
         of one sweep; merging mixes nothing else.
@@ -200,12 +193,12 @@ class ShardArtifact:
     total_items:
         The full sweep's item count (all shards must agree).
     meta:
-        JSON-safe metadata to rebuild the merged result (for sweeps:
+        JSON-safe metadata the kind's reduction needs (for grid sweeps:
         ``m``, ``label``, ``seed``, ``utilizations``, ``n_tasksets``,
         ``methods``).
     records:
-        Kind-specific payload: :class:`ChunkRecord` list for sweeps,
-        per-item row dicts for split sweeps.
+        Item index -> that item's rows, for every item this artifact
+        covers.
     elapsed_seconds:
         This shard's wall-clock (merged results report the sum: total
         compute spent, not latency).
@@ -216,38 +209,27 @@ class ShardArtifact:
     shard: ShardSpec
     total_items: int
     meta: dict
-    records: list = field(default_factory=list)
+    records: Records = field(default_factory=dict)
     elapsed_seconds: float = 0.0
 
     def covered_items(self) -> set[int]:
         """Work-item indexes this artifact accounts for."""
-        covered: set[int] = set()
-        if self.kind == KIND_SWEEP:
-            for record in self.records:
-                covered.update(range(record.start, record.stop))
-        else:
-            covered.update(int(entry["item"]) for entry in self.records)
-        return covered
+        return set(self.records)
 
 
 def save_shard(path: str | Path, artifact: ShardArtifact) -> Path:
     """Atomically write one shard artifact as versioned JSON."""
-    if artifact.kind == KIND_SWEEP:
-        records = [record_to_json(record) for record in artifact.records]
-    else:
-        records = list(artifact.records)
-    payload = {
+    path = Path(path)
+    write_json_atomic(path, {
         "version": FORMAT_VERSION,
         "kind": artifact.kind,
         "fingerprint": artifact.fingerprint,
         "shard": {"index": artifact.shard.index, "count": artifact.shard.count},
         "total_items": artifact.total_items,
         "meta": artifact.meta,
-        "records": records,
+        "records": records_json(artifact.records),
         "elapsed_seconds": artifact.elapsed_seconds,
-    }
-    path = Path(path)
-    write_json_atomic(path, payload)
+    })
     return path
 
 
@@ -257,9 +239,14 @@ def load_shard(path: str | Path) -> ShardArtifact:
     Raises
     ------
     ShardError
-        On a missing file, unreadable JSON, an unknown ``kind`` or a
-        format-version mismatch.
+        On a missing file, unreadable JSON, an unknown ``kind``, a
+        record the kind's row codec rejects or a format-version
+        mismatch.
     """
+    # The workload-kind registry owns the set of artifact kinds and
+    # each kind's row codec.
+    from repro.engine.registry import spec_for_artifact
+
     path = Path(path)
     if not path.exists():
         raise ShardError(f"shard artifact {path} does not exist")
@@ -268,28 +255,14 @@ def load_shard(path: str | Path) -> ShardArtifact:
         if payload.get("version") != FORMAT_VERSION:
             raise ShardError(
                 f"shard artifact {path} has format version "
-                f"{payload.get('version')!r}, expected {FORMAT_VERSION}"
+                f"{payload.get('version')!r}, expected {FORMAT_VERSION}; "
+                "re-run the shard to regenerate it"
             )
         kind = str(payload["kind"])
-        # The workload-kind registry owns the set of artifact kinds and
-        # each row-based kind's row schema; chunked "sweep" artifacts
-        # keep their record codec here.
-        from repro.engine.registry import known_artifact_kinds, row_codec_for
-
         try:
-            row_codec = row_codec_for(kind)
-        except ShardError:
-            raise ShardError(
-                f"shard artifact {path} has unknown kind {kind!r}; "
-                f"expected one of {known_artifact_kinds()}"
-            ) from None
-        if row_codec is None:
-            records = [record_from_json(entry) for entry in payload["records"]]
-        else:
-            records = [
-                _row_record_from_json(entry, row_codec)
-                for entry in payload["records"]
-            ]
+            row_codec = spec_for_artifact(kind).row_codec
+        except ShardError as exc:
+            raise ShardError(f"shard artifact {path}: {exc}") from None
         return ShardArtifact(
             kind=kind,
             fingerprint=str(payload["fingerprint"]),
@@ -298,27 +271,16 @@ def load_shard(path: str | Path) -> ShardArtifact:
             ),
             total_items=int(payload["total_items"]),
             meta=dict(payload["meta"]),
-            records=records,
+            records=parse_records(
+                payload["records"], row_codec, ShardError,
+                f"shard artifact {path}",
+            ),
             elapsed_seconds=float(payload.get("elapsed_seconds", 0.0)),
         )
     except ShardError:
         raise
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ShardError(f"shard artifact {path} is unreadable ({exc})") from exc
-
-
-def _row_record_from_json(entry: dict, row_codec) -> dict:
-    """Validate and normalise one row-based per-item record.
-
-    ``row_codec`` is the kind's registered row decoder (splitsweep's
-    ``(Σq, task count, utilisation, schedulable)`` 4-tuple, a
-    sensitivity row's 4 floats, ...).  Raises on a missing ``item``,
-    non-list ``rows`` or a row the codec rejects — the caller maps the
-    failure to a :class:`ShardError` so corrupt artifacts surface as
-    the CLI's one-line error, not a traceback.
-    """
-    rows = [row_codec(row) for row in entry["rows"]]
-    return {"item": int(entry["item"]), "rows": rows}
 
 
 def validate_shard_set(artifacts: list[ShardArtifact]) -> None:
@@ -391,27 +353,14 @@ def validate_shard_set(artifacts: list[ShardArtifact]) -> None:
         )
 
 
-def sweep_meta(spec) -> dict:
-    """The JSON-safe slice of a ``SweepSpec`` a merge needs to rebuild
-    its :class:`~repro.engine.results.SweepResult`."""
-    return {
-        "m": spec.m,
-        "label": spec.label,
-        "seed": spec.seed,
-        "utilizations": list(spec.utilizations),
-        "n_tasksets": spec.n_tasksets,
-        "methods": [method.value for method in spec.methods],
-    }
-
-
-def merge_shards(shards: list[ShardArtifact | str | Path]) -> SweepResult:
-    """Reconstruct the single-process :class:`SweepResult` from shards.
+def combine_shards(
+    shards: Sequence[ShardArtifact | str | Path],
+) -> ShardArtifact:
+    """Validate a full shard set and union it into one artifact.
 
     Accepts loaded :class:`ShardArtifact` objects or paths to them.
-    After :func:`validate_shard_set`, the union of every shard's chunk
-    records must coalesce to exactly one run covering the whole item
-    space; the rebuilt result is bit-identical to the serial unsharded
-    run (``elapsed_seconds`` reports the summed shard wall-clocks).
+    The result is the whole sweep as shard 1/1: every item's record,
+    the shared metadata, and the summed shard wall-clocks.
     """
     artifacts = [
         shard if isinstance(shard, ShardArtifact) else load_shard(shard)
@@ -419,44 +368,15 @@ def merge_shards(shards: list[ShardArtifact | str | Path]) -> SweepResult:
     ]
     validate_shard_set(artifacts)
     first = artifacts[0]
-    if first.kind != KIND_SWEEP:
-        raise ShardError(
-            f"merge_shards() merges {KIND_SWEEP!r} artifacts; got "
-            f"{first.kind!r} (use the experiment's own merge)"
-        )
-
-    all_records: list[ChunkRecord] = []
+    records: Records = {}
     for artifact in artifacts:
-        all_records.extend(artifact.records)
-    merged = coalesce_records(all_records)
-    if merged != [] and (
-        len(merged) != 1
-        or merged[0].start != 0
-        or merged[0].stop != first.total_items
-    ):
-        raise ShardError("merged records do not cover the item space exactly")
-
-    meta = first.meta
-    utilizations = [float(u) for u in meta["utilizations"]]
-    methods = tuple(str(name) for name in meta["methods"])
-    n_tasksets = int(meta["n_tasksets"])
-    counts = {
-        point: {name: 0 for name in methods} for point in range(len(utilizations))
-    }
-    for record in merged:
-        for point, point_counts in record.counts.items():
-            for name, count in point_counts.items():
-                counts[point][name] += count
-
-    points = tuple(
-        SweepPoint(utilization, n_tasksets, counts[point])
-        for point, utilization in enumerate(utilizations)
-    )
-    return SweepResult(
-        m=int(meta["m"]),
-        label=str(meta["label"]),
-        seed=int(meta["seed"]),
-        points=points,
-        methods=methods,
+        records.update(artifact.records)
+    return ShardArtifact(
+        kind=first.kind,
+        fingerprint=first.fingerprint,
+        shard=ShardSpec(0, 1),
+        total_items=first.total_items,
+        meta=first.meta,
+        records=records,
         elapsed_seconds=sum(a.elapsed_seconds for a in artifacts),
     )

@@ -16,12 +16,12 @@ Design contract
   (:mod:`repro.engine.validation`) surfaces the disagreement as drift.
 * **Canonical rows.**  Shard artifacts are canonicalised before
   storage so that *how* a run was executed leaves no trace in what is
-  stored: row-based kinds store one JSON payload per ``(item, seq)``
-  decoded through the kind's registered row codec; chunked ``"sweep"``
-  artifacts are merged first and store one payload per utilisation
-  point (chunk boundaries vary with sharding and must not look like
-  drift).  An inline run and a 16-shard daemon run of the same
-  workload therefore publish byte-identical row sets.
+  stored: every kind stores its per-item records, one JSON payload per
+  ``(item, seq)`` — the item's ``seq``-th row, decoded through the
+  kind's registered row codec (a grid sweep's one row per item is its
+  per-method verdict tuple).  Records are keyed by item, never by
+  which shard or chunk produced them, so an inline run and a 16-shard
+  daemon run of the same workload publish byte-identical row sets.
 * **Idempotent publication.**  A run is keyed by ``(fingerprint,
   content_hash)`` — the workload identity plus a SHA-256 over the
   canonical rows.  Re-publishing the same merge inserts zero rows and
@@ -37,7 +37,7 @@ Design contract
 Round-trip guarantee: :meth:`ResultStore.export_csv` of a published
 run is bit-identical to the legacy CSV writer's output for the same
 merge — floats survive JSON round-trips exactly, and the export path
-rebuilds the kind's result through the same registry merge hook the
+rebuilds the kind's result through the same registered reduction the
 engine itself uses.
 """
 
@@ -53,13 +53,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from repro.engine.checkpoint import FORMAT_VERSION
-from repro.engine.shard import (
-    KIND_SWEEP,
-    ShardArtifact,
-    ShardSpec,
-    load_shard,
-    validate_shard_set,
-)
+from repro.engine.shard import ShardArtifact, ShardSpec, combine_shards
 from repro.exceptions import StoreError
 
 __all__ = [
@@ -79,7 +73,9 @@ __all__ = [
 #: Schema version of the store database.  Bump on breaking changes to
 #: the table layout or the canonical row encoding; additive columns
 #: don't bump (mirrors FORMAT_VERSION / JOBSPEC_VERSION discipline).
-STORE_VERSION = 1
+#: Version 2: grid sweeps store per-item verdict rows instead of
+#: version 1's per-point counts.
+STORE_VERSION = 2
 
 #: Default directory holding the store database.
 DEFAULT_STORE_DIR = "results"
@@ -180,69 +176,25 @@ def canonicalize_artifacts(
     module docstring.  Raises :class:`StoreError` on partial coverage
     or artifacts the registry cannot decode — only whole runs publish.
     """
-    from repro.engine.registry import spec_for_artifact
-
     try:
-        loaded = [
-            art if isinstance(art, ShardArtifact) else load_shard(art)
-            for art in artifacts
-        ]
-        validate_shard_set(loaded)
+        run = combine_shards(artifacts)
     except StoreError:
         raise
     except Exception as exc:
         raise StoreError(f"cannot publish artifact set: {exc}") from exc
 
-    first = loaded[0]
-    meta = json.loads(json.dumps(first.meta))
-    elapsed = sum(art.elapsed_seconds for art in loaded)
-    rows: list[tuple[int, int, str]] = []
-
-    if first.kind == KIND_SWEEP:
-        # Chunk boundaries vary with sharding: canonicalise through the
-        # registry merge so inline and orchestrated runs store the same
-        # per-point rows.
-        try:
-            result = spec_for_artifact(first.kind).merge(loaded)
-        except StoreError:
-            raise
-        except Exception as exc:
-            raise StoreError(f"cannot merge sweep artifacts: {exc}") from exc
-        for index, point in enumerate(result.points):
-            counts = {
-                method: point.schedulable.get(method, 0)
-                for method in result.methods
-            }
-            rows.append((
-                index,
-                0,
-                _payload([point.utilization, point.n_tasksets, counts]),
-            ))
-        elapsed = result.elapsed_seconds
-    else:
-        codec = spec_for_artifact(first.kind).row_codec
-        by_item: dict[int, list] = {}
-        for artifact in loaded:
-            for entry in artifact.records:
-                try:
-                    by_item[int(entry["item"])] = [
-                        codec(row) for row in entry["rows"]
-                    ]
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise StoreError(
-                        f"{first.kind} artifact has a malformed record "
-                        f"({exc}); refusing to publish"
-                    ) from exc
-        for item in sorted(by_item):
-            for seq, row in enumerate(by_item[item]):
-                rows.append((item, seq, _payload(list(row))))
-
+    meta = json.loads(json.dumps(run.meta))
+    rows = [
+        (item, seq, _payload(list(row)))
+        for item in sorted(run.records)
+        for seq, row in enumerate(run.records[item])
+    ]
     digest = hashlib.sha256(
         json.dumps(
             {
-                "kind": first.kind,
-                "fingerprint": first.fingerprint,
-                "total_items": first.total_items,
+                "kind": run.kind,
+                "fingerprint": run.fingerprint,
+                "total_items": run.total_items,
                 "meta": meta,
                 "rows": [[item, seq, payload] for item, seq, payload in rows],
             },
@@ -251,12 +203,12 @@ def canonicalize_artifacts(
         ).encode()
     ).hexdigest()
     return _CanonicalRun(
-        kind=first.kind,
-        fingerprint=first.fingerprint,
-        total_items=first.total_items,
+        kind=run.kind,
+        fingerprint=run.fingerprint,
+        total_items=run.total_items,
         meta=meta,
         rows=tuple(rows),
-        elapsed_seconds=elapsed,
+        elapsed_seconds=run.elapsed_seconds,
         content_hash=digest,
     )
 
@@ -600,17 +552,25 @@ class ResultStore:
                 "expected; refusing to export"
             )
         spec = spec_for_artifact(record.kind)
-        if record.kind == KIND_SWEEP:
-            return _sweep_result(record, rows)
-        artifact = _row_artifact(record, rows, spec.row_codec)
+        by_item: dict[int, list] = {}
         try:
-            return spec.merge([artifact])
+            for item, _seq, payload in rows:
+                by_item.setdefault(item, []).append(spec.row_codec(payload))
+            return spec.reduce(ShardArtifact(
+                kind=record.kind,
+                fingerprint=record.fingerprint,
+                shard=ShardSpec(0, 1),
+                total_items=record.total_items,
+                meta=dict(record.meta),
+                records=by_item,
+                elapsed_seconds=record.elapsed_seconds,
+            ))
         except StoreError:
             raise
         except Exception as exc:
             raise StoreError(
                 f"run {run_id} in {self.path} does not rebuild under "
-                f"its kind's merge ({exc})"
+                f"its kind's reduction ({exc})"
             ) from exc
 
     def export_csv(self, run_id: int, path: str | Path) -> Path:
@@ -623,7 +583,7 @@ class ResultStore:
 
 
 # ----------------------------------------------------------------------
-# Rebuilders (store rows -> engine result types).
+# Decoding (store rows -> query records).
 
 
 def _run_record(row: Sequence) -> RunRecord:
@@ -646,59 +606,6 @@ def _run_record(row: Sequence) -> RunRecord:
         job=job,
         engine=engine,
         elapsed_seconds=float(row[9]),
-    )
-
-
-def _sweep_result(record: RunRecord, rows: list):
-    from repro.engine.results import SweepPoint, SweepResult
-
-    points = []
-    try:
-        for _item, _seq, payload in rows:
-            utilization, n_tasksets, counts = payload
-            points.append(SweepPoint(
-                utilization=float(utilization),
-                n_tasksets=int(n_tasksets),
-                schedulable={
-                    str(method): int(count)
-                    for method, count in counts.items()
-                },
-            ))
-        return SweepResult(
-            m=int(record.meta["m"]),
-            label=str(record.meta["label"]),
-            seed=int(record.meta["seed"]),
-            points=tuple(points),
-            methods=tuple(str(m) for m in record.meta["methods"]),
-            elapsed_seconds=record.elapsed_seconds,
-        )
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise StoreError(
-            f"run {record.run_id} sweep rows are malformed ({exc})"
-        ) from exc
-
-
-def _row_artifact(record: RunRecord, rows: list, codec) -> ShardArtifact:
-    by_item: dict[int, list] = {}
-    try:
-        for item, _seq, payload in rows:
-            by_item.setdefault(item, []).append(codec(payload))
-    except (TypeError, ValueError, KeyError) as exc:
-        raise StoreError(
-            f"run {record.run_id} rows do not decode under the "
-            f"{record.kind!r} row codec ({exc})"
-        ) from exc
-    return ShardArtifact(
-        kind=record.kind,
-        fingerprint=record.fingerprint,
-        shard=ShardSpec(0, 1),
-        total_items=record.total_items,
-        meta=dict(record.meta),
-        records=[
-            {"item": item, "rows": by_item[item]}
-            for item in sorted(by_item)
-        ],
-        elapsed_seconds=record.elapsed_seconds,
     )
 
 

@@ -2,34 +2,33 @@
 
 Checkpoints snapshot a sweep every few seconds; a *stream* is finer and
 cheaper to consume incrementally: one JSON object per line, flushed the
-moment each chunk of work completes, so a dashboard, a tail -f, or a
+moment each work item completes, so a dashboard, a tail -f, or a
 downstream job can watch a long sweep converge instead of waiting for
 the final table.  The line schema:
 
 * ``{"type": "header", "version": ..., "kind": ..., "fingerprint": ...,
   "shard": {...} | null, "total_items": ..., "meta": {...}}`` — first
-  line, identifies the sweep (same fingerprint/meta as shard
+  line, identifies the sweep (same kind/fingerprint/meta as shard
   artifacts);
-* ``{"type": "chunk", "start": ..., "stop": ..., "counts": {...},
-  "replayed": bool, "elapsed_seconds": float?, "cache": {...}?}`` — one
-  completed chunk (``replayed`` marks records restored from a
-  checkpoint rather than computed by this run; ``elapsed_seconds`` is
-  the chunk's wall-time in its worker, the telemetry the adaptive
-  chunk-sizer of :mod:`repro.engine.chunking` feeds on;
-  ``cache`` carries the chunk's verdict-cache ``{"hits", "misses"}``
-  deltas when a cache is enabled — both absent on replayed lines);
-* ``{"type": "item", ...}`` — experiment-specific per-item payloads
-  (the split sweep streams one of these per task-set);
+* ``{"type": "item", "item": ..., "rows": [...], "replayed": bool,
+  "elapsed_seconds": float?, "cache": {...}?}`` — one completed work
+  item: its per-item record (the same ``item``/``rows`` pair
+  checkpoints and shard artifacts carry).  ``replayed`` marks records
+  restored from a checkpoint rather than computed by this run;
+  ``elapsed_seconds`` is the item's wall-time in its worker, the
+  telemetry the adaptive chunk-sizer of :mod:`repro.engine.chunking`
+  feeds on; ``cache`` carries the item's verdict-cache ``{"hits",
+  "misses", "swept", "stale"}`` deltas when a cache is enabled — both
+  absent on replayed lines;
 * ``{"type": "summary", "done_items": ..., "elapsed_seconds": ...}`` —
   final line of a run that finished.
 
 A stream interrupted mid-run is still a valid prefix: every line is
 self-contained and the writer flushes per line.  Streams are an
 *observation* channel — resuming uses checkpoints, merging uses shard
-artifacts — but :func:`read_stream` can rebuild a
-:class:`~repro.engine.checkpoint.ChunkRecord` list for offline
-inspection, and the conformance suite asserts a stream's records sum to
-exactly the sweep's final counts.
+artifacts — but :func:`read_stream` rebuilds every item's rows for
+offline inspection, and the conformance suite asserts a stream's
+records reduce to exactly the sweep's final result.
 
 :class:`StreamTail` reads the same files *while they grow*: it keeps a
 byte offset, returns only newly-completed lines on each poll, leaves a
@@ -48,19 +47,14 @@ from pathlib import Path
 from types import TracebackType
 
 from repro.exceptions import AnalysisError
-from repro.engine.checkpoint import (
-    FORMAT_VERSION,
-    ChunkRecord,
-    record_from_json,
-    record_to_json,
-)
+from repro.engine.checkpoint import FORMAT_VERSION, Records, record_json
 
 
 class StreamWriter:
     """Write one run's JSONL stream, flushing every line.
 
     Use as a context manager; the file is truncated at open (a resumed
-    run replays checkpoint-restored chunks into the new stream first, so
+    run replays checkpoint-restored items into the new stream first, so
     a stream file is always self-contained).
     """
 
@@ -70,7 +64,7 @@ class StreamWriter:
         # Truncate-by-design, not tmp+rename: a stream is a *growing*
         # JSONL whose readers (read_stream/StreamTail) tolerate torn
         # tails by contract, and truncate-at-open IS the resume
-        # protocol — a fresh stream replays checkpoint-restored chunks
+        # protocol — a fresh stream replays checkpoint-restored items
         # first, so the file is always self-contained.
         # repro-lint: disable=IO001
         self._handle = self.path.open("w")
@@ -114,27 +108,21 @@ class StreamWriter:
             }
         )
 
-    def write_chunk(
+    def write_item(
         self,
-        record: ChunkRecord,
+        item: int,
+        rows: list,
         replayed: bool = False,
         elapsed_seconds: float | None = None,
         cache: dict[str, int] | None = None,
     ) -> None:
-        payload = record_to_json(record)
-        payload["type"] = "chunk"
+        payload = {"type": "item", **record_json(item, rows)}
         payload["replayed"] = replayed
         if elapsed_seconds is not None:
             payload["elapsed_seconds"] = elapsed_seconds
         if cache is not None:
-            # Additive telemetry (like elapsed_seconds): the chunk's
-            # verdict-cache hit/miss deltas.  Readers that predate it
-            # ignore unknown fields, so no format-version bump.
             payload["cache"] = dict(cache)
         self._emit(payload)
-
-    def write_item(self, item: int, **fields: object) -> None:
-        self._emit({"type": "item", "item": item, **fields})
 
     def write_summary(self, done_items: int, elapsed_seconds: float) -> None:
         self._emit(
@@ -151,28 +139,18 @@ class StreamDump:
     """A fully-parsed stream file."""
 
     header: dict
-    chunks: list[ChunkRecord] = field(default_factory=list)
-    items: list[dict] = field(default_factory=list)
+    #: Item index -> rows, over every item line (JSON rows, undecoded).
+    records: Records = field(default_factory=dict)
     summary: dict | None = None
-    #: ``(items, seconds)`` telemetry from chunk lines that carried an
+    #: ``(items, seconds)`` telemetry from item lines that carried an
     #: ``elapsed_seconds`` field — feed to an
     #: :class:`~repro.engine.chunking.AdaptiveChunker`.
-    chunk_timings: list[tuple[int, float]] = field(default_factory=list)
+    timings: list[tuple[int, float]] = field(default_factory=list)
 
     @property
     def complete(self) -> bool:
         """True when the run wrote its final summary line."""
         return self.summary is not None
-
-    def counts(self) -> dict[int, dict[str, int]]:
-        """Total per-point, per-method counts over every chunk line."""
-        totals: dict[int, dict[str, int]] = {}
-        for record in self.chunks:
-            for point, methods in record.counts.items():
-                target = totals.setdefault(point, {})
-                for name, count in methods.items():
-                    target[name] = target.get(name, 0) + count
-        return totals
 
 
 def iter_stream(path: str | Path):
@@ -347,15 +325,15 @@ def read_stream(path: str | Path) -> StreamDump:
                     f"{payload.get('version')!r}, expected {FORMAT_VERSION}"
                 )
             dump = StreamDump(header=payload)
-        elif payload["type"] == "chunk":
-            record = record_from_json(payload)
-            dump.chunks.append(record)
-            if "elapsed_seconds" in payload:
-                dump.chunk_timings.append(
-                    (record.stop - record.start, float(payload["elapsed_seconds"]))
-                )
         elif payload["type"] == "item":
-            dump.items.append(payload)
+            try:
+                dump.records[int(payload["item"])] = list(payload["rows"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise AnalysisError(
+                    f"stream {path} has a malformed item line ({exc!r})"
+                ) from exc
+            if "elapsed_seconds" in payload:
+                dump.timings.append((1, float(payload["elapsed_seconds"])))
         elif payload["type"] == "summary":
             dump.summary = payload
     if dump is None:

@@ -1,26 +1,40 @@
-"""The sweep engine: one-pass multi-method analysis over chunked work.
+"""The sweep engine: every experiment as per-item rows over chunked work.
 
-A sweep is a grid of ``(utilisation point, task-set index)`` work items.
-Each item generates one random task-set and evaluates every requested
-method in a single pass (:func:`repro.core.analyzer.analyze_taskset_multi`).
-Items are grouped into chunks and handed to a pluggable executor
-(:mod:`repro.engine.executors`); on pool executors the chunk size is
-adapted on the fly from per-chunk wall-time telemetry
-(:mod:`repro.engine.chunking`) unless pinned explicitly.
+Every experiment is the same computation: a space of work items, each
+evaluated on its own into a few *rows* of JSON primitives, and the rows
+reduced in item order to the experiment's result.  A sweep kind
+supplies four things —
 
-Determinism
------------
-Every item derives its RNG directly from the root seed:
+* its per-item payloads (:meth:`SweepSpec.payloads`,
+  :meth:`CorpusSweep.payloads`), built in the calling process;
+* a top-level, picklable ``evaluate(payload, cache) -> rows``;
+* its row codec and its item-order reduction (registered with
+  :mod:`repro.engine.registry`);
+
+— and :class:`SweepEngine` does the rest for all of them: strided
+shards, explicit item subsets, chunks on a pluggable executor
+(:mod:`repro.engine.executors`) sized adaptively from per-item
+wall-time telemetry (:mod:`repro.engine.chunking`) unless pinned,
+checkpoint/resume, JSONL streams and shard artifacts.
+
+Two item shapes exist.  A utilisation-grid sweep (figure2, group2;
+:class:`SweepSpec`) evaluates item ``point * n_tasksets + index`` on
+the task-set drawn from
 
     SeedSequence(seed, spawn_key=(point_index, taskset_index))
 
-which equals ``SeedSequence(seed).spawn(P)[point].spawn(N)[index]`` but
-needs no shared spawning state — so any chunking, any executor and any
-completion order produce bit-identical counts.
+— equal to ``SeedSequence(seed).spawn(P)[point].spawn(N)[index]`` but
+needing no shared spawning state — and its row is one boolean per
+analysis method; its reduction counts them per point.  A corpus sweep
+(splitsweep, sensitivity, simulate, timing; :class:`CorpusSweep`)
+builds every item's payload up front, e.g. a corpus drawn from one
+``default_rng(seed)`` stream.  Either way an item's rows depend on its
+index alone, so any chunking, executor, shard, resume or completion
+order reduces to bit-identical results.
 
 Checkpointing
 -------------
-With a checkpoint path, completed chunks are periodically written to a
+With a checkpoint path, completed items are periodically written to a
 JSON file (:mod:`repro.engine.checkpoint`); an interrupted sweep re-run
 with the same spec resumes from the covered items instead of restarting.
 A checkpoint written by a *different* spec is rejected by fingerprint.
@@ -30,9 +44,9 @@ Sharding and streaming
 :meth:`SweepEngine.run` optionally evaluates only one
 :class:`~repro.engine.shard.ShardSpec` slice of the item space, writing
 a versioned shard artifact that
-:func:`~repro.engine.shard.merge_shards` later recombines into the
-exact single-process result; a ``stream`` path additionally emits every
-completed chunk as one JSONL line the moment it finishes
+:func:`~repro.engine.registry.merge_artifacts` later recombines into
+the exact single-process result; a ``stream`` path additionally emits
+every completed item as one JSONL line the moment it finishes
 (:mod:`repro.engine.streaming`).
 """
 
@@ -44,6 +58,7 @@ import time
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -52,7 +67,7 @@ from repro.core.analyzer import AnalysisMethod, analyze_taskset_multi
 from repro.core.blocking import RhoSolver
 from repro.core.workload import MuMethod
 from repro.engine.checkpoint import (
-    ChunkRecord,
+    Records,
     SweepCheckpoint,
     clean_stale_tmps,
     load_checkpoint,
@@ -61,7 +76,7 @@ from repro.engine.checkpoint import (
 from repro.engine.chunking import AdaptiveChunker
 from repro.engine.executors import Executor, SerialExecutor
 from repro.engine.results import SweepPoint, SweepResult
-from repro.engine.shard import KIND_SWEEP, ShardArtifact, ShardSpec, save_shard, sweep_meta
+from repro.engine.shard import ShardArtifact, ShardSpec, save_shard
 from repro.engine.streaming import StreamWriter
 from repro.engine.vcache import CACHE_MODES, DEFAULT_CACHE_DIR, VerdictCache
 from repro.generator.profiles import TasksetProfile
@@ -73,6 +88,27 @@ DEFAULT_METHODS: tuple[AnalysisMethod, ...] = (
     AnalysisMethod.LP_ILP,
     AnalysisMethod.LP_MAX,
 )
+
+
+def _evaluate_sweep_item(payload, cache=None) -> list[tuple[bool, ...]]:
+    """One grid item: its task-set's verdicts, in ``spec.methods`` order.
+
+    ``payload`` is ``(spec, item)``; the item's task-set is regenerated
+    from its own seed, so payloads stay tiny.
+    """
+    spec, item = payload
+    point_index, taskset_index = divmod(item, spec.n_tasksets)
+    rng = spec.taskset_rng(point_index, taskset_index)
+    taskset = generate_taskset(rng, spec.utilizations[point_index], spec.profile)
+    multi = analyze_taskset_multi(
+        taskset,
+        spec.m,
+        spec.methods,
+        mu_method=spec.mu_method,
+        rho_solver=spec.rho_solver,
+        cache=cache,
+    )
+    return [tuple(multi.schedulable[method.value] for method in spec.methods)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,6 +145,10 @@ class SweepSpec:
     mu_method: MuMethod = "search"
     rho_solver: RhoSolver = "assignment"
 
+    #: Artifact tag of the utilisation-grid sweeps (figure2 and group2).
+    kind: ClassVar[str] = "sweep"
+    evaluate: ClassVar = staticmethod(_evaluate_sweep_item)
+
     def __post_init__(self) -> None:
         object.__setattr__(self, "utilizations", tuple(self.utilizations))
         object.__setattr__(self, "methods", tuple(self.methods))
@@ -124,6 +164,22 @@ class SweepSpec:
     @property
     def total_items(self) -> int:
         return self.n_points * self.n_tasksets
+
+    @property
+    def meta(self) -> dict:
+        """The JSON-safe slice of the spec :func:`reduce_sweep` needs."""
+        return {
+            "m": self.m,
+            "label": self.label,
+            "seed": self.seed,
+            "utilizations": list(self.utilizations),
+            "n_tasksets": self.n_tasksets,
+            "methods": [method.value for method in self.methods],
+        }
+
+    def payloads(self, items: Sequence[int]) -> list:
+        """Per-item payloads: the spec and the item index."""
+        return [(self, item) for item in items]
 
     def taskset_rng(self, point_index: int, taskset_index: int) -> np.random.Generator:
         """The work item's private RNG, independent of execution order."""
@@ -148,6 +204,78 @@ class SweepSpec:
             )
         )
         return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def reduce_sweep(artifact: ShardArtifact) -> SweepResult:
+    """Count each point's schedulable verdicts over an artifact's items.
+
+    Every point reports the items the artifact covers as its
+    denominator: ``n_tasksets`` for a whole sweep, fewer for a shard.
+    """
+    meta = artifact.meta
+    utilizations = [float(u) for u in meta["utilizations"]]
+    methods = tuple(str(name) for name in meta["methods"])
+    n_tasksets = int(meta["n_tasksets"])
+    sizes = [0] * len(utilizations)
+    totals = [[0] * len(methods) for _ in utilizations]
+    for item, (verdicts,) in sorted(artifact.records.items()):
+        point = item // n_tasksets
+        sizes[point] += 1
+        totals[point] = [
+            total + bool(ok)
+            for total, ok in zip(totals[point], verdicts, strict=True)
+        ]
+    return SweepResult(
+        m=int(meta["m"]),
+        label=str(meta["label"]),
+        seed=int(meta["seed"]),
+        points=tuple(
+            SweepPoint(utilization, sizes[point], dict(zip(methods, totals[point])))
+            for point, utilization in enumerate(utilizations)
+        ),
+        methods=methods,
+        elapsed_seconds=artifact.elapsed_seconds,
+    )
+
+
+@dataclass(frozen=True, slots=True)
+class CorpusSweep:
+    """A sweep whose item payloads are built up front, in item order.
+
+    The split sweep, sensitivity, simulate and timing kinds draw their
+    corpus from one ``default_rng(seed)`` stream (or derive it per
+    item); :attr:`corpus` builds the whole payload list in the calling
+    process and the engine ships each item's payload to its worker.
+
+    Attributes
+    ----------
+    kind:
+        Artifact tag (the kind's registered ``artifact_kind``).
+    digest:
+        The sweep's fingerprint.
+    total_items:
+        Item count.
+    meta:
+        JSON-safe metadata the kind's reduction needs.
+    evaluate:
+        Top-level ``evaluate(payload, cache) -> rows``.
+    corpus:
+        Builds every item's payload, in item order.
+    """
+
+    kind: str
+    digest: str
+    total_items: int
+    meta: dict
+    evaluate: Callable[..., list]
+    corpus: Callable[[], Sequence]
+
+    def fingerprint(self) -> str:
+        return self.digest
+
+    def payloads(self, items: Sequence[int]) -> list:
+        corpus = self.corpus()
+        return [corpus[item] for item in items]
 
 
 def item_fingerprints(spec: SweepSpec) -> tuple[str, ...]:
@@ -253,87 +381,49 @@ class _CacheSession:
         }
 
 
-def _run_chunk(payload, cache=None) -> ChunkRecord:
-    """Evaluate work items ``start .. stop - 1`` (runs in a worker).
+#: One evaluated item: ``(item, rows, seconds, cache_stats)``.
+ItemResult = tuple[int, list, float, dict[str, int] | None]
 
-    ``payload`` is ``(spec, start, stop)`` or, with a verdict cache
-    enabled, ``(spec, start, stop, cache_config)``; ``cache`` (a
-    :class:`_CacheSession`) overrides the payload's config when the
-    caller wants per-run hit/miss attribution.
+
+def _run_chunk(payload, cache: VerdictCache | None = None) -> list[ItemResult]:
+    """Evaluate work items ``payload[1] .. payload[2] - 1`` (in a worker).
+
+    ``payload`` is ``(evaluate, start, stop, item_payloads)``: the
+    kind's top-level evaluation function and one payload per item.
+    Each item is timed *in the worker*: the wall-time drives the
+    adaptive chunk sizer, and both it and the item's verdict-cache
+    deltas (``None`` with the cache off) are published on the item's
+    stream line for external consumers (the orchestrator's sizer,
+    ``sweep-status``).
     """
-    spec, start, stop = payload[0], payload[1], payload[2]
-    if cache is None and len(payload) > 3:
-        cache = _cache_for(payload[3])
-    counts: dict[int, dict[str, int]] = {}
-    for item in range(start, stop):
-        point_index, taskset_index = divmod(item, spec.n_tasksets)
-        rng = spec.taskset_rng(point_index, taskset_index)
-        taskset = generate_taskset(rng, spec.utilizations[point_index], spec.profile)
-        # Each item is generated and analysed on its own: the chunk only
-        # amortises the executor round-trip, never the analysis.
-        multi = analyze_taskset_multi(
-            taskset,
-            spec.m,
-            spec.methods,
-            mu_method=spec.mu_method,
-            rho_solver=spec.rho_solver,
-            cache=cache,
+    evaluate, start, stop, item_payloads = payload
+    done: list[ItemResult] = []
+    for item, item_payload in zip(range(start, stop), item_payloads, strict=True):
+        session = _CacheSession(cache) if cache is not None else None
+        begin = time.perf_counter()
+        rows = evaluate(item_payload, session)
+        seconds = time.perf_counter() - begin
+        done.append(
+            (item, rows, seconds, session.stats() if session is not None else None)
         )
-        point = counts.setdefault(
-            point_index, {method.value: 0 for method in spec.methods}
-        )
-        for name, schedulable in multi.schedulable.items():
-            if schedulable:
-                point[name] += 1
-    return ChunkRecord(start, stop, counts)
+    return done
 
 
-@dataclass(frozen=True, slots=True)
-class ProgressEvent:
-    """One completed work item (or a chunk's worth, replayed item-wise)."""
-
-    utilization: float
-    point_index: int
-    done_in_point: int
-    n_tasksets: int
-    done_items: int
-    total_items: int
-
-
-EngineProgress = Callable[[ProgressEvent], None]
-
-
-def _run_runs(
-    payload,
-) -> list[tuple[ChunkRecord, float, dict[str, int] | None]]:
+def _run_batch(payload) -> list[ItemResult]:
     """Evaluate a batch of contiguous runs (one executor round-trip).
 
     Sharded item sets are strided, so their contiguous runs are tiny
     (often single items); batching many runs into one payload keeps the
     per-task pickling/IPC cost proportional to the chunk size, not the
-    item count, while records stay per-run (contiguous) so the
-    checkpoint/artifact schema is unchanged.
-
-    ``payload`` is ``(spec, runs)`` or ``(spec, runs, cache_config)``.
-    Each run is timed *in the worker* and returned as ``(record,
-    seconds, cache_stats)``: the wall-time telemetry drives the
-    adaptive chunk sizer and both it and the per-run verdict-cache
-    hit/miss deltas (``None`` with the cache off) are published on the
-    stream's chunk lines for external consumers (the orchestrator's
-    sizer, ``sweep-status``).
+    item count.  ``payload`` is ``(evaluate, runs, cache_config)`` with
+    ``runs`` a list of ``(start, stop, item_payloads)``.
     """
-    spec, runs = payload[0], payload[1]
-    config: CacheConfig = payload[2] if len(payload) > 2 else None
+    evaluate, runs, config = payload
     cache = _cache_for(config)
-    timed: list[tuple[ChunkRecord, float, dict[str, int] | None]] = []
-    for start, stop in runs:
-        session = _CacheSession(cache) if cache is not None else None
-        begin = time.perf_counter()
-        record = _run_chunk((spec, start, stop), cache=session)
-        seconds = time.perf_counter() - begin
-        stats = session.stats() if session is not None else None
-        timed.append((record, seconds, stats))
-    return timed
+    done: list[ItemResult] = []
+    for start, stop, item_payloads in runs:
+        done.extend(_run_chunk((evaluate, start, stop, item_payloads), cache))
+    return done
 
 
 def _contiguous_runs(items: Sequence[int]) -> list[tuple[int, int]]:
@@ -348,7 +438,7 @@ def _contiguous_runs(items: Sequence[int]) -> list[tuple[int, int]]:
 
 
 class SweepEngine:
-    """Run :class:`SweepSpec` instances over a pluggable executor.
+    """Run sweeps (:class:`SweepSpec`, :class:`CorpusSweep`) over an executor.
 
     Parameters
     ----------
@@ -373,9 +463,6 @@ class SweepEngine:
         process) are cleaned up on start.
     checkpoint_interval:
         Minimum seconds between checkpoint writes (0 = every chunk).
-    progress:
-        Optional per-item :class:`ProgressEvent` callback.  With a pool
-        executor, events for a chunk fire together on its completion.
     cache:
         Verdict-cache mode: ``"off"`` (default), ``"read"`` or
         ``"readwrite"``.  Cached verdicts are keyed by analysis content
@@ -398,7 +485,6 @@ class SweepEngine:
         chunker: AdaptiveChunker | None = None,
         checkpoint_path: str | Path | None = None,
         checkpoint_interval: float = 5.0,
-        progress: EngineProgress | None = None,
         cache: str = "off",
         cache_dir: str | Path | None = None,
     ) -> None:
@@ -413,43 +499,46 @@ class SweepEngine:
         self.chunker = chunker
         self.checkpoint_path = Path(checkpoint_path) if checkpoint_path else None
         self.checkpoint_interval = checkpoint_interval
-        self.progress = progress
         self.cache = cache
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
 
     # ------------------------------------------------------------------
     def run(
         self,
-        spec: SweepSpec,
+        spec: SweepSpec | CorpusSweep,
         shard: ShardSpec | None = None,
         shard_out: str | Path | None = None,
         stream: str | Path | None = None,
         items: Sequence[int] | None = None,
-    ) -> SweepResult:
+    ):
         """Execute the sweep (resuming from a checkpoint when present).
+
+        Returns the kind's reduction of the evaluated items: a
+        :class:`~repro.engine.results.SweepResult` for a grid sweep,
+        the kind's own result type otherwise.
 
         Parameters
         ----------
         spec:
             What to sweep.  A declarative
             :class:`~repro.engine.jobspec.JobSpec` runs through
-            :class:`~repro.engine.session.Session` instead, whose
-            registry hook builds this engine from the job's execution
-            policy and passes the workload's :class:`SweepSpec` here.
+            :class:`~repro.engine.session.Session` instead, which builds
+            this engine from the job's execution policy and passes the
+            workload's sweep here.
         shard:
             When set, evaluate only this slice of the item space; the
-            returned partial result reports, per utilisation point, the
-            counts over the shard's items (with matching ``n_tasksets``
-            denominators).  All shards of one spec merge bit-identically
-            to the unsharded run via
-            :func:`~repro.engine.shard.merge_shards`.
+            returned partial result reduces the shard's items only
+            (a grid sweep's points then report the shard's per-point
+            item counts as their denominators).  All shards of one spec
+            merge bit-identically to the unsharded run via
+            :func:`~repro.engine.registry.merge_artifacts`.
         shard_out:
             Write a shard artifact here on completion.  Without an
             explicit ``shard`` this means "the whole sweep as shard
             1/1" — a full run's artifact is mergeable on its own.
         stream:
-            JSONL stream path; every completed chunk is appended and
-            flushed the moment it finishes (checkpoint-restored chunks
+            JSONL stream path; every completed item is appended and
+            flushed the moment it finishes (checkpoint-restored items
             are replayed first so the file is self-contained).
         items:
             Explicit work-item subset (within the shard's slice) to
@@ -458,11 +547,14 @@ class SweepEngine:
             shard's remaining items across idle slots, and the
             resulting artifacts (same shard coordinates, disjoint item
             subsets) reassemble bit-identically through
-            :func:`~repro.engine.shard.merge_shards`.  Item RNG
-            derivation depends only on the item index, so any subset
-            produces exactly the per-item results of the full run.
+            :func:`~repro.engine.registry.merge_artifacts`.  An item's
+            rows depend only on its index, so any subset produces
+            exactly the per-item results of the full run.
         """
+        from repro.engine.registry import spec_for_artifact
+
         start_time = time.perf_counter()
+        kind = spec_for_artifact(spec.kind)
         if shard is None and (shard_out is not None or items is not None):
             shard = ShardSpec(0, 1)
         if items is not None:
@@ -484,17 +576,6 @@ class SweepEngine:
                 if shard is not None
                 else list(range(spec.total_items))
             )
-        planned_set = set(planned)
-        expected_in_point = [0] * spec.n_points
-        for item in planned:
-            expected_in_point[item // spec.n_tasksets] += 1
-
-        counts = {
-            point: {method.value: 0 for method in spec.methods}
-            for point in range(spec.n_points)
-        }
-        done_in_point = [0] * spec.n_points
-        done_items = 0
 
         fingerprint = spec.fingerprint()
         # A shard's checkpoint covers a different item subset, so it must
@@ -504,13 +585,12 @@ class SweepEngine:
         if shard is not None and shard.count > 1:
             checkpoint_fingerprint = f"{fingerprint}@shard{shard.label}"
 
-        records: list[ChunkRecord] = []
-        covered: set[int] = set()
+        records: Records = {}
         if self.checkpoint_path is not None:
             # A killed previous run may have orphaned its atomic-write
             # temp next to the checkpoint; sweep them before resuming.
             clean_stale_tmps(self.checkpoint_path)
-            loaded = load_checkpoint(self.checkpoint_path)
+            loaded = load_checkpoint(self.checkpoint_path, kind.row_codec)
             if loaded is not None:
                 if loaded.fingerprint != checkpoint_fingerprint:
                     raise AnalysisError(
@@ -518,24 +598,16 @@ class SweepEngine:
                         "different sweep (spec fingerprint mismatch); "
                         "delete it or use another path"
                     )
-                records = list(loaded.records)
-                covered = loaded.covered_items()
-                stale = [i for i in covered if i not in planned_set]
+                stale = loaded.covered_items() - set(planned)
                 if stale:
                     raise AnalysisError(
                         f"checkpoint {self.checkpoint_path} covers item "
                         f"{max(stale)}, outside this run's "
                         f"{len(planned)} planned items"
                     )
-                for record in records:
-                    done_items += record.stop - record.start
-                    for point, methods in record.counts.items():
-                        for method, count in methods.items():
-                            counts[point][method] += count
-                    for item in range(record.start, record.stop):
-                        done_in_point[item // spec.n_tasksets] += 1
+                records = loaded.records
 
-        remaining = [i for i in planned if i not in covered]
+        remaining = [i for i in planned if i not in records]
         sizer: AdaptiveChunker | None = None
         if self.chunk_size is None and self.executor.jobs > 1:
             sizer = self.chunker if self.chunker is not None else AdaptiveChunker()
@@ -551,32 +623,36 @@ class SweepEngine:
                 else DEFAULT_CACHE_DIR,
             )
 
+        meta = spec.meta
         writer = StreamWriter(stream) if stream is not None else None
         try:
             if writer is not None:
                 writer.write_header(
-                    kind=KIND_SWEEP,
+                    kind=spec.kind,
                     fingerprint=fingerprint,
                     total_items=spec.total_items,
-                    meta=sweep_meta(spec),
+                    meta=meta,
                     shard=(
                         {"index": shard.index, "count": shard.count}
                         if shard is not None
                         else None
                     ),
                 )
-                for record in records:
-                    writer.write_chunk(record, replayed=True)
+                for item in sorted(records):
+                    writer.write_item(item, records[item], replayed=True)
 
+            payloads = (
+                dict(zip(remaining, spec.payloads(remaining))) if remaining else {}
+            )
             last_save = time.monotonic()
             position = 0
             while position < len(remaining):
                 # One *wave* of executor payloads.  With a pinned chunk
-                # size a single wave covers everything (the legacy
-                # behaviour); adaptively-sized runs dispatch a few
-                # batches per wave, observe their worker-measured
-                # wall-times, and re-size the next wave — pools persist
-                # across map_unordered calls, so waves cost no respawns.
+                # size a single wave covers everything; adaptively-sized
+                # runs dispatch a few batches per wave, observe their
+                # worker-measured wall-times, and re-size the next wave
+                # — pools persist across map_unordered calls, so waves
+                # cost no respawns.
                 if sizer is None:
                     wave = remaining[position:]
                     size = self.chunk_size
@@ -587,41 +663,27 @@ class SweepEngine:
                         + size * self.executor.jobs * self.WAVE_FACTOR
                     ]
                 position += len(wave)
-                payloads = [
-                    (spec, tuple(batch), cache_config)
+                batches = [
+                    (
+                        spec.evaluate,
+                        [
+                            (start, stop, [payloads[i] for i in range(start, stop)])
+                            for start, stop in batch
+                        ],
+                        cache_config,
+                    )
                     for batch in self._chunks(wave, size)
                 ]
-                for batch in self.executor.map_unordered(_run_runs, payloads):
-                    for record, chunk_seconds, cache_stats in batch:
-                        records.append(record)
-                        if sizer is not None:
-                            sizer.observe(
-                                record.stop - record.start, chunk_seconds
-                            )
+                for done in self.executor.map_unordered(_run_batch, batches):
+                    for item, rows, seconds, cache_stats in done:
+                        records[item] = rows
                         if writer is not None:
-                            writer.write_chunk(
-                                record,
-                                elapsed_seconds=chunk_seconds,
+                            writer.write_item(
+                                item, rows, elapsed_seconds=seconds,
                                 cache=cache_stats,
                             )
-                        for point, methods in record.counts.items():
-                            for method, count in methods.items():
-                                counts[point][method] += count
-                        for item in range(record.start, record.stop):
-                            point = item // spec.n_tasksets
-                            done_in_point[point] += 1
-                            done_items += 1
-                            if self.progress is not None:
-                                self.progress(
-                                    ProgressEvent(
-                                        utilization=spec.utilizations[point],
-                                        point_index=point,
-                                        done_in_point=done_in_point[point],
-                                        n_tasksets=expected_in_point[point],
-                                        done_items=done_items,
-                                        total_items=len(planned),
-                                    )
-                                )
+                    if sizer is not None:
+                        sizer.observe(len(done), sum(entry[2] for entry in done))
                     if self.checkpoint_path is not None:
                         now = time.monotonic()
                         if now - last_save >= self.checkpoint_interval:
@@ -639,37 +701,23 @@ class SweepEngine:
 
             elapsed = time.perf_counter() - start_time
             if writer is not None:
-                writer.write_summary(done_items, elapsed)
+                writer.write_summary(len(records), elapsed)
         finally:
             if writer is not None:
                 writer.close()
 
+        artifact = ShardArtifact(
+            kind=spec.kind,
+            fingerprint=fingerprint,
+            shard=shard if shard is not None else ShardSpec(0, 1),
+            total_items=spec.total_items,
+            meta=meta,
+            records=records,
+            elapsed_seconds=elapsed,
+        )
         if shard_out is not None:
-            save_shard(
-                shard_out,
-                ShardArtifact(
-                    kind=KIND_SWEEP,
-                    fingerprint=fingerprint,
-                    shard=shard,
-                    total_items=spec.total_items,
-                    meta=sweep_meta(spec),
-                    records=records,
-                    elapsed_seconds=elapsed,
-                ),
-            )
-
-        points = tuple(
-            SweepPoint(utilization, expected_in_point[point], counts[point])
-            for point, utilization in enumerate(spec.utilizations)
-        )
-        return SweepResult(
-            m=spec.m,
-            label=spec.label,
-            seed=spec.seed,
-            points=points,
-            methods=tuple(method.value for method in spec.methods),
-            elapsed_seconds=time.perf_counter() - start_time,
-        )
+            save_shard(shard_out, artifact)
+        return kind.reduce(artifact)
 
     # ------------------------------------------------------------------
     def _chunks(

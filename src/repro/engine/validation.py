@@ -7,8 +7,8 @@ still surfaces when the database itself cannot be read):
 * **Completeness** — every published run must still hold exactly the
   row set it was published with: ``expected_rows`` (recorded at
   publish time from the validated full-coverage artifact set) versus
-  the rows actually present, and for row-based kinds the distinct
-  items present versus the workload's ``total_items``.  A truncated
+  the rows actually present, naming every item of the workload's
+  ``total_items`` that has no row left.  A truncated
   publication — rows lost to a partial copy or manual surgery — shows
   up here.
 * **Drift** — two runs with the same workload fingerprint are the
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.engine.shard import KIND_SWEEP
 from repro.engine.store import ResultStore
 
 __all__ = [
@@ -114,12 +113,9 @@ def check_completeness(store: ResultStore) -> tuple[CompletenessIssue, ...]:
             present = {
                 item for item, _seq, _payload in store.rows(record.run_id)
             }
-            if record.kind == KIND_SWEEP:
-                expected_items = range(record.expected_rows)
-            else:
-                expected_items = range(record.total_items)
             missing = tuple(
-                item for item in expected_items if item not in present
+                item for item in range(record.total_items)
+                if item not in present
             )
             issues.append(CompletenessIssue(
                 run_id=record.run_id,

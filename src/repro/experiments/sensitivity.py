@@ -11,12 +11,12 @@ plus the mean FP-ideal blocking slack
 (:func:`repro.core.sensitivity.blocking_slack`), a diagnostic for how
 much lower-priority blocking headroom the corpus carries.
 
-Execution shape: a row-per-item sweep on the shared
-:mod:`repro.engine.rowsweep` runner — the corpus is regenerated from
-the seed in every invocation, each task-set is one work item producing
-one four-float row, and reduction happens in corpus order, so serial ==
-parallel == sharded == merged, bit for bit.  Promoted to a first-class
-:class:`~repro.engine.jobspec.JobSpec` kind by
+Execution shape: a :class:`~repro.engine.sweep.CorpusSweep` on the one
+sweep engine — the corpus is regenerated from the seed in every
+invocation, each task-set is one work item producing one four-float
+row, and reduction happens in corpus order, so serial == parallel ==
+sharded == resumed == merged, bit for bit.  Registered as a
+first-class :class:`~repro.engine.jobspec.JobSpec` kind by
 :mod:`repro.engine.registry`.
 """
 
@@ -30,8 +30,7 @@ import numpy as np
 
 from repro.core.analyzer import AnalysisMethod
 from repro.core.sensitivity import blocking_slack, breakdown_utilization
-from repro.engine.rowsweep import collect_rows, run_row_sweep
-from repro.engine.shard import ShardArtifact
+from repro.engine.sweep import CorpusSweep
 from repro.generator.profiles import GROUP1, TasksetProfile
 from repro.generator.taskset_gen import generate_taskset
 from repro.model.taskset import TaskSet
@@ -41,8 +40,8 @@ __all__ = [
     "SensitivityPoint",
     "SensitivityResult",
     "sensitivity_fingerprint",
-    "run_sensitivity_job",
-    "merge_sensitivity_shards",
+    "sensitivity_sweep",
+    "reduce_sensitivity",
     "sensitivity_table",
     "write_sensitivity_csv",
 ]
@@ -105,10 +104,14 @@ def sensitivity_fingerprint(
 
 
 def _evaluate_sensitivity_item(
-    payload: tuple[int, TaskSet, int, float],
-) -> tuple[int, list[list[float]]]:
-    """One work item: a task-set's breakdowns + mean slack (in a worker)."""
-    index, taskset, m, max_scale = payload
+    payload: tuple[TaskSet, int, float], cache=None,
+) -> list[list[float]]:
+    """One work item: a task-set's breakdowns + mean slack (in a worker).
+
+    ``cache`` is unused: the verdict cache keys the grid sweeps'
+    multi-method analyses only.
+    """
+    taskset, m, max_scale = payload
     row = [
         float(breakdown_utilization(taskset, m, method, max_scale=max_scale))
         for method in SENSITIVITY_METHODS
@@ -117,24 +120,19 @@ def _evaluate_sensitivity_item(
     # Task insertion order is the corpus's generation order, so this
     # plain float sum is deterministic across executors.
     row.append(sum(slack.values()) / len(slack) if slack else 0.0)
-    return index, [row]
+    return [row]
 
 
-def _reduce_sensitivity_rows(
-    rows_in_order: list[list[tuple[float, ...]]],
-    n_evaluated: int,
-    *,
-    m: int,
-    utilization: float,
-    max_scale: float,
-) -> SensitivityResult:
-    """Corpus-order reduction shared by direct runs and shard merges."""
+def reduce_sensitivity(artifact) -> SensitivityResult:
+    """Corpus-order reduction behind inline runs, merges and exports."""
+    rows_in_order = [row for _, (row,) in sorted(artifact.records.items())]
+    n_evaluated = len(rows_in_order)
     points = []
     for column, method in enumerate(SENSITIVITY_METHODS):
         total = 0.0
-        for rows in rows_in_order:
-            total += rows[0][column]
-        values = [rows[0][column] for rows in rows_in_order]
+        for row in rows_in_order:
+            total += row[column]
+        values = [row[column] for row in rows_in_order]
         points.append(SensitivityPoint(
             method=method.value,
             n_tasksets=n_evaluated,
@@ -143,98 +141,50 @@ def _reduce_sensitivity_rows(
             max_breakdown=max(values) if values else 0.0,
         ))
     slack_total = 0.0
-    for rows in rows_in_order:
-        slack_total += rows[0][len(SENSITIVITY_METHODS)]
+    for row in rows_in_order:
+        slack_total += row[len(SENSITIVITY_METHODS)]
+    meta = artifact.meta
     return SensitivityResult(
-        m=m,
-        utilization=utilization,
-        max_scale=max_scale,
+        m=int(meta["m"]),
+        utilization=float(meta["utilization"]),
+        max_scale=float(meta["max_scale"]),
         n_tasksets=n_evaluated,
         points=tuple(points),
         mean_slack=slack_total / n_evaluated if n_evaluated else 0.0,
     )
 
 
-def run_sensitivity_job(job) -> SensitivityResult:
-    """Execute a ``kind="sensitivity"`` :class:`JobSpec` placement."""
-    workload, policy = job.workload, job.execution
-    return _run_sensitivity(
-        m=workload.m,
-        utilization=workload.utilization,
-        max_scale=workload.max_scale,
-        n_tasksets=workload.n_tasksets,
-        seed=workload.seed,
-        jobs=policy.jobs,
-        executor_kind=policy.executor,
-        shard=policy.shard,
-        shard_out=policy.shard_out,
-        stream=policy.stream,
+def sensitivity_sweep(workload) -> CorpusSweep:
+    """The engine sweep of a ``kind="sensitivity"`` workload: one item
+    per task-set of a GROUP1 corpus drawn from ``default_rng(seed)``."""
+    m, utilization, max_scale = (
+        workload.m, workload.utilization, workload.max_scale
     )
+    n_tasksets, seed = workload.n_tasksets, workload.seed
 
+    def corpus() -> list[tuple]:
+        rng = np.random.default_rng(seed)
+        return [
+            (generate_taskset(rng, utilization, GROUP1), m, max_scale)
+            for _ in range(n_tasksets)
+        ]
 
-def _run_sensitivity(
-    m: int,
-    utilization: float,
-    max_scale: float,
-    n_tasksets: int = 20,
-    seed: int = 2016,
-    profile: TasksetProfile = GROUP1,
-    jobs: int = 1,
-    executor_kind: str = "process",
-    shard=None,
-    shard_out: str | Path | None = None,
-    stream: str | Path | None = None,
-) -> SensitivityResult:
-    rng = np.random.default_rng(seed)
-    corpus = [
-        generate_taskset(rng, utilization, profile) for _ in range(n_tasksets)
-    ]
-    fingerprint = sensitivity_fingerprint(
-        m, utilization, max_scale, n_tasksets, seed, profile
-    )
-    meta = {
-        "m": m,
-        "utilization": utilization,
-        "max_scale": max_scale,
-        "n_tasksets": n_tasksets,
-        "seed": seed,
-        "methods": [method.value for method in SENSITIVITY_METHODS],
-    }
-    indexes, rows_in_order = run_row_sweep(
+    return CorpusSweep(
         kind=KIND_SENSITIVITY,
-        fingerprint=fingerprint,
+        digest=sensitivity_fingerprint(
+            m, utilization, max_scale, n_tasksets, seed, GROUP1
+        ),
         total_items=n_tasksets,
-        meta=meta,
+        meta={
+            "m": m,
+            "utilization": utilization,
+            "max_scale": max_scale,
+            "n_tasksets": n_tasksets,
+            "seed": seed,
+            "methods": [method.value for method in SENSITIVITY_METHODS],
+        },
         evaluate=_evaluate_sensitivity_item,
-        payload_for=lambda index: (index, corpus[index], m, max_scale),
-        jobs=jobs,
-        executor_kind=executor_kind,
-        shard=shard,
-        shard_out=shard_out,
-        stream=stream,
-    )
-    return _reduce_sensitivity_rows(
-        rows_in_order, len(indexes),
-        m=m, utilization=utilization, max_scale=max_scale,
-    )
-
-
-def merge_sensitivity_shards(shards) -> SensitivityResult:
-    """Recombine sensitivity shard artifacts, bit-identical to serial."""
-    from repro.engine.registry import row_codec_for
-
-    first, rows_in_order = collect_rows(
-        shards,
-        kind=KIND_SENSITIVITY,
-        row_codec=row_codec_for(KIND_SENSITIVITY),
-        rows_per_item=1,
-    )
-    return _reduce_sensitivity_rows(
-        rows_in_order,
-        first.total_items,
-        m=int(first.meta["m"]),
-        utilization=float(first.meta["utilization"]),
-        max_scale=float(first.meta["max_scale"]),
+        corpus=corpus,
     )
 
 

@@ -15,10 +15,10 @@ when an *analytically schedulable* task-set missed a deadline or
 overran a bound (which would falsify the analysis).  The merged result
 counts verdicts and violations; ``violations == 0`` is the validation.
 
-Execution shape: row-per-item on :mod:`repro.engine.rowsweep` (corpus
-regenerated from the seed, one item per task-set, corpus-order
-reduction), registered as a first-class JobSpec kind by
-:mod:`repro.engine.registry` — shardable, orchestratable,
+Execution shape: a :class:`~repro.engine.sweep.CorpusSweep` on the one
+sweep engine (corpus regenerated from the seed, one item per task-set,
+corpus-order reduction), registered as a first-class JobSpec kind by
+:mod:`repro.engine.registry` — shardable, resumable, orchestratable,
 daemon-dispatchable, bit-identical across all of them.
 """
 
@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.analyzer import AnalysisMethod, analyze_taskset
-from repro.engine.rowsweep import collect_rows, run_row_sweep
+from repro.engine.sweep import CorpusSweep
 from repro.generator.profiles import GROUP1, TasksetProfile
 from repro.generator.taskset_gen import generate_taskset
 from repro.model.taskset import TaskSet
@@ -40,8 +40,8 @@ from repro.sim import simulate, synchronous_periodic_releases
 __all__ = [
     "SimulationValidation",
     "simulation_fingerprint",
-    "run_simulate_job",
-    "merge_simulation_shards",
+    "simulation_sweep",
+    "reduce_simulation",
     "simulation_table",
     "write_simulation_csv",
 ]
@@ -97,10 +97,14 @@ def simulation_fingerprint(
 
 
 def _evaluate_simulate_item(
-    payload: tuple[int, TaskSet, int, float],
-) -> tuple[int, list[list]]:
-    """One work item: analyse + simulate one task-set (in a worker)."""
-    index, taskset, m, horizon_factor = payload
+    payload: tuple[TaskSet, int, float], cache=None,
+) -> list[list]:
+    """One work item: analyse + simulate one task-set (in a worker).
+
+    ``cache`` is unused: the verdict cache keys the grid sweeps'
+    multi-method analyses only.
+    """
+    taskset, m, horizon_factor = payload
     verdict = analyze_taskset(taskset, m, SIMULATE_METHOD)
     horizon = horizon_factor * max(task.period for task in taskset)
     sim = simulate(taskset, m, synchronous_periodic_releases(taskset, horizon))
@@ -116,33 +120,28 @@ def _evaluate_simulate_item(
                 max_ratio = max(max_ratio, stats.max_response / bound.response)
                 if stats.max_response > bound.response:
                     violation = True
-    row = [bool(verdict.schedulable), misses, float(max_ratio), violation]
-    return index, [row]
+    return [[bool(verdict.schedulable), misses, float(max_ratio), violation]]
 
 
-def _reduce_simulation_rows(
-    rows_in_order: list[list[tuple]],
-    n_evaluated: int,
-    *,
-    m: int,
-    utilization: float,
-    horizon_factor: float,
-) -> SimulationValidation:
-    """Corpus-order reduction shared by direct runs and shard merges."""
+def reduce_simulation(artifact) -> SimulationValidation:
+    """Corpus-order reduction behind inline runs, merges and exports."""
     schedulable = 0
     missed = 0
     violations = 0
     max_ratio = 0.0
-    for rows in rows_in_order:
-        verdict, misses, ratio, violation = rows[0]
+    n_evaluated = 0
+    for _, (row,) in sorted(artifact.records.items()):
+        verdict, misses, ratio, violation = row
         schedulable += bool(verdict)
         missed += bool(misses)
         violations += bool(violation)
         max_ratio = max(max_ratio, ratio)
+        n_evaluated += 1
+    meta = artifact.meta
     return SimulationValidation(
-        m=m,
-        utilization=utilization,
-        horizon_factor=horizon_factor,
+        m=int(meta["m"]),
+        utilization=float(meta["utilization"]),
+        horizon_factor=float(meta["horizon_factor"]),
         n_tasksets=n_evaluated,
         analyzed_schedulable=schedulable,
         missed_tasksets=missed,
@@ -151,86 +150,37 @@ def _reduce_simulation_rows(
     )
 
 
-def run_simulate_job(job) -> SimulationValidation:
-    """Execute a ``kind="simulate"`` :class:`JobSpec` placement."""
-    workload, policy = job.workload, job.execution
-    return _run_simulation_sweep(
-        m=workload.m,
-        utilization=workload.utilization,
-        horizon_factor=workload.horizon_factor,
-        n_tasksets=workload.n_tasksets,
-        seed=workload.seed,
-        jobs=policy.jobs,
-        executor_kind=policy.executor,
-        shard=policy.shard,
-        shard_out=policy.shard_out,
-        stream=policy.stream,
+def simulation_sweep(workload) -> CorpusSweep:
+    """The engine sweep of a ``kind="simulate"`` workload: one item per
+    task-set of a GROUP1 corpus drawn from ``default_rng(seed)``."""
+    m, utilization, horizon_factor = (
+        workload.m, workload.utilization, workload.horizon_factor
     )
+    n_tasksets, seed = workload.n_tasksets, workload.seed
 
+    def corpus() -> list[tuple]:
+        rng = np.random.default_rng(seed)
+        return [
+            (generate_taskset(rng, utilization, GROUP1), m, horizon_factor)
+            for _ in range(n_tasksets)
+        ]
 
-def _run_simulation_sweep(
-    m: int,
-    utilization: float,
-    horizon_factor: float,
-    n_tasksets: int = 20,
-    seed: int = 2016,
-    profile: TasksetProfile = GROUP1,
-    jobs: int = 1,
-    executor_kind: str = "process",
-    shard=None,
-    shard_out: str | Path | None = None,
-    stream: str | Path | None = None,
-) -> SimulationValidation:
-    rng = np.random.default_rng(seed)
-    corpus = [
-        generate_taskset(rng, utilization, profile) for _ in range(n_tasksets)
-    ]
-    fingerprint = simulation_fingerprint(
-        m, utilization, horizon_factor, n_tasksets, seed, profile
-    )
-    meta = {
-        "m": m,
-        "utilization": utilization,
-        "horizon_factor": horizon_factor,
-        "n_tasksets": n_tasksets,
-        "seed": seed,
-        "method": SIMULATE_METHOD.value,
-    }
-    indexes, rows_in_order = run_row_sweep(
+    return CorpusSweep(
         kind=KIND_SIMULATE,
-        fingerprint=fingerprint,
+        digest=simulation_fingerprint(
+            m, utilization, horizon_factor, n_tasksets, seed, GROUP1
+        ),
         total_items=n_tasksets,
-        meta=meta,
+        meta={
+            "m": m,
+            "utilization": utilization,
+            "horizon_factor": horizon_factor,
+            "n_tasksets": n_tasksets,
+            "seed": seed,
+            "method": SIMULATE_METHOD.value,
+        },
         evaluate=_evaluate_simulate_item,
-        payload_for=lambda index: (index, corpus[index], m, horizon_factor),
-        jobs=jobs,
-        executor_kind=executor_kind,
-        shard=shard,
-        shard_out=shard_out,
-        stream=stream,
-    )
-    return _reduce_simulation_rows(
-        rows_in_order, len(indexes),
-        m=m, utilization=utilization, horizon_factor=horizon_factor,
-    )
-
-
-def merge_simulation_shards(shards) -> SimulationValidation:
-    """Recombine simulate shard artifacts, bit-identical to serial."""
-    from repro.engine.registry import row_codec_for
-
-    first, rows_in_order = collect_rows(
-        shards,
-        kind=KIND_SIMULATE,
-        row_codec=row_codec_for(KIND_SIMULATE),
-        rows_per_item=1,
-    )
-    return _reduce_simulation_rows(
-        rows_in_order,
-        first.total_items,
-        m=int(first.meta["m"]),
-        utilization=float(first.meta["utilization"]),
-        horizon_factor=float(first.meta["horizon_factor"]),
+        corpus=corpus,
     )
 
 

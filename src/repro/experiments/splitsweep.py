@@ -19,14 +19,13 @@ Two regimes, matching the paper's framing:
   so utilisation grows as NPRs shrink and schedulability becomes
   non-monotone — the placement problem of refs [12], [17], [18].
 
-Execution shape: a row-per-item sweep on the shared
-:mod:`repro.engine.rowsweep` runner.  The corpus is regenerated from
-the seed in every invocation; each task-set's evaluation across all
-thresholds is one work item, and per-threshold aggregates are reduced
-in corpus order, so serial == parallel == sharded == merged, bit for
-bit, float sums included.  A shard invocation writes a
-``kind="splitsweep"`` artifact of per-item rows, and a ``stream`` path
-emits one JSONL line per task-set as it completes.
+Execution shape: a :class:`~repro.engine.sweep.CorpusSweep` on the
+one sweep engine.  The corpus is regenerated from the seed in every
+invocation; each task-set's evaluation across all thresholds is one
+work item whose rows are one ``(Σq, task count, utilisation,
+schedulable)`` tuple per threshold, and per-threshold aggregates are
+reduced in corpus order, so serial == parallel == sharded == resumed ==
+merged, bit for bit, float sums included.
 """
 
 from __future__ import annotations
@@ -39,8 +38,7 @@ import numpy as np
 
 from repro.exceptions import AnalysisError, ShardError
 from repro.core.analyzer import AnalysisMethod, analyze_taskset
-from repro.engine.rowsweep import collect_rows, run_row_sweep
-from repro.engine.shard import KIND_SPLITSWEEP
+from repro.engine.sweep import CorpusSweep
 from repro.generator.profiles import GROUP1, TasksetProfile
 from repro.generator.taskset_gen import generate_taskset
 from repro.model.taskset import TaskSet
@@ -74,16 +72,16 @@ def split_taskset(
 
 
 def _evaluate_split_item(
-    payload: tuple[int, TaskSet, int, tuple[float, ...], AnalysisMethod, float],
-) -> tuple[int, list[tuple[int, int, float, bool]]]:
-    """One task-set across all thresholds (runs in a worker process).
+    payload: tuple[TaskSet, int, tuple[float, ...], AnalysisMethod, float],
+    cache=None,
+) -> list[tuple[int, int, float, bool]]:
+    """One task-set across all thresholds (runs in a worker).
 
-    Returns the corpus index and, per threshold, ``(Σq, task count,
-    total utilisation, schedulable)`` of the split task-set.  The index
-    tag lets results stream in completion order yet reduce in corpus
-    order (float sums stay bit-identical for any executor or shard).
+    Returns, per threshold, ``(Σq, task count, total utilisation,
+    schedulable)`` of the split task-set.  ``cache`` is unused: the
+    verdict cache keys the grid sweeps' multi-method analyses only.
     """
-    index, taskset, m, thresholds, method, overhead = payload
+    taskset, m, thresholds, method, overhead = payload
     rows: list[tuple[int, int, float, bool]] = []
     for threshold in thresholds:
         split = split_taskset(taskset, threshold, overhead=overhead)
@@ -95,7 +93,7 @@ def _evaluate_split_item(
                 analyze_taskset(split, m, method).schedulable,
             )
         )
-    return index, rows
+    return rows
 
 
 def split_sweep_fingerprint(
@@ -125,17 +123,21 @@ def split_sweep_fingerprint(
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _reduce_split_rows(
-    thresholds: tuple[float, ...],
-    rows_in_order: list[list[tuple[int, int, float, bool]]],
-    n_evaluated: int,
-) -> list[SplitSweepPoint]:
-    """Fold per-item rows (already in corpus order) into sweep points.
+def reduce_splitsweep(artifact) -> list[SplitSweepPoint]:
+    """Fold a split-sweep artifact's rows, in corpus order, into points.
 
-    This is the single reduction path shared by direct runs and
-    :func:`merge_splitsweep_shards`, so both sum in the same order and
-    agree bit-for-bit.
+    The one reduction behind inline runs, shard merges and store
+    exports, so all of them sum in the same order and agree
+    bit-for-bit.
     """
+    thresholds = tuple(float(t) for t in artifact.meta["thresholds"])
+    rows_in_order = [rows for _, rows in sorted(artifact.records.items())]
+    if any(len(rows) != len(thresholds) for rows in rows_in_order):
+        raise ShardError(
+            f"a splitsweep item does not hold one row for each of the "
+            f"{len(thresholds)} thresholds; artifact is corrupt"
+        )
+    n_evaluated = len(rows_in_order)
     points: list[SplitSweepPoint] = []
     for t_index, threshold in enumerate(thresholds):
         good = 0
@@ -189,64 +191,40 @@ def splitsweep_job(
     )
 
 
-def run_splitsweep_job(job) -> list[SplitSweepPoint]:
-    """Execute a ``kind="splitsweep"`` :class:`JobSpec` placement.
+def splitsweep_sweep(workload) -> CorpusSweep:
+    """The engine sweep of a ``kind="splitsweep"`` workload.
 
-    The same ``n_tasksets`` task-sets are re-analysed at every
+    One item per task-set of a GROUP1 corpus drawn from
+    ``default_rng(seed)``; the same task-sets are re-analysed at every
     threshold, so points are directly comparable.
     """
-    workload, policy = job.workload, job.execution
     m, thresholds, overhead = workload.m, workload.thresholds, workload.overhead
     method = AnalysisMethod.LP_ILP
-    rng = np.random.default_rng(workload.seed)
-    corpus = [
-        generate_taskset(rng, workload.utilization, GROUP1)
-        for _ in range(workload.n_tasksets)
-    ]
-    meta = {
-        "m": m,
-        "utilization": workload.utilization,
-        "thresholds": list(thresholds),
-        "n_tasksets": workload.n_tasksets,
-        "seed": workload.seed,
-        "overhead": overhead,
-        "method": method.value,
-    }
-    indexes, rows_in_order = run_row_sweep(
-        kind=KIND_SPLITSWEEP,
-        fingerprint=job.fingerprint(),
-        total_items=workload.n_tasksets,
-        meta=meta,
-        evaluate=_evaluate_split_item,
-        payload_for=lambda index: (
-            index, corpus[index], m, thresholds, method, overhead
+
+    def corpus() -> list[tuple]:
+        rng = np.random.default_rng(workload.seed)
+        return [
+            (generate_taskset(rng, workload.utilization, GROUP1),
+             m, thresholds, method, overhead)
+            for _ in range(workload.n_tasksets)
+        ]
+
+    return CorpusSweep(
+        kind="splitsweep",
+        digest=split_sweep_fingerprint(
+            m, workload.utilization, thresholds, workload.n_tasksets,
+            workload.seed, GROUP1, method, overhead,
         ),
-        jobs=policy.jobs,
-        executor_kind=policy.executor,
-        shard=policy.shard,
-        shard_out=policy.shard_out,
-        stream=policy.stream,
+        total_items=workload.n_tasksets,
+        meta={
+            "m": m,
+            "utilization": workload.utilization,
+            "thresholds": list(thresholds),
+            "n_tasksets": workload.n_tasksets,
+            "seed": workload.seed,
+            "overhead": overhead,
+            "method": method.value,
+        },
+        evaluate=_evaluate_split_item,
+        corpus=corpus,
     )
-    return _reduce_split_rows(thresholds, rows_in_order, len(indexes))
-
-
-def merge_splitsweep_shards(shards) -> list[SplitSweepPoint]:
-    """Recombine split-sweep shard artifacts, bit-identical to serial."""
-    from repro.engine.registry import row_codec_for
-
-    first, rows_in_order = collect_rows(
-        shards, kind=KIND_SPLITSWEEP, row_codec=row_codec_for(KIND_SPLITSWEEP),
-    )
-    raw_thresholds = first.meta.get("thresholds")
-    if not isinstance(raw_thresholds, (list, tuple)) or not raw_thresholds:
-        raise ShardError(
-            "splitsweep shard metadata is missing its thresholds list; "
-            "artifact is corrupt"
-        )
-    thresholds = tuple(float(t) for t in raw_thresholds)
-    if any(len(rows) != len(thresholds) for rows in rows_in_order):
-        raise ShardError(
-            f"a splitsweep shard item does not hold one row for each of "
-            f"the {len(thresholds)} thresholds; artifact is corrupt"
-        )
-    return _reduce_split_rows(thresholds, rows_in_order, first.total_items)

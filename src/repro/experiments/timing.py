@@ -29,7 +29,7 @@ from repro.core.analyzer import AnalysisMethod, analyze_taskset
 from repro.core.blocking import RhoSolver
 from repro.core.workload import MuMethod
 from repro.engine.executors import make_executor, map_ordered
-from repro.engine.rowsweep import collect_rows, run_row_sweep
+from repro.engine.sweep import CorpusSweep
 from repro.generator.profiles import GROUP1, TasksetProfile
 from repro.generator.taskset_gen import generate_taskset
 from repro.model.taskset import TaskSet
@@ -166,15 +166,16 @@ def timing_fingerprint(
 
 
 def _evaluate_timing_item(
-    payload: tuple[int, int, int, int, int, float],
-) -> tuple[int, list[list]]:
+    payload: tuple[int, int, int, int, float], cache=None,
+) -> list[list]:
     """One work item: generate + time one sample (in a worker).
 
     The task-set is regenerated in the worker from the item's own
     ``SeedSequence(seed, spawn_key=(core_index, sample_index))`` —
     payloads stay tiny and every shard sees the identical corpus.
+    ``cache`` is unused: timing measures the uncached analysis.
     """
-    index, m, seed, core_index, sample_index, utilization_factor = payload
+    m, seed, core_index, sample_index, utilization_factor = payload
     rng = np.random.default_rng(
         np.random.SeedSequence(seed, spawn_key=(core_index, sample_index))
     )
@@ -182,21 +183,18 @@ def _evaluate_timing_item(
     start = time.perf_counter()
     result = analyze_taskset(taskset, m, AnalysisMethod.LP_ILP)
     seconds = time.perf_counter() - start
-    return index, [[float(seconds), bool(result.schedulable)]]
+    return [[float(seconds), bool(result.schedulable)]]
 
 
-def _reduce_timing_rows(
-    core_counts: tuple[int, ...],
-    samples: int,
-    indexes: list[int],
-    rows_in_order: list[list[tuple[float, bool]]],
-) -> list[TimingRow]:
+def reduce_timing(artifact) -> list[TimingRow]:
     """Per-core-count aggregation over whichever items were evaluated."""
+    core_counts = tuple(int(c) for c in artifact.meta["core_counts"])
+    samples = int(artifact.meta["n_tasksets"])
     by_core: dict[int, list[tuple[float, bool]]] = {
         core_index: [] for core_index in range(len(core_counts))
     }
-    for index, rows in zip(indexes, rows_in_order):
-        by_core[index // samples].append(rows[0])
+    for item, (row,) in sorted(artifact.records.items()):
+        by_core[item // samples].append(row)
     out: list[TimingRow] = []
     for core_index, m in enumerate(core_counts):
         timed = by_core[core_index]
@@ -213,81 +211,31 @@ def _reduce_timing_rows(
     return out
 
 
-def run_timing_job(job) -> list[TimingRow]:
-    """Execute a ``kind="timing"`` :class:`JobSpec` placement."""
-    workload, policy = job.workload, job.execution
-    return _run_timing_sweep(
-        core_counts=workload.core_counts,
-        samples=workload.n_tasksets,
-        seed=workload.seed,
-        utilization_factor=workload.utilization_factor,
-        jobs=policy.jobs,
-        executor_kind=policy.executor,
-        shard=policy.shard,
-        shard_out=policy.shard_out,
-        stream=policy.stream,
-    )
-
-
-def _run_timing_sweep(
-    core_counts: tuple[int, ...] = (4, 8, 16),
-    samples: int = 20,
-    seed: int = 2016,
-    utilization_factor: float = 0.5,
-    jobs: int = 1,
-    executor_kind: str = "process",
-    shard=None,
-    shard_out: str | Path | None = None,
-    stream: str | Path | None = None,
-) -> list[TimingRow]:
-    core_counts = tuple(int(c) for c in core_counts)
-    fingerprint = timing_fingerprint(
-        core_counts, samples, seed, utilization_factor, GROUP1
-    )
-    meta = {
-        "core_counts": list(core_counts),
-        "n_tasksets": samples,
-        "seed": seed,
-        "utilization_factor": utilization_factor,
-        "method": AnalysisMethod.LP_ILP.value,
-    }
-    indexes, rows_in_order = run_row_sweep(
+def timing_sweep(workload) -> CorpusSweep:
+    """The engine sweep of a ``kind="timing"`` workload: item
+    ``core_index * samples + sample_index`` times one sample."""
+    core_counts = tuple(int(c) for c in workload.core_counts)
+    samples, seed = workload.n_tasksets, workload.seed
+    utilization_factor = workload.utilization_factor
+    return CorpusSweep(
         kind=KIND_TIMING,
-        fingerprint=fingerprint,
-        total_items=len(core_counts) * samples,
-        meta=meta,
-        evaluate=_evaluate_timing_item,
-        payload_for=lambda index: (
-            index,
-            core_counts[index // samples],
-            seed,
-            index // samples,
-            index % samples,
-            utilization_factor,
+        digest=timing_fingerprint(
+            core_counts, samples, seed, utilization_factor, GROUP1
         ),
-        jobs=jobs,
-        executor_kind=executor_kind,
-        shard=shard,
-        shard_out=shard_out,
-        stream=stream,
-    )
-    return _reduce_timing_rows(core_counts, samples, indexes, rows_in_order)
-
-
-def merge_timing_shards(shards) -> list[TimingRow]:
-    """Recombine timing shard artifacts (full item coverage)."""
-    from repro.engine.registry import row_codec_for
-
-    first, rows_in_order = collect_rows(
-        shards,
-        kind=KIND_TIMING,
-        row_codec=row_codec_for(KIND_TIMING),
-        rows_per_item=1,
-    )
-    core_counts = tuple(int(c) for c in first.meta["core_counts"])
-    samples = int(first.meta["n_tasksets"])
-    return _reduce_timing_rows(
-        core_counts, samples, list(range(first.total_items)), rows_in_order
+        total_items=len(core_counts) * samples,
+        meta={
+            "core_counts": list(core_counts),
+            "n_tasksets": samples,
+            "seed": seed,
+            "utilization_factor": utilization_factor,
+            "method": AnalysisMethod.LP_ILP.value,
+        },
+        evaluate=_evaluate_timing_item,
+        corpus=lambda: [
+            (m, seed, core_index, sample_index, utilization_factor)
+            for core_index, m in enumerate(core_counts)
+            for sample_index in range(samples)
+        ],
     )
 
 

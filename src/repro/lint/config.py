@@ -51,8 +51,7 @@ DEFAULT_ROLES: dict[str, tuple[str, ...]] = {
     "merge-paths": (
         "repro.engine.shard",
         "repro.engine.results",
-        "repro.engine.rowsweep",
-        "repro.engine.livemerge",
+            "repro.engine.livemerge",
         "repro.core.fingerprint",
         "repro.experiments.splitsweep",
     ),

@@ -181,21 +181,20 @@ def job_specs(draw):
         ))
     )
     execution_kwargs["shard"] = shard
-    if workload.supports_checkpoint:
-        execution_kwargs["chunk_size"] = draw(
-            st.one_of(st.none(), st.integers(1, 100))
-        )
-        execution_kwargs["checkpoint"] = draw(
-            st.one_of(st.none(), st.just("out/ckpt.json"))
-        )
-        if shard is not None:
-            items = draw(st.one_of(st.none(), st.lists(
-                st.integers(0, 50), min_size=1, max_size=8, unique=True,
-            )))
-            if items is not None:
-                execution_kwargs["items"] = tuple(
-                    item * shard.count + shard.index for item in items
-                )
+    execution_kwargs["chunk_size"] = draw(
+        st.one_of(st.none(), st.integers(1, 100))
+    )
+    execution_kwargs["checkpoint"] = draw(
+        st.one_of(st.none(), st.just("out/ckpt.json"))
+    )
+    if shard is not None:
+        items = draw(st.one_of(st.none(), st.lists(
+            st.integers(0, 50), min_size=1, max_size=8, unique=True,
+        )))
+        if items is not None:
+            execution_kwargs["items"] = tuple(
+                item * shard.count + shard.index for item in items
+            )
     return JobSpec(workload=workload, execution=ExecutionPolicy(**execution_kwargs))
 
 

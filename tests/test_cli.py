@@ -316,11 +316,15 @@ class TestAliases:
         ["figure2", "--m", "0"],
         ["group2", "--step", "0"],
         ["splitsweep", "--overhead", "-1"],
-    ], ids=["figure2", "group2", "splitsweep"])
+        ["breakdown", "--m", "0"],
+        ["breakdown", "--utilization", "-1"],
+    ], ids=["figure2", "group2", "splitsweep", "breakdown-m",
+            "breakdown-utilization"])
     def test_bad_input_is_one_line_error(self, argv, capsys):
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith(f"{argv[0]}:")
+        assert len(captured.err.splitlines()) == 1
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
@@ -386,7 +390,7 @@ class TestSweepOrchestrate:
 
         status = SimpleNamespace(
             manifest={"shards": [], "shard_count": 2, "experiment": "figure2"},
-            view=ClusterView(total_items=10, done_items=0, counts={},
+            view=ClusterView(total_items=10, done_items=0,
                              shards=(), timings=()),
             artifacts_done=[],
             state="running",

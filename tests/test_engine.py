@@ -9,9 +9,7 @@ import pytest
 from repro.core.analyzer import AnalysisMethod
 from repro.engine.checkpoint import (
     FORMAT_VERSION,
-    ChunkRecord,
     SweepCheckpoint,
-    coalesce_records,
     load_checkpoint,
     save_checkpoint,
 )
@@ -22,16 +20,16 @@ from repro.engine.executors import (
     make_executor,
     map_ordered,
 )
+from repro.engine.registry import merge_artifacts
 from repro.engine.shard import (
     ShardArtifact,
     ShardSpec,
     load_shard,
-    merge_shards,
     parse_items,
     parse_shard,
     save_shard,
 )
-from repro.engine.sweep import SweepEngine, SweepSpec, _contiguous_runs
+from repro.engine.sweep import SweepEngine, SweepSpec, _contiguous_runs, _run_chunk
 from repro.exceptions import AnalysisError, CheckpointError, ShardError
 from repro.generator.profiles import GROUP1
 
@@ -229,47 +227,36 @@ class TestEngineRun:
             p.schedulable for p in serial_result.points
         ]
 
-    def test_progress_events(self):
-        events = []
-        SweepEngine(progress=events.append).run(_spec(n_tasksets=3))
-        assert [(e.utilization, e.done_in_point, e.n_tasksets) for e in events] == [
-            (0.5, 1, 3), (0.5, 2, 3), (0.5, 3, 3),
-            (1.5, 1, 3), (1.5, 2, 3), (1.5, 3, 3),
-        ]
-        assert [e.done_items for e in events] == list(range(1, 7))
-        assert all(e.total_items == 6 for e in events)
+
+def _records(spec, start, stop):
+    """Items ``start .. stop - 1`` evaluated as one chunk, as records."""
+    done = _run_chunk(
+        (spec.evaluate, start, stop, spec.payloads(range(start, stop)))
+    )
+    return {item: rows for item, rows, _seconds, _cache in done}
 
 
 class TestCheckpoint:
-    def test_coalesce(self):
-        records = [
-            ChunkRecord(3, 5, {0: {"X": 1}}),
-            ChunkRecord(0, 3, {0: {"X": 2}}),
-            ChunkRecord(7, 9, {1: {"X": 1}}),
-        ]
-        merged = coalesce_records(records)
-        assert [(r.start, r.stop) for r in merged] == [(0, 5), (7, 9)]
-        assert merged[0].counts == {0: {"X": 3}}
-
-    def test_coalesce_rejects_overlap(self):
-        with pytest.raises(CheckpointError):
-            coalesce_records([ChunkRecord(0, 3, {}), ChunkRecord(2, 4, {})])
-
-    def test_coalesce_rejects_nested_overlap(self):
-        with pytest.raises(CheckpointError):
-            coalesce_records(
-                [ChunkRecord(0, 10, {0: {"X": 1}}), ChunkRecord(4, 6, {0: {"X": 1}})]
-            )
+    def test_duplicate_items_rejected(self, tmp_path):
+        path = tmp_path / "cp.json"
+        record = {"item": 3, "rows": [[True]]}
+        path.write_text(json.dumps({
+            "version": FORMAT_VERSION, "fingerprint": "x",
+            "records": [record, record],
+        }))
+        with pytest.raises(CheckpointError, match="twice"):
+            load_checkpoint(path)
 
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "cp.json"
         assert load_checkpoint(path) is None
-        checkpoint = SweepCheckpoint("abc", [ChunkRecord(0, 2, {0: {"X": 1}})])
+        checkpoint = SweepCheckpoint("abc", {1: [[False, True]], 0: [[True, True]]})
         save_checkpoint(path, checkpoint)
         loaded = load_checkpoint(path)
         assert loaded.fingerprint == "abc"
-        assert loaded.records == [ChunkRecord(0, 2, {0: {"X": 1}})]
+        assert loaded.records == {0: [[True, True]], 1: [[False, True]]}
         assert loaded.covered_items() == {0, 1}
+        assert [r["item"] for r in json.loads(path.read_text())["records"]] == [0, 1]
 
     def test_corrupt_rejected(self, tmp_path):
         path = tmp_path / "cp.json"
@@ -284,7 +271,7 @@ class TestCheckpoint:
         # A write torn mid-file (pre-atomic-save legacy, disk-full, ...)
         # must surface as CheckpointError, not json.JSONDecodeError.
         path = tmp_path / "cp.json"
-        save_checkpoint(path, SweepCheckpoint("abc", [ChunkRecord(0, 2, {0: {"X": 1}})]))
+        save_checkpoint(path, SweepCheckpoint("abc", {0: [[True]], 1: [[False]]}))
         full = path.read_text()
         path.write_text(full[: len(full) // 2])
         with pytest.raises(CheckpointError):
@@ -292,13 +279,13 @@ class TestCheckpoint:
 
     def test_missing_fields_raise_checkpoint_error(self, tmp_path):
         path = tmp_path / "cp.json"
-        path.write_text(json.dumps({"version": 1, "fingerprint": "x"}))
+        path.write_text(json.dumps({"version": FORMAT_VERSION, "fingerprint": "x"}))
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
         path.write_text(
             json.dumps(
                 {
-                    "version": 1,
+                    "version": FORMAT_VERSION,
                     "fingerprint": "x",
                     "records": [{"start": 0, "counts": {}}],
                 }
@@ -365,22 +352,21 @@ class TestCheckpoint:
         # The tmp file must never linger, and an existing checkpoint
         # survives a failed overwrite attempt (rename is all-or-nothing).
         path = tmp_path / "cp.json"
-        save_checkpoint(path, SweepCheckpoint("abc", []))
+        save_checkpoint(path, SweepCheckpoint("abc", {}))
         leftovers = [p for p in sorted(tmp_path.iterdir()) if p.name != "cp.json"]
         assert leftovers == []
         assert load_checkpoint(path).fingerprint == "abc"
 
     def test_resume_matches_uninterrupted_run(self, tmp_path):
-        from repro.engine.sweep import _run_chunk
-
         spec = _spec()
         path = tmp_path / "sweep.json"
         full = SweepEngine().run(spec)
 
         # Simulate an interrupted run: a checkpoint covering only the
         # first 5 of the 12 work items.
-        partial = _run_chunk((spec, 0, 5))
-        save_checkpoint(path, SweepCheckpoint(spec.fingerprint(), [partial]))
+        save_checkpoint(
+            path, SweepCheckpoint(spec.fingerprint(), _records(spec, 0, 5))
+        )
 
         resumed = SweepEngine(checkpoint_path=path).run(spec)
         assert [p.schedulable for p in resumed.points] == [
@@ -415,21 +401,19 @@ class TestCheckpoint:
         # items end in the middle of what a chunk_size=4 run would
         # schedule as one chunk.  Resuming with a *different* chunk size
         # must slice the remainder afresh and still match bit-for-bit.
-        from repro.engine.sweep import _run_chunk
-
         spec = _spec()  # 2 points x 6 task-sets = 12 items
         full = SweepEngine().run(spec)
         path = tmp_path / "sweep.json"
-        partial = [_run_chunk((spec, 0, 3)), _run_chunk((spec, 7, 9))]
+        partial = {**_records(spec, 0, 3), **_records(spec, 7, 9)}
         save_checkpoint(path, SweepCheckpoint(spec.fingerprint(), partial))
 
         resumed = SweepEngine(checkpoint_path=path, chunk_size=4).run(spec)
         assert [p.schedulable for p in resumed.points] == [
             p.schedulable for p in full.points
         ]
-        # The final checkpoint coalesces to exactly the full item space.
+        # The final checkpoint covers exactly the full item space.
         records = load_checkpoint(path).records
-        assert [(r.start, r.stop) for r in records] == [(0, spec.total_items)]
+        assert sorted(records) == list(range(spec.total_items))
 
     def test_version_mismatch_rejected_by_engine(self, tmp_path):
         path = tmp_path / "sweep.json"
@@ -493,13 +477,13 @@ class TestShardMerge:
         spec = _spec()
         paths = self._artifacts(spec, 3, tmp_path)
         with pytest.raises(ShardError, match="gap"):
-            merge_shards([paths[0], paths[2]])
+            merge_artifacts([paths[0], paths[2]])
 
     def test_merge_detects_duplicate_shard(self, tmp_path):
         spec = _spec()
         paths = self._artifacts(spec, 2, tmp_path)
         with pytest.raises(ShardError, match="duplicate|overlap"):
-            merge_shards([paths[0], paths[0], paths[1]])
+            merge_artifacts([paths[0], paths[0], paths[1]])
 
     def test_merge_rejects_mixed_sweeps(self, tmp_path):
         a = self._artifacts(_spec(), 2, tmp_path)
@@ -507,7 +491,7 @@ class TestShardMerge:
         other.mkdir()
         b = self._artifacts(_spec(seed=99), 2, other)
         with pytest.raises(ShardError, match="fingerprint"):
-            merge_shards([a[0], b[1]])
+            merge_artifacts([a[0], b[1]])
 
     def test_merge_rejects_inconsistent_counts(self, tmp_path):
         spec = _spec()
@@ -515,7 +499,7 @@ class TestShardMerge:
         third = tmp_path / "third.json"
         SweepEngine().run(spec, shard=ShardSpec(1, 3), shard_out=third)
         with pytest.raises(ShardError, match="shard count"):
-            merge_shards([half, third])
+            merge_artifacts([half, third])
 
     def test_load_rejects_version_and_kind_skew(self, tmp_path):
         spec = _spec()
@@ -537,26 +521,38 @@ class TestShardMerge:
         spec = _spec()
         paths = self._artifacts(spec, 2, tmp_path)
         corrupt = load_shard(paths[0])
-        corrupt.records.append(ChunkRecord(1, 2, {0: {"X": 1}}))  # shard 2's item
+        corrupt.records[1] = [(True, True, True)]  # shard 2's item
         with pytest.raises(ShardError, match="outside its slice"):
-            merge_shards([corrupt, load_shard(paths[1])])
+            merge_artifacts([corrupt, load_shard(paths[1])])
 
     def test_merge_empty_input(self):
         with pytest.raises(ShardError, match="no shard"):
-            merge_shards([])
+            merge_artifacts([])
 
-    def test_merge_requires_sweep_kind(self, tmp_path):
+    def test_merge_dispatches_on_artifact_kind(self, tmp_path):
+        from repro.experiments.splitsweep import SplitSweepPoint
+
         artifact = ShardArtifact(
             kind="splitsweep",
             fingerprint="f",
             shard=ShardSpec(0, 1),
             total_items=1,
-            meta={},
-            records=[{"item": 0, "rows": [[1, 1, 0.5, True]]}],
+            meta={"thresholds": [10.0]},
+            records={0: [[1, 1, 0.5, True]]},
         )
         path = save_shard(tmp_path / "sp.json", artifact)
-        with pytest.raises(ShardError, match="splitsweep"):
-            merge_shards([path])
+        assert merge_artifacts([path]) == [SplitSweepPoint(
+            threshold=10.0, n_tasksets=1, schedulable=1, mean_q=1.0,
+            mean_utilization=0.5,
+        )]
+
+    def test_merge_rejects_rows_the_reduction_cannot_fold(self, tmp_path):
+        spec = _spec()
+        paths = self._artifacts(spec, 1, tmp_path)
+        corrupt = load_shard(paths[0])
+        corrupt.records[0] = [(True,)]  # one verdict for three methods
+        with pytest.raises(ShardError, match="corrupt"):
+            merge_artifacts([corrupt])
 
 
 class TestClusterRouting:
@@ -684,7 +680,7 @@ class TestSubShardMerge:
             paths.append(path)
         whole = tmp_path / "s1.json"
         SweepEngine().run(spec, shard=ShardSpec(1, 2), shard_out=whole)
-        merged = merge_shards(paths + [whole])
+        merged = merge_artifacts(paths + [whole])
         reference = SweepEngine().run(spec)
         assert [p.schedulable for p in merged.points] == [
             p.schedulable for p in reference.points
@@ -700,7 +696,7 @@ class TestSubShardMerge:
         whole = tmp_path / "s1.json"
         SweepEngine().run(spec, shard=ShardSpec(1, 2), shard_out=whole)
         with pytest.raises(ShardError, match="overlap"):
-            merge_shards([a, b, whole])
+            merge_artifacts([a, b, whole])
 
     def test_sub_shards_with_gap_rejected(self, tmp_path):
         spec = _spec()
@@ -711,4 +707,80 @@ class TestSubShardMerge:
         whole = tmp_path / "s1.json"
         SweepEngine().run(spec, shard=ShardSpec(1, 2), shard_out=whole)
         with pytest.raises(ShardError, match="gap|uncovered"):
-            merge_shards([a, whole])
+            merge_artifacts([a, whole])
+
+
+class TestVersionOneFiles:
+    """Files written before the per-item record (format and store
+    version 1) fail with one typed, one-line error — never a traceback
+    and never a misread."""
+
+    def _one_line_error(self, argv, capsys, command):
+        from repro.cli import main
+
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"{command}:")
+        assert len(captured.err.splitlines()) == 1
+        assert "version 1" in captured.err
+
+    def test_version_one_checkpoint(self, tmp_path, capsys):
+        spec = _spec()
+        path = tmp_path / "cp.json"
+        path.write_text(json.dumps({
+            "version": 1, "fingerprint": spec.fingerprint(),
+            "records": [{"start": 0, "stop": 2, "counts": {"0": {"LP-ILP": 1}}}],
+        }))
+        with pytest.raises(CheckpointError, match="version 1"):
+            SweepEngine(checkpoint_path=path).run(spec)
+        self._one_line_error(
+            ["figure2", "--m", "2", "--tasksets", "2", "--step", "0.5",
+             "--checkpoint", str(path)],
+            capsys, "figure2",
+        )
+
+    def test_version_one_shard_artifact(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({
+            "version": 1, "kind": "sweep", "fingerprint": "f",
+            "shard": {"index": 0, "count": 1}, "total_items": 2, "meta": {},
+            "records": [{"start": 0, "stop": 2, "counts": {}}],
+        }))
+        with pytest.raises(ShardError, match="version 1"):
+            load_shard(path)
+        self._one_line_error(["sweep-merge", str(path)], capsys, "sweep-merge")
+
+    def test_version_one_stream(self, tmp_path):
+        from repro.engine.streaming import read_stream
+
+        path = tmp_path / "s.jsonl"
+        path.write_text(json.dumps({
+            "type": "header", "version": 1, "kind": "sweep",
+            "fingerprint": "f", "shard": None, "total_items": 2, "meta": {},
+        }) + "\n" + json.dumps({
+            "type": "chunk", "start": 0, "stop": 2, "counts": {},
+        }) + "\n")
+        with pytest.raises(AnalysisError, match="version 1"):
+            read_stream(path)
+
+    def test_version_one_store(self, tmp_path, capsys):
+        import sqlite3
+
+        from repro.engine.store import open_store, store_path
+        from repro.exceptions import StoreError
+
+        from repro.cli import main
+
+        open_store(tmp_path).close()
+        con = sqlite3.connect(store_path(tmp_path))
+        with con:
+            con.execute(
+                "UPDATE store_meta SET value = '1' WHERE key = 'store_version'"
+            )
+        con.close()
+        with pytest.raises(StoreError, match="version '1'"):
+            open_store(tmp_path)
+        assert main(["sweep-db", "runs", "--store-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("sweep-db:")
+        assert len(captured.err.splitlines()) == 1

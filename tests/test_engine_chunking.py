@@ -97,10 +97,10 @@ class TestEngineTelemetry:
         stream = tmp_path / "sweep.jsonl"
         SweepEngine().run(_spec(), stream=stream)
         dump = read_stream(stream)
-        assert dump.chunks, "sweep produced no chunk lines"
-        assert len(dump.chunk_timings) == len(dump.chunks)
-        assert all(items >= 1 for items, _ in dump.chunk_timings)
-        assert all(seconds >= 0.0 for _, seconds in dump.chunk_timings)
+        assert dump.records, "sweep produced no item lines"
+        assert len(dump.timings) == len(dump.records)
+        assert all(items == 1 for items, _ in dump.timings)
+        assert all(seconds >= 0.0 for _, seconds in dump.timings)
 
     def test_suggest_chunk_size_from_stream(self, tmp_path):
         stream = tmp_path / "sweep.jsonl"

@@ -8,11 +8,10 @@ the whole mode matrix —
 * executors: serial, multiprocessing pool, thread pool;
 * chunking: any chunk size, including sizes that straddle points;
 * sharding: any partition into 1..4 shards, merged via
-  :func:`~repro.engine.merge_shards` (and, for the row-based kinds,
-  :func:`~repro.engine.registry.merge_artifacts`);
+  :func:`~repro.engine.registry.merge_artifacts`;
 * interruption: a run killed mid-sweep and resumed from its checkpoint,
   sharded or not;
-* streaming: the JSONL stream's chunk records sum to the final counts;
+* streaming: the JSONL stream's item records reduce to the final counts;
 * orchestration: a whole sweep dispatched as shard subprocesses by the
   orchestrator tier — including a shard that fails and is retried —
   merges back to the exact serial result.
@@ -45,7 +44,6 @@ from repro.engine import (
     SweepResult,
     SweepSpec,
     ThreadExecutor,
-    merge_shards,
     read_stream,
 )
 from repro.engine.jobspec import ExecutionPolicy
@@ -89,6 +87,19 @@ class _InterruptingExecutor:
             if index == self.after:
                 raise KeyboardInterrupt
             yield fn(payload)
+
+
+def _stream_counts(dump) -> dict[int, dict[str, int]]:
+    """Per-point, per-method schedulable counts over a grid stream's items."""
+    meta = dump.header["meta"]
+    counts: dict[int, dict[str, int]] = {}
+    for item, (verdicts,) in dump.records.items():
+        point = counts.setdefault(
+            item // meta["n_tasksets"], dict.fromkeys(meta["methods"], 0)
+        )
+        for method, schedulable in zip(meta["methods"], verdicts):
+            point[method] += schedulable
+    return counts
 
 
 def _fixed_spec(**overrides) -> SweepSpec:
@@ -156,7 +167,7 @@ class TestShardConformance:
                     spec, shard=ShardSpec(index, shard_count), shard_out=path
                 )
                 paths.append(path)
-            assert _strip(merge_shards(paths)) == reference
+            assert _strip(merge_artifacts(paths)) == reference
 
     def test_sharded_runs_on_any_executor(self):
         spec = _fixed_spec(n_tasksets=5)
@@ -170,7 +181,7 @@ class TestShardConformance:
                         spec, shard=ShardSpec(index, 3), shard_out=path
                     )
                     paths.append(path)
-                assert _strip(merge_shards(paths)) == reference, (
+                assert _strip(merge_artifacts(paths)) == reference, (
                     type(executor).__name__
                 )
 
@@ -225,7 +236,7 @@ class TestInterruptResumeConformance:
                 spec, shard=shard0, shard_out=paths[0]
             )
             SweepEngine().run(spec, shard=ShardSpec(1, 2), shard_out=paths[1])
-            assert _strip(merge_shards(paths)) == reference
+            assert _strip(merge_artifacts(paths)) == reference
 
     def test_shard_checkpoints_are_not_interchangeable(self):
         from repro.exceptions import AnalysisError
@@ -259,7 +270,7 @@ class TestStreamConformance:
                 point: dict(p.schedulable)
                 for point, p in enumerate(result.points)
             }
-            assert dump.counts() == expected
+            assert _stream_counts(dump) == expected
 
     def test_resumed_stream_is_self_contained(self):
         spec = _fixed_spec()
@@ -280,20 +291,20 @@ class TestStreamConformance:
             SweepEngine(checkpoint_path=checkpoint).run(spec, stream=stream)
             dump = read_stream(stream)
             assert dump.complete
-            assert sum(r.stop - r.start for r in dump.chunks) == spec.total_items
+            assert sorted(dump.records) == list(range(spec.total_items))
             expected = {
                 point: dict(p.schedulable)
                 for point, p in enumerate(reference.points)
             }
-            assert dump.counts() == expected
+            assert _stream_counts(dump) == expected
             from repro.engine.streaming import iter_stream
 
             replayed = [
                 line
                 for line in iter_stream(stream)
-                if line.get("type") == "chunk" and line.get("replayed")
+                if line.get("type") == "item" and line.get("replayed")
             ]
-            assert replayed  # checkpointed chunks re-emitted into new stream
+            assert replayed  # checkpointed items re-emitted into new stream
 
 
 class TestExperimentConformance:
@@ -310,7 +321,7 @@ class TestExperimentConformance:
                 shard=ShardSpec(index, shard_count), shard_out=path,
             )))
             paths.append(path)
-        assert _strip(merge_shards(paths)) == reference
+        assert _strip(merge_artifacts(paths)) == reference
 
     def test_splitsweep_sharded_merge_bit_identical(self, tmp_path):
         kwargs = dict(
@@ -327,7 +338,7 @@ class TestExperimentConformance:
             paths.append(path)
         # Bit-identical including the float means: the merge reduces
         # per-item rows in corpus order, exactly like the serial run.
-        assert merge_artifacts("splitsweep", paths) == reference
+        assert merge_artifacts(paths) == reference
 
     def test_splitsweep_parallel_jobs_bit_identical(self):
         kwargs = dict(
@@ -472,7 +483,7 @@ class TestElasticConformance:
                     path = Path(tmp) / f"s{index}.json"
                     SweepEngine().run(spec, shard=shard, shard_out=path)
                     paths.append(path)
-            assert _strip(merge_shards(paths)) == reference
+            assert _strip(merge_artifacts(paths)) == reference
 
     def test_orchestrated_elastic_split_bit_identical(self, tmp_path):
         # 2 shards on 3 slots: the idle slot forces a split immediately
@@ -493,17 +504,7 @@ class TestElasticConformance:
         # sweep-merge glob path works on an elastically-split run.
         artifacts = sorted((tmp_path / "orch").glob("shard-*.artifact.json"))
         assert len(artifacts) > 2  # sub-shards present
-        assert _strip(merge_shards(artifacts)) == reference
-
-    def test_elastic_requires_checkpoint_support(self, tmp_path):
-        from repro.engine.orchestrator import Orchestrator
-        from repro.exceptions import OrchestrationError
-
-        plan = plan_from_jobspec(splitsweep_job(
-            m=2, utilization=1.2, thresholds=[100.0], n_tasksets=4, seed=9
-        ))
-        with pytest.raises(OrchestrationError, match="checkpoint"):
-            Orchestrator(plan, tmp_path / "orch", workers=2, elastic=True)
+        assert _strip(merge_artifacts(artifacts)) == reference
 
 
 class TestDaemonConformance:
@@ -584,7 +585,7 @@ class TestCacheConformance:
 
         hits = misses = 0
         for line in iter_stream(stream):
-            if line.get("type") == "chunk" and "cache" in line:
+            if line.get("type") == "item" and "cache" in line:
                 hits += line["cache"]["hits"]
                 misses += line["cache"]["misses"]
         return hits, misses
@@ -635,7 +636,7 @@ class TestCacheConformance:
                 spec, shard=ShardSpec(index, 3), shard_out=path
             )
             paths.append(path)
-        assert _strip(merge_shards(paths)) == reference
+        assert _strip(merge_artifacts(paths)) == reference
         # Re-merging from a fully warm cache is still bit-identical.
         paths2 = []
         for index in range(3):
@@ -647,7 +648,7 @@ class TestCacheConformance:
             hits, misses = self._cache_totals(stream)
             assert misses == 0 and hits > 0
             paths2.append(path)
-        assert _strip(merge_shards(paths2)) == reference
+        assert _strip(merge_artifacts(paths2)) == reference
 
     def test_daemon_killed_mid_run_with_warm_cache_bit_identical(
         self, tmp_path
@@ -797,7 +798,7 @@ class TestRegistryKindConformance:
                 shard=ShardSpec(index, shard_count), shard_out=str(path),
             ))
             artifacts.append(load_shard(path))
-        merged = merge_artifacts(kind, artifacts)
+        merged = merge_artifacts(artifacts)
         assert _registry_project(kind, merged) == reference
 
     @_REGISTRY_KINDS
@@ -844,13 +845,89 @@ class TestRegistryKindConformance:
         assert _registry_project(kind, outcome.result) == reference
         assert outcome.retries == 0
 
-    @_REGISTRY_KINDS
-    def test_elastic_requires_checkpoint_support(
-        self, workload_kwargs, tmp_path
-    ):
-        from repro.engine.orchestrator import Orchestrator
-        from repro.exceptions import OrchestrationError
 
-        plan = plan_from_jobspec(_registry_job(workload_kwargs))
-        with pytest.raises(OrchestrationError, match="checkpoint"):
-            Orchestrator(plan, tmp_path / "orch", workers=2, elastic=True)
+#: One small workload per registered kind, for the one-engine matrix.
+_EVERY_KIND = {
+    "figure2": dict(kind="figure2", m=2, n_tasksets=3, seed=11, step=0.5),
+    "group2": dict(kind="group2", m=2, n_tasksets=3, seed=11, step=0.5),
+    "splitsweep": dict(
+        kind="splitsweep", m=2, n_tasksets=4, seed=9, utilization=1.2,
+        thresholds=(100.0, 25.0), overhead=0.5,
+    ),
+    "sensitivity": _SENSITIVITY_KWARGS,
+    "simulate": _SIMULATE_KWARGS,
+    "timing": _TIMING_KWARGS,
+}
+
+
+def _every_kind_project(kind: str, result):
+    """A result minus wall-clock: grid results zero their elapsed time,
+    timing keeps its deterministic projection."""
+    if isinstance(result, SweepResult):
+        return _strip(result)
+    return _registry_project(kind, result)
+
+
+class TestEveryKindOneEngine:
+    """Every registered kind runs on the one engine, so every kind gets
+    every execution mode: serial == jobs=2 == sharded-then-merged ==
+    interrupted-then-resumed == elastically orchestrated."""
+
+    def test_matrix_covers_every_registered_kind(self):
+        from repro.engine.registry import workload_kinds
+
+        assert set(_EVERY_KIND) == set(workload_kinds())
+
+    def _serial(self, kind):
+        return _every_kind_project(
+            kind, run_job(_registry_job(_EVERY_KIND[kind]))
+        )
+
+    @pytest.mark.parametrize("kind", sorted(_EVERY_KIND))
+    def test_jobs2_identical(self, kind):
+        result = run_job(_registry_job(_EVERY_KIND[kind], jobs=2))
+        assert _every_kind_project(kind, result) == self._serial(kind)
+
+    @pytest.mark.parametrize("kind", sorted(_EVERY_KIND))
+    def test_shards_merge_identical(self, kind, tmp_path):
+        paths = []
+        for index in range(2):
+            path = tmp_path / f"shard{index}.json"
+            run_job(_registry_job(
+                _EVERY_KIND[kind], shard=ShardSpec(index, 2),
+                shard_out=str(path),
+            ))
+            paths.append(path)
+        merged = merge_artifacts(paths)
+        assert _every_kind_project(kind, merged) == self._serial(kind)
+
+    @pytest.mark.parametrize("kind", sorted(_EVERY_KIND))
+    def test_interrupted_then_resumed_identical(self, kind, tmp_path):
+        from repro.engine.checkpoint import load_checkpoint
+
+        checkpoint = tmp_path / "cp.json"
+        job = _registry_job(_EVERY_KIND[kind], checkpoint=str(checkpoint))
+        with pytest.raises(KeyboardInterrupt):
+            SweepEngine(
+                executor=_InterruptingExecutor(2),
+                checkpoint_path=checkpoint,
+                checkpoint_interval=0.0,
+            ).run(job.workload.sweep_spec())
+        done = load_checkpoint(checkpoint).covered_items()
+        assert done == {0, 1}  # two items finished before the kill
+        resumed = run_job(job)
+        assert _every_kind_project(kind, resumed) == self._serial(kind)
+
+    @pytest.mark.parametrize("kind", sorted(_EVERY_KIND))
+    def test_elastic_orchestration_identical(self, kind, tmp_path):
+        # 2 shards on 3 slots: the idle slot forces a split at once
+        # (elastic_after=0), so sub-shard artifacts build the result.
+        from repro.engine.orchestrator import Orchestrator
+
+        plan = plan_from_jobspec(_registry_job(_EVERY_KIND[kind]))
+        outcome = Orchestrator(
+            plan, tmp_path / "orch", workers=3, shards=2,
+            poll_interval=0.05, elastic=True, elastic_after=0.0,
+        ).run()
+        assert outcome.splits >= 1
+        assert _every_kind_project(kind, outcome.result) == self._serial(kind)

@@ -642,3 +642,16 @@ class TestDaemonProcess:
             for proc in procs:
                 proc.kill()
                 proc.wait()
+
+    def test_sigterm_stops_an_idle_daemon(self, sock_dir):
+        # An idle daemon's serve thread sits in accept(); SIGTERM must
+        # wake it, so the process exits cleanly and removes its socket.
+        socket_path = sock_dir / "t.sock"
+        proc = self._spawn(socket_path)
+        try:
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=10.0) == 0
+            assert not socket_path.exists()
+        finally:
+            proc.kill()
+            proc.wait()

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 
 from repro.engine.jobspec import (
     JOBSPEC_VERSION,
+    WORKLOAD_KINDS,
     ExecutionPolicy,
     JobSpec,
     Workload,
@@ -149,14 +150,14 @@ class TestStrictness:
         with pytest.raises(JobSpecError, match="does not exist"):
             load_job(tmp_path / "nope.json")
 
-    def test_splitsweep_rejects_sweep_only_policy(self):
+    def test_splitsweep_accepts_engine_policy(self):
+        # Every kind runs on the one engine, so every kind takes the
+        # engine's checkpoint, chunk-size and item-subset knobs.
         workload = Workload(kind="splitsweep", m=2, n_tasksets=3)
-        for field in ("checkpoint", "chunk_size", "items"):
-            value = {"checkpoint": "c.json", "chunk_size": 4,
-                     "items": (0, 1)}[field]
-            with pytest.raises(JobSpecError, match=field):
-                JobSpec(workload=workload,
-                        execution=ExecutionPolicy(**{field: value}))
+        job = JobSpec(workload=workload, execution=ExecutionPolicy(
+            checkpoint="c.json", chunk_size=4, items=(0, 1),
+        ))
+        assert JobSpec.from_json(job.to_json()) == job
 
     def test_group2_rejects_solver_knobs(self):
         with pytest.raises(JobSpecError):
@@ -286,9 +287,12 @@ class TestWorkloadSemantics:
             job, execution=ExecutionPolicy(jobs=16, shard=ShardSpec(0, 2))
         ).fingerprint()
 
-    def test_splitsweep_has_no_sweep_spec(self):
-        with pytest.raises(JobSpecError):
-            Workload(kind="splitsweep").sweep_spec()
+    def test_every_kind_has_a_sweep_spec(self):
+        for kind in WORKLOAD_KINDS:
+            workload = Workload(kind=kind)
+            sweep = workload.sweep_spec()
+            assert sweep.fingerprint() == workload.fingerprint()
+            assert sweep.total_items == workload.total_items
 
     def test_for_worker_strips_placement(self):
         job = _figure2_job(

@@ -15,12 +15,12 @@ import time
 import pytest
 
 from repro.engine import LiveMerger, StreamTail, StreamWriter, read_stream
-from repro.engine.checkpoint import ChunkRecord
+from repro.engine.checkpoint import FORMAT_VERSION
 from repro.exceptions import AnalysisError, ShardError
 
 HEADER = {
     "type": "header",
-    "version": 1,
+    "version": FORMAT_VERSION,
     "kind": "sweep",
     "fingerprint": "f" * 64,
     "shard": None,
@@ -29,12 +29,11 @@ HEADER = {
 }
 
 
-def _chunk_line(start, stop, counts=None, **extra):
+def _item_line(item, rows=None, **extra):
     payload = {
-        "type": "chunk",
-        "start": start,
-        "stop": stop,
-        "counts": counts or {},
+        "type": "item",
+        "item": item,
+        "rows": rows if rows is not None else [[True]],
         "replayed": False,
     }
     payload.update(extra)
@@ -58,8 +57,8 @@ class TestStreamTail:
         _append(path, json.dumps(HEADER) + "\n")
         assert [l["type"] for l in tail.poll()] == ["header"]
         assert tail.poll() == []  # nothing new
-        _append(path, _chunk_line(0, 2) + _chunk_line(2, 3))
-        assert [l["type"] for l in tail.poll()] == ["chunk", "chunk"]
+        _append(path, _item_line(0) + _item_line(2))
+        assert [l["type"] for l in tail.poll()] == ["item", "item"]
 
     def test_torn_tail_then_continued_write(self, tmp_path):
         # The exact hazard the live merger faces: the writer has flushed
@@ -67,20 +66,20 @@ class TestStreamTail:
         # the fragment nor lose it once the newline lands.
         path = tmp_path / "s.jsonl"
         tail = StreamTail(path)
-        whole = _chunk_line(0, 4, {"0": {"LP-ILP": 2}})
+        whole = _item_line(0, [[True, False]])
         _append(path, json.dumps(HEADER) + "\n" + whole[:10])
         first = tail.poll()
         assert [l["type"] for l in first] == ["header"]
         assert tail.poll() == []  # torn tail stays pending
         _append(path, whole[10:])
         (line,) = tail.poll()
-        assert line["type"] == "chunk"
-        assert line["counts"] == {"0": {"LP-ILP": 2}}
+        assert line["type"] == "item"
+        assert line["rows"] == [[True, False]]
 
     def test_truncation_detected_and_reread(self, tmp_path):
         path = tmp_path / "s.jsonl"
         tail = StreamTail(path)
-        _append(path, json.dumps(HEADER) + "\n" + _chunk_line(0, 5))
+        _append(path, json.dumps(HEADER) + "\n" + _item_line(0))
         assert len(tail.poll()) == 2
         # A retried shard reopens its stream with "w": shorter file.
         path.write_text(json.dumps(HEADER) + "\n")
@@ -101,15 +100,15 @@ class TestStreamTail:
         # not silently keep its stale offset.
         path = tmp_path / "s.jsonl"
         tail = StreamTail(path)
-        _append(path, json.dumps(HEADER) + "\n" + _chunk_line(0, 5))
+        _append(path, json.dumps(HEADER) + "\n" + _item_line(0))
         assert len(tail.poll()) == 2
         path.unlink()
         assert tail.poll() == []
         assert tail.truncations == 1
-        _append(path, json.dumps(HEADER) + "\n" + _chunk_line(0, 2))
+        _append(path, json.dumps(HEADER) + "\n" + _item_line(1))
         lines = tail.poll()
-        assert [l["type"] for l in lines] == ["header", "chunk"]
-        assert lines[1]["stop"] == 2
+        assert [l["type"] for l in lines] == ["header", "item"]
+        assert lines[1]["item"] == 1
 
     def test_truncate_and_regrow_past_offset_resets_cleanly(self, tmp_path):
         # Satellite regression: between two polls the stream is
@@ -120,22 +119,22 @@ class TestStreamTail:
         # raising a bogus corruption error).
         path = tmp_path / "s.jsonl"
         tail = StreamTail(path)
-        short = json.dumps(HEADER) + "\n" + _chunk_line(0, 1)
+        short = json.dumps(HEADER) + "\n" + _item_line(0)
         _append(path, short)
         assert len(tail.poll()) == 2  # offset now == len(short)
         # Rewrite with *longer* content whose bytes at the old offset
         # are mid-line.
         rewritten = (
             json.dumps(HEADER) + "\n"
-            + _chunk_line(0, 3, {"0": {"LP-ILP": 99}})
-            + _chunk_line(3, 6)
+            + _item_line(0, [[99, 99, 99]])
+            + _item_line(3)
         )
         assert len(rewritten) > len(short)
         path.write_text(rewritten)
         lines = tail.poll()
         assert tail.truncations == 1
-        assert [l["type"] for l in lines] == ["header", "chunk", "chunk"]
-        assert lines[1]["counts"] == {"0": {"LP-ILP": 99}}
+        assert [l["type"] for l in lines] == ["header", "item", "item"]
+        assert lines[1]["rows"] == [[99, 99, 99]]
 
     def test_truncate_and_regrow_to_exact_offset_is_restart(self, tmp_path):
         # Satellite regression: the rewrite regrows the file to
@@ -145,19 +144,19 @@ class TestStreamTail:
         # and the replacement stream's lines were silently swallowed.
         path = tmp_path / "s.jsonl"
         tail = StreamTail(path)
-        consumed = json.dumps(HEADER) + "\n" + _chunk_line(0, 5)
+        consumed = json.dumps(HEADER) + "\n" + _item_line(1)
         _append(path, consumed)
         assert len(tail.poll()) == 2
         # Same byte count, different final line (so the witness bytes
-        # at the consumed offset differ): swap the chunk boundaries.
-        rewritten = json.dumps(HEADER) + "\n" + _chunk_line(5, 0)
+        # at the consumed offset differ): another item of equal width.
+        rewritten = json.dumps(HEADER) + "\n" + _item_line(5)
         assert len(rewritten) == len(consumed)
         assert rewritten != consumed
         path.write_text(rewritten)
         lines = tail.poll()
         assert tail.truncations == 1
-        assert [l["type"] for l in lines] == ["header", "chunk"]
-        assert lines[1]["start"] == 5
+        assert [l["type"] for l in lines] == ["header", "item"]
+        assert lines[1]["item"] == 5
         # And a rewrite whose bytes happen to be identical is, by
         # definition, indistinguishable and must NOT count as restart.
         path.write_text(rewritten)
@@ -175,7 +174,7 @@ class TestStreamTail:
                 handle.write(json.dumps(HEADER) + "\n")
                 handle.flush()
                 for index in range(total):
-                    handle.write(_chunk_line(index, index + 1))
+                    handle.write(_item_line(index))
                     handle.flush()
                     time.sleep(0.001)
 
@@ -190,8 +189,8 @@ class TestStreamTail:
         finally:
             thread.join()
         seen.extend(tail.poll())
-        assert [l["type"] for l in seen] == ["header"] + ["chunk"] * total
-        assert [l["start"] for l in seen[1:]] == list(range(total))
+        assert [l["type"] for l in seen] == ["header"] + ["item"] * total
+        assert [l["item"] for l in seen[1:]] == list(range(total))
 
 
 class TestReadStreamUnderConcurrentWriter:
@@ -199,14 +198,14 @@ class TestReadStreamUnderConcurrentWriter:
 
     def test_read_stream_tolerates_torn_then_continued_tail(self, tmp_path):
         path = tmp_path / "s.jsonl"
-        torn = _chunk_line(4, 6)
+        torn = _item_line(4)
         _append(
             path,
-            json.dumps(HEADER) + "\n" + _chunk_line(0, 4) + torn[: len(torn) // 2],
+            json.dumps(HEADER) + "\n" + _item_line(0) + torn[: len(torn) // 2],
         )
         dump = read_stream(path)  # a "sweep-status" of a live run
         assert not dump.complete
-        assert [(r.start, r.stop) for r in dump.chunks] == [(0, 4)]
+        assert sorted(dump.records) == [0]
         # The writer finishes the torn line and the run completes.
         _append(
             path,
@@ -218,7 +217,7 @@ class TestReadStreamUnderConcurrentWriter:
         )
         dump = read_stream(path)
         assert dump.complete
-        assert [(r.start, r.stop) for r in dump.chunks] == [(0, 4), (4, 6)]
+        assert sorted(dump.records) == [0, 4]
 
     def test_read_stream_while_writer_thread_appends(self, tmp_path):
         path = tmp_path / "s.jsonl"
@@ -231,10 +230,7 @@ class TestReadStreamUnderConcurrentWriter:
                     kind="sweep", fingerprint="f" * 64, total_items=total, meta={}
                 )
                 for index in range(total):
-                    out.write_chunk(
-                        ChunkRecord(index, index + 1, {0: {"LP-ILP": 1}}),
-                        elapsed_seconds=0.001,
-                    )
+                    out.write_item(index, [[True]], elapsed_seconds=0.001)
                     time.sleep(0.001)
                 out.write_summary(total, 1.0)
             stop.set()
@@ -248,25 +244,23 @@ class TestReadStreamUnderConcurrentWriter:
             while not stop.is_set():
                 dump = read_stream(path) if path.exists() else None
                 if dump is not None:
-                    sizes.append(len(dump.chunks))
+                    sizes.append(len(dump.records))
                 time.sleep(0.002)
         finally:
             thread.join()
         final = read_stream(path)
         assert final.complete
-        assert len(final.chunks) == total
-        assert sizes == sorted(sizes), "observed chunk counts went backwards"
+        assert sorted(final.records) == list(range(total))
+        assert sizes == sorted(sizes), "observed item counts went backwards"
 
 
 class TestLiveMerger:
-    def _write_shard_stream(self, path, fingerprint, chunks, summary=False):
+    def _write_shard_stream(self, path, fingerprint, items, summary=False):
         with path.open("w") as handle:
             header = dict(HEADER, fingerprint=fingerprint)
             handle.write(json.dumps(header) + "\n")
-            for start, stop, counts in chunks:
-                handle.write(
-                    _chunk_line(start, stop, counts, elapsed_seconds=0.01)
-                )
+            for item in items:
+                handle.write(_item_line(item, elapsed_seconds=0.01))
             if summary:
                 handle.write(
                     json.dumps(
@@ -285,39 +279,30 @@ class TestLiveMerger:
         view = merger.poll()
         assert view.done_items == 0 and not view.finished
 
-        self._write_shard_stream(s0, fp, [(0, 2, {"0": {"LP-ILP": 1}})])
+        self._write_shard_stream(s0, fp, [0, 2])
         view = merger.poll()
         assert view.done_items == 2
-        assert view.counts == {0: {"LP-ILP": 1}}
         assert view.shards[0].state == "running"
         assert view.shards[1].state == "waiting"
 
-        self._write_shard_stream(
-            s1, fp, [(2, 5, {"0": {"LP-ILP": 2}, "1": {"LP-ILP": 1}})],
-            summary=True,
-        )
+        self._write_shard_stream(s1, fp, [1, 3, 5], summary=True)
         view = merger.poll()
         assert view.done_items == 5
-        assert view.counts == {0: {"LP-ILP": 3}, 1: {"LP-ILP": 1}}
         assert view.shards[1].state == "finished"
         assert view.fraction_done == pytest.approx(5 / 8)
-        assert len(view.timings) == 2
+        assert view.timings == ((1, 0.01),) * 5
 
     def test_shrunk_stream_detected_as_restart(self, tmp_path):
         fp = "a" * 64
         merger = LiveMerger(total_items=8, fingerprint=fp)
         path = tmp_path / "s0.jsonl"
         merger.attach(0, path)
-        self._write_shard_stream(
-            path, fp,
-            [(0, 2, {"0": {"LP-ILP": 2}}), (2, 4, {"0": {"LP-ILP": 2}})],
-        )
+        self._write_shard_stream(path, fp, [0, 1, 2, 3])
         assert merger.poll().done_items == 4
         # Retry truncates and rewrites a strictly shorter file.
-        self._write_shard_stream(path, fp, [(0, 2, {})])
+        self._write_shard_stream(path, fp, [0, 1])
         view = merger.poll()
         assert view.done_items == 2
-        assert view.counts == {}
         assert view.shards[0].restarts == 1
 
     def test_regrown_rewrite_detected_as_restart(self, tmp_path):
@@ -330,16 +315,13 @@ class TestLiveMerger:
         merger = LiveMerger(total_items=8, fingerprint=fp)
         path = tmp_path / "s0.jsonl"
         merger.attach(0, path)
-        self._write_shard_stream(path, fp, [(0, 2, {"0": {"LP-ILP": 2}})])
+        self._write_shard_stream(path, fp, [0, 1])
         assert merger.poll().done_items == 2
-        self._write_shard_stream(
-            path, fp,
-            [(0, 4, {"0": {"LP-ILP": 1}}), (4, 6, {"0": {"LP-ILP": 1}})],
-        )
+        self._write_shard_stream(path, fp, [0, 2, 3, 4, 5, 6])
         view = merger.poll()
         assert view.shards[0].restarts == 1
         assert view.done_items == 6
-        assert view.counts == {0: {"LP-ILP": 2}}
+        assert len(view.timings) == 6
 
     def test_explicit_reset_discards_state(self, tmp_path):
         # The orchestrator's relaunch path: reset() must work even when
@@ -349,14 +331,14 @@ class TestLiveMerger:
         merger = LiveMerger(total_items=8, fingerprint=fp)
         path = tmp_path / "s0.jsonl"
         merger.attach(0, path)
-        self._write_shard_stream(path, fp, [(0, 4, {"0": {"LP-ILP": 4}})])
+        self._write_shard_stream(path, fp, [0, 1, 2, 3])
         assert merger.poll().done_items == 4
         path.unlink()
         merger.reset(0)
-        self._write_shard_stream(path, fp, [(0, 2, {"0": {"LP-ILP": 2}})])
+        self._write_shard_stream(path, fp, [0, 1])
         view = merger.poll()
         assert view.done_items == 2
-        assert view.counts == {0: {"LP-ILP": 2}}
+        assert len(view.timings) == 2
         assert view.shards[0].restarts == 1
 
     def test_foreign_fingerprint_rejected(self, tmp_path):
@@ -374,15 +356,15 @@ class TestLiveMerger:
         merger.attach(1, s1)
         with s0.open("w") as handle:
             handle.write(json.dumps(HEADER) + "\n")
-            handle.write(_chunk_line(
-                0, 2, cache={"hits": 1, "misses": 1, "swept": 2, "stale": 0}
+            handle.write(_item_line(
+                0, cache={"hits": 1, "misses": 1, "swept": 2, "stale": 0}
             ))
         with s1.open("w") as handle:
             handle.write(json.dumps(HEADER) + "\n")
             # Old streams without the health keys still fold cleanly.
-            handle.write(_chunk_line(2, 4, cache={"hits": 0, "misses": 2}))
-            handle.write(_chunk_line(
-                4, 5, cache={"hits": 1, "misses": 0, "swept": 1, "stale": 3}
+            handle.write(_item_line(2, cache={"hits": 0, "misses": 2}))
+            handle.write(_item_line(
+                4, cache={"hits": 1, "misses": 0, "swept": 1, "stale": 3}
             ))
         view = merger.poll()
         assert (view.cache_hits, view.cache_misses) == (2, 3)
@@ -395,7 +377,7 @@ class TestLiveMerger:
         assert (view.cache_swept, view.cache_stale) == (1, 3)
 
     def test_item_lines_count_as_progress(self, tmp_path):
-        # Split-sweep streams emit per-item lines, not chunk lines.
+        # Every kind streams one line per item, timed or replayed.
         merger = LiveMerger(total_items=4)
         path = tmp_path / "s0.jsonl"
         merger.attach(0, path)
@@ -405,4 +387,4 @@ class TestLiveMerger:
             handle.write(json.dumps({"type": "item", "item": 2, "rows": []}) + "\n")
         view = merger.poll()
         assert view.done_items == 2
-        assert view.counts == {}
+        assert view.timings == ()

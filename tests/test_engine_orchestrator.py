@@ -17,6 +17,7 @@ from repro.engine.backends import (
     TemplateBackend,
     make_backend,
 )
+from repro.engine.checkpoint import FORMAT_VERSION
 from repro.engine.jobspec import ExecutionPolicy
 from repro.engine.orchestrator import (
     MANIFEST_NAME,
@@ -241,7 +242,6 @@ class TestPlans:
         assert plan.fingerprint == spec.fingerprint()
         assert plan.total_items == spec.total_items
         assert plan.kind == "sweep"
-        assert plan.supports_checkpoint
         # Worker command lines carry the declarative job, not flags.
         assert "sweep-run" in plan.argv
         assert self._embedded_job(plan)["workload"]["kind"] == "figure2"
@@ -260,8 +260,6 @@ class TestPlans:
         ))
         assert plan.kind == "splitsweep"
         assert plan.total_items == 5
-        assert not plan.supports_checkpoint
-        assert not plan.supports_chunk_size
         # Thresholds are normalised to descending order so the
         # fingerprint matches what the dispatched command computes.
         workload = self._embedded_job(plan)["workload"]
@@ -397,14 +395,17 @@ class TestOrchestratorIntegration:
         stale = out / "shard-1of2.jsonl"
         stale.write_text(
             json.dumps({
-                "type": "header", "version": 1, "kind": "sweep",
+                "type": "header", "version": FORMAT_VERSION, "kind": "sweep",
                 "fingerprint": plan.fingerprint, "shard": None,
                 "total_items": plan.total_items, "meta": {},
             }) + "\n"
-            + json.dumps({
-                "type": "chunk", "start": 0, "stop": plan.total_items,
-                "counts": {}, "replayed": False,
-            }) + "\n"
+            + "".join(
+                json.dumps({
+                    "type": "item", "item": item, "rows": [],
+                    "replayed": False,
+                }) + "\n"
+                for item in range(plan.total_items)
+            )
         )
         outcome = Orchestrator(plan, out, workers=2, poll_interval=0.05).run()
         assert outcome.view.done_items == plan.total_items  # not doubled
@@ -645,7 +646,7 @@ class TestOrchestratorIntegration:
             shard_out=out / "shard-1of2.json", stream=out / "shard-1of2.jsonl",
         )))
         manifest = {
-            "version": 1, "experiment": "figure2", "kind": "sweep",
+            "version": FORMAT_VERSION, "experiment": "figure2", "kind": "sweep",
             "fingerprint": plan.fingerprint,
             "total_items": plan.total_items, "shard_count": 2,
             "argv": list(plan.argv), "state": "running",

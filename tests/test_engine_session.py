@@ -87,9 +87,10 @@ class TestSessionRun:
         import numpy as np
 
         from repro.core.analyzer import AnalysisMethod
+        from repro.engine.shard import ShardArtifact
         from repro.experiments.splitsweep import (
             _evaluate_split_item,
-            _reduce_split_rows,
+            reduce_splitsweep,
         )
         from repro.generator.profiles import GROUP1
         from repro.generator.taskset_gen import generate_taskset
@@ -100,13 +101,18 @@ class TestSessionRun:
         ))
         rng = np.random.default_rng(7)
         corpus = [generate_taskset(rng, 1.0, GROUP1) for _ in range(3)]
-        rows = [
-            _evaluate_split_item(
-                (index, taskset, 2, (100.0, 20.0), AnalysisMethod.LP_ILP, 0.0)
-            )[1]
+        records = {
+            index: _evaluate_split_item(
+                (taskset, 2, (100.0, 20.0), AnalysisMethod.LP_ILP, 0.0)
+            )
             for index, taskset in enumerate(corpus)
-        ]
-        assert run_job(job) == _reduce_split_rows((100.0, 20.0), rows, 3)
+        }
+        oracle = reduce_splitsweep(ShardArtifact(
+            kind="splitsweep", fingerprint="", shard=ShardSpec(0, 1),
+            total_items=3, meta={"thresholds": [100.0, 20.0]},
+            records=records,
+        ))
+        assert run_job(job) == oracle
 
     def test_resume_runs_job_file_through_checkpoint(self, tmp_path):
         checkpoint = tmp_path / "ckpt.json"
@@ -138,7 +144,8 @@ class TestSessionSubmit:
         # A job restricted to one shard cannot merge alone; result()
         # hands back the shard artifact for a later merge instead of
         # failing the coverage validation.
-        from repro.engine.shard import ShardArtifact, merge_shards
+        from repro.engine.registry import merge_artifacts
+        from repro.engine.shard import ShardArtifact
 
         with Session(out_dir=tmp_path) as session:
             handles = [
@@ -147,7 +154,7 @@ class TestSessionSubmit:
             ]
             partials = [session.result(handle) for handle in handles]
         assert all(isinstance(p, ShardArtifact) for p in partials)
-        assert _strip(merge_shards(partials)) == _strip(_engine_figure2())
+        assert _strip(merge_artifacts(partials)) == _strip(_engine_figure2())
 
     def test_submit_requires_somewhere_to_write(self):
         with Session() as session:

@@ -3,7 +3,6 @@ reporting."""
 
 import pytest
 
-from repro.core.analyzer import AnalysisMethod
 from repro.engine import (
     SweepEngine,
     SweepPoint,
@@ -111,18 +110,6 @@ class TestRunSweep:
         assert [p.schedulable for p in again.points] == [
             p.schedulable for p in first.points
         ]
-
-    def test_progress_hook_called(self):
-        calls = []
-        SweepEngine(
-            progress=lambda e: calls.append(
-                (e.utilization, e.done_in_point, e.n_tasksets)
-            ),
-        ).run(SweepSpec(
-            m=2, utilizations=(0.5,), n_tasksets=3, profile=GROUP1, seed=1,
-            methods=(AnalysisMethod.FP_IDEAL,),
-        ))
-        assert calls == [(0.5, 1, 3), (0.5, 2, 3), (0.5, 3, 3)]
 
     def test_n_tasksets_validated(self):
         with pytest.raises(AnalysisError):
