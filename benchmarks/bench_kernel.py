@@ -1,19 +1,18 @@
-"""Fast-kernel floors: verdict cache, RTA memoisation and cache routing.
+"""Fast-kernel floors: verdict cache and RTA memoisation.
 
-Three floors keep the analysis kernel honest, and each doubles as a
+Two floors keep the analysis kernel honest, and each doubles as a
 bit-identity check (the optimised paths must change *nothing* but the
-wall-clock or the number of cold analyses):
+wall-clock):
 
 * a warm verdict cache must replay a whole sweep at least 5x faster
-  than the cold run that populated it — the cache read path (fingerprint
-  + lookup) has to be cheap relative to a full multi-method analysis;
+  than the cold run that populated it — the cache read path (a
+  coordinate key + lookup) has to be cheap relative to generating and
+  analysing a task-set;
 * the :class:`~repro.core.interference.InterferenceMemo` must evaluate
   the fixpoint's ``I^hp_k`` query stream at least 1.5x faster than the
   seed kernel's per-call :func:`higher_priority_interference` on the
   group-2 shape (parallel-only task-sets), while summing to the
-  bit-identical total;
-* cache-aware routing must need at least 2x fewer cold analyses than
-  strided sharding on a duplicate-heavy corpus.
+  bit-identical total.
 
 Each run appends its numbers to ``BENCH_kernel.json`` at the repo root
 — the checked-in benchmark trajectory.  Sizes are tunable via
@@ -92,7 +91,7 @@ def test_warm_verdict_cache_replays_5x_faster(
     # shape is the cache's raison d'etre — the exact ILP solver stack
     # (mu and rho both via branch-and-bound) in the borderline band
     # around u = m/2 where LP-ILP really runs, so one verdict costs
-    # seconds while a cached replay costs a fingerprint and a lookup.
+    # seconds while a cached replay costs a key and a lookup.
     spec = SweepSpec(
         m=8,
         utilizations=(3.4, 3.7, 4.0),
@@ -219,77 +218,4 @@ def test_interference_memo_beats_seed_kernel(bench_tasksets, bench_check):
         f"InterferenceMemo is only {speedup:.2f}x faster than the seed "
         f"kernel ({memo_seconds:.4f}s vs {seed_seconds:.4f}s) on the "
         "group-2 shape; the memoised hot path has regressed"
-    )
-
-
-def test_cache_aware_routing_cuts_cold_analyses(tmp_path, bench_check):
-    # Duplicate-heavy corpus, one private verdict cache per dispatch
-    # group (the cluster worst case: no shared filesystem).  Strided
-    # placement scatters each duplicate cluster across groups, so every
-    # group pays its own cold analysis; fingerprint clustering routes
-    # whole clusters to one group and pays exactly one cold analysis
-    # per distinct task-set.  Counted with the real cache and analyzer,
-    # not modelled.
-    from repro.core.analyzer import AnalysisMethod, analyze_taskset_multi
-    from repro.core.fingerprint import taskset_fingerprint
-    from repro.engine.shard import ShardSpec, cluster_items_by_fingerprint
-    from repro.engine.sweep import _CacheSession
-    from repro.engine.vcache import VerdictCache
-
-    m = 2
-    groups = 4
-    distinct = [
-        generate_taskset(np.random.default_rng(SEED + i), 1.2, GROUP2)
-        for i in range(6)
-    ]
-    rng = np.random.default_rng(SEED)
-    assignment = [int(rng.integers(len(distinct))) for _ in range(48)]
-    tasksets = [distinct[i] for i in assignment]
-    fingerprints = [taskset_fingerprint(taskset) for taskset in tasksets]
-
-    def cold_analyses(grouping, root):
-        cold = 0
-        results = {}
-        for index, items in enumerate(grouping):
-            with VerdictCache(root / f"g{index}", mode="readwrite") as cache:
-                session = _CacheSession(cache)
-                for item in items:
-                    results[item] = analyze_taskset_multi(
-                        tasksets[item], m,
-                        methods=[AnalysisMethod.FP_IDEAL],
-                        cache=session,
-                    )
-                cold += session.misses
-        return cold, results
-
-    strided = [
-        list(ShardSpec(index, groups).items(len(tasksets)))
-        for index in range(groups)
-    ]
-    clustered = cluster_items_by_fingerprint(fingerprints, groups)
-    strided_cold, strided_results = cold_analyses(strided, tmp_path / "s")
-    clustered_cold, clustered_results = cold_analyses(
-        clustered, tmp_path / "c"
-    )
-
-    assert clustered_results == strided_results  # routing changes nothing
-    assert clustered_cold == len(distinct)  # one cold per distinct set
-    ratio = strided_cold / clustered_cold
-    _record(
-        "cache_routing",
-        {
-            "items": len(tasksets),
-            "distinct": len(distinct),
-            "groups": groups,
-            "strided_cold": strided_cold,
-            "clustered_cold": clustered_cold,
-            "ratio": round(ratio, 2),
-            "floor": 2.0,
-        },
-        check=bench_check,
-    )
-    assert ratio >= 2.0, (
-        f"cache-aware routing saves only {ratio:.2f}x cold analyses "
-        f"({clustered_cold} vs {strided_cold} over {len(tasksets)} "
-        "items); fingerprint clustering has regressed"
     )

@@ -358,20 +358,15 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--cache", choices=("off", "read", "readwrite"), default=None,
-        help="content-addressed verdict cache: 'readwrite' records every "
-             "analysed task-set, 'read' only consumes prior entries; "
-             "results are bit-identical in every mode",
+        help="verdict cache keyed on each grid item's coordinates: "
+             "'readwrite' records every analysed item, 'read' only "
+             "consumes prior entries; results are bit-identical in "
+             "every mode",
     )
     parser.add_argument(
         "--cache-dir", type=str, default=None, metavar="DIR",
         help="verdict cache directory (default: results/cache; implies "
              "--cache readwrite)",
-    )
-    parser.add_argument(
-        "--placement", choices=("strided", "cache-aware"), default=None,
-        help="orchestrated shard placement: 'cache-aware' clusters "
-             "duplicate task-sets onto one shard (results are "
-             "bit-identical either way)",
     )
     parser.add_argument(
         "--publish", action="store_true", default=None,
@@ -631,7 +626,6 @@ def _job_from_args(args: argparse.Namespace):
             ("shard_items", "execution.items"),
             ("cache", "execution.cache"),
             ("cache_dir", "execution.cache_dir"),
-            ("placement", "execution.placement"),
             ("publish", "execution.publish"),
             ("store_dir", "execution.store_dir"),
         )

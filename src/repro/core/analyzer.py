@@ -150,7 +150,6 @@ def analyze_taskset_multi(
     mu_method: MuMethod = "search",
     rho_solver: RhoSolver = "assignment",
     dominance_pruning: bool = True,
-    cache=None,
 ) -> MultiAnalysis:
     """Analyse ``taskset`` with several methods in a single pass.
 
@@ -194,14 +193,6 @@ def analyze_taskset_multi(
         diagnostic ``iterations``/``preemptions`` counters of the LP
         results — the same class of detail pruning itself already
         substitutes.
-    cache:
-        Optional :class:`~repro.engine.vcache.VerdictCache` (duck-typed:
-        ``key_for``/``get``/``put``).  On a hit the stored
-        :class:`MultiAnalysis` is returned without analysing; on a miss
-        the fresh result is stored when the cache is writable.  The key
-        covers the task-set content and every argument of this function,
-        so a cached verdict is only ever replayed for an identical
-        request.
 
     Returns
     -------
@@ -219,20 +210,6 @@ def analyze_taskset_multi(
     if not wanted:
         raise AnalysisError("need at least one analysis method")
     validate_taskset_for_analysis(taskset, m)
-
-    key: str | None = None
-    if cache is not None:
-        key = cache.key_for(
-            taskset,
-            m,
-            tuple(mm.value for mm in wanted),
-            mu_method,
-            rho_solver,
-            dominance_pruning,
-        )
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
 
     mu_cache: dict[str, list[float]] = {}
     computed: dict[AnalysisMethod, TasksetAnalysis] = {}
@@ -274,10 +251,7 @@ def analyze_taskset_multi(
                 else:
                     run(AnalysisMethod.LP_ILP, warm)
 
-    result = MultiAnalysis(m=m, analyses=tuple(computed[mm] for mm in wanted))
-    if cache is not None and key is not None:
-        cache.put(key, result)
-    return result
+    return MultiAnalysis(m=m, analyses=tuple(computed[mm] for mm in wanted))
 
 
 def is_schedulable(

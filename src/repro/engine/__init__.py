@@ -31,7 +31,8 @@ orchestrations.
 * :mod:`repro.engine.streaming` — incremental JSONL result streams;
 * :mod:`repro.engine.results` — the grid sweep's result types
   (:class:`SweepPoint`, :class:`SweepResult`);
-* :mod:`repro.engine.vcache` — the content-addressed verdict cache;
+* :mod:`repro.engine.vcache` — the verdict cache, keyed on each grid
+  item's generation coordinates;
 * :mod:`repro.engine.orchestrator` — a whole sharded job as one
   command: dispatch, live merge (:mod:`repro.engine.livemerge`),
   retries, elastic re-partitioning;

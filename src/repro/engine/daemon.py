@@ -159,6 +159,12 @@ def preload() -> None:
     import repro.experiments.simulate  # noqa: F401
     import repro.experiments.splitsweep  # noqa: F401
     import repro.experiments.timing  # noqa: F401
+    from repro.engine.vcache import code_salt
+
+    # Salt the verdict cache with the code this daemon imported: a
+    # forked worker keys with the code it runs, even if the files
+    # change under a long-lived daemon.
+    code_salt()
 
 
 def _check_socket_path(socket_path: str | Path) -> None:

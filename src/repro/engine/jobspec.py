@@ -59,13 +59,6 @@ WORKLOAD_KINDS = workload_kinds()
 #: (``jobs == 1`` always runs serially, whatever the kind).
 EXECUTOR_KINDS = ("process", "thread")
 
-#: Orchestration placement policies: how the orchestrator partitions
-#: the item space across shards.  ``strided`` is the classic
-#: round-robin slicing; ``cache-aware`` clusters work items with equal
-#: task-set fingerprints onto the same shard so one cold analysis
-#: warms every duplicate (identical merged results either way).
-PLACEMENT_KINDS = ("strided", "cache-aware")
-
 
 def _parse_opt_float(text: str) -> float | None:
     if text.strip().lower() in ("", "none", "null"):
@@ -137,7 +130,6 @@ _EXECUTION_PARSERS = {
     "items": lambda text: parse_items(text) if text.strip().lower() not in ("", "none", "null") else None,
     "cache": str,
     "cache_dir": _parse_opt_str,
-    "placement": str,
     "publish": _parse_bool,
     "store_dir": _parse_opt_str,
 }
@@ -181,8 +173,7 @@ _KEY_CODERS = {
 
 _EXECUTION_KEYS = ("executor", "jobs", "chunk_size", "checkpoint",
                    "stream", "shard_out", "shard", "items",
-                   "cache", "cache_dir", "placement",
-                   "publish", "store_dir")
+                   "cache", "cache_dir", "publish", "store_dir")
 
 #: Workload field defaults, for the registry-driven strictness check
 #: (fields outside a kind's key set must hold exactly these values).
@@ -403,21 +394,14 @@ class ExecutionPolicy:
         orchestrator's elastic sub-shard dispatch).
     cache:
         Verdict-cache mode: ``"off"`` (default), ``"read"`` (hit the
-        cache, never write) or ``"readwrite"``.  The cache is keyed by
-        analysis content (:mod:`repro.engine.vcache`), so it is policy,
-        not workload — it never enters the sweep fingerprint and any
-        mode produces bit-identical results.
+        cache, never write) or ``"readwrite"``.  The grid sweeps key
+        each item's row by its generation coordinates and a salt of
+        the code that computes it (:mod:`repro.engine.vcache`), so the
+        cache is policy, not workload — it never enters the sweep
+        fingerprint and any mode produces bit-identical results.
     cache_dir:
         Verdict-cache directory; ``None`` means the default
         (``results/cache``) when the cache is on.
-    placement:
-        Orchestration placement policy: ``"strided"`` (default) or
-        ``"cache-aware"`` (cluster items with equal task-set
-        fingerprints onto one shard, so duplicate-heavy sweeps pay one
-        cold analysis per distinct task-set).  Like the cache itself
-        this is pure policy — the merged result is bit-identical either
-        way — and it only takes effect when the orchestrator partitions
-        the job; inline runs ignore it.
     publish:
         Publish the merged result into the durable result store
         (:mod:`repro.engine.store`) on completion.  Only whole-run
@@ -438,7 +422,6 @@ class ExecutionPolicy:
     items: tuple[int, ...] | None = None
     cache: str = "off"
     cache_dir: str | None = None
-    placement: str = "strided"
     publish: bool = False
     store_dir: str | None = None
 
@@ -458,11 +441,6 @@ class ExecutionPolicy:
             raise JobSpecError(
                 f"unknown cache mode {self.cache!r}; "
                 f"expected one of {CACHE_MODES}"
-            )
-        if self.placement not in PLACEMENT_KINDS:
-            raise JobSpecError(
-                f"unknown placement {self.placement!r}; "
-                f"expected one of {PLACEMENT_KINDS}"
             )
         for name in ("checkpoint", "stream", "shard_out", "cache_dir",
                      "store_dir"):
@@ -493,7 +471,6 @@ class ExecutionPolicy:
             "items": list(self.items) if self.items is not None else None,
             "cache": self.cache,
             "cache_dir": self.cache_dir,
-            "placement": self.placement,
             "publish": self.publish,
             "store_dir": self.store_dir,
         }
@@ -502,7 +479,17 @@ class ExecutionPolicy:
     def from_json_dict(cls, payload: object) -> "ExecutionPolicy":
         if not isinstance(payload, Mapping):
             raise JobSpecError("'execution' must be a JSON object")
-        unknown = sorted(set(payload) - set(_EXECUTION_KEYS))
+        # Job files written before cache-aware placement was removed
+        # carry "placement": "strided" (every --dry-run did); the
+        # strided partition is the only one left, so the key is dropped.
+        placement = payload.get("placement")
+        if placement not in (None, "strided"):
+            raise JobSpecError(
+                f"execution.placement {placement!r} is not supported: "
+                "cache-aware placement was removed and shards are always "
+                "strided; drop the key"
+            )
+        unknown = sorted(set(payload) - {"placement", *_EXECUTION_KEYS})
         if unknown:
             raise JobSpecError(
                 f"unknown execution key {unknown[0]!r} "
@@ -523,8 +510,6 @@ class ExecutionPolicy:
             # valid at the same JOBSPEC_VERSION.
             if "cache" in payload and payload["cache"] is not None:
                 kwargs["cache"] = str(payload["cache"])
-            if "placement" in payload and payload["placement"] is not None:
-                kwargs["placement"] = str(payload["placement"])
             if "publish" in payload and payload["publish"] is not None:
                 kwargs["publish"] = bool(payload["publish"])
             if "store_dir" in payload and payload["store_dir"] is not None:
@@ -557,8 +542,8 @@ class JobSpec:
             raise JobSpecError(
                 f"{self.workload.kind} workloads do not support "
                 "execution.cache (the verdict cache keys the grid sweeps' "
-                "full multi-method analyses; this kind's items do not go "
-                "through it)"
+                "items by their generation coordinates; this kind's items "
+                "have none)"
             )
         if self.execution.publish and (
             self.execution.shard is not None
@@ -569,16 +554,6 @@ class JobSpec:
                 "sharded or item-subset invocation cannot publish a "
                 "complete row set (orchestrated runs publish once, after "
                 "the merge)"
-            )
-        if (
-            self.execution.placement != "strided"
-            and not self.workload.supports_cache
-        ):
-            raise JobSpecError(
-                f"{self.workload.kind} workloads do not support "
-                "execution.placement (cache-aware routing clusters items "
-                "by task-set fingerprint, which only the cache-backed "
-                "grid sweeps define)"
             )
 
     # Convenience passthroughs ----------------------------------------
@@ -710,8 +685,7 @@ class JobSpec:
             execution=replace(
                 self.execution,
                 checkpoint=None, stream=None, shard_out=None,
-                shard=None, items=None, placement="strided",
-                publish=False, store_dir=None,
+                shard=None, items=None, publish=False, store_dir=None,
             ),
         )
 

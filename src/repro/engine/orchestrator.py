@@ -93,15 +93,6 @@ class OrchestrationPlan:
         Base command for one shard invocation, *without* the per-shard
         ``--shard/--shard-out/--stream/--checkpoint`` flags (the
         orchestrator appends those).
-    placement:
-        How the item space partitions across shards: ``"strided"``
-        (round-robin slices) or ``"cache-aware"`` (items clustered by
-        task-set fingerprint so duplicates share one shard's warm
-        verdict cache).  Pure policy: the merged result is
-        bit-identical either way.
-    item_fingerprints:
-        Per-item task-set fingerprints, in item order (required by —
-        and only computed for — cache-aware placement).
     publish:
         Publish the merged result into the durable result store
         (:mod:`repro.engine.store`) at finalisation, after the
@@ -120,8 +111,6 @@ class OrchestrationPlan:
     fingerprint: str
     total_items: int
     argv: tuple[str, ...]
-    placement: str = "strided"
-    item_fingerprints: tuple[str, ...] | None = None
     publish: bool = False
     store_dir: str | None = None
     job_json: str | None = None
@@ -264,32 +253,6 @@ class Orchestrator:
         if stall_timeout is not None and stall_timeout <= 0:
             raise OrchestrationError(
                 f"stall_timeout must be > 0, got {stall_timeout}"
-            )
-        if plan.placement == "cache-aware":
-            if plan.item_fingerprints is None:
-                raise OrchestrationError(
-                    "cache-aware placement needs the plan's per-item "
-                    "fingerprints (build the plan from a job spec with "
-                    "execution.placement = 'cache-aware')"
-                )
-            if len(plan.item_fingerprints) != plan.total_items:
-                raise OrchestrationError(
-                    f"plan carries {len(plan.item_fingerprints)} item "
-                    f"fingerprints for {plan.total_items} items"
-                )
-            if elastic:
-                # Splitting a straggler would scatter its duplicate
-                # clusters across slots — exactly what this placement
-                # exists to prevent.
-                raise OrchestrationError(
-                    "elastic re-partitioning and cache-aware placement "
-                    "are mutually exclusive (splitting a shard breaks "
-                    "its fingerprint clusters)"
-                )
-        elif plan.placement != "strided":
-            raise OrchestrationError(
-                f"unknown placement {plan.placement!r}; expected "
-                "'strided' or 'cache-aware'"
             )
         if elastic_after < 0:
             raise OrchestrationError(
@@ -456,19 +419,16 @@ class Orchestrator:
                 f"{manifest['shard_count']} shards; rerun with "
                 f"--shards {manifest['shard_count']} or use a fresh directory"
             )
-        if manifest is not None and (
-            str(manifest.get("placement", "strided")) != self.plan.placement
-        ):
+        if manifest is not None and manifest.get("placement") == "cache-aware":
+            # Written before cache-aware placement was removed: its
+            # shards cover fingerprint clusters, not strided slices.
             raise OrchestrationError(
-                f"{self.out_dir} was partitioned with "
-                f"{manifest.get('placement', 'strided')!r} placement; "
-                f"rerun with the same placement or use a fresh directory"
+                f"{self.out_dir} was partitioned with the removed "
+                "'cache-aware' placement; use a fresh directory"
             )
         # Atomic-write temps orphaned by killed shard processes would
         # otherwise pile up across resumes.
         clean_stale_tmps(self.out_dir)
-        if self.plan.placement == "cache-aware":
-            return self._prepare_placed_jobs()
         # Elastic sub-shards of later splits must never reuse a file
         # stem a previous (interrupted, now partially reused) run
         # already claimed.
@@ -580,40 +540,6 @@ class Orchestrator:
                     )
                 )
                 self._next_key += 1
-        return jobs
-
-    def _prepare_placed_jobs(self) -> list[_ShardJob]:
-        """Partition by fingerprint cluster instead of striding.
-
-        Every group is dispatched as shard ``1/1`` restricted to an
-        explicit item subset — the proven sub-shard invocation shape —
-        so the groups' artifacts (same coordinates, disjoint covering
-        item sets) reassemble through the ordinary multi-artifact
-        merge.  The clustering is deterministic in the plan's
-        fingerprints, so a resumed orchestration recomputes the exact
-        same groups and reuses any finished group artifact.
-        """
-        from repro.engine.shard import cluster_items_by_fingerprint
-
-        groups = cluster_items_by_fingerprint(
-            list(self.plan.item_fingerprints), self.shard_count
-        )
-        jobs: list[_ShardJob] = []
-        for index, group in enumerate(groups):
-            stem = f"shard-{index + 1}of{len(groups)}"
-            job = _ShardJob(
-                shard=ShardSpec(0, 1),
-                artifact=self.out_dir / f"{stem}.artifact.json",
-                stream=self.out_dir / f"{stem}.jsonl",
-                checkpoint=self.out_dir / f"{stem}.checkpoint.json",
-                log=self.out_dir / f"{stem}.log",
-                merge_key=index,
-                label=f"{index + 1}/{len(groups)}",
-                items=list(group),
-            )
-            if self._artifact_ok(job):
-                job.state = "done"
-            jobs.append(job)
         return jobs
 
     def _reusable_partials(
@@ -872,7 +798,6 @@ class Orchestrator:
             "fingerprint": self.plan.fingerprint,
             "total_items": self.plan.total_items,
             "shard_count": self.shard_count,
-            "placement": self.plan.placement,
             "argv": list(self.plan.argv),
             "state": state,
             "shards": [
@@ -931,16 +856,6 @@ def plan_from_jobspec(job) -> OrchestrationPlan:
         sys.executable, "-m", "repro", "sweep-run",
         "--job-json", worker.to_json(indent=None),
     )
-    item_fingerprints: tuple[str, ...] | None = None
-    if job.execution.placement == "cache-aware":
-        # The whole corpus is generated (not analysed) once, up front:
-        # clustering needs every item's content hash before any shard
-        # is dispatched.  Generation is a small fraction of analysis
-        # cost, and the fingerprints make the partition deterministic
-        # across resumes.
-        from repro.engine.sweep import item_fingerprints as sweep_fingerprints
-
-        item_fingerprints = sweep_fingerprints(job.workload.sweep_spec())
     store_dir = job.execution.store_dir
     if job.execution.publish and store_dir is not None:
         # Publication happens orchestrator-side, but a resume may run
@@ -952,8 +867,6 @@ def plan_from_jobspec(job) -> OrchestrationPlan:
         fingerprint=job.fingerprint(),
         total_items=job.total_items,
         argv=argv,
-        placement=job.execution.placement,
-        item_fingerprints=item_fingerprints,
         publish=job.execution.publish,
         store_dir=store_dir,
         job_json=job.to_json(indent=None),

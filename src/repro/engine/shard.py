@@ -140,41 +140,6 @@ def parse_items(text: str) -> tuple[int, ...]:
     return tuple(sorted(items))
 
 
-def cluster_items_by_fingerprint(
-    fingerprints: list[str], group_count: int
-) -> list[tuple[int, ...]]:
-    """Partition items ``0 .. len(fingerprints) - 1`` into at most
-    ``group_count`` groups, keeping equal fingerprints together.
-
-    The cache-aware placement kernel: items whose task-sets hash alike
-    are *duplicates* — the verdict cache serves every repeat from the
-    first cold analysis, but only if they land in the same invocation
-    (or share a cache directory).  Routing each duplicate cluster to
-    one group makes the warm path local: a duplicate-heavy sweep pays
-    one cold analysis per *distinct* task-set per group.
-
-    Whole clusters go to the currently-smallest group, largest cluster
-    first (LPT greedy), with wholly deterministic tie-breaks (cluster
-    order by size then first item; group order by load then index) —
-    a replan on resume reproduces the same routing.  Groups come back
-    as sorted item tuples; empty groups (fewer clusters than groups)
-    are dropped, so every returned group names at least one item.
-    """
-    if group_count < 1:
-        raise ShardError(f"group count must be >= 1, got {group_count}")
-    clusters: dict[str, list[int]] = {}
-    for item, fingerprint in enumerate(fingerprints):
-        clusters.setdefault(fingerprint, []).append(item)
-    ordered = sorted(clusters.values(), key=lambda c: (-len(c), c[0]))
-    groups: list[list[int]] = [[] for _ in range(group_count)]
-    loads = [0] * group_count
-    for cluster in ordered:
-        target = min(range(group_count), key=lambda i: (loads[i], i))
-        groups[target].extend(cluster)
-        loads[target] += len(cluster)
-    return [tuple(sorted(group)) for group in groups if group]
-
-
 @dataclass(slots=True)
 class ShardArtifact:
     """One shard invocation's output, as persisted to JSON.

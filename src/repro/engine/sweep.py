@@ -78,7 +78,7 @@ from repro.engine.executors import Executor, SerialExecutor
 from repro.engine.results import SweepPoint, SweepResult
 from repro.engine.shard import ShardArtifact, ShardSpec, save_shard
 from repro.engine.streaming import StreamWriter
-from repro.engine.vcache import CACHE_MODES, DEFAULT_CACHE_DIR, VerdictCache
+from repro.engine.vcache import CACHE_MODES, DEFAULT_CACHE_DIR, VerdictCache, coordinate_key
 from repro.generator.profiles import TasksetProfile
 from repro.generator.taskset_gen import generate_taskset
 
@@ -94,10 +94,18 @@ def _evaluate_sweep_item(payload, cache=None) -> list[tuple[bool, ...]]:
     """One grid item: its task-set's verdicts, in ``spec.methods`` order.
 
     ``payload`` is ``(spec, item)``; the item's task-set is regenerated
-    from its own seed, so payloads stay tiny.
+    from its own seed, so payloads stay tiny.  With a verdict ``cache``
+    the row is looked up by the item's coordinates
+    (:meth:`SweepSpec.item_key`) first, so a hit neither generates nor
+    analyses anything.
     """
     spec, item = payload
     point_index, taskset_index = divmod(item, spec.n_tasksets)
+    if cache is not None:
+        key = spec.item_key(point_index, taskset_index)
+        row = cache.get(key)
+        if row is not None:
+            return [row]
     rng = spec.taskset_rng(point_index, taskset_index)
     taskset = generate_taskset(rng, spec.utilizations[point_index], spec.profile)
     multi = analyze_taskset_multi(
@@ -106,9 +114,11 @@ def _evaluate_sweep_item(payload, cache=None) -> list[tuple[bool, ...]]:
         spec.methods,
         mu_method=spec.mu_method,
         rho_solver=spec.rho_solver,
-        cache=cache,
     )
-    return [tuple(multi.schedulable[method.value] for method in spec.methods)]
+    row = tuple(multi.schedulable[method.value] for method in spec.methods)
+    if cache is not None:
+        cache.put(key, row)
+    return [row]
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,6 +195,26 @@ class SweepSpec:
         """The work item's private RNG, independent of execution order."""
         return np.random.default_rng(
             np.random.SeedSequence(self.seed, spawn_key=(point_index, taskset_index))
+        )
+
+    def item_key(self, point_index: int, taskset_index: int) -> str:
+        """The work item's verdict-cache key: its generation coordinates.
+
+        Everything that fixes the item's task-set and its verdicts, and
+        nothing else: ``label``, ``n_tasksets`` and how the sweep is
+        executed (chunks, shards, jobs) stay out, so any run of the
+        same coordinates shares the entry.
+        """
+        return coordinate_key(
+            repr(self.profile),
+            self.seed,
+            point_index,
+            repr(self.utilizations[point_index]),
+            taskset_index,
+            self.m,
+            tuple(method.value for method in self.methods),
+            self.mu_method,
+            self.rho_solver,
         )
 
     def fingerprint(self) -> str:
@@ -278,30 +308,6 @@ class CorpusSweep:
         return [corpus[item] for item in items]
 
 
-def item_fingerprints(spec: SweepSpec) -> tuple[str, ...]:
-    """Per-item task-set fingerprints of the sweep's corpus, in item order.
-
-    Generates each work item's task-set (cheap next to analysing it)
-    and hashes it with
-    :func:`~repro.core.fingerprint.taskset_fingerprint` — the same
-    content hash the verdict cache keys on.  Items with equal
-    fingerprints are analysis *duplicates*: the orchestrator's
-    cache-aware placement clusters them onto one shard so every repeat
-    after the first is a warm cache hit.
-    """
-    from repro.core.fingerprint import taskset_fingerprint
-
-    fingerprints: list[str] = []
-    for item in range(spec.total_items):
-        point_index, taskset_index = divmod(item, spec.n_tasksets)
-        rng = spec.taskset_rng(point_index, taskset_index)
-        taskset = generate_taskset(
-            rng, spec.utilizations[point_index], spec.profile
-        )
-        fingerprints.append(taskset_fingerprint(taskset))
-    return tuple(fingerprints)
-
-
 #: ``(mode, directory)`` describing the verdict cache of one run;
 #: ``None`` = cache off.  Travels inside executor payloads, so it must
 #: stay a plain picklable value.
@@ -355,22 +361,19 @@ class _CacheSession:
         self.swept = 0
         self.stale = 0
 
-    def key_for(self, *args, **kwargs) -> str:
-        return self._cache.key_for(*args, **kwargs)
-
-    def get(self, key: str):
+    def get(self, key: str) -> tuple[bool, ...] | None:
         swept, stale = self._cache.swept, self._cache.stale
-        verdict = self._cache.get(key)
+        row = self._cache.get(key)
         self.swept += self._cache.swept - swept
         self.stale += self._cache.stale - stale
-        if verdict is None:
+        if row is None:
             self.misses += 1
         else:
             self.hits += 1
-        return verdict
+        return row
 
-    def put(self, key: str, verdict) -> None:
-        self._cache.put(key, verdict)
+    def put(self, key: str, row: tuple[bool, ...]) -> None:
+        self._cache.put(key, row)
 
     def stats(self) -> dict[str, int]:
         return {
@@ -465,9 +468,11 @@ class SweepEngine:
         Minimum seconds between checkpoint writes (0 = every chunk).
     cache:
         Verdict-cache mode: ``"off"`` (default), ``"read"`` or
-        ``"readwrite"``.  Cached verdicts are keyed by analysis content
+        ``"readwrite"``.  A grid item's row is keyed by its generation
+        coordinates and a salt of the code that computes it
         (:mod:`repro.engine.vcache`), so any mode yields bit-identical
-        results — hits merely skip recomputation.
+        results — a hit merely skips generation and analysis.  Corpus
+        kinds never consult it.
     cache_dir:
         Verdict-cache directory; ``None`` means
         :data:`~repro.engine.vcache.DEFAULT_CACHE_DIR`.

@@ -1,39 +1,48 @@
-"""Persistent content-addressed cache of :class:`MultiAnalysis` verdicts.
+"""Persistent verdict cache of the grid sweeps' items, keyed on coordinates.
+
+A utilisation-grid item (figure2, group2) draws its task-set from its
+own ``SeedSequence(seed, spawn_key=(point, index))``, so its verdicts
+are fixed by its *generation coordinates*: the profile, the seed, the
+point index and its utilisation, the task-set index, ``m``, the
+methods and the LP-ILP solvers.  :func:`coordinate_key` hashes exactly those
+plus a code salt (:func:`code_salt`), and an entry stores the item's
+row — one boolean per method, the record checkpoints, streams and the
+result store already carry.  A warm replay therefore neither generates
+nor analyses a task-set.
+
+The salt is a SHA-256 over numpy's version and the source bytes of
+every module an item's verdict depends on (:data:`SALTED_SOURCES`), so
+an edit to the generator or the analysis can never replay a stale
+verdict and no constant needs a hand bump.  It is computed once per
+process; the worker daemon computes it before it forks, so a forked
+worker keys with the code it runs.
 
 Layout: a cache directory (default ``results/cache/``) holding
 
 * ``CACHE_META.json`` — informational marker (written atomically via
   tmp + ``os.replace``) recording the cache format and version;
 * ``shard-<pid>.jsonl`` — per-process append-only write shards.  Every
-  entry is one complete JSON line ``{"version", "key", "verdict"}``,
+  entry is one complete JSON line ``{"version", "key", "row"}``,
   written with a single buffered write and flushed immediately, so an
   entry becomes visible atomically at line granularity the moment it is
   durable;
 * ``shard-<pid>.idx`` — the shard's sidecar index: one JSON line
   ``{"v", "key", "off", "len"}`` per entry, appended *after* the entry
-  itself.  Opening a cache reads only the (tiny) index files and the
-  un-indexed byte tails of their shards, so open cost scales with the
-  index, not with the cached payloads; verdict payloads are fetched
-  lazily, one ``seek`` + ``read`` per first lookup of a key;
+  itself.  Opening a cache reads only the index files and the
+  un-indexed byte tails of their shards; rows are fetched lazily, one
+  ``seek`` + ``read`` per first lookup of a key;
 * ``compact-<n>.jsonl`` (+ ``.idx``) — consolidated shards written by
   :func:`compact_cache`.
 
 Readers merge all ``*.jsonl`` shards with no cross-process locking.  A
-shard without an index (a legacy cache, or a foreign writer) and any
-bytes past a shard's indexed extent are scanned line by line; a torn
-final line (a writer killed mid-append) and any corrupt or
-version-skewed entry are *swept* — skipped, counted, and the verdict
+shard without a current index (a version-1 cache, or a foreign writer)
+and any bytes past a shard's indexed extent are scanned line by line; a
+torn final line (a writer killed mid-append) and any corrupt or
+version-skewed entry are *swept* — skipped, counted, and the item
 recomputed — never silently trusted.  An index whose extent exceeds its
 shard (the shard was truncated underneath it) is distrusted wholesale
-and the shard is scanned instead.  An indexed payload that no longer
+and the shard is scanned instead.  An indexed entry that no longer
 parses at fetch time is counted *stale* and treated as a miss.
-
-Keys are SHA-256 over the canonical task-set fingerprint
-(:mod:`repro.core.fingerprint`) plus every analysis knob that can change
-the verdict (``m``, the requested methods, ``mu_method``,
-``rho_solver``, ``dominance_pruning``) and :data:`CACHE_VERSION`.
-Bumping :data:`CACHE_VERSION` therefore invalidates every existing
-entry without touching the files.
 
 Daemon safety: write shards are keyed by pid and lazily reopened after
 a fork, so any number of worker processes (including daemon-spawned
@@ -43,33 +52,35 @@ the in-memory store and everyone else's on the next cache open.
 Lifecycle: :func:`cache_stats`, :func:`compact_cache` and
 :func:`gc_cache` (the ``sweep-cache`` CLI) bound a long-lived cache
 directory's size and file count.  Compaction folds every committed
-entry into one consolidated shard and only ever deletes a source file
-whose owning pid is no longer alive *and* whose size did not change
-since it was scanned, so it is safe to run concurrently with active
-readwrite sweeps: live writers keep their shards (their entries are
-copied; the duplicates are identical payloads deduplicated by key), and
-the torn-tail guards above cover everything else.
+entry into one consolidated shard (dropping swept ones, version-1
+entries included) and only ever deletes a source file whose owning pid
+is no longer alive *and* whose size did not change since it was
+scanned, so it is safe to run concurrently with active readwrite
+sweeps: live writers keep their shards (their entries are copied; the
+duplicates are identical entries deduplicated by key), and the
+torn-tail guards above cover everything else.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 import os
 import time
 from pathlib import Path
 
 from repro.exceptions import CacheError
-from repro.core.fingerprint import taskset_fingerprint
-from repro.core.results import MultiAnalysis, TaskAnalysis, TasksetAnalysis
 from repro.engine.checkpoint import write_json_atomic
-from repro.model.taskset import TaskSet
 
-#: Version of the cache entry schema *and* of the analysis semantics the
-#: entries were computed under; part of every key.
-CACHE_VERSION = 1
+#: Version of the cache entry schema; part of every key.  Version 2:
+#: coordinate keys and row entries replace version 1's content-hash
+#: keys and serialised analyses.
+CACHE_VERSION = 2
 
-#: Version of the sidecar index line schema.
-INDEX_VERSION = 1
+#: Version of the sidecar index line schema.  Version 2 indexes
+#: version-2 entries only, so a version-1 shard is scanned and swept.
+INDEX_VERSION = 2
 
 #: Cache modes accepted by the execution policy and the CLI.
 CACHE_MODES = ("off", "read", "readwrite")
@@ -79,90 +90,53 @@ DEFAULT_CACHE_DIR = "results/cache"
 
 _META_NAME = "CACHE_META.json"
 
+#: The sources a grid item's verdict depends on, relative to the
+#: package root: generation, the task model, the analyses and their
+#: solvers, and the sweep module that derives each item's RNG.
+SALTED_SOURCES = (
+    "generator", "model", "graph", "core", "combinatorics", "ilp",
+    "engine/sweep.py",
+)
 
-def verdict_key(
-    taskset: TaskSet,
-    m: int,
-    methods: tuple[str, ...],
-    mu_method: str,
-    rho_solver: str,
-    dominance_pruning: bool,
-) -> str:
-    """Cache key of one ``analyze_taskset_multi`` invocation."""
-    import hashlib
+#: This process's code salt (see :func:`code_salt`), once computed.
+_SALT: str | None = None
 
-    text = (
-        f"repro.vcache/v{CACHE_VERSION}|ts={taskset_fingerprint(taskset)}"
-        f"|m={m}|methods={','.join(methods)}|mu={mu_method}"
-        f"|rho={rho_solver}|prune={dominance_pruning}"
-    )
+
+def code_salt() -> str:
+    """SHA-256 over numpy's version and the :data:`SALTED_SOURCES` bytes.
+
+    Computed once per process (about 2 ms) and kept: the worker daemon
+    calls this before it forks, so a forked worker keys with the code
+    it runs even if the files change under the daemon.
+    """
+    global _SALT
+    if _SALT is None:
+        import numpy
+
+        root = Path(__file__).resolve().parent.parent
+        digest = hashlib.sha256(f"numpy {numpy.__version__}".encode())
+        for name in SALTED_SOURCES:
+            path = root / name
+            for source in sorted(path.rglob("*.py")) if path.is_dir() else [path]:
+                digest.update(f"\0{source.relative_to(root).as_posix()}\0".encode())
+                digest.update(source.read_bytes())
+        _SALT = digest.hexdigest()
+    return _SALT
+
+
+def coordinate_key(*coordinates: object) -> str:
+    """Cache key of one grid item: SHA-256 over its coordinates.
+
+    ``coordinates`` are plain values whose ``repr`` is stable (see
+    :meth:`~repro.engine.sweep.SweepSpec.item_key`); the key also
+    covers :data:`CACHE_VERSION` and :func:`code_salt`.
+    """
+    text = repr((f"repro.vcache/v{CACHE_VERSION}", code_salt(), *coordinates))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-# ----------------------------------------------------------------------
-# verdict (de)serialisation — exact float round-trip, inf included
-# ----------------------------------------------------------------------
-def _verdict_to_json(multi: MultiAnalysis) -> dict:
-    return {
-        "m": multi.m,
-        "analyses": [
-            {
-                "method": analysis.method,
-                "m": analysis.m,
-                "tasks": [
-                    {
-                        "name": t.name,
-                        "schedulable": t.schedulable,
-                        "response": t.response,
-                        "iterations": t.iterations,
-                        "delta_m": t.delta_m,
-                        "delta_m_minus_1": t.delta_m_minus_1,
-                        "preemptions": t.preemptions,
-                        "analyzed": t.analyzed,
-                    }
-                    for t in analysis.tasks
-                ],
-            }
-            for analysis in multi.analyses
-        ],
-    }
-
-
-def _verdict_from_json(payload: dict) -> MultiAnalysis:
-    try:
-        analyses = tuple(
-            TasksetAnalysis(
-                method=str(entry["method"]),
-                m=int(entry["m"]),
-                tasks=tuple(
-                    TaskAnalysis(
-                        name=str(t["name"]),
-                        schedulable=bool(t["schedulable"]),
-                        response=float(t["response"]),
-                        iterations=int(t["iterations"]),
-                        delta_m=float(t["delta_m"]),
-                        delta_m_minus_1=float(t["delta_m_minus_1"]),
-                        preemptions=int(t["preemptions"]),
-                        analyzed=bool(t["analyzed"]),
-                    )
-                    for t in entry["tasks"]
-                ),
-            )
-            for entry in payload["analyses"]
-        )
-        return MultiAnalysis(m=int(payload["m"]), analyses=analyses)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CacheError(f"malformed cache verdict: {exc}") from exc
-
-
-def _parse_entry(line: str) -> tuple[str, MultiAnalysis]:
-    """One JSONL line → ``(key, verdict)``; :class:`CacheError` if bad."""
-    key, verdict = _parse_envelope(line)
-    return key, _verdict_from_json(verdict)
-
-
-def _parse_envelope(line: str) -> tuple[str, dict]:
-    """One JSONL line → ``(key, verdict json)`` without decoding the verdict."""
+def _parse_entry(line: str) -> tuple[str, tuple[bool, ...]]:
+    """One JSONL line → ``(key, row)``; :class:`CacheError` if bad."""
     try:
         payload = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -176,10 +150,13 @@ def _parse_envelope(line: str) -> tuple[str, dict]:
     key = payload.get("key")
     if not isinstance(key, str) or not key:
         raise CacheError("cache entry has no key")
-    verdict = payload.get("verdict")
-    if not isinstance(verdict, dict):
-        raise CacheError("cache entry has no verdict object")
-    return key, verdict
+    row = payload.get("row")
+    if (
+        not isinstance(row, list) or not row
+        or not all(isinstance(value, bool) for value in row)
+    ):
+        raise CacheError("cache entry has no row of booleans")
+    return key, tuple(row)
 
 
 def _index_path(shard: Path) -> Path:
@@ -247,8 +224,8 @@ class VerdictCache:
         Corrupt, truncated or version-skewed entries skipped while
         scanning shards (each one is recomputed on demand, never used).
     stale:
-        Indexed entries whose payload failed to parse when fetched
-        (the shard changed under the index); each is a recorded miss.
+        Indexed entries that failed to parse when fetched (the shard
+        changed under the index); each is a recorded miss.
     """
 
     def __init__(self, directory: str | os.PathLike, mode: str) -> None:
@@ -262,9 +239,9 @@ class VerdictCache:
         self.misses = 0
         self.swept = 0
         self.stale = 0
-        #: Verdicts held in memory: this handle's inserts plus payloads
+        #: Rows held in memory: this handle's inserts plus entries
         #: already fetched (or scanned) from disk.
-        self._store: dict[str, MultiAnalysis] = {}
+        self._store: dict[str, tuple[bool, ...]] = {}
         #: key → ``(shard path, offset, length)`` of not-yet-fetched
         #: on-disk entries, built lazily from the sidecar indexes.
         self._locations: dict[str, tuple[Path, int, int]] = {}
@@ -280,18 +257,15 @@ class VerdictCache:
                     f"cannot create cache directory {self.directory}: {exc}"
                 ) from exc
             meta = self.directory / _META_NAME
-            if not meta.exists():
-                write_json_atomic(
-                    meta,
-                    {"format": "repro.vcache/sharded-jsonl", "cache_version": CACHE_VERSION},
-                )
+            marker = {"format": "repro.vcache/sharded-jsonl", "cache_version": CACHE_VERSION}
+            try:
+                current = json.loads(meta.read_text(encoding="utf-8"))
+            except (OSError, ValueError):
+                current = None
+            if current != marker:  # absent, or left by an older version
+                write_json_atomic(meta, marker)
         elif self.directory.exists() and not self.directory.is_dir():
             raise CacheError(f"cache path {self.directory} is not a directory")
-
-    @classmethod
-    def open(cls, directory: str | os.PathLike | None, mode: str) -> "VerdictCache":
-        """Open a cache handle; ``directory=None`` uses the default."""
-        return cls(directory if directory is not None else DEFAULT_CACHE_DIR, mode)
 
     # ------------------------------------------------------------------
     # read path
@@ -301,9 +275,8 @@ class VerdictCache:
 
         Reads only sidecar indexes and the un-indexed tail bytes of
         each shard — open cost is proportional to the index, not to
-        the cached verdicts.  Shards without an index (legacy caches,
-        foreign writers) are scanned in full, exactly like the eager
-        loader this replaces.
+        the cached entries.  Shards without a current index (version-1
+        caches, foreign writers) are scanned in full.
         """
         if self._indexed:
             return
@@ -341,8 +314,8 @@ class VerdictCache:
         """Parse shard bytes ``start .. size`` that no index line covers.
 
         Entries whose index line was lost (a writer killed between the
-        entry flush and the index flush) and whole legacy shards land
-        here.  Parsed verdicts are kept — the parse is already paid.
+        entry flush and the index flush) and whole unindexed shards
+        land here.  Parsed rows are kept — the parse is already paid.
         """
         try:
             with shard.open("rb") as handle:
@@ -356,44 +329,34 @@ class VerdictCache:
             advance = len(raw)
             if line:
                 try:
-                    key, verdict = _parse_entry(line)
+                    key, row = _parse_entry(line)
                 except CacheError:
                     self.swept += 1
                 else:
-                    self._store[key] = verdict
+                    self._store[key] = row
                     self._locations[key] = (shard, offset, advance)
             offset += advance
 
-    def key_for(
-        self,
-        taskset: TaskSet,
-        m: int,
-        methods: tuple[str, ...],
-        mu_method: str,
-        rho_solver: str,
-        dominance_pruning: bool,
-    ) -> str:
-        """See :func:`verdict_key` (bound form used by the analyzer)."""
-        return verdict_key(taskset, m, methods, mu_method, rho_solver, dominance_pruning)
-
-    def get(self, key: str) -> MultiAnalysis | None:
-        """Look a verdict up; counts a hit or a miss."""
-        verdict = self._store.get(key)
-        if verdict is None:
+    def get(self, key: str) -> tuple[bool, ...] | None:
+        """Look an item's row up; counts a hit or a miss."""
+        row = self._store.get(key)
+        if row is None:
             self._ensure_index()
-            verdict = self._store.get(key)
-        if verdict is None:
+            row = self._store.get(key)
+        if row is None:
             location = self._locations.get(key)
             if location is not None:
-                verdict = self._fetch(key, location)
-        if verdict is None:
+                row = self._fetch(key, location)
+        if row is None:
             self.misses += 1
             return None
         self.hits += 1
-        return verdict
+        return row
 
-    def _fetch(self, key: str, location: tuple[Path, int, int]) -> MultiAnalysis | None:
-        """Read and decode one indexed payload; stale entries miss."""
+    def _fetch(
+        self, key: str, location: tuple[Path, int, int]
+    ) -> tuple[bool, ...] | None:
+        """Read and decode one indexed entry; stale entries miss."""
         shard, off, length = location
         line: str | None = None
         try:
@@ -403,33 +366,29 @@ class VerdictCache:
             line = raw.decode("utf-8").strip()
         except (OSError, UnicodeDecodeError):
             line = None
-        verdict: MultiAnalysis | None = None
+        row: tuple[bool, ...] | None = None
         if line:
             try:
-                parsed_key, verdict = _parse_entry(line)
+                parsed_key, row = _parse_entry(line)
                 if parsed_key != key:
-                    raise CacheError("index key does not match its payload")
+                    raise CacheError("index key does not match its entry")
             except CacheError:
-                verdict = None
-        if verdict is None:
+                row = None
+        if row is None:
             # The shard changed under the index (compaction removed it,
             # or a writer truncated it): drop the location so the miss
-            # is recorded once and the verdict recomputed.
+            # is recorded once and the item recomputed.
             self.stale += 1
             del self._locations[key]
             return None
-        self._store[key] = verdict
-        return verdict
+        self._store[key] = row
+        return row
 
     # ------------------------------------------------------------------
     # write path
     # ------------------------------------------------------------------
-    @property
-    def writable(self) -> bool:
-        return self.mode == "readwrite"
-
-    def put(self, key: str, verdict: MultiAnalysis) -> None:
-        """Insert a verdict (no-op in ``read`` mode).
+    def put(self, key: str, row: tuple[bool, ...]) -> None:
+        """Insert an item's row (no-op in ``read`` mode).
 
         The entry is appended to this process's shard as one complete
         line and flushed, then its location is appended to the shard's
@@ -440,10 +399,10 @@ class VerdictCache:
         self._ensure_index()
         if key in self._store or key in self._locations:
             return
-        self._store[key] = verdict
+        self._store[key] = row
         data = (
             json.dumps(
-                {"version": CACHE_VERSION, "key": key, "verdict": _verdict_to_json(verdict)},
+                {"version": CACHE_VERSION, "key": key, "row": list(row)},
                 separators=(",", ":"),
             )
             + "\n"
@@ -519,10 +478,6 @@ class VerdictCache:
         """Telemetry snapshot: ``{"hits": ..., "misses": ...}``."""
         return {"hits": self.hits, "misses": self.misses}
 
-    def reset_stats(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
     def __enter__(self) -> "VerdictCache":
         return self
 
@@ -571,7 +526,7 @@ def _require_cache_dir(directory: str | os.PathLike) -> Path:
 
 
 def cache_stats(directory: str | os.PathLike) -> dict:
-    """Summarise a cache directory without decoding any verdict payload.
+    """Summarise a cache directory without decoding any indexed entry.
 
     Returns file/entry/byte counts plus the swept-line count observed
     while indexing (torn tails, corrupt or version-skewed entries).
@@ -610,7 +565,7 @@ def cache_stats(directory: str | os.PathLike) -> dict:
 
 
 def compact_cache(directory: str | os.PathLike) -> dict:
-    """Fold every committed verdict into one consolidated shard.
+    """Fold every committed entry into one consolidated shard.
 
     Scans all data shards (sweeping torn/corrupt lines), writes the
     deduplicated entries to a new ``compact-<n>.jsonl`` with a full
@@ -619,9 +574,10 @@ def compact_cache(directory: str | os.PathLike) -> dict:
     quiescent: its owning pid (if pid-named) is not alive *and* its
     size did not change since it was scanned.  Live writers keep their
     shards — their entries were copied, and the remaining duplicates
-    are identical payloads deduplicated by key on read — so compaction
+    are identical entries deduplicated by key on read — so compaction
     is safe concurrent with active readwrite sweeps: no committed
-    verdict is lost and no torn line is ever written.
+    entry is lost and no torn line is ever written.  Swept lines,
+    version-1 entries included, are dropped.
     """
     path = _require_cache_dir(directory)
     entries: dict[str, str] = {}
@@ -640,12 +596,12 @@ def compact_cache(directory: str | os.PathLike) -> dict:
             if not line.strip():
                 continue
             try:
-                key, _ = _parse_envelope(line)
+                key, _ = _parse_entry(line)
             except CacheError:
                 swept += 1
                 continue
-            # Keep the raw line: payload bytes travel verbatim into the
-            # compacted shard, so round-trips stay bit-exact.
+            # Keep the raw line: entry bytes travel verbatim into the
+            # compacted shard.
             entries[key] = line
 
     generation = 0
@@ -722,15 +678,20 @@ def gc_cache(
     File-granular (whole shards, never individual entries): first every
     quiescent shard older than ``max_age_days`` goes, then — if the
     directory still exceeds ``max_bytes`` — the oldest quiescent shards
-    go until it fits.  Shards of live pids are never touched.
+    go until it fits.  Shards of live pids are never touched.  A
+    negative or non-finite budget is a :class:`CacheError`, raised
+    before any file is touched.
     """
     path = _require_cache_dir(directory)
     if max_bytes is None and max_age_days is None:
         raise CacheError("gc needs --max-bytes and/or --max-age-days")
+    for flag, budget in (("--max-bytes", max_bytes), ("--max-age-days", max_age_days)):
+        if budget is not None and not (math.isfinite(budget) and budget >= 0):
+            raise CacheError(f"gc {flag} must be a finite number >= 0, got {budget!r}")
     # Telemetry-exempt wall-clock (repro-lint DET004): GC compares shard
     # file mtimes against "now" to pick collection victims.  The value
-    # influences only *which files get deleted* — cache entries are
-    # content-addressed, so collecting any subset never changes a
+    # influences only *which files get deleted* — a missing entry is
+    # only ever a recompute, so collecting any subset never changes a
     # verdict, and `now` is never written into fingerprints, artifacts
     # or RNG seeds.  mtime-vs-wall-clock is also the only correct age
     # source here: time.monotonic() doesn't survive the process

@@ -108,8 +108,8 @@ def _evaluate_sensitivity_item(
 ) -> list[list[float]]:
     """One work item: a task-set's breakdowns + mean slack (in a worker).
 
-    ``cache`` is unused: the verdict cache keys the grid sweeps'
-    multi-method analyses only.
+    ``cache`` is unused: only the grid sweeps' items have the
+    generation coordinates the verdict cache keys on.
     """
     taskset, m, max_scale = payload
     row = [

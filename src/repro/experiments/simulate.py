@@ -101,8 +101,8 @@ def _evaluate_simulate_item(
 ) -> list[list]:
     """One work item: analyse + simulate one task-set (in a worker).
 
-    ``cache`` is unused: the verdict cache keys the grid sweeps'
-    multi-method analyses only.
+    ``cache`` is unused: only the grid sweeps' items have the
+    generation coordinates the verdict cache keys on.
     """
     taskset, m, horizon_factor = payload
     verdict = analyze_taskset(taskset, m, SIMULATE_METHOD)

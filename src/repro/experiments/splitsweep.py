@@ -78,8 +78,9 @@ def _evaluate_split_item(
     """One task-set across all thresholds (runs in a worker).
 
     Returns, per threshold, ``(Σq, task count, total utilisation,
-    schedulable)`` of the split task-set.  ``cache`` is unused: the
-    verdict cache keys the grid sweeps' multi-method analyses only.
+    schedulable)`` of the split task-set.  ``cache`` is unused: only
+    the grid sweeps' items have the generation coordinates the verdict
+    cache keys on.
     """
     taskset, m, thresholds, method, overhead = payload
     rows: list[tuple[int, int, float, bool]] = []

@@ -24,7 +24,7 @@ merged artifact or fingerprint.
     baseline = "lint-baseline.json"
 
     [tool.repro-lint.roles]
-    merge-paths = ["repro.engine.shard", "repro.core.fingerprint"]
+    merge-paths = ["repro.engine.shard", "repro.engine.results"]
     artifact-writers = ["imports:repro.engine.checkpoint"]
 
     [tool.repro-lint.rules.ERR001]
@@ -51,8 +51,8 @@ DEFAULT_ROLES: dict[str, tuple[str, ...]] = {
     "merge-paths": (
         "repro.engine.shard",
         "repro.engine.results",
-            "repro.engine.livemerge",
-        "repro.core.fingerprint",
+        "repro.engine.livemerge",
+        "repro.engine.vcache",
         "repro.experiments.splitsweep",
     ),
     # Modules that publish artifacts/checkpoints/streams on disk.

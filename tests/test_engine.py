@@ -555,65 +555,6 @@ class TestShardMerge:
             merge_artifacts([corrupt])
 
 
-class TestClusterRouting:
-    """cache-aware placement: duplicates stay together, deterministically."""
-
-    def test_duplicates_land_in_one_group(self):
-        from repro.engine.shard import cluster_items_by_fingerprint
-
-        groups = cluster_items_by_fingerprint(
-            ["a", "b", "a", "c", "b", "a"], 2
-        )
-        # Partition of all items.
-        flat = sorted(i for group in groups for i in group)
-        assert flat == list(range(6))
-        # Each fingerprint's items share one group.
-        fingerprints = ["a", "b", "a", "c", "b", "a"]
-        for group in groups:
-            for other in groups:
-                if group is other:
-                    continue
-                shared = {fingerprints[i] for i in group} & {
-                    fingerprints[i] for i in other
-                }
-                assert not shared
-
-    def test_lpt_balances_and_is_deterministic(self):
-        from repro.engine.shard import cluster_items_by_fingerprint
-
-        fingerprints = ["x"] * 4 + ["y"] * 3 + ["z"] * 2 + ["w"]
-        groups = cluster_items_by_fingerprint(fingerprints, 2)
-        # LPT: x(4) seeds group 0, y(3) group 1, z(2) joins the
-        # lighter group 1, w(1) the now-lighter group 0 — 5/5 split.
-        assert groups == [(0, 1, 2, 3, 9), (4, 5, 6, 7, 8)]
-        assert groups == cluster_items_by_fingerprint(fingerprints, 2)
-
-    def test_fewer_clusters_than_groups_drops_empties(self):
-        from repro.engine.shard import cluster_items_by_fingerprint
-
-        groups = cluster_items_by_fingerprint(["a", "a", "a"], 4)
-        assert groups == [(0, 1, 2)]
-
-    def test_group_count_validated(self):
-        from repro.engine.shard import cluster_items_by_fingerprint
-
-        with pytest.raises(ShardError):
-            cluster_items_by_fingerprint(["a"], 0)
-
-    def test_item_fingerprints_match_cache_keys(self):
-        from repro.core.fingerprint import taskset_fingerprint
-        from repro.engine.sweep import item_fingerprints
-        from repro.generator.taskset_gen import generate_taskset
-
-        spec = _spec()
-        fingerprints = item_fingerprints(spec)
-        assert len(fingerprints) == spec.total_items
-        # Spot-check: item 7 of n_tasksets=6 is point 1, taskset 1.
-        rng = spec.taskset_rng(1, 1)
-        taskset = generate_taskset(rng, spec.utilizations[1], spec.profile)
-        assert fingerprints[7] == taskset_fingerprint(taskset)
-
-
 class TestParseItems:
     def test_parses_sorts_and_dedupes(self):
         assert parse_items("9,3,3,15") == (3, 9, 15)

@@ -415,21 +415,6 @@ class TestOrchestratorConformance:
         ).run()
         assert outcome.result == reference
 
-    @pytest.mark.parametrize("cache", ["off", "readwrite"])
-    def test_cache_aware_placement_bit_identical(self, cache, tmp_path):
-        from repro.engine.orchestrator import Orchestrator
-
-        execution = ExecutionPolicy(
-            placement="cache-aware", cache=cache,
-            cache_dir=str(tmp_path / "vc") if cache != "off" else None,
-        )
-        plan = plan_from_jobspec(figure2_job(**self.KWARGS, execution=execution))
-        outcome = Orchestrator(
-            plan, tmp_path / "orch", workers=3, poll_interval=0.05,
-        ).run()
-        assert _strip(outcome.result) == self._reference()
-        assert outcome.view.done_items == plan.total_items
-
 
 class TestElasticConformance:
     """Elastic re-partitioning keeps the bit-identical contract.

@@ -367,32 +367,43 @@ class TestNonFiniteInputs:
 
 
 class TestPlacement:
-    """Cache-aware routing is a pure dispatch policy on the JobSpec."""
+    """Job files written while cache-aware placement existed carry an
+    ``execution.placement`` key; the strided value still loads."""
+
+    @staticmethod
+    def _with_placement(value):
+        payload = _figure2_job().to_json_dict()
+        payload["execution"]["placement"] = value
+        return payload
 
     def test_round_trips(self):
-        job = _figure2_job(placement="cache-aware")
+        job = JobSpec.from_json_dict(self._with_placement("strided"))
+        assert job == _figure2_job()
+        assert "placement" not in job.to_json_dict()["execution"]
         assert JobSpec.from_json(job.to_json()) == job
-        assert job.to_json_dict()["execution"]["placement"] == "cache-aware"
 
     def test_absent_placement_defaults_to_strided(self):
         payload = _figure2_job().to_json_dict()
-        del payload["execution"]["placement"]
-        assert JobSpec.from_json_dict(payload).execution.placement == "strided"
+        assert "placement" not in payload["execution"]
+        assert (JobSpec.from_json_dict(payload)
+                == JobSpec.from_json_dict(self._with_placement(None))
+                == JobSpec.from_json_dict(self._with_placement("strided")))
 
     def test_unknown_placement_rejected(self):
         with pytest.raises(JobSpecError, match="placement"):
-            _figure2_job(placement="affine")
+            JobSpec.from_json_dict(self._with_placement("affine"))
 
-    def test_cache_aware_needs_a_cache_backed_kind(self):
-        workload = Workload(kind="splitsweep", m=2, n_tasksets=3)
-        with pytest.raises(JobSpecError, match="cache-aware"):
-            JobSpec(workload=workload,
-                    execution=ExecutionPolicy(placement="cache-aware"))
-
-    def test_for_worker_resets_placement(self):
-        job = _figure2_job(placement="cache-aware")
-        assert job.for_worker().execution.placement == "strided"
+    def test_cache_aware_placement_is_a_removed_policy(self):
+        with pytest.raises(JobSpecError, match="cache-aware placement was removed") as info:
+            JobSpec.from_json_dict(self._with_placement("cache-aware"))
+        assert "\n" not in str(info.value)
 
     def test_fingerprint_ignores_placement(self):
-        assert (_figure2_job(placement="cache-aware").fingerprint()
+        assert (JobSpec.from_json_dict(self._with_placement("strided")).fingerprint()
                 == _figure2_job().fingerprint())
+
+    def test_placement_is_no_longer_a_field(self):
+        with pytest.raises(TypeError):
+            ExecutionPolicy(placement="strided")
+        with pytest.raises(JobSpecError, match="no field 'placement'"):
+            _figure2_job().with_overrides({"execution.placement": "strided"})

@@ -34,10 +34,9 @@ from repro.experiments.splitsweep import splitsweep_job
 
 
 def _figure2_plan(**kwargs):
-    """The orchestration plan of a figure2 job; execution-policy
-    keywords (``jobs``, ``placement``, ...) go to its policy."""
-    execution = {key: kwargs.pop(key) for key in ("jobs", "placement")
-                 if key in kwargs}
+    """The orchestration plan of a figure2 job; ``jobs`` goes to its
+    execution policy."""
+    execution = {key: kwargs.pop(key) for key in ("jobs",) if key in kwargs}
     return plan_from_jobspec(
         figure2_job(**kwargs, execution=ExecutionPolicy(**execution))
     )
@@ -669,71 +668,37 @@ class TestOrchestratorIntegration:
 
 
 class TestCacheAwarePlacement:
-    """Fingerprint-clustered dispatch: validation and job shapes."""
+    """Cache-aware placement is gone: plans generate nothing, and old
+    manifests resume only when they were partitioned strided."""
 
-    def _plan(self, **kwargs):
-        return _figure2_plan(
-            m=2, n_tasksets=4, seed=11, step=0.5,
-            placement="cache-aware", **kwargs,
-        )
+    def test_strided_plan_skips_fingerprints(self, monkeypatch):
+        import repro.engine.sweep as sweep_module
 
-    def test_plan_carries_fingerprints(self):
-        plan = self._plan()
-        assert plan.placement == "cache-aware"
-        assert plan.item_fingerprints is not None
-        assert len(plan.item_fingerprints) == plan.total_items
+        def no_generation(*args, **kwargs):
+            raise AssertionError("planning generated a task-set")
 
-    def test_strided_plan_skips_fingerprints(self):
+        monkeypatch.setattr(sweep_module, "generate_taskset", no_generation)
         plan = _figure2_plan(m=2, n_tasksets=4, seed=11, step=0.5)
-        assert plan.placement == "strided"
-        assert plan.item_fingerprints is None
-
-    def test_missing_fingerprints_rejected(self, tmp_path):
-        from dataclasses import replace
-
-        bare = replace(self._plan(), item_fingerprints=None)
-        with pytest.raises(OrchestrationError, match="fingerprints"):
-            Orchestrator(bare, tmp_path, workers=2)
-
-    def test_fingerprint_count_checked(self, tmp_path):
-        from dataclasses import replace
-
-        short = replace(self._plan(), item_fingerprints=("f",))
-        with pytest.raises(OrchestrationError):
-            Orchestrator(short, tmp_path, workers=2)
-
-    def test_elastic_is_mutually_exclusive(self, tmp_path):
-        with pytest.raises(OrchestrationError, match="elastic"):
-            Orchestrator(self._plan(), tmp_path, workers=2, elastic=True)
+        assert plan.total_items == 12
 
     def test_resume_placement_mismatch_rejected(self, tmp_path):
-        plan = self._plan()
+        plan = _figure2_plan(m=2, n_tasksets=4, seed=11, step=0.5)
         (tmp_path / MANIFEST_NAME).write_text(json.dumps({
-            "version": 1, "fingerprint": plan.fingerprint,
+            "version": FORMAT_VERSION, "fingerprint": plan.fingerprint,
             "shard_count": 2, "total_items": plan.total_items,
-            "placement": "strided", "shards": [],
+            "placement": "cache-aware", "shards": [],
         }))
-        with pytest.raises(OrchestrationError, match="placement"):
+        with pytest.raises(OrchestrationError, match="'cache-aware' placement"):
             Orchestrator(plan, tmp_path, workers=2)._prepare_jobs()
 
-    def test_placed_jobs_partition_all_items(self, tmp_path):
-        plan = self._plan()
-        jobs = Orchestrator(plan, tmp_path, workers=3)._prepare_jobs()
-        covered = sorted(i for job in jobs for i in job.items)
-        assert covered == list(range(plan.total_items))
-        for job in jobs:
-            assert job.shard.label == "1/1"
-        # Deterministic: a replan produces the same groups.
-        again = Orchestrator(
-            plan, tmp_path / "other", workers=3
-        )._prepare_jobs()
-        assert [j.items for j in again] == [j.items for j in jobs]
-
-    def test_manifest_records_placement(self, tmp_path):
-        plan = _figure2_plan(m=2, n_tasksets=2, seed=11, step=1.0,
-                            placement="cache-aware")
-        Orchestrator(
-            plan, tmp_path, workers=2, poll_interval=0.05
-        ).run()
+    def test_strided_manifest_still_resumes(self, tmp_path):
+        plan = _figure2_plan(m=2, n_tasksets=2, seed=11, step=1.0)
+        first = Orchestrator(plan, tmp_path, workers=2, poll_interval=0.05).run()
+        # Manifests written while placement existed record "strided".
         manifest = load_manifest(tmp_path)
-        assert manifest["placement"] == "cache-aware"
+        assert "placement" not in manifest
+        manifest["placement"] = "strided"
+        (tmp_path / MANIFEST_NAME).write_text(json.dumps(manifest))
+        again = Orchestrator(plan, tmp_path, workers=2, poll_interval=0.05).run()
+        assert again.result.points == first.result.points
+        assert again.attempts == {0: 0, 1: 0}  # both artifacts reused
