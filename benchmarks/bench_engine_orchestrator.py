@@ -14,6 +14,10 @@ Three bounds keep the tier honest:
   already-imported stack, so it skips the interpreter + numpy/repro
   import bill every ``LocalBackend`` launch pays.
 
+A fourth test is a long-run guard rather than a bound: a healthy
+``--jobs 2`` shard that works for many stall timeouts must never be
+killed as stalled (about 25 s of wall-clock on two cores).
+
 Sizes via ``REPRO_BENCH_TASKSETS`` / ``REPRO_BENCH_POINTS``.
 """
 
@@ -28,12 +32,18 @@ from benchmarks.conftest import sweep_grid
 from repro.engine import FORMAT_VERSION, LiveMerger, plan_from_jobspec, run_job
 from repro.engine.backends import DaemonBackend, LocalBackend
 from repro.engine.daemon import WorkerDaemon
+from repro.engine.jobspec import ExecutionPolicy
 from repro.engine.orchestrator import Orchestrator
 from repro.experiments.figure2 import figure2_job
 
 SEED = 2016
 SHARDS = 3
 ITEMS_PER_SHARD = 3000
+#: Stall timeout of the long pool shard, and its size: 1,200 task-sets
+#: per point make 18,000 Figure-2 items at m=8, about 20 s per worker
+#: on a 2-vCPU host, i.e. over eight stall timeouts.
+LONG_STALL_TIMEOUT = 2.0
+LONG_TASKSETS = 1200
 
 
 def _write_stream(path, fingerprint, shard_index, items):
@@ -71,7 +81,7 @@ def test_livemerge_folds_thousands_of_items_fast(benchmark, tmp_path):
     view = benchmark.pedantic(merge_from_scratch, rounds=3, iterations=1)
     assert view.finished
     assert view.done_items == SHARDS * ITEMS_PER_SHARD
-    assert len(view.timings) == SHARDS * ITEMS_PER_SHARD
+    assert view.timed_items == SHARDS * ITEMS_PER_SHARD
     mean = benchmark.stats.stats.mean
     per_line = mean / (SHARDS * (ITEMS_PER_SHARD + 2))
     assert per_line < 1e-3, (
@@ -160,4 +170,39 @@ def test_daemon_dispatch_beats_subprocess_launch_overhead(benchmark, tmp_path):
         f"daemon dispatch ({daemon_seconds * 1e3:.0f}ms/launch) should beat "
         f"subprocess dispatch ({subprocess_seconds * 1e3:.0f}ms/launch): "
         "the fork path is paying the import bill it exists to remove"
+    )
+
+
+def test_long_pool_shard_is_not_killed_as_stalled(benchmark, tmp_path):
+    """A pool shard writes stream lines only as its chunks return.
+
+    Were every chunk a fixed share of the run (``ceil(n / (8 × jobs))``
+    items), a shard working for more than about eight stall timeouts
+    per worker would go silent for longer than one and be killed, and
+    its relaunch, with nothing new checkpointed, would stall again.
+    Capped chunks (:data:`~repro.engine.sweep.MAX_POOL_CHUNK`) keep the
+    silence to a few items.  With no retries allowed, one stall kill
+    fails the run.
+    """
+    job = figure2_job(
+        m=8, n_tasksets=LONG_TASKSETS, seed=SEED,
+        execution=ExecutionPolicy(jobs=2),
+    )
+    plan = plan_from_jobspec(job)
+
+    def orchestrate_one_long_shard():
+        return Orchestrator(
+            plan, tmp_path / "orch", workers=1, retries=0,
+            poll_interval=0.05, stall_timeout=LONG_STALL_TIMEOUT,
+        ).run()
+
+    outcome = benchmark.pedantic(orchestrate_one_long_shard, rounds=1, iterations=1)
+    assert outcome.retries == 0
+    assert outcome.view.done_items == plan.total_items
+    per_worker = outcome.view.timed_seconds / 2
+    benchmark.extra_info["per_worker_s"] = per_worker
+    assert per_worker > 8 * LONG_STALL_TIMEOUT, (
+        f"the shard's workers ran {per_worker:.1f}s each, under eight "
+        f"{LONG_STALL_TIMEOUT}s stall timeouts, so the run shows nothing; "
+        "raise LONG_TASKSETS"
     )

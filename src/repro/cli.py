@@ -326,16 +326,14 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
         help="worker processes, per shard when orchestrated (results are "
              "identical for any value)",
     )
-    parser.add_argument("--executor", choices=("process", "thread"),
-                        default=None, help="pool flavour for --jobs > 1")
     parser.add_argument(
         "--checkpoint", type=str, default=None,
         help="JSON checkpoint path; an interrupted sweep resumes from it",
     )
     parser.add_argument(
         "--chunk-size", type=int, default=None, metavar="N",
-        help="pin work items per executor task (default: adaptive on "
-             "pool executors)",
+        help="pin work items per executor task (default: 1 serially, "
+             "min(ceil(items / (8 x jobs)), 16) on a pool)",
     )
     parser.add_argument(
         "--shard", type=_shard_arg, default=None, metavar="I/N",
@@ -617,7 +615,6 @@ def _job_from_args(args: argparse.Namespace):
         key: getattr(args, attr)
         for attr, key in (
             ("jobs", "execution.jobs"),
-            ("executor", "execution.executor"),
             ("checkpoint", "execution.checkpoint"),
             ("chunk_size", "execution.chunk_size"),
             ("shard", "execution.shard"),
@@ -824,7 +821,6 @@ def _print_orchestration_summary(outcome, out_dir) -> None:
 
 
 def _cmd_sweep_status(args: argparse.Namespace) -> int:
-    from repro.engine.chunking import AdaptiveChunker, seed_chunker_from_timings
     from repro.engine.orchestrator import read_status
     from repro.experiments.reporting import format_table
 
@@ -872,10 +868,8 @@ def _cmd_sweep_status(args: argparse.Namespace) -> int:
               f"{view.cache_misses} misses "
               f"({100 * view.cache_hits / cache_total:.0f}% hit rate"
               f"{health})")
-    if view.timings:
-        chunker = seed_chunker_from_timings(AdaptiveChunker(), list(view.timings))
-        print(f"observed cost: {chunker.per_item_seconds:.4f}s/item "
-              f"(suggested chunk size: {chunker.chunk_size()})")
+    if view.timed_items:
+        print(f"observed cost: {view.timed_seconds / view.timed_items:.4f}s/item")
     if status.complete:
         print(f"all {len(view.shards)} shard artifacts complete; merged "
               f"result via: python -m repro sweep-merge "

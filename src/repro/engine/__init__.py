@@ -20,10 +20,8 @@ orchestrations.
 * :mod:`repro.engine.sweep` — :class:`SweepSpec` (a grid sweep),
   :class:`CorpusSweep` (a sweep over a corpus built up front) and
   :class:`SweepEngine` (how every sweep runs);
-* :mod:`repro.engine.executors` — where the work executes (serial,
-  process pool, thread pool);
-* :mod:`repro.engine.chunking` — adaptive chunk sizing from per-chunk
-  wall-time telemetry;
+* :mod:`repro.engine.executors` — where the work executes (serial or
+  a process pool);
 * :mod:`repro.engine.checkpoint` — the per-item record, and how
   interrupted sweeps resume;
 * :mod:`repro.engine.shard` — how one sweep splits across independent
@@ -68,18 +66,11 @@ from repro.engine.daemon import (
     run_daemon,
     wait_for_daemon,
 )
-from repro.engine.chunking import (
-    AdaptiveChunker,
-    seed_chunker_from_timings,
-    suggest_chunk_size_from_stream,
-)
 from repro.engine.executors import (
     Executor,
     MultiprocessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     make_executor,
-    map_ordered,
 )
 from repro.engine.jobspec import (
     JOBSPEC_VERSION,
@@ -134,9 +125,7 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "MultiprocessExecutor",
-    "ThreadExecutor",
     "make_executor",
-    "map_ordered",
     "SweepPoint",
     "SweepResult",
     "SweepCheckpoint",
@@ -154,9 +143,6 @@ __all__ = [
     "StreamTail",
     "read_stream",
     "clean_stale_tmps",
-    "AdaptiveChunker",
-    "seed_chunker_from_timings",
-    "suggest_chunk_size_from_stream",
     "BACKEND_KINDS",
     "DAEMON_LOST_EXIT",
     "DispatchBackend",

@@ -161,7 +161,12 @@ def read_covered_items(path: str | Path) -> set[int]:
 
 
 def write_json_atomic(path: str | Path, payload: dict) -> None:
-    """Serialise ``payload`` to ``path`` via a unique tmp file + rename.
+    """Serialise ``payload`` to ``path`` atomically (:func:`write_text_atomic`)."""
+    write_text_atomic(path, json.dumps(payload))
+
+
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` via a unique tmp file + rename.
 
     The tmp name embeds the pid so concurrent writers (e.g. two shard
     runs told to checkpoint next to each other) never clobber each
@@ -172,7 +177,7 @@ def write_json_atomic(path: str | Path, payload: dict) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(json.dumps(payload))
+        tmp.write_text(text)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -181,7 +186,7 @@ def write_json_atomic(path: str | Path, payload: dict) -> None:
 def clean_stale_tmps(target: str | Path) -> list[Path]:
     """Remove orphaned atomic-write temp files, returning what was removed.
 
-    :func:`write_json_atomic` unlinks its pid-unique ``*.tmp`` in a
+    :func:`write_text_atomic` unlinks its pid-unique ``*.tmp`` in a
     ``finally``, but a SIGKILL (or power loss) between ``write_text``
     and ``os.replace`` orphans it; resumed runs would otherwise let
     them accumulate in the output directory forever.

@@ -1,27 +1,24 @@
-"""Pluggable work executors for the sweep engine.
+"""Where the sweep engine's chunks execute.
 
 An executor maps a picklable function over a sequence of payloads and
-yields results as they complete.  Three implementations:
+yields results as they complete.  Two implementations:
 
 * :class:`SerialExecutor` — in-process, in-order; zero overhead, exact
-  legacy progress ordering;
+  per-item progress ordering;
 * :class:`MultiprocessExecutor` — a :mod:`multiprocessing` pool; results
-  arrive in completion order;
-* :class:`ThreadExecutor` — a thread pool; no pickling and near-zero
-  start-up, useful when the work releases the GIL (NumPy-heavy items)
-  or when worker processes are unavailable (restricted sandboxes).
+  arrive in completion order.
 
-Every executor is a context manager with a uniform, idempotent
-:meth:`~Executor.close`: pool executors keep their worker pool alive
-across :meth:`~Executor.map_unordered` calls (the adaptive-chunking
-engine issues several short waves per sweep, and the orchestrator needs
-deterministic teardown rather than GC-timed pool finalisers) and
-release it only on ``close()``.  A closed executor raises
-:class:`~repro.exceptions.AnalysisError` on further use.
+:func:`make_executor` picks between them from a worker count.  Every
+executor is a context manager with a uniform, idempotent
+:meth:`~Executor.close`: the pool executor creates its worker pool on
+first use and releases it only on ``close()``, so teardown is
+deterministic rather than left to GC-timed pool finalisers.  A closed
+executor raises :class:`~repro.exceptions.AnalysisError` on further
+use.
 
 Because every sweep work item derives its own RNG from the root
-:class:`numpy.random.SeedSequence` (see :mod:`repro.engine.sweep`), all
-executors produce bit-identical sweep counts for the same spec — the
+:class:`numpy.random.SeedSequence` (see :mod:`repro.engine.sweep`), both
+executors produce bit-identical sweep results for the same spec — the
 cross-executor conformance suite (``tests/test_engine_conformance.py``)
 asserts exactly this.
 """
@@ -31,7 +28,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 from collections.abc import Callable, Iterator, Sequence
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from types import TracebackType
 from typing import Protocol, TypeVar
 
@@ -112,10 +108,8 @@ class MultiprocessExecutor(_ClosingMixin):
     """Run payloads on a persistent :mod:`multiprocessing` worker pool.
 
     The pool is created lazily on the first :meth:`map_unordered` call
-    and reused by every later call — the adaptive-chunking engine and
-    the orchestrator both issue many small waves, so pool start-up must
-    be paid once, not per wave.  :meth:`close` (or the context manager)
-    tears the pool down deterministically; without it the pool would
+    and reused by any later call.  :meth:`close` (or the context
+    manager) tears it down deterministically; without it the pool would
     linger until garbage collection (a ``__del__`` fallback still cleans
     up, but don't rely on its timing).
 
@@ -149,7 +143,7 @@ class MultiprocessExecutor(_ClosingMixin):
         if not payloads:
             return
         pool = self._ensure_pool()
-        # Flag this wave as in-flight until the consumer drains it; an
+        # Flag this call as in-flight until the consumer drains it; an
         # abandoned iterator (interrupt, failed shard) leaves the flag
         # down permanently, switching close() to hard termination.
         clean_before = self._clean
@@ -160,7 +154,7 @@ class MultiprocessExecutor(_ClosingMixin):
     def close(self) -> None:
         if self._pool is not None:
             if self._clean:
-                # Every wave was fully drained, so the workers are idle:
+                # Every call was fully drained, so the workers are idle:
                 # let them exit via queue sentinels.  terminate() here
                 # can SIGTERM a worker while it holds the task-queue
                 # rlock, dead-locking sibling workers in SimpleQueue.get
@@ -186,97 +180,14 @@ class MultiprocessExecutor(_ClosingMixin):
             pass
 
 
-class ThreadExecutor(_ClosingMixin):
-    """Run payloads on a persistent thread pool.
+def make_executor(jobs: int | None) -> Executor:
+    """``jobs`` ≤ 1 (or ``None``) → serial; otherwise a process pool.
 
-    Results are yielded in completion order, like
-    :class:`MultiprocessExecutor`, but workers share the process: no
-    pickling, no fork/spawn latency.  Throughput only beats serial when
-    the work releases the GIL, which is why the process pool stays the
-    ``--jobs`` default; the thread pool's role here is conformance (a
-    third executor the engine must agree with bit-for-bit) and
-    environments where spawning processes is not an option.
-
-    Parameters
-    ----------
-    jobs:
-        Worker thread count; ``None`` uses ``os.cpu_count()``.
+    Use the returned executor as a context manager (or call
+    ``close()``) so pools tear down deterministically.
     """
-
-    def __init__(self, jobs: int | None = None) -> None:
-        if jobs is None:
-            jobs = os.cpu_count() or 1
-        if jobs < 1:
-            raise AnalysisError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
-        self._pool: ThreadPoolExecutor | None = None
-
-    def map_unordered(
-        self, fn: Callable[[_P], _R], payloads: Sequence[_P]
-    ) -> Iterator[_R]:
-        self._check_open()
-        payloads = list(payloads)
-        if not payloads:
-            return
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self.jobs)
-        pending = {self._pool.submit(fn, payload) for payload in payloads}
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                yield future.result()
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
-        super().close()
-
-
-#: Executor kinds accepted by :func:`make_executor`.
-EXECUTOR_KINDS = ("process", "thread")
-
-
-def make_executor(jobs: int | None, kind: str = "process") -> Executor:
-    """``jobs`` ≤ 1 (or ``None``) → serial; otherwise a worker pool.
-
-    ``kind`` selects the pool flavour for ``jobs > 1``: ``"process"``
-    (the default, true parallelism) or ``"thread"`` (shared-process
-    workers, see :class:`ThreadExecutor`).  Use the returned executor
-    as a context manager (or call ``close()``) so pools tear down
-    deterministically.
-    """
-    if kind not in EXECUTOR_KINDS:
-        raise AnalysisError(
-            f"unknown executor kind {kind!r}; expected one of {EXECUTOR_KINDS}"
-        )
     if jobs is not None and jobs < 1:
         raise AnalysisError(f"jobs must be >= 1, got {jobs}")
     if jobs is None or jobs == 1:
         return SerialExecutor()
-    if kind == "thread":
-        return ThreadExecutor(jobs)
     return MultiprocessExecutor(jobs)
-
-
-def _call_indexed(tagged: tuple[int, Callable, object]) -> tuple[int, object]:
-    index, fn, payload = tagged
-    return index, fn(payload)
-
-
-def map_ordered(
-    executor: Executor, fn: Callable[[_P], _R], payloads: Sequence[_P]
-) -> list[_R]:
-    """Apply ``fn`` to every payload, returning results in payload order.
-
-    The scatter/gather companion to :meth:`Executor.map_unordered` for
-    callers whose reduction is order-sensitive (float sums, paired
-    streams): payloads are index-tagged, executed on any executor, and
-    reassembled — so serial and parallel runs reduce bit-identically.
-    ``fn`` must be picklable (a module-level function) for pool
-    executors.
-    """
-    payloads = list(payloads)
-    tagged = [(index, fn, payload) for index, payload in enumerate(payloads)]
-    by_index: dict[int, _R] = dict(executor.map_unordered(_call_indexed, tagged))
-    return [by_index[index] for index in range(len(payloads))]

@@ -14,7 +14,7 @@ sections:
   workloads merge and resume interchangeably regardless of how they
   execute;
 * the **execution policy** (:class:`ExecutionPolicy`): *how* to run it
-  — executor kind and worker count, chunk sizing, checkpoint / stream /
+  — worker count, chunk sizing, checkpoint / stream /
   shard-artifact paths, and an optional shard (or explicit item subset)
   restricting the invocation to a slice of the item space.
 
@@ -54,11 +54,6 @@ JOBSPEC_VERSION = 1
 #: registered with :mod:`repro.engine.registry` (importing this module
 #: triggers the built-in registrations).
 WORKLOAD_KINDS = workload_kinds()
-
-#: Executor kinds an :class:`ExecutionPolicy` may request
-#: (``jobs == 1`` always runs serially, whatever the kind).
-EXECUTOR_KINDS = ("process", "thread")
-
 
 def _parse_opt_float(text: str) -> float | None:
     if text.strip().lower() in ("", "none", "null"):
@@ -120,7 +115,6 @@ _WORKLOAD_PARSERS = {
 }
 
 _EXECUTION_PARSERS = {
-    "executor": str,
     "jobs": int,
     "chunk_size": _parse_opt_int,
     "checkpoint": _parse_opt_str,
@@ -171,7 +165,7 @@ _KEY_CODERS = {
     "utilization_factor": float,
 }
 
-_EXECUTION_KEYS = ("executor", "jobs", "chunk_size", "checkpoint",
+_EXECUTION_KEYS = ("jobs", "chunk_size", "checkpoint",
                    "stream", "shard_out", "shard", "items",
                    "cache", "cache_dir", "publish", "store_dir")
 
@@ -373,14 +367,14 @@ class ExecutionPolicy:
 
     Attributes
     ----------
-    executor:
-        Pool flavour for ``jobs > 1``: ``"process"`` or ``"thread"``.
     jobs:
-        Worker count; 1 runs serially (results are identical either
-        way — the engine's determinism contract).
+        Worker count; 1 runs serially, more runs a process pool
+        (results are identical either way — the engine's determinism
+        contract).
     chunk_size:
-        Pin the engine's work-items-per-task; ``None`` lets pool
-        executors size chunks adaptively from wall-time telemetry.
+        Pin the engine's work-items-per-task; ``None`` means one item
+        per chunk serially and ``min(ceil(items / (8 × jobs)), 16)`` on
+        a pool.
     checkpoint:
         JSON checkpoint path; a re-run of the same job resumes from it.
     stream:
@@ -412,7 +406,6 @@ class ExecutionPolicy:
         (``results/store.db``) when publishing is on.
     """
 
-    executor: str = "process"
     jobs: int = 1
     chunk_size: int | None = None
     checkpoint: str | None = None
@@ -426,11 +419,6 @@ class ExecutionPolicy:
     store_dir: str | None = None
 
     def __post_init__(self) -> None:
-        if self.executor not in EXECUTOR_KINDS:
-            raise JobSpecError(
-                f"unknown executor {self.executor!r}; "
-                f"expected one of {EXECUTOR_KINDS}"
-            )
         if self.jobs < 1:
             raise JobSpecError(f"jobs must be >= 1, got {self.jobs}")
         if self.chunk_size is not None and self.chunk_size < 1:
@@ -461,7 +449,6 @@ class ExecutionPolicy:
     # ------------------------------------------------------------------
     def to_json_dict(self) -> dict:
         return {
-            "executor": self.executor,
             "jobs": self.jobs,
             "chunk_size": self.chunk_size,
             "checkpoint": self.checkpoint,
@@ -489,7 +476,19 @@ class ExecutionPolicy:
                 "cache-aware placement was removed and shards are always "
                 "strided; drop the key"
             )
-        unknown = sorted(set(payload) - {"placement", *_EXECUTION_KEYS})
+        # Likewise "executor": "process" (every job file written while
+        # a thread pool existed carries it); a process pool is the only
+        # pool left, so the key is dropped.
+        executor = payload.get("executor")
+        if executor not in (None, "process"):
+            raise JobSpecError(
+                f"execution.executor {executor!r} is not supported: the "
+                "thread executor was removed and jobs > 1 always runs a "
+                "process pool; drop the key"
+            )
+        unknown = sorted(
+            set(payload) - {"placement", "executor", *_EXECUTION_KEYS}
+        )
         if unknown:
             raise JobSpecError(
                 f"unknown execution key {unknown[0]!r} "
@@ -497,8 +496,6 @@ class ExecutionPolicy:
             )
         kwargs: dict = {}
         try:
-            if "executor" in payload:
-                kwargs["executor"] = str(payload["executor"])
             if "jobs" in payload:
                 kwargs["jobs"] = int(payload["jobs"])
             if "chunk_size" in payload and payload["chunk_size"] is not None:

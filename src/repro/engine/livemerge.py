@@ -6,14 +6,13 @@ shard invocation appends one JSONL line per completed work item to its
 ``--stream`` file; a :class:`LiveMerger` keeps a
 :class:`~repro.engine.streaming.StreamTail` on each file and folds
 newly-completed lines into one cluster-wide :class:`ClusterView` —
-per-shard progress, verdict-cache counters, and the pooled item-timing
-telemetry the adaptive chunk sizer (:mod:`repro.engine.chunking`)
-consumes.
+per-shard progress, verdict-cache counters, and the pooled per-item
+wall-time that ``sweep-status`` reports as the observed item cost.
 
 The view is an *observation*: the orchestrator still validates the
 final result through the shard-artifact fingerprint machinery.  But it
 is an honest one — item lines are only ever whole (the tail never
-splits a line), restarts are detected (a retried shard truncates its
+splits a line), restarts are detected (a retried shard replaces its
 stream, resetting that shard's contribution), and a header fingerprint
 that does not match the expected sweep raises
 :class:`~repro.exceptions.ShardError` immediately rather than silently
@@ -22,7 +21,7 @@ merging two different sweeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.exceptions import ShardError
@@ -39,8 +38,9 @@ class ShardProgress:
     #: (summary line seen; the artifact may still be a moment behind).
     state: str = "waiting"
     done_items: int = 0
-    #: ``(items, seconds)`` item-timing telemetry from this shard.
-    timings: list[tuple[int, float]] = field(default_factory=list)
+    #: Item lines carrying a worker wall-time, and their summed seconds.
+    timed_items: int = 0
+    timed_seconds: float = 0.0
     #: Verdict-cache hits/misses summed over this shard's item lines
     #: (0 when the shard ran with the cache off).
     cache_hits: int = 0
@@ -55,7 +55,8 @@ class ShardProgress:
     def _reset(self) -> None:
         self.state = "waiting"
         self.done_items = 0
-        self.timings = []
+        self.timed_items = 0
+        self.timed_seconds = 0.0
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_swept = 0
@@ -69,8 +70,9 @@ class ClusterView:
     total_items: int
     done_items: int
     shards: tuple[ShardProgress, ...]
-    #: Pooled ``(items, seconds)`` telemetry across all shards.
-    timings: tuple[tuple[int, float], ...]
+    #: Timed item lines and their summed seconds, pooled across shards.
+    timed_items: int = 0
+    timed_seconds: float = 0.0
     #: Verdict-cache hits/misses pooled across all shards.
     cache_hits: int = 0
     cache_misses: int = 0
@@ -157,7 +159,7 @@ class LiveMerger:
             before = tail.truncations
             lines = tail.poll()
             if tail.truncations > before:
-                # The shard was relaunched and its writer truncated the
+                # The shard was relaunched and its writer replaced the
                 # stream: everything previously folded in is stale.
                 shard._reset()
                 shard.restarts += 1
@@ -167,15 +169,17 @@ class LiveMerger:
 
     def view(self) -> ClusterView:
         """The current merged snapshot (no file reads)."""
-        timings: list[tuple[int, float]] = []
         done = 0
+        timed_items = 0
+        timed_seconds = 0.0
         cache_hits = 0
         cache_misses = 0
         cache_swept = 0
         cache_stale = 0
         for shard in self._shards.values():
             done += shard.done_items
-            timings.extend(shard.timings)
+            timed_items += shard.timed_items
+            timed_seconds += shard.timed_seconds
             cache_hits += shard.cache_hits
             cache_misses += shard.cache_misses
             cache_swept += shard.cache_swept
@@ -186,7 +190,8 @@ class LiveMerger:
             shards=tuple(
                 self._shards[index] for index in sorted(self._shards)
             ),
-            timings=tuple(timings),
+            timed_items=timed_items,
+            timed_seconds=timed_seconds,
             cache_hits=cache_hits,
             cache_misses=cache_misses,
             cache_swept=cache_swept,
@@ -209,7 +214,8 @@ class LiveMerger:
         elif line_type == "item":
             shard.done_items += 1
             if "elapsed_seconds" in line:
-                shard.timings.append((1, float(line["elapsed_seconds"])))
+                shard.timed_items += 1
+                shard.timed_seconds += float(line["elapsed_seconds"])
             cache = line.get("cache")
             if isinstance(cache, dict):
                 shard.cache_hits += int(cache.get("hits", 0))

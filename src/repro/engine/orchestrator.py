@@ -21,8 +21,7 @@ bit-identically); a human still had to launch every shard and run
    into a cluster-wide progress view;
 4. **heal** — failed or stalled shards are relaunched on a fresh slot
    (up to ``retries`` extra attempts each), resuming from their own
-   checkpoints, with a chunk size seeded from the cluster's pooled
-   wall-time telemetry (:mod:`repro.engine.chunking`);
+   checkpoints;
 5. **re-partition** — with ``elastic=True``, a shard that trails the
    cluster while slots sit idle is killed and its *remaining* items
    (everything its checkpoint does not cover) are split into
@@ -63,7 +62,6 @@ from repro.engine.checkpoint import (
     read_covered_items,
     write_json_atomic,
 )
-from repro.engine.chunking import AdaptiveChunker, seed_chunker_from_timings
 from repro.engine.livemerge import ClusterView, LiveMerger
 from repro.engine.shard import ShardSpec, load_shard
 
@@ -601,7 +599,7 @@ class Orchestrator:
         if job.attempts > 0 or job.stream.exists():
             # Any prior stream bytes — a relaunch's dead attempt, or a
             # leftover from an interrupted orchestration being resumed —
-            # are stale the moment the new process truncates the file.
+            # are stale the moment the new process replaces the file.
             # Drop them and re-tail from scratch *before* the worker
             # starts, so the live view never mixes two attempts and the
             # tail never reads from a mid-line offset of the old file.
@@ -615,14 +613,6 @@ class Orchestrator:
         argv += ["--stream", str(job.stream)]
         if job.checkpoint is not None:
             argv += ["--checkpoint", str(job.checkpoint)]
-        if job.attempts > 0 or job.items is not None:
-            # Relaunches (and fresh sub-shards) start with a chunk size
-            # matched to the item cost the cluster has already
-            # observed, instead of re-warming from single-item chunks.
-            timings = list(merger.view().timings)
-            if timings:
-                chunker = seed_chunker_from_timings(AdaptiveChunker(), timings)
-                argv += ["--chunk-size", str(chunker.chunk_size())]
         job.handle = self.backend.launch(argv, job.log, env=self._env)
         job.attempts += 1
         job.state = "running"
@@ -832,11 +822,11 @@ def plan_from_jobspec(job) -> OrchestrationPlan:
     command, or daemon submit message) carries the JobSpec JSON
     verbatim, and the orchestrator appends only per-shard placement
     flags (``--shard``, ``--shard-out``, ``--stream``,
-    ``--checkpoint``, ``--chunk-size``, ``--shard-items``), which
-    ``sweep-run`` layers over the embedded spec.  The dispatched spec
-    is the job's :meth:`~repro.engine.jobspec.JobSpec.for_worker` form:
-    its own placement fields stripped, its executor/jobs/chunk-size
-    and verdict-cache policy kept.
+    ``--checkpoint``, ``--shard-items``), which ``sweep-run`` layers
+    over the embedded spec.  The dispatched spec is the job's
+    :meth:`~repro.engine.jobspec.JobSpec.for_worker` form: its own
+    placement fields stripped, its jobs/chunk-size and verdict-cache
+    policy kept.
     """
     worker = job.for_worker()
     if worker.execution.cache != "off":

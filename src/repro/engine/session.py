@@ -8,8 +8,8 @@ policy picks executors/paths, and the session merely routes —
 * :meth:`Session.run` executes a job **inline** (in this process):
   every kind's sweep (from the workload-kind registry) runs on
   :class:`~repro.engine.sweep.SweepEngine`, built from the job's
-  execution policy.  Serial engine, process pool or thread pool is
-  purely the policy's choice;
+  execution policy — serially for ``jobs == 1``, on a process pool
+  otherwise;
 * :meth:`Session.submit` dispatches a job **asynchronously** onto any
   :class:`~repro.engine.backends.DispatchBackend` — local subprocesses
   by default, SSH/queue templates or persistent worker daemons alike —
@@ -273,7 +273,7 @@ class Session:
 def _run_inline(job: JobSpec):
     """Run ``job``'s sweep on an engine built from its execution policy."""
     policy = job.execution
-    with make_executor(policy.jobs, kind=policy.executor) as executor:
+    with make_executor(policy.jobs) as executor:
         engine = SweepEngine(
             executor=executor,
             chunk_size=policy.chunk_size,

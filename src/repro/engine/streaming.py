@@ -15,15 +15,16 @@ the final table.  The line schema:
   item: its per-item record (the same ``item``/``rows`` pair
   checkpoints and shard artifacts carry).  ``replayed`` marks records
   restored from a checkpoint rather than computed by this run;
-  ``elapsed_seconds`` is the item's wall-time in its worker, the
-  telemetry the adaptive chunk-sizer of :mod:`repro.engine.chunking`
-  feeds on; ``cache`` carries the item's verdict-cache ``{"hits",
-  "misses", "swept", "stale"}`` deltas when a cache is enabled — both
-  absent on replayed lines;
+  ``elapsed_seconds`` is the item's wall-time in its worker (the
+  observed per-item cost ``sweep-status`` reports); ``cache`` carries
+  the item's verdict-cache ``{"hits", "misses", "swept", "stale"}``
+  deltas when a cache is enabled — both absent on replayed lines;
 * ``{"type": "summary", "done_items": ..., "elapsed_seconds": ...}`` —
   final line of a run that finished.
 
-A stream interrupted mid-run is still a valid prefix: every line is
+A stream path never exists without its header line: the writer
+publishes the header atomically and appends from there.  A stream
+interrupted mid-run is still a valid prefix: every line is
 self-contained and the writer flushes per line.  Streams are an
 *observation* channel — resuming uses checkpoints, merging uses shard
 artifacts — but :func:`read_stream` rebuilds every item's rows for
@@ -33,8 +34,8 @@ records reduce to exactly the sweep's final result.
 :class:`StreamTail` reads the same files *while they grow*: it keeps a
 byte offset, returns only newly-completed lines on each poll, leaves a
 torn tail (a line the writer has not finished flushing) buffered until
-the newline lands, and detects truncation (a relaunched shard reopens
-its stream with ``"w"``) so a consumer can reset that shard's view.
+the newline lands, and detects a restart (a relaunched shard replaces
+its stream) so a consumer can reset that shard's view.
 The cluster-wide live merger (:mod:`repro.engine.livemerge`) is built
 on it.
 """
@@ -47,27 +48,47 @@ from pathlib import Path
 from types import TracebackType
 
 from repro.exceptions import AnalysisError
-from repro.engine.checkpoint import FORMAT_VERSION, Records, record_json
+from repro.engine.checkpoint import (
+    FORMAT_VERSION,
+    Records,
+    record_json,
+    write_text_atomic,
+)
 
 
 class StreamWriter:
     """Write one run's JSONL stream, flushing every line.
 
-    Use as a context manager; the file is truncated at open (a resumed
-    run replays checkpoint-restored items into the new stream first, so
-    a stream file is always self-contained).
+    Building the writer publishes the stream with its header line
+    already in it: the header goes to a pid-unique tmp that is renamed
+    over ``path``, and the file is then opened for append.  So a reader
+    never finds the path empty or headerless.  Any earlier file at the
+    path is replaced (a resumed run replays checkpoint-restored items
+    into the new stream first, so a stream file is always
+    self-contained).  Use as a context manager.
     """
 
-    def __init__(self, path: str | Path) -> None:
+    def __init__(
+        self,
+        path: str | Path,
+        kind: str,
+        fingerprint: str,
+        total_items: int,
+        meta: dict,
+        shard: dict | None = None,
+    ) -> None:
         self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        # Truncate-by-design, not tmp+rename: a stream is a *growing*
-        # JSONL whose readers (read_stream/StreamTail) tolerate torn
-        # tails by contract, and truncate-at-open IS the resume
-        # protocol — a fresh stream replays checkpoint-restored items
-        # first, so the file is always self-contained.
-        # repro-lint: disable=IO001
-        self._handle = self.path.open("w")
+        header = {
+            "type": "header",
+            "version": FORMAT_VERSION,
+            "kind": kind,
+            "fingerprint": fingerprint,
+            "shard": shard,
+            "total_items": total_items,
+            "meta": meta,
+        }
+        write_text_atomic(self.path, json.dumps(header) + "\n")
+        self._handle = self.path.open("a")
 
     def __enter__(self) -> "StreamWriter":
         return self
@@ -87,26 +108,6 @@ class StreamWriter:
     def _emit(self, payload: dict) -> None:
         self._handle.write(json.dumps(payload) + "\n")
         self._handle.flush()
-
-    def write_header(
-        self,
-        kind: str,
-        fingerprint: str,
-        total_items: int,
-        meta: dict,
-        shard: dict | None = None,
-    ) -> None:
-        self._emit(
-            {
-                "type": "header",
-                "version": FORMAT_VERSION,
-                "kind": kind,
-                "fingerprint": fingerprint,
-                "shard": shard,
-                "total_items": total_items,
-                "meta": meta,
-            }
-        )
 
     def write_item(
         self,
@@ -142,10 +143,6 @@ class StreamDump:
     #: Item index -> rows, over every item line (JSON rows, undecoded).
     records: Records = field(default_factory=dict)
     summary: dict | None = None
-    #: ``(items, seconds)`` telemetry from item lines that carried an
-    #: ``elapsed_seconds`` field — feed to an
-    #: :class:`~repro.engine.chunking.AdaptiveChunker`.
-    timings: list[tuple[int, float]] = field(default_factory=list)
 
     @property
     def complete(self) -> bool:
@@ -332,8 +329,6 @@ def read_stream(path: str | Path) -> StreamDump:
                 raise AnalysisError(
                     f"stream {path} has a malformed item line ({exc!r})"
                 ) from exc
-            if "elapsed_seconds" in payload:
-                dump.timings.append((1, float(payload["elapsed_seconds"])))
         elif payload["type"] == "summary":
             dump.summary = payload
     if dump is None:

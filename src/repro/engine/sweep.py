@@ -12,9 +12,8 @@ supplies four things —
   :mod:`repro.engine.registry`);
 
 — and :class:`SweepEngine` does the rest for all of them: strided
-shards, explicit item subsets, chunks on a pluggable executor
-(:mod:`repro.engine.executors`) sized adaptively from per-item
-wall-time telemetry (:mod:`repro.engine.chunking`) unless pinned,
+shards, explicit item subsets, fixed-size chunks on the serial or the
+process-pool executor (:mod:`repro.engine.executors`),
 checkpoint/resume, JSONL streams and shard artifacts.
 
 Two item shapes exist.  A utilisation-grid sweep (figure2, group2;
@@ -73,7 +72,6 @@ from repro.engine.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.engine.chunking import AdaptiveChunker
 from repro.engine.executors import Executor, SerialExecutor
 from repro.engine.results import SweepPoint, SweepResult
 from repro.engine.shard import ShardArtifact, ShardSpec, save_shard
@@ -333,59 +331,18 @@ def _cache_for(config: CacheConfig) -> VerdictCache | None:
     return cache
 
 
-class _CacheSession:
-    """Per-run view of a shared cache with private hit/miss counters.
-
-    The :class:`~repro.engine.vcache.VerdictCache` handle is shared by
-    every run in the process (and every thread, under the thread
-    executor), so diffing its *global* counters around a run would
-    attribute concurrent runs' lookups to each other.  Each run instead
-    wraps the handle in one of these: same lookups, but the counters
-    belong to this run alone.
-
-    Besides hits and misses the session also attributes the cache's
-    *health* counters — ``swept`` (torn lines discarded while opening
-    shards) and ``stale`` (index entries that no longer matched their
-    shard bytes) — by diffing the handle's globals around each lookup.
-    The diff window is one ``get`` call, so attribution is exact under
-    process executors and merely best-effort (telemetry, never results)
-    when threads interleave inside a call.
-    """
-
-    __slots__ = ("_cache", "hits", "misses", "swept", "stale")
-
-    def __init__(self, cache: VerdictCache) -> None:
-        self._cache = cache
-        self.hits = 0
-        self.misses = 0
-        self.swept = 0
-        self.stale = 0
-
-    def get(self, key: str) -> tuple[bool, ...] | None:
-        swept, stale = self._cache.swept, self._cache.stale
-        row = self._cache.get(key)
-        self.swept += self._cache.swept - swept
-        self.stale += self._cache.stale - stale
-        if row is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return row
-
-    def put(self, key: str, row: tuple[bool, ...]) -> None:
-        self._cache.put(key, row)
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "swept": self.swept,
-            "stale": self.stale,
-        }
-
-
 #: One evaluated item: ``(item, rows, seconds, cache_stats)``.
 ItemResult = tuple[int, list, float, dict[str, int] | None]
+
+
+def _cache_counters(cache: VerdictCache) -> dict[str, int]:
+    """The handle's lookup and health counters, as a stream line's keys."""
+    return {
+        "hits": cache.hits,
+        "misses": cache.misses,
+        "swept": cache.swept,
+        "stale": cache.stale,
+    }
 
 
 def _run_chunk(payload, cache: VerdictCache | None = None) -> list[ItemResult]:
@@ -393,22 +350,25 @@ def _run_chunk(payload, cache: VerdictCache | None = None) -> list[ItemResult]:
 
     ``payload`` is ``(evaluate, start, stop, item_payloads)``: the
     kind's top-level evaluation function and one payload per item.
-    Each item is timed *in the worker*: the wall-time drives the
-    adaptive chunk sizer, and both it and the item's verdict-cache
-    deltas (``None`` with the cache off) are published on the item's
-    stream line for external consumers (the orchestrator's sizer,
-    ``sweep-status``).
+    Each item is timed *in the worker*; its verdict-cache deltas are
+    the handle's counters diffed around the item (``None`` with the
+    cache off).  Both are published on the item's stream line for
+    ``sweep-status``.
     """
     evaluate, start, stop, item_payloads = payload
     done: list[ItemResult] = []
     for item, item_payload in zip(range(start, stop), item_payloads, strict=True):
-        session = _CacheSession(cache) if cache is not None else None
+        before = _cache_counters(cache) if cache is not None else None
         begin = time.perf_counter()
-        rows = evaluate(item_payload, session)
+        rows = evaluate(item_payload, cache)
         seconds = time.perf_counter() - begin
-        done.append(
-            (item, rows, seconds, session.stats() if session is not None else None)
-        )
+        stats = None
+        if before is not None:
+            stats = {
+                key: count - before[key]
+                for key, count in _cache_counters(cache).items()
+            }
+        done.append((item, rows, seconds, stats))
     return done
 
 
@@ -429,6 +389,15 @@ def _run_batch(payload) -> list[ItemResult]:
     return done
 
 
+#: Most items in one pool chunk.  A pool run writes an item's stream
+#: line and checkpoint entry only when the item's chunk returns, so the
+#: cap bounds the silence between them by the cost of a few items, not
+#: by a share of the run: a long run's healthy shards must keep beating
+#: ``--stall-timeout``, and a killed run loses at most one short chunk
+#: per worker.
+MAX_POOL_CHUNK = 16
+
+
 def _contiguous_runs(items: Sequence[int]) -> list[tuple[int, int]]:
     """Maximal ``(start, stop)`` runs of consecutive item indexes."""
     runs: list[tuple[int, int]] = []
@@ -438,6 +407,31 @@ def _contiguous_runs(items: Sequence[int]) -> list[tuple[int, int]]:
         else:
             runs.append((item, item + 1))
     return runs
+
+
+def _batches(items: Sequence[int], size: int) -> list[list[tuple[int, int]]]:
+    """Batch work items into executor payloads of at most ``size`` items.
+
+    Each batch is a list of contiguous ``(start, stop)`` runs.  For the
+    usual contiguous item sets a batch is exactly one run; for strided
+    (sharded) sets, many single-item runs share a batch so one executor
+    round-trip still covers a chunk's worth of work.
+    """
+    batches: list[list[tuple[int, int]]] = []
+    batch: list[tuple[int, int]] = []
+    batch_items = 0
+    for start, stop in _contiguous_runs(items):
+        for lo in range(start, stop, size):
+            hi = min(lo + size, stop)
+            if batch and batch_items + (hi - lo) > size:
+                batches.append(batch)
+                batch = []
+                batch_items = 0
+            batch.append((lo, hi))
+            batch_items += hi - lo
+    if batch:
+        batches.append(batch)
+    return batches
 
 
 class SweepEngine:
@@ -450,15 +444,11 @@ class SweepEngine:
         :class:`~repro.engine.executors.MultiprocessExecutor`.
     chunk_size:
         Work items per executor task.  Default: 1 for the serial
-        executor (exact per-item progress); for pool executors the
-        engine sizes chunks *adaptively* from per-chunk wall-time
-        telemetry (see ``chunker``).  An explicit value pins the size.
-    chunker:
-        The :class:`~repro.engine.chunking.AdaptiveChunker` used when
-        ``chunk_size`` is not pinned and the executor is a pool; pass a
-        pre-seeded one to start from known timings (the orchestrator
-        seeds relaunched shards from their stream telemetry).  Default:
-        a fresh chunker.
+        executor (exact per-item progress); ``min(ceil(remaining / (8 ×
+        jobs)), MAX_POOL_CHUNK)`` for a pool, so every worker gets
+        about eight chunks (more once the cap binds), all sent in one
+        :meth:`~repro.engine.executors.Executor.map_unordered` call.
+        An explicit value pins the size.
     checkpoint_path:
         When set, completed work is periodically saved there and a
         matching interrupted sweep resumes from it.  Stale atomic-write
@@ -478,16 +468,10 @@ class SweepEngine:
         :data:`~repro.engine.vcache.DEFAULT_CACHE_DIR`.
     """
 
-    #: Batches dispatched per adaptive wave, as a multiple of the
-    #: executor's worker count: enough in flight that workers never idle
-    #: at a wave boundary, few enough that sizing reacts quickly.
-    WAVE_FACTOR = 4
-
     def __init__(
         self,
         executor: Executor | None = None,
         chunk_size: int | None = None,
-        chunker: AdaptiveChunker | None = None,
         checkpoint_path: str | Path | None = None,
         checkpoint_interval: float = 5.0,
         cache: str = "off",
@@ -501,7 +485,6 @@ class SweepEngine:
             )
         self.executor = executor if executor is not None else SerialExecutor()
         self.chunk_size = chunk_size
-        self.chunker = chunker
         self.checkpoint_path = Path(checkpoint_path) if checkpoint_path else None
         self.checkpoint_interval = checkpoint_interval
         self.cache = cache
@@ -613,9 +596,12 @@ class SweepEngine:
                 records = loaded.records
 
         remaining = [i for i in planned if i not in records]
-        sizer: AdaptiveChunker | None = None
-        if self.chunk_size is None and self.executor.jobs > 1:
-            sizer = self.chunker if self.chunker is not None else AdaptiveChunker()
+        size = self.chunk_size
+        if size is None:
+            jobs = self.executor.jobs
+            size = 1 if jobs <= 1 else min(
+                MAX_POOL_CHUNK, max(1, math.ceil(len(remaining) / (8 * jobs)))
+            )
 
         # The cache config rides inside every executor payload: pool
         # workers open their own handle (with per-pid write shards) on
@@ -629,74 +615,56 @@ class SweepEngine:
             )
 
         meta = spec.meta
-        writer = StreamWriter(stream) if stream is not None else None
+        writer = None
+        if stream is not None:
+            writer = StreamWriter(
+                stream,
+                kind=spec.kind,
+                fingerprint=fingerprint,
+                total_items=spec.total_items,
+                meta=meta,
+                shard=(
+                    {"index": shard.index, "count": shard.count}
+                    if shard is not None
+                    else None
+                ),
+            )
         try:
             if writer is not None:
-                writer.write_header(
-                    kind=spec.kind,
-                    fingerprint=fingerprint,
-                    total_items=spec.total_items,
-                    meta=meta,
-                    shard=(
-                        {"index": shard.index, "count": shard.count}
-                        if shard is not None
-                        else None
-                    ),
-                )
                 for item in sorted(records):
                     writer.write_item(item, records[item], replayed=True)
 
             payloads = (
                 dict(zip(remaining, spec.payloads(remaining))) if remaining else {}
             )
+            batches = [
+                (
+                    spec.evaluate,
+                    [
+                        (start, stop, [payloads[i] for i in range(start, stop)])
+                        for start, stop in batch
+                    ],
+                    cache_config,
+                )
+                for batch in _batches(remaining, size)
+            ]
             last_save = time.monotonic()
-            position = 0
-            while position < len(remaining):
-                # One *wave* of executor payloads.  With a pinned chunk
-                # size a single wave covers everything; adaptively-sized
-                # runs dispatch a few batches per wave, observe their
-                # worker-measured wall-times, and re-size the next wave
-                # — pools persist across map_unordered calls, so waves
-                # cost no respawns.
-                if sizer is None:
-                    wave = remaining[position:]
-                    size = self.chunk_size
-                else:
-                    size = sizer.chunk_size()
-                    wave = remaining[
-                        position : position
-                        + size * self.executor.jobs * self.WAVE_FACTOR
-                    ]
-                position += len(wave)
-                batches = [
-                    (
-                        spec.evaluate,
-                        [
-                            (start, stop, [payloads[i] for i in range(start, stop)])
-                            for start, stop in batch
-                        ],
-                        cache_config,
-                    )
-                    for batch in self._chunks(wave, size)
-                ]
-                for done in self.executor.map_unordered(_run_batch, batches):
-                    for item, rows, seconds, cache_stats in done:
-                        records[item] = rows
-                        if writer is not None:
-                            writer.write_item(
-                                item, rows, elapsed_seconds=seconds,
-                                cache=cache_stats,
-                            )
-                    if sizer is not None:
-                        sizer.observe(len(done), sum(entry[2] for entry in done))
-                    if self.checkpoint_path is not None:
-                        now = time.monotonic()
-                        if now - last_save >= self.checkpoint_interval:
-                            save_checkpoint(
-                                self.checkpoint_path,
-                                SweepCheckpoint(checkpoint_fingerprint, records),
-                            )
-                            last_save = now
+            for done in self.executor.map_unordered(_run_batch, batches):
+                for item, rows, seconds, cache_stats in done:
+                    records[item] = rows
+                    if writer is not None:
+                        writer.write_item(
+                            item, rows, elapsed_seconds=seconds,
+                            cache=cache_stats,
+                        )
+                if self.checkpoint_path is not None:
+                    now = time.monotonic()
+                    if now - last_save >= self.checkpoint_interval:
+                        save_checkpoint(
+                            self.checkpoint_path,
+                            SweepCheckpoint(checkpoint_fingerprint, records),
+                        )
+                        last_save = now
 
             if self.checkpoint_path is not None:
                 save_checkpoint(
@@ -723,45 +691,3 @@ class SweepEngine:
         if shard_out is not None:
             save_shard(shard_out, artifact)
         return kind.reduce(artifact)
-
-    # ------------------------------------------------------------------
-    def _chunks(
-        self, remaining: Sequence[int], size: int | None = None
-    ) -> list[list[tuple[int, int]]]:
-        """Batch the remaining items into executor payloads.
-
-        Each batch is a list of contiguous ``(start, stop)`` runs whose
-        total item count is at most the chunk size.  For the usual
-        contiguous item sets a batch is exactly one run; for strided
-        (sharded) sets, many single-item runs share a batch so one
-        executor round-trip still covers a chunk's worth of work.
-
-        ``size`` overrides the engine's pinned ``chunk_size`` (the
-        adaptive run loop passes the sizer's current suggestion).
-        """
-        if not remaining:
-            return []
-        if size is None:
-            size = self.chunk_size
-        if size is None:
-            if self.executor.jobs <= 1:
-                size = 1
-            else:
-                size = max(1, math.ceil(len(remaining) / (self.executor.jobs * 8)))
-        pieces: list[tuple[int, int]] = []
-        for start, stop in _contiguous_runs(remaining):
-            for lo in range(start, stop, size):
-                pieces.append((lo, min(lo + size, stop)))
-        batches: list[list[tuple[int, int]]] = []
-        batch: list[tuple[int, int]] = []
-        batch_items = 0
-        for start, stop in pieces:
-            if batch and batch_items + (stop - start) > size:
-                batches.append(batch)
-                batch = []
-                batch_items = 0
-            batch.append((start, stop))
-            batch_items += stop - start
-        if batch:
-            batches.append(batch)
-        return batches

@@ -8,11 +8,12 @@ faster, so absolute numbers differ by orders of magnitude; the
 reproduced claim is the *growth trend* with m (scenario count p(m) and
 μ arrays grow), which this harness measures.
 
-Task-sets are generated in the parent process (so streams match the
-serial harness); each sample is timed *inside* its worker via a
-:mod:`repro.engine.executors` executor.  Keep ``jobs=1`` for clean
-wall-clock numbers — parallel workers contend for cores and inflate
-per-sample times; ``jobs > 1`` is for quick trend checks only.
+The measurement runs as the registry's ``timing`` kind
+(:func:`timing_sweep`) on the sweep engine: every sample's task-set is
+drawn from its own ``SeedSequence`` and timed *inside* the worker that
+analyses it.  Keep ``jobs=1`` for clean wall-clock numbers — parallel
+workers contend for cores and inflate per-sample times; ``jobs > 1`` is
+for quick trend checks only.
 """
 
 from __future__ import annotations
@@ -24,15 +25,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.exceptions import AnalysisError
 from repro.core.analyzer import AnalysisMethod, analyze_taskset
-from repro.core.blocking import RhoSolver
-from repro.core.workload import MuMethod
-from repro.engine.executors import make_executor, map_ordered
 from repro.engine.sweep import CorpusSweep
 from repro.generator.profiles import GROUP1, TasksetProfile
 from repro.generator.taskset_gen import generate_taskset
-from repro.model.taskset import TaskSet
 
 #: Shard-artifact kind tag of registry-backed timing sweeps.
 KIND_TIMING = "timing"
@@ -49,97 +45,6 @@ class TimingRow:
     positive_answers: int
 
 
-def _time_sample(
-    payload: tuple[TaskSet, int, AnalysisMethod, MuMethod, RhoSolver],
-) -> tuple[float, bool]:
-    """Time one analysis (runs in a worker process)."""
-    taskset, m, method, mu_method, rho_solver = payload
-    start = time.perf_counter()
-    result = analyze_taskset(
-        taskset, m, method, mu_method=mu_method, rho_solver=rho_solver
-    )
-    return time.perf_counter() - start, result.schedulable
-
-
-def run_timing(
-    core_counts: tuple[int, ...] = (4, 8, 16),
-    samples: int = 20,
-    seed: int = 2016,
-    utilization_factor: float = 0.5,
-    profile: TasksetProfile = GROUP1,
-    method: AnalysisMethod = AnalysisMethod.LP_ILP,
-    mu_method: MuMethod = "search",
-    rho_solver: RhoSolver = "assignment",
-    jobs: int = 1,
-) -> list[TimingRow]:
-    """Measure mean/max analysis runtime per core count.
-
-    Task-sets are generated at ``utilization_factor * m`` (mid-range,
-    where the paper's positive answers concentrate); only positively
-    answered task-sets are counted into the mean, mirroring the paper's
-    phrasing, but all runs are timed.
-
-    Parameters
-    ----------
-    core_counts:
-        Platforms to measure (paper: 4, 8, 16).
-    samples:
-        Random task-sets per platform.
-    seed:
-        Root seed.
-    utilization_factor:
-        Target utilisation as a fraction of ``m``.
-    profile / method / mu_method / rho_solver:
-        What exactly is being timed.
-    jobs:
-        Worker processes (timing is done inside each worker; prefer 1
-        for clean numbers).
-    """
-    if samples < 1:
-        raise AnalysisError(f"samples must be >= 1, got {samples}")
-    rows: list[TimingRow] = []
-    root = np.random.SeedSequence(seed)
-    with make_executor(jobs) as executor:
-        for child, m in zip(root.spawn(len(core_counts)), core_counts):
-            rng = np.random.default_rng(child)
-            payloads = [
-                (
-                    generate_taskset(rng, utilization_factor * m, profile),
-                    m,
-                    method,
-                    mu_method,
-                    rho_solver,
-                )
-                for _ in range(samples)
-            ]
-            timed = map_ordered(executor, _time_sample, payloads)
-            durations = [duration for duration, _ in timed]
-            positive = sum(schedulable for _, schedulable in timed)
-            rows.append(
-                TimingRow(
-                    m=m,
-                    samples=samples,
-                    mean_seconds=sum(durations) / len(durations),
-                    max_seconds=max(durations),
-                    positive_answers=positive,
-                )
-            )
-    return rows
-
-
-# ----------------------------------------------------------------------
-# Registry-backed timing sweeps (JobSpec kind "timing").
-#
-# run_timing() above is the original sequential harness: each core
-# count draws its corpus from one spawned RNG stream, so its item
-# space cannot be sliced without replaying the whole stream.  The
-# registry kind instead derives every sample's RNG independently from
-# (seed, core_index, sample_index) — the same per-item derivation the
-# grid sweeps use — which is what makes the item space shardable and
-# daemon-dispatchable.  The two corpora therefore differ at equal
-# seeds; the registry kind is the engine-facing surface, run_timing()
-# stays for direct API use and the timing-vs-paper table.
-#
 # Wall-clock durations are measured inside workers and are inherently
 # non-deterministic; the conformance suite compares only the
 # deterministic projection (schedulable counts per core count).

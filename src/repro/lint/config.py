@@ -81,10 +81,9 @@ DEFAULT_ROLES: dict[str, tuple[str, ...]] = {
     ),
     # Sanctioned SeedSequence-derivation modules (DET002 exempt).
     "seed-paths": (),
-    # Modules whose wall-clock reads are telemetry by construction.
-    "telemetry": (
-        "repro.engine.chunking",
-    ),
+    # Modules whose wall-clock reads are telemetry by construction;
+    # empty on purpose, like seed-paths.
+    "telemetry": (),
 }
 
 

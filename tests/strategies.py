@@ -162,7 +162,6 @@ def job_specs(draw):
     workload = Workload(**workload_kwargs)
 
     execution_kwargs: dict = {
-        "executor": draw(st.sampled_from(("process", "thread"))),
         "jobs": draw(st.integers(1, 16)),
         "stream": draw(st.one_of(st.none(), st.just("out/stream.jsonl"))),
         "shard_out": draw(st.one_of(st.none(), st.just("out/shard.json"))),

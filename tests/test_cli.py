@@ -390,8 +390,7 @@ class TestSweepOrchestrate:
 
         status = SimpleNamespace(
             manifest={"shards": [], "shard_count": 2, "experiment": "figure2"},
-            view=ClusterView(total_items=10, done_items=0,
-                             shards=(), timings=()),
+            view=ClusterView(total_items=10, done_items=0, shards=()),
             artifacts_done=[],
             state="running",
             complete=False,
@@ -400,8 +399,29 @@ class TestSweepOrchestrate:
         assert main(["sweep-status", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "verdict cache" not in out
+        assert "observed cost" not in out
         assert "nan" not in out
         assert "0/10 items (0%)" in out
+
+    def test_status_reports_mean_item_cost(self, capsys, monkeypatch, tmp_path):
+        from types import SimpleNamespace
+
+        import repro.engine.orchestrator as orchestrator
+        from repro.engine.livemerge import ClusterView
+
+        status = SimpleNamespace(
+            manifest={"shards": [], "shard_count": 2, "experiment": "figure2"},
+            view=ClusterView(total_items=10, done_items=4, shards=(),
+                             timed_items=4, timed_seconds=0.2),
+            artifacts_done=[],
+            state="running",
+            complete=False,
+        )
+        monkeypatch.setattr(orchestrator, "read_status", lambda _out: status)
+        assert main(["sweep-status", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "observed cost: 0.0500s/item\n" in out
+        assert "chunk" not in out
 
     def test_template_without_placeholder_is_clean_error(self, capsys, tmp_path):
         code = main(self.ARGS + [

@@ -16,9 +16,7 @@ from repro.engine.checkpoint import (
 from repro.engine.executors import (
     MultiprocessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     make_executor,
-    map_ordered,
 )
 from repro.engine.registry import merge_artifacts
 from repro.engine.shard import (
@@ -29,7 +27,13 @@ from repro.engine.shard import (
     parse_shard,
     save_shard,
 )
-from repro.engine.sweep import SweepEngine, SweepSpec, _contiguous_runs, _run_chunk
+from repro.engine.sweep import (
+    SweepEngine,
+    SweepSpec,
+    _batches,
+    _contiguous_runs,
+    _run_chunk,
+)
 from repro.exceptions import AnalysisError, CheckpointError, ShardError
 from repro.generator.profiles import GROUP1
 
@@ -66,24 +70,6 @@ class TestExecutors:
     def test_pool_empty_payloads(self):
         assert list(MultiprocessExecutor(2).map_unordered(abs, [])) == []
 
-    def test_map_ordered_restores_payload_order(self):
-        expected = [abs(x) for x in range(-8, 8)]
-        assert map_ordered(SerialExecutor(), abs, range(-8, 8)) == expected
-        assert map_ordered(MultiprocessExecutor(3), abs, range(-8, 8)) == expected
-        assert map_ordered(ThreadExecutor(3), abs, range(-8, 8)) == expected
-
-    def test_thread_executor(self):
-        assert sorted(ThreadExecutor(4).map_unordered(abs, [-3, 1, -2])) == [1, 2, 3]
-        assert list(ThreadExecutor(2).map_unordered(abs, [])) == []
-        with pytest.raises(AnalysisError):
-            ThreadExecutor(0)
-
-    def test_make_executor_kinds(self):
-        assert isinstance(make_executor(4, kind="thread"), ThreadExecutor)
-        assert isinstance(make_executor(4, kind="process"), MultiprocessExecutor)
-        assert isinstance(make_executor(1, kind="thread"), SerialExecutor)
-        with pytest.raises(AnalysisError):
-            make_executor(4, kind="fibers")
 
 
 class TestExecutorLifecycle:
@@ -91,8 +77,8 @@ class TestExecutorLifecycle:
 
     @pytest.mark.parametrize(
         "factory",
-        [SerialExecutor, lambda: MultiprocessExecutor(2), lambda: ThreadExecutor(2)],
-        ids=["serial", "process", "thread"],
+        [SerialExecutor, lambda: MultiprocessExecutor(2)],
+        ids=["serial", "process"],
     )
     def test_context_manager_closes(self, factory):
         with factory() as executor:
@@ -102,8 +88,8 @@ class TestExecutorLifecycle:
 
     @pytest.mark.parametrize(
         "factory",
-        [SerialExecutor, lambda: MultiprocessExecutor(2), lambda: ThreadExecutor(2)],
-        ids=["serial", "process", "thread"],
+        [SerialExecutor, lambda: MultiprocessExecutor(2)],
+        ids=["serial", "process"],
     )
     def test_close_is_idempotent(self, factory):
         executor = factory()
@@ -111,8 +97,7 @@ class TestExecutorLifecycle:
         executor.close()
 
     def test_pool_persists_across_map_calls(self):
-        # The adaptive engine issues many small waves; the pool must be
-        # created once and reused, not respawned per call.
+        # The pool is created once and reused, not respawned per call.
         with MultiprocessExecutor(2) as executor:
             assert list(executor.map_unordered(abs, [-1])) == [1]
             pool_before = executor._pool
@@ -127,7 +112,7 @@ class TestExecutorLifecycle:
             executor.__enter__()
 
     def test_drained_pool_closes_gracefully(self):
-        # When every wave was fully drained the workers sit idle in
+        # When every call was fully drained the workers sit idle in
         # SimpleQueue.get holding the task-queue rlock; terminate()
         # would SIGTERM the holder and wedge its siblings (and then
         # pool.join) forever on single-CPU hosts.  Fully-drained
@@ -145,7 +130,7 @@ class TestExecutorLifecycle:
         next(iterator)
         iterator.close()
         assert not executor._clean
-        # A later fully-drained wave must not launder the abandonment:
+        # A later fully-drained call must not launder the abandonment:
         # half-finished tasks may still be queued, so close() has to
         # keep terminating.
         assert sorted(executor.map_unordered(abs, [-5])) == [5]
@@ -185,16 +170,14 @@ class TestChunking:
         assert _contiguous_runs([0, 1, 2, 5, 6, 9]) == [(0, 3), (5, 7), (9, 10)]
 
     def test_chunks_respect_size_and_gaps(self):
-        engine = SweepEngine(chunk_size=2)
-        assert engine._chunks([0, 1, 2, 5, 6, 9]) == [
+        assert _batches([0, 1, 2, 5, 6, 9], 2) == [
             [(0, 2)], [(2, 3)], [(5, 7)], [(9, 10)],
         ]
 
     def test_strided_items_batch_into_shared_payloads(self):
         # A shard's item set is strided: single-item runs must share an
         # executor payload up to the chunk size, not go one-per-task.
-        engine = SweepEngine(chunk_size=3)
-        assert engine._chunks(range(0, 12, 2)) == [
+        assert _batches(range(0, 12, 2), 3) == [
             [(0, 1), (2, 3), (4, 5)],
             [(6, 7), (8, 9), (10, 11)],
         ]

@@ -1,17 +1,19 @@
-"""Adaptive chunk sizing: the telemetry loop and its engine integration."""
+"""Chunk sizing: one item per chunk serially, ``min(ceil(n / (8 ×
+jobs)), MAX_POOL_CHUNK)`` items per chunk on a pool, and ``chunk_size``
+pins both."""
+
+import math
 
 import pytest
 
 from repro.engine import (
-    AdaptiveChunker,
+    MultiprocessExecutor,
+    SerialExecutor,
+    ShardSpec,
     SweepEngine,
-    ThreadExecutor,
-    read_stream,
-    seed_chunker_from_timings,
-    suggest_chunk_size_from_stream,
 )
-from repro.engine.sweep import SweepSpec
-from repro.exceptions import AnalysisError
+from repro.engine.streaming import iter_stream
+from repro.engine.sweep import MAX_POOL_CHUNK, SweepSpec
 from repro.generator.profiles import GROUP1
 
 
@@ -28,106 +30,79 @@ def _spec(**overrides):
     return SweepSpec(**defaults)
 
 
-class TestAdaptiveChunker:
-    def test_initial_size_before_telemetry(self):
-        assert AdaptiveChunker().chunk_size() == 1
-        assert AdaptiveChunker(initial_size=8).chunk_size() == 8
+class _RecordingExecutor(SerialExecutor):
+    """Runs chunks in-process while claiming ``jobs`` workers, and
+    records the item count of every chunk each map call received."""
 
-    def test_sizes_toward_target(self):
-        chunker = AdaptiveChunker(target_seconds=1.0)
-        chunker.observe(10, 0.1)  # 10 ms/item -> ~100 items per second
-        assert chunker.chunk_size() == 100
-        assert chunker.samples == 1
-        assert chunker.per_item_seconds == pytest.approx(0.01)
+    def __init__(self, jobs):
+        self.jobs = jobs
+        self.calls = []
 
-    def test_smoothing_blends_samples(self):
-        chunker = AdaptiveChunker(target_seconds=1.0, smoothing=0.5)
-        chunker.observe(1, 0.01)
-        chunker.observe(1, 0.03)
-        assert chunker.per_item_seconds == pytest.approx(0.02)
-        assert chunker.chunk_size() == 50
+    def map_unordered(self, fn, payloads):
+        payloads = list(payloads)
+        self.calls.append([
+            sum(stop - start for start, stop, _ in runs)
+            for _evaluate, runs, _cache in payloads
+        ])
+        return super().map_unordered(fn, payloads)
 
-    def test_clamped_to_bounds(self):
-        chunker = AdaptiveChunker(target_seconds=1.0, max_size=16)
-        chunker.observe(1000, 0.001)  # absurdly cheap items
-        assert chunker.chunk_size() == 16
-        slow = AdaptiveChunker(target_seconds=0.01, min_size=2)
-        slow.observe(1, 10.0)  # absurdly expensive items
-        assert slow.chunk_size() == 2
 
-    def test_zero_duration_chunks_do_not_divide_by_zero(self):
-        chunker = AdaptiveChunker()
-        chunker.observe(5, 0.0)
-        assert chunker.chunk_size() == chunker.max_size
+class TestFixedChunkRule:
+    def test_serial_runs_one_item_per_chunk(self):
+        executor = _RecordingExecutor(jobs=1)
+        SweepEngine(executor=executor).run(_spec())
+        assert executor.calls == [[1] * 10]
 
-    def test_empty_observation_ignored(self):
-        chunker = AdaptiveChunker()
-        chunker.observe(0, 1.0)
-        assert chunker.samples == 0
-        assert chunker.chunk_size() == chunker.initial_size
+    @pytest.mark.parametrize("jobs, n_tasksets", [(2, 20), (3, 20), (2, 3)])
+    def test_unpinned_pool_sends_fixed_chunks_in_one_call(self, jobs, n_tasksets):
+        spec = _spec(n_tasksets=n_tasksets)
+        n = spec.total_items
+        size = min(math.ceil(n / (8 * jobs)), MAX_POOL_CHUNK)
+        executor = _RecordingExecutor(jobs)
+        SweepEngine(executor=executor).run(spec)
+        (sizes,) = executor.calls
+        assert sizes == [size] * (n // size) + ([n % size] if n % size else [])
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(target_seconds=0),
-            dict(min_size=0),
-            dict(max_size=0),
-            dict(min_size=8, max_size=4),
-            dict(initial_size=0),
-            dict(initial_size=10000, max_size=100),
-            dict(smoothing=0.0),
-            dict(smoothing=1.5),
-        ],
-    )
-    def test_invalid_parameters_rejected(self, kwargs):
-        with pytest.raises(AnalysisError):
-            AdaptiveChunker(**kwargs)
+    def test_pool_sizes_chunks_from_the_shard_slice(self):
+        # A shard's remaining items are strided; the rule counts them,
+        # not the whole item space, and batches single-item runs.
+        spec = _spec(n_tasksets=20)
+        executor = _RecordingExecutor(jobs=2)
+        SweepEngine(executor=executor).run(spec, shard=ShardSpec(0, 2))
+        assert executor.calls == [[2] * 10]
 
-    def test_seed_from_timings(self):
-        chunker = seed_chunker_from_timings(
-            AdaptiveChunker(target_seconds=1.0, smoothing=1.0),
-            [(2, 0.2), (4, 0.2)],
-        )
-        assert chunker.samples == 2
-        assert chunker.chunk_size() == 20  # last sample: 50 ms/item
+    def test_long_pool_run_caps_every_chunk(self):
+        # ceil(600 / 16) = 38 items would make each chunk a fixed share
+        # of the run; the cap keeps a chunk a few items long however
+        # long the run, so stream lines and checkpoints stay frequent.
+        spec = _spec(utilizations=(0.25, 0.5, 0.75), n_tasksets=200)
+        assert math.ceil(spec.total_items / 16) > MAX_POOL_CHUNK
+        executor = _RecordingExecutor(jobs=2)
+        SweepEngine(executor=executor).run(spec)
+        (sizes,) = executor.calls
+        assert max(sizes) == MAX_POOL_CHUNK
+        assert sum(sizes) == spec.total_items
+
+    @pytest.mark.parametrize("jobs", [1, 3])
+    def test_chunk_size_pins_serial_and_pool(self, jobs):
+        executor = _RecordingExecutor(jobs)
+        SweepEngine(executor=executor, chunk_size=4).run(_spec())
+        assert executor.calls == [[4, 4, 2]]
+
+    def test_unpinned_pool_run_is_bit_identical_to_serial(self):
+        spec = _spec(n_tasksets=7)
+        serial = SweepEngine().run(spec)
+        with MultiprocessExecutor(3) as executor:
+            pooled = SweepEngine(executor=executor).run(spec)
+        assert [p.schedulable for p in pooled.points] == [
+            p.schedulable for p in serial.points
+        ]
 
 
 class TestEngineTelemetry:
     def test_stream_chunks_carry_elapsed_seconds(self, tmp_path):
         stream = tmp_path / "sweep.jsonl"
         SweepEngine().run(_spec(), stream=stream)
-        dump = read_stream(stream)
-        assert dump.records, "sweep produced no item lines"
-        assert len(dump.timings) == len(dump.records)
-        assert all(items == 1 for items, _ in dump.timings)
-        assert all(seconds >= 0.0 for _, seconds in dump.timings)
-
-    def test_suggest_chunk_size_from_stream(self, tmp_path):
-        stream = tmp_path / "sweep.jsonl"
-        SweepEngine().run(_spec(), stream=stream)
-        suggested = suggest_chunk_size_from_stream(stream)
-        assert isinstance(suggested, int) and suggested >= 1
-
-    def test_suggest_handles_missing_and_empty(self, tmp_path):
-        assert suggest_chunk_size_from_stream(tmp_path / "nope.jsonl") is None
-        bad = tmp_path / "garbage.jsonl"
-        bad.write_text("not json\n")
-        assert suggest_chunk_size_from_stream(bad) is None
-
-    def test_adaptive_run_is_bit_identical_to_serial(self):
-        spec = _spec(n_tasksets=7)
-        serial = SweepEngine().run(spec)
-        with ThreadExecutor(3) as executor:
-            # chunk_size=None + pool executor -> the adaptive path.
-            adaptive = SweepEngine(executor=executor).run(spec)
-        assert [p.schedulable for p in adaptive.points] == [
-            p.schedulable for p in serial.points
-        ]
-
-    def test_preseeded_chunker_is_used(self):
-        spec = _spec(n_tasksets=4)
-        chunker = AdaptiveChunker(initial_size=3)
-        with ThreadExecutor(2) as executor:
-            SweepEngine(executor=executor, chunker=chunker).run(spec)
-        # The engine fed the chunker telemetry from its own chunks.
-        assert chunker.samples > 0
+        items = [line for line in iter_stream(stream) if line["type"] == "item"]
+        assert len(items) == _spec().total_items
+        assert all(line["elapsed_seconds"] >= 0.0 for line in items)

@@ -5,7 +5,7 @@ The engine's contract is a single sentence: *for one
 same result, bit for bit*.  This suite pins that sentence down across
 the whole mode matrix —
 
-* executors: serial, multiprocessing pool, thread pool;
+* executors: serial and multiprocessing pool;
 * chunking: any chunk size, including sizes that straddle points;
 * sharding: any partition into 1..4 shards, merged via
   :func:`~repro.engine.registry.merge_artifacts`;
@@ -43,7 +43,6 @@ from repro.engine import (
     SweepEngine,
     SweepResult,
     SweepSpec,
-    ThreadExecutor,
     read_stream,
 )
 from repro.engine.jobspec import ExecutionPolicy
@@ -116,25 +115,28 @@ def _fixed_spec(**overrides) -> SweepSpec:
 
 
 class TestExecutorConformance:
-    """serial == multiprocess == threaded, with and without chunking."""
+    """serial == multiprocess, with and without chunking."""
 
     def test_all_executors_bit_identical(self):
         spec = _fixed_spec()
         reference = _reference(spec)
-        for executor in (
-            SerialExecutor(),
-            ThreadExecutor(3),
-            MultiprocessExecutor(3),
-        ):
-            result = SweepEngine(executor=executor).run(spec)
+        for executor in (SerialExecutor(), MultiprocessExecutor(3)):
+            with executor:
+                result = SweepEngine(executor=executor).run(spec)
             assert _strip(result) == reference, type(executor).__name__
+
+    @pytest.fixture(scope="class")
+    def process_pool(self):
+        # One pool serves every hypothesis example.
+        with MultiprocessExecutor(2) as executor:
+            yield executor
 
     @CONFORMANCE
     @given(spec=sweep_specs(), chunk_size=st.integers(1, 7))
-    def test_thread_executor_any_chunking(self, spec, chunk_size):
+    def test_process_executor_any_chunking(self, spec, chunk_size, process_pool):
         reference = _reference(spec)
         chunked = SweepEngine(
-            executor=ThreadExecutor(2), chunk_size=chunk_size
+            executor=process_pool, chunk_size=chunk_size
         ).run(spec)
         assert _strip(chunked) == reference
 
@@ -172,8 +174,8 @@ class TestShardConformance:
     def test_sharded_runs_on_any_executor(self):
         spec = _fixed_spec(n_tasksets=5)
         reference = _reference(spec)
-        for executor in (ThreadExecutor(2), MultiprocessExecutor(2)):
-            with tempfile.TemporaryDirectory() as tmp:
+        for executor in (SerialExecutor(), MultiprocessExecutor(2)):
+            with executor, tempfile.TemporaryDirectory() as tmp:
                 paths = []
                 for index in range(3):
                     path = Path(tmp) / f"shard{index}.json"
@@ -601,11 +603,12 @@ class TestCacheConformance:
         reference = _reference(spec)
         cache_dir = tmp_path / "cache"
         SweepEngine(cache="readwrite", cache_dir=cache_dir).run(spec)
-        for executor in (ThreadExecutor(3), MultiprocessExecutor(3)):
+        for executor in (SerialExecutor(), MultiprocessExecutor(3)):
             stream = tmp_path / f"{type(executor).__name__}.jsonl"
-            result = SweepEngine(
-                executor=executor, cache="read", cache_dir=cache_dir
-            ).run(spec, stream=stream)
+            with executor:
+                result = SweepEngine(
+                    executor=executor, cache="read", cache_dir=cache_dir
+                ).run(spec, stream=stream)
             assert _strip(result) == reference, type(executor).__name__
             hits, misses = self._cache_totals(stream)
             assert (hits, misses) == (spec.total_items, 0)
@@ -758,11 +761,9 @@ class TestRegistryKindConformance:
 
         reference = self._serial(workload_kwargs)
         kind = workload_kwargs["kind"]
-        for executor, jobs in (("thread", 2), ("process", 2)):
-            result = run_job(
-                _registry_job(workload_kwargs, executor=executor, jobs=jobs)
-            )
-            assert _registry_project(kind, result) == reference, executor
+        for execution in (dict(jobs=2), dict(jobs=2, chunk_size=2)):
+            result = run_job(_registry_job(workload_kwargs, **execution))
+            assert _registry_project(kind, result) == reference, execution
 
     @_REGISTRY_KINDS
     @pytest.mark.parametrize("shard_count", [1, 2, 3])

@@ -189,7 +189,7 @@ class TestStrictness:
         with pytest.raises(JobSpecError):
             ExecutionPolicy(chunk_size=0)
         with pytest.raises(JobSpecError):
-            ExecutionPolicy(executor="gpu")
+            ExecutionPolicy.from_json_dict({"executor": "gpu"})
 
     def test_jobspec_error_is_analysis_error(self):
         # Callers catching the historical broad class keep working.
@@ -364,6 +364,43 @@ class TestNonFiniteInputs:
         job = _figure2_job()
         with pytest.raises(JobSpecError):
             job.with_overrides(dict([parse_set_override(override)]))
+
+
+class TestExecutorField:
+    """Job files written while a thread pool existed carry an
+    ``execution.executor`` key; ``"process"`` and ``null`` still load."""
+
+    @staticmethod
+    def _with_executor(value):
+        payload = _figure2_job().to_json_dict()
+        payload["execution"]["executor"] = value
+        return payload
+
+    @pytest.mark.parametrize("value", ["process", None])
+    def test_legacy_value_is_dropped(self, value):
+        job = JobSpec.from_json_dict(self._with_executor(value))
+        assert job == _figure2_job()
+        assert "executor" not in job.to_json_dict()["execution"]
+        assert job.fingerprint() == _figure2_job().fingerprint()
+
+    def test_thread_executor_is_a_removed_policy(self):
+        with pytest.raises(JobSpecError, match="thread executor was removed") as info:
+            JobSpec.from_json_dict(self._with_executor("thread"))
+        assert "\n" not in str(info.value)
+
+    def test_executor_is_no_longer_a_field(self):
+        with pytest.raises(TypeError):
+            ExecutionPolicy(executor="process")
+        with pytest.raises(JobSpecError, match="no field 'executor'"):
+            _figure2_job().with_overrides({"execution.executor": "process"})
+
+    def test_parent_orchestration_work_order_still_loads(self):
+        # The JobSpec JSON a work order of an older orchestration
+        # directory embeds (sweep-run --job-json '<spec>').
+        payload = _figure2_job(jobs=2, chunk_size=3).to_json_dict()
+        payload["execution"] = {"executor": "process", **payload["execution"]}
+        job = JobSpec.from_json(json.dumps(payload))
+        assert job == _figure2_job(jobs=2, chunk_size=3)
 
 
 class TestPlacement:

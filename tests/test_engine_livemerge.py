@@ -219,21 +219,32 @@ class TestReadStreamUnderConcurrentWriter:
         assert dump.complete
         assert sorted(dump.records) == [0, 4]
 
+    def test_stream_holds_its_header_once_the_writer_exists(self, tmp_path):
+        # A reader racing a just-started run (sweep-status) must see a
+        # valid empty prefix, never an empty or headerless file.
+        path = tmp_path / "s.jsonl"
+        path.write_text("stale bytes of an earlier attempt\n")
+        with StreamWriter(
+            path, kind="sweep", fingerprint="f" * 64, total_items=3, meta={},
+        ):
+            dump = read_stream(path)
+            assert dump.header["fingerprint"] == "f" * 64
+            assert dump.records == {} and not dump.complete
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.jsonl"]
+
     def test_read_stream_while_writer_thread_appends(self, tmp_path):
         path = tmp_path / "s.jsonl"
         total = 25
-        stop = threading.Event()
 
         def writer():
-            with StreamWriter(path) as out:
-                out.write_header(
-                    kind="sweep", fingerprint="f" * 64, total_items=total, meta={}
-                )
+            with StreamWriter(
+                path, kind="sweep", fingerprint="f" * 64, total_items=total,
+                meta={},
+            ) as out:
                 for index in range(total):
                     out.write_item(index, [[True]], elapsed_seconds=0.001)
                     time.sleep(0.001)
                 out.write_summary(total, 1.0)
-            stop.set()
 
         thread = threading.Thread(target=writer)
         thread.start()
@@ -241,13 +252,14 @@ class TestReadStreamUnderConcurrentWriter:
             # Hammer read_stream concurrently: every call must parse a
             # valid prefix (monotonically growing, never an error).
             sizes = []
-            while not stop.is_set():
+            while thread.is_alive():
                 dump = read_stream(path) if path.exists() else None
                 if dump is not None:
                     sizes.append(len(dump.records))
                 time.sleep(0.002)
         finally:
-            thread.join()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
         final = read_stream(path)
         assert final.complete
         assert sorted(final.records) == list(range(total))
@@ -290,7 +302,8 @@ class TestLiveMerger:
         assert view.done_items == 5
         assert view.shards[1].state == "finished"
         assert view.fraction_done == pytest.approx(5 / 8)
-        assert view.timings == ((1, 0.01),) * 5
+        assert view.timed_items == 5
+        assert view.timed_seconds == pytest.approx(0.05)
 
     def test_shrunk_stream_detected_as_restart(self, tmp_path):
         fp = "a" * 64
@@ -321,7 +334,7 @@ class TestLiveMerger:
         view = merger.poll()
         assert view.shards[0].restarts == 1
         assert view.done_items == 6
-        assert len(view.timings) == 6
+        assert view.timed_items == 6
 
     def test_explicit_reset_discards_state(self, tmp_path):
         # The orchestrator's relaunch path: reset() must work even when
@@ -338,7 +351,7 @@ class TestLiveMerger:
         self._write_shard_stream(path, fp, [0, 1])
         view = merger.poll()
         assert view.done_items == 2
-        assert len(view.timings) == 2
+        assert view.timed_items == 2
         assert view.shards[0].restarts == 1
 
     def test_foreign_fingerprint_rejected(self, tmp_path):
@@ -387,4 +400,4 @@ class TestLiveMerger:
             handle.write(json.dumps({"type": "item", "item": 2, "rows": []}) + "\n")
         view = merger.poll()
         assert view.done_items == 2
-        assert view.timings == ()
+        assert view.timed_items == 0

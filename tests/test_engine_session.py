@@ -55,7 +55,7 @@ class TestSessionRun:
         reference = _strip(run_job(_figure2_job()))
         for execution in (
             dict(jobs=2),
-            dict(jobs=2, executor="thread"),
+            dict(jobs=3),
             dict(jobs=2, chunk_size=3),
         ):
             assert _strip(run_job(_figure2_job(**execution))) == reference
@@ -234,10 +234,10 @@ class TestSweepRunCli:
     def test_flag_overrides_beat_job_file(self, tmp_path, capsys):
         job_file = self._job_file(tmp_path, {"jobs": 1})
         assert main(["sweep-run", "--job", job_file, "--jobs", "2",
-                     "--executor", "thread", "--dry-run"]) == 0
+                     "--chunk-size", "5", "--dry-run"]) == 0
         printed = json.loads(capsys.readouterr().out)
         assert printed["execution"]["jobs"] == 2
-        assert printed["execution"]["executor"] == "thread"
+        assert printed["execution"]["chunk_size"] == 5
 
     def test_save_job_round_trips(self, tmp_path):
         saved = tmp_path / "effective.json"

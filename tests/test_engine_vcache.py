@@ -12,13 +12,12 @@ import repro.engine.sweep as sweep_module
 import repro.engine.vcache as vcache_module
 from repro.cli import main
 from repro.core.analyzer import AnalysisMethod
-from repro.engine.executors import ThreadExecutor
+from repro.engine.executors import MultiprocessExecutor, SerialExecutor
 from repro.engine.shard import ShardSpec
 from repro.engine.streaming import iter_stream
 from repro.engine.sweep import (
     SweepEngine,
     SweepSpec,
-    _CacheSession,
     _evaluate_sweep_item,
     _run_chunk,
 )
@@ -98,14 +97,15 @@ class TestVerdictKey:
         # Fewer task-sets per point under another label: every item is
         # one the fill already holds.
         subset = dataclasses.replace(spec, label="other", n_tasksets=2)
-        warm = SweepEngine(
-            executor=ThreadExecutor(2) if variant == "jobs" else None,
-            chunk_size=3 if variant == "chunk-size" else None,
-            cache="read", cache_dir=cache_dir,
-        )
+        executor = MultiprocessExecutor(2) if variant == "jobs" else SerialExecutor()
         shard = ShardSpec(1, 2) if variant == "shard" else ShardSpec(0, 1)
         stream = tmp_path / "warm.jsonl"
-        warm.run(subset, shard=shard, stream=stream)
+        with executor:
+            SweepEngine(
+                executor=executor,
+                chunk_size=3 if variant == "chunk-size" else None,
+                cache="read", cache_dir=cache_dir,
+            ).run(subset, shard=shard, stream=stream)
         planned = len(list(shard.items(subset.total_items)))
         assert _stream_totals(stream) == (planned, 0)
 
@@ -239,6 +239,11 @@ def _count_parses(monkeypatch) -> list:
     return parses
 
 
+def _lookup(key, cache):
+    """A stand-in ``evaluate``: one cache lookup per item."""
+    return [cache.get(key)]
+
+
 class TestLazyOpen:
     """Open cost is pinned to the index, not the entries: opening a
     cache and looking up one key decodes exactly one entry, however
@@ -293,15 +298,19 @@ class TestLazyOpen:
         assert reader.stats() == {"hits": self.N, "misses": 0}
         assert reader.swept == 0
 
-    def test_cache_session_attributes_health_counters(self, tmp_path):
+    def test_run_chunk_attributes_health_counters(self, tmp_path):
+        # Each item's stream-line deltas are the shared handle's
+        # counters diffed around that item alone.
         self._populate(tmp_path / "c")
         self._garble(tmp_path / "c", "k5")
-        session = _CacheSession(VerdictCache(tmp_path / "c", mode="read"))
-        assert session.get("k3") is not None
-        assert session.get("k5") is None
-        assert session.stats() == {
-            "hits": 1, "misses": 1, "swept": 0, "stale": 1,
-        }
+        cache = VerdictCache(tmp_path / "c", mode="read")
+        done = _run_chunk((_lookup, 0, 3, ["k3", "k5", "k6"]), cache)
+        assert [stats for *_, stats in done] == [
+            {"hits": 1, "misses": 0, "swept": 0, "stale": 0},
+            {"hits": 0, "misses": 1, "swept": 0, "stale": 1},
+            {"hits": 1, "misses": 0, "swept": 0, "stale": 0},
+        ]
+        assert cache.stats() == {"hits": 2, "misses": 1}
 
 
 class TestCacheSessionCounters:

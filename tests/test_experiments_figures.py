@@ -7,14 +7,18 @@ on small samples.
 
 import pytest
 
+from repro.engine.jobspec import JobSpec, Workload
 from repro.engine.session import run_job
 from repro.experiments.figure2 import check_figure2_shape, figure2_job
 from repro.experiments.group2 import group2_job, summarize_group2
-from repro.experiments.timing import run_timing
 
 
 def _group2(**kwargs):
     return summarize_group2(run_job(group2_job(**kwargs)))
+
+
+def _timing(**kwargs):
+    return run_job(JobSpec(workload=Workload(kind="timing", **kwargs)))
 
 
 class TestFigure2:
@@ -65,7 +69,7 @@ class TestGroup2:
 
 class TestTiming:
     def test_rows(self):
-        rows = run_timing(core_counts=(2, 4), samples=3, seed=5)
+        rows = _timing(core_counts=(2, 4), n_tasksets=3, seed=5)
         assert [r.m for r in rows] == [2, 4]
         for row in rows:
             assert row.samples == 3
@@ -74,11 +78,11 @@ class TestTiming:
 
     def test_growth_with_m(self):
         """Analysis cost grows with the core count (the paper's trend)."""
-        rows = run_timing(core_counts=(2, 16), samples=3, seed=5)
+        rows = _timing(core_counts=(2, 16), n_tasksets=3, seed=5)
         assert rows[1].mean_seconds > rows[0].mean_seconds
 
     def test_samples_validated(self):
         from repro.exceptions import AnalysisError
 
         with pytest.raises(AnalysisError):
-            run_timing(samples=0)
+            _timing(n_tasksets=0)
