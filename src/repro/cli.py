@@ -44,8 +44,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from repro.exceptions import ReproError, ShardError
 
 def main(argv: list[str] | None = None) -> int:
@@ -100,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p5 = sub.add_parser("demo", help="generate, analyse and simulate one task-set")
     p5.add_argument("--m", type=int, default=4)
     p5.add_argument("--utilization", type=float, default=2.0)
-    p5.add_argument("--seed", type=int, default=1)
+    p5.add_argument("--seed", type=_seed_arg, default=1)
     p5.add_argument("--group", type=int, choices=(1, 2), default=1)
     p5.set_defaults(handler=_cmd_demo)
 
@@ -109,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p6.add_argument("--m", type=int, default=4)
     p6.add_argument("--utilization", type=float, default=1.0)
-    p6.add_argument("--seed", type=int, default=1)
+    p6.add_argument("--seed", type=_seed_arg, default=1)
     p6.add_argument("--samples", type=int, default=5)
     p6.set_defaults(handler=_cmd_breakdown)
 
@@ -274,6 +272,19 @@ def _items_arg(text: str):
         return parse_items(text)
     except ShardError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _seed_arg(text: str) -> int:
+    """argparse type for ``demo``/``breakdown --seed``: a non-negative int."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"seed must be a non-negative integer, got {text!r}"
+        )
+    return seed
 
 
 def _add_workload_args(parser: argparse.ArgumentParser, kind: str) -> None:
@@ -504,10 +515,11 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     from repro.experiments.reporting import format_table
     from repro.generator.profiles import GROUP1, GROUP2
     from repro.generator.taskset_gen import generate_taskset
+    from repro.rng import default_rng
     from repro.sim import simulate, synchronous_periodic_releases
 
     try:
-        rng = np.random.default_rng(args.seed)
+        rng = default_rng(args.seed)
         profile = GROUP1 if args.group == 1 else GROUP2
         taskset = generate_taskset(rng, args.utilization, profile)
         analyses = {}
@@ -560,9 +572,10 @@ def _cmd_breakdown(args: argparse.Namespace) -> int:
     from repro.experiments.reporting import format_table
     from repro.generator.profiles import GROUP1
     from repro.generator.taskset_gen import generate_taskset
+    from repro.rng import default_rng
 
     try:
-        rng = np.random.default_rng(args.seed)
+        rng = default_rng(args.seed)
         rows = []
         for i in range(args.samples):
             taskset = generate_taskset(rng, args.utilization, GROUP1)

@@ -27,16 +27,15 @@ whenever the latter is feasible (leaving a part idle never helps), which
 tests assert on random instances.
 
 The port keeps scipy's tie-breaking and numpy's summation order, so ρ
-is the float scipy gave, bit for bit; SciPy is only a test oracle (see
-DESIGN.md, "Bit-identical ρ without SciPy").
+is the float scipy and numpy gave, bit for bit; both are only test
+oracles (see DESIGN.md, "Bit-identical ρ without SciPy" and "A
+stdlib-only runtime").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf, isfinite
-
-import numpy as np
 
 from repro.exceptions import AnalysisError
 from repro.combinatorics.partitions import partitions
@@ -114,9 +113,10 @@ def rho_assignment(
 
     The matching comes from :func:`_max_weight_matching`, a port of
     ``scipy.optimize.linear_sum_assignment`` that breaks ties the same
-    way. The picked ``μ`` are summed in ascending task order by numpy,
-    whose pairwise rule regroups the terms from eight on, so the result
-    is bit for bit ``V[rows, cols].sum()`` over scipy's ``(rows, cols)``.
+    way. The picked ``μ`` are summed in ascending task order by
+    :func:`_numpy_sum`, numpy's pairwise rule, which regroups the terms
+    from eight on, so the result is bit for bit ``V[rows, cols].sum()``
+    over scipy's ``(rows, cols)``.
 
     Parameters
     ----------
@@ -153,7 +153,43 @@ def rho_assignment(
             raise AnalysisError(f"mu array of task {name!r} has a non-finite entry: {row}")
         value.append(row)
     pairs = _max_weight_matching(value)
-    return float(np.array([value[i][j] for i, j in pairs], dtype=float).sum())
+    return _numpy_sum([value[i][j] for i, j in pairs])
+
+
+def _numpy_sum(terms: list[float]) -> float:
+    """``float(np.array(terms, dtype=float).sum())``, bit for bit.
+
+    numpy 2 adds its pairwise sum to the reduction's identity ``0.0``.
+    The pairwise sum adds fewer than 8 terms left to right from
+    ``-0.0``; 8 to 128 terms in eight running sums ``r[k] += x[i + k]``,
+    combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` before the
+    remaining ``n % 8`` terms are added left to right; and more terms
+    as the sum of two halves split at a multiple of 8.
+    """
+    return 0.0 + _pairwise_sum(terms)
+
+
+def _pairwise_sum(terms: list[float]) -> float:
+    n = len(terms)
+    if n < 8:
+        total = -0.0
+        for term in terms:
+            total += term
+        return total
+    if n <= 128:
+        sums = [float(term) for term in terms[:8]]
+        tail = n - n % 8
+        for start in range(8, tail, 8):
+            for k in range(8):
+                sums[k] += terms[start + k]
+        total = ((sums[0] + sums[1]) + (sums[2] + sums[3])) + (
+            (sums[4] + sums[5]) + (sums[6] + sums[7])
+        )
+        for term in terms[tail:]:
+            total += term
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
 
 
 def _max_weight_matching(value: list[list[float]]) -> list[tuple[int, int]]:

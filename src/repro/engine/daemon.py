@@ -1,8 +1,8 @@
 """Persistent worker daemons: shard dispatch without interpreter spawns.
 
 Every shard launch on a :class:`~repro.engine.backends.LocalBackend`
-pays a full Python interpreter start plus the numpy/repro import bill —
-hundreds of milliseconds that dominate small shards and add up over
+pays a full Python interpreter start plus the repro import bill —
+over a tenth of a second that dominates small shards and adds up over
 retries and elastic re-partitions.  A :class:`WorkerDaemon` pays that
 bill **once**: it imports the repro stack at startup, listens on a
 local (``AF_UNIX``) socket, and runs each submitted shard work order in
@@ -147,9 +147,6 @@ def preload() -> None:
     daemon) and for fork safety (no import-lock contention at fork
     time).
     """
-    import numpy  # noqa: F401
-    import numpy.random  # noqa: F401  (numpy defers it to first use)
-
     import repro.cli  # noqa: F401
     import repro.engine  # noqa: F401
     import repro.experiments.figure2  # noqa: F401

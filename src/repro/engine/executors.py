@@ -16,11 +16,11 @@ deterministic rather than left to GC-timed pool finalisers.  A closed
 executor raises :class:`~repro.exceptions.AnalysisError` on further
 use.
 
-Because every sweep work item derives its own RNG from the root
-:class:`numpy.random.SeedSequence` (see :mod:`repro.engine.sweep`), both
-executors produce bit-identical sweep results for the same spec — the
-cross-executor conformance suite (``tests/test_engine_conformance.py``)
-asserts exactly this.
+Because every sweep work item derives its own RNG from the root seed
+and its own spawn key (:func:`repro.rng.default_rng`, see
+:mod:`repro.engine.sweep`), both executors produce bit-identical sweep
+results for the same spec — the cross-executor conformance suite
+(``tests/test_engine_conformance.py``) asserts exactly this.
 """
 
 from __future__ import annotations

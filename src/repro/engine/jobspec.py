@@ -282,6 +282,8 @@ class Workload:
                 raise JobSpecError(f"{name} must be finite, got {value}")
         if "m" in spec.keys and self.m < 1:
             raise JobSpecError(f"core count m must be >= 1, got {self.m}")
+        if self.seed < 0:
+            raise JobSpecError(f"seed must be >= 0, got {self.seed}")
         if self.n_tasksets is None:
             object.__setattr__(self, "n_tasksets", spec.default_tasksets)
         if self.n_tasksets < 1:

@@ -20,10 +20,11 @@ Two item shapes exist.  A utilisation-grid sweep (figure2, group2;
 :class:`SweepSpec`) evaluates item ``point * n_tasksets + index`` on
 the task-set drawn from
 
-    SeedSequence(seed, spawn_key=(point_index, taskset_index))
+    default_rng(seed, spawn_key=(point_index, taskset_index))
 
-— equal to ``SeedSequence(seed).spawn(P)[point].spawn(N)[index]`` but
-needing no shared spawning state — and its row is one boolean per
+(:mod:`repro.rng`: numpy's ``SeedSequence(seed, spawn_key=...)``
+stream, equal to ``SeedSequence(seed).spawn(P)[point].spawn(N)[index]``
+but needing no shared spawning state) — and its row is one boolean per
 analysis method; its reduction counts them per point.  A corpus sweep
 (splitsweep, sensitivity, simulate, timing; :class:`CorpusSweep`)
 builds every item's payload up front, e.g. a corpus drawn from one
@@ -59,8 +60,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
 
-import numpy as np
-
 from repro.exceptions import AnalysisError, CacheError
 from repro.core.analyzer import AnalysisMethod, analyze_taskset_multi
 from repro.core.blocking import RhoSolver
@@ -79,6 +78,7 @@ from repro.engine.streaming import StreamWriter
 from repro.engine.vcache import CACHE_MODES, DEFAULT_CACHE_DIR, VerdictCache, coordinate_key
 from repro.generator.profiles import TasksetProfile
 from repro.generator.taskset_gen import generate_taskset
+from repro.rng import Generator, default_rng
 
 #: Methods compared in the paper's evaluation, in plot order.
 DEFAULT_METHODS: tuple[AnalysisMethod, ...] = (
@@ -189,11 +189,9 @@ class SweepSpec:
         """Per-item payloads: the spec and the item index."""
         return [(self, item) for item in items]
 
-    def taskset_rng(self, point_index: int, taskset_index: int) -> np.random.Generator:
+    def taskset_rng(self, point_index: int, taskset_index: int) -> Generator:
         """The work item's private RNG, independent of execution order."""
-        return np.random.default_rng(
-            np.random.SeedSequence(self.seed, spawn_key=(point_index, taskset_index))
-        )
+        return default_rng(self.seed, spawn_key=(point_index, taskset_index))
 
     def item_key(self, point_index: int, taskset_index: int) -> str:
         """The work item's verdict-cache key: its generation coordinates.

@@ -1,8 +1,9 @@
 """Persistent verdict cache of the grid sweeps' items, keyed on coordinates.
 
 A utilisation-grid item (figure2, group2) draws its task-set from its
-own ``SeedSequence(seed, spawn_key=(point, index))``, so its verdicts
-are fixed by its *generation coordinates*: the profile, the seed, the
+own ``default_rng(seed, spawn_key=(point, index))`` stream
+(:mod:`repro.rng`), so its verdicts are fixed by its *generation
+coordinates*: the profile, the seed, the
 point index and its utilisation, the task-set index, ``m``, the
 methods and the LP-ILP solvers.  :func:`coordinate_key` hashes exactly those
 plus a code salt (:func:`code_salt`), and an entry stores the item's
@@ -10,10 +11,10 @@ row — one boolean per method, the record checkpoints, streams and the
 result store already carry.  A warm replay therefore neither generates
 nor analyses a task-set.
 
-The salt is a SHA-256 over numpy's version and the source bytes of
-every module an item's verdict depends on (:data:`SALTED_SOURCES`), so
-an edit to the generator or the analysis can never replay a stale
-verdict and no constant needs a hand bump.  It is computed once per
+The salt is a SHA-256 over the source bytes of every module an item's
+verdict depends on (:data:`SALTED_SOURCES`), the RNG port included, so
+an edit to the generator, the draws or the analysis can never replay a
+stale verdict and no constant needs a hand bump.  It is computed once per
 process; the worker daemon computes it before it forks, so a forked
 worker keys with the code it runs.
 
@@ -92,10 +93,10 @@ _META_NAME = "CACHE_META.json"
 
 #: The sources a grid item's verdict depends on, relative to the
 #: package root: generation, the task model, the analyses and their
-#: solvers, and the sweep module that derives each item's RNG.
+#: solvers, the RNG and the sweep module that seeds it per item.
 SALTED_SOURCES = (
     "generator", "model", "graph", "core", "combinatorics", "ilp",
-    "engine/sweep.py",
+    "rng.py", "engine/sweep.py",
 )
 
 #: This process's code salt (see :func:`code_salt`), once computed.
@@ -103,7 +104,7 @@ _SALT: str | None = None
 
 
 def code_salt() -> str:
-    """SHA-256 over numpy's version and the :data:`SALTED_SOURCES` bytes.
+    """SHA-256 over the :data:`SALTED_SOURCES` bytes.
 
     Computed once per process (about 2 ms) and kept: the worker daemon
     calls this before it forks, so a forked worker keys with the code
@@ -111,10 +112,8 @@ def code_salt() -> str:
     """
     global _SALT
     if _SALT is None:
-        import numpy
-
         root = Path(__file__).resolve().parent.parent
-        digest = hashlib.sha256(f"numpy {numpy.__version__}".encode())
+        digest = hashlib.sha256()
         for name in SALTED_SOURCES:
             path = root / name
             for source in sorted(path.rglob("*.py")) if path.is_dir() else [path]:

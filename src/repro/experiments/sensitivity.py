@@ -26,14 +26,13 @@ import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from repro.core.analyzer import AnalysisMethod
 from repro.core.sensitivity import blocking_slack, breakdown_utilization
 from repro.engine.sweep import CorpusSweep
 from repro.generator.profiles import GROUP1, TasksetProfile
 from repro.generator.taskset_gen import generate_taskset
 from repro.model.taskset import TaskSet
+from repro.rng import default_rng
 
 __all__ = [
     "SENSITIVITY_METHODS",
@@ -163,7 +162,7 @@ def sensitivity_sweep(workload) -> CorpusSweep:
     n_tasksets, seed = workload.n_tasksets, workload.seed
 
     def corpus() -> list[tuple]:
-        rng = np.random.default_rng(seed)
+        rng = default_rng(seed)
         return [
             (generate_taskset(rng, utilization, GROUP1), m, max_scale)
             for _ in range(n_tasksets)

@@ -28,13 +28,12 @@ import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from repro.core.analyzer import AnalysisMethod, analyze_taskset
 from repro.engine.sweep import CorpusSweep
 from repro.generator.profiles import GROUP1, TasksetProfile
 from repro.generator.taskset_gen import generate_taskset
 from repro.model.taskset import TaskSet
+from repro.rng import default_rng
 from repro.sim import simulate, synchronous_periodic_releases
 
 __all__ = [
@@ -159,7 +158,7 @@ def simulation_sweep(workload) -> CorpusSweep:
     n_tasksets, seed = workload.n_tasksets, workload.seed
 
     def corpus() -> list[tuple]:
-        rng = np.random.default_rng(seed)
+        rng = default_rng(seed)
         return [
             (generate_taskset(rng, utilization, GROUP1), m, horizon_factor)
             for _ in range(n_tasksets)

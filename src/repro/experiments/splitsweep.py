@@ -34,8 +34,6 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.exceptions import AnalysisError, ShardError
 from repro.core.analyzer import AnalysisMethod, analyze_taskset
 from repro.engine.sweep import CorpusSweep
@@ -43,6 +41,7 @@ from repro.generator.profiles import GROUP1, TasksetProfile
 from repro.generator.taskset_gen import generate_taskset
 from repro.model.taskset import TaskSet
 from repro.model.transforms import with_split_nodes
+from repro.rng import default_rng
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,7 +202,7 @@ def splitsweep_sweep(workload) -> CorpusSweep:
     method = AnalysisMethod.LP_ILP
 
     def corpus() -> list[tuple]:
-        rng = np.random.default_rng(workload.seed)
+        rng = default_rng(workload.seed)
         return [
             (generate_taskset(rng, workload.utilization, GROUP1),
              m, thresholds, method, overhead)

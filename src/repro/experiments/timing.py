@@ -10,10 +10,10 @@ reproduced claim is the *growth trend* with m (scenario count p(m) and
 
 The measurement runs as the registry's ``timing`` kind
 (:func:`timing_sweep`) on the sweep engine: every sample's task-set is
-drawn from its own ``SeedSequence`` and timed *inside* the worker that
-analyses it.  Keep ``jobs=1`` for clean wall-clock numbers — parallel
-workers contend for cores and inflate per-sample times; ``jobs > 1`` is
-for quick trend checks only.
+drawn from its own spawn-keyed stream (:func:`repro.rng.default_rng`)
+and timed *inside* the worker that analyses it.  Keep ``jobs=1`` for
+clean wall-clock numbers — parallel workers contend for cores and
+inflate per-sample times; ``jobs > 1`` is for quick trend checks only.
 """
 
 from __future__ import annotations
@@ -23,12 +23,11 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from repro.core.analyzer import AnalysisMethod, analyze_taskset
 from repro.engine.sweep import CorpusSweep
 from repro.generator.profiles import GROUP1, TasksetProfile
 from repro.generator.taskset_gen import generate_taskset
+from repro.rng import default_rng
 
 #: Shard-artifact kind tag of registry-backed timing sweeps.
 KIND_TIMING = "timing"
@@ -76,14 +75,12 @@ def _evaluate_timing_item(
     """One work item: generate + time one sample (in a worker).
 
     The task-set is regenerated in the worker from the item's own
-    ``SeedSequence(seed, spawn_key=(core_index, sample_index))`` —
+    ``default_rng(seed, spawn_key=(core_index, sample_index))`` —
     payloads stay tiny and every shard sees the identical corpus.
     ``cache`` is unused: timing measures the uncached analysis.
     """
     m, seed, core_index, sample_index, utilization_factor = payload
-    rng = np.random.default_rng(
-        np.random.SeedSequence(seed, spawn_key=(core_index, sample_index))
-    )
+    rng = default_rng(seed, spawn_key=(core_index, sample_index))
     taskset = generate_taskset(rng, utilization_factor * m, GROUP1)
     start = time.perf_counter()
     result = analyze_taskset(taskset, m, AnalysisMethod.LP_ILP)

@@ -16,16 +16,15 @@ chain-shaped control-flow tasks of the paper's first task-set group.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.exceptions import GenerationError
 from repro.generator.profiles import DagProfile
 from repro.model.dag import DAG
 from repro.model.node import Node
+from repro.rng import Generator
 
 
 def random_dag(
-    rng: np.random.Generator,
+    rng: Generator,
     profile: DagProfile = DagProfile(),
     name_prefix: str = "v",
 ) -> DAG:
@@ -34,7 +33,9 @@ def random_dag(
     Parameters
     ----------
     rng:
-        NumPy random generator (all randomness flows through it).
+        Random generator (all randomness flows through it): a
+        :func:`repro.rng.default_rng` stream, or anything with numpy
+        ``Generator``'s ``integers``/``random``.
     profile:
         Shape parameters (see :class:`~repro.generator.profiles.DagProfile`).
     name_prefix:
@@ -54,7 +55,7 @@ def random_dag(
 
 
 def sequential_dag(
-    rng: np.random.Generator,
+    rng: Generator,
     profile: DagProfile = DagProfile(),
     name_prefix: str = "v",
 ) -> DAG:
@@ -72,7 +73,7 @@ def sequential_dag(
     return DAG(nodes, edges)
 
 
-def _draw_wcet(rng: np.random.Generator, profile: DagProfile) -> int:
+def _draw_wcet(rng: Generator, profile: DagProfile) -> int:
     return int(rng.integers(profile.wcet_min, profile.wcet_max + 1))
 
 
@@ -80,7 +81,7 @@ class _Builder:
     """Mutable state of one recursive expansion."""
 
     def __init__(
-        self, rng: np.random.Generator, profile: DagProfile, prefix: str
+        self, rng: Generator, profile: DagProfile, prefix: str
     ) -> None:
         self.rng = rng
         self.profile = profile

@@ -1,14 +1,10 @@
-"""Period assignment helpers.
+"""Period assignment.
 
 The evaluation derives the period from a target utilisation
-(``T = vol/u``, implicit deadline ``D = T``); a log-uniform sampler is
-also provided for users who prefer period-driven generation (common in
-other schedulability studies, not used by the paper's experiments).
+(``T = vol/u``, implicit deadline ``D = T``).
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.exceptions import GenerationError
 from repro.model.dag import DAG
@@ -26,21 +22,3 @@ def period_from_utilization(dag: DAG, utilization: float) -> float:
         raise GenerationError(f"utilization must be > 0, got {utilization}")
     return dag.volume / utilization
 
-
-def log_uniform_period(
-    rng: np.random.Generator,
-    minimum: float,
-    maximum: float,
-) -> float:
-    """Draw a period log-uniformly from ``[minimum, maximum]``.
-
-    Raises
-    ------
-    GenerationError
-        If the bounds are not ``0 < minimum <= maximum``.
-    """
-    if not (0 < minimum <= maximum):
-        raise GenerationError(
-            f"need 0 < minimum <= maximum, got [{minimum}, {maximum}]"
-        )
-    return float(np.exp(rng.uniform(np.log(minimum), np.log(maximum))))

@@ -12,8 +12,6 @@ reduces to rate-monotonic here because deadlines are implicit).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.exceptions import GenerationError
 from repro.generator.dag_gen import random_dag, sequential_dag
 from repro.generator.periods import period_from_utilization
@@ -22,9 +20,10 @@ from repro.generator.utilization import draw_task_utilization
 from repro.model.dag import DAG
 from repro.model.task import DAGTask
 from repro.model.taskset import TaskSet
+from repro.rng import Generator
 
 def generate_task(
-    rng: np.random.Generator,
+    rng: Generator,
     profile: TasksetProfile = GROUP1,
     name: str = "tau",
 ) -> DAGTask:
@@ -41,7 +40,7 @@ def generate_task(
 
 
 def generate_taskset(
-    rng: np.random.Generator,
+    rng: Generator,
     target_utilization: float,
     profile: TasksetProfile = GROUP1,
 ) -> TaskSet:
@@ -50,7 +49,8 @@ def generate_taskset(
     Parameters
     ----------
     rng:
-        NumPy random generator.
+        Random generator: a :func:`repro.rng.default_rng` stream, or
+        anything with numpy ``Generator``'s ``integers``/``random``/``uniform``.
     target_utilization:
         Desired total ``Σ vol_i/T_i`` (> 0). The result matches it to
         float precision.
@@ -116,7 +116,7 @@ def assign_priorities_dm(tasks: list[DAGTask]) -> TaskSet:
     )
 
 
-def _draw_dag(rng: np.random.Generator, profile: TasksetProfile) -> DAG:
+def _draw_dag(rng: Generator, profile: TasksetProfile) -> DAG:
     if rng.random() < profile.dag.sequential_probability:
         return sequential_dag(rng, profile.dag)
     return random_dag(rng, profile.dag)

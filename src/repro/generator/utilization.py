@@ -22,12 +22,11 @@ deadline even on infinitely many cores).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.exceptions import GenerationError
 from repro.generator.profiles import TasksetProfile
 from repro.graph.paths import longest_path_length
 from repro.model.dag import DAG
+from repro.rng import Generator
 
 
 def utilization_ceiling(dag: DAG, profile: TasksetProfile) -> float:
@@ -47,7 +46,7 @@ def utilization_ceiling(dag: DAG, profile: TasksetProfile) -> float:
 
 
 def draw_task_utilization(
-    rng: np.random.Generator,
+    rng: Generator,
     dag: DAG,
     profile: TasksetProfile,
 ) -> float:

@@ -79,7 +79,7 @@ DEFAULT_ROLES: dict[str, tuple[str, ...]] = {
         "repro.engine.*",
         "repro.core.*",
     ),
-    # Sanctioned SeedSequence-derivation modules (DET002 exempt).
+    # Sanctioned seed-derivation modules (DET002 exempt).
     "seed-paths": (),
     # Modules whose wall-clock reads are telemetry by construction;
     # empty on purpose, like seed-paths.

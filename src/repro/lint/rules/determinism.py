@@ -91,22 +91,22 @@ _LEGACY_NP_RANDOM = frozenset(
 
 @register
 class UnseededRandomness(Rule):
-    """DET002: randomness outside the seeded SeedSequence derivation.
+    """DET002: randomness outside the seeded spawn-key derivation.
 
     Every random draw in this repo must descend from an explicit seed
-    through ``np.random.SeedSequence`` spawn keys (see
-    ``engine/sweep.py``) so that serial, parallel and sharded runs see
-    identical streams.  This rule flags randomness that cannot be
+    through spawn keys (``repro.rng.default_rng(seed, spawn_key=...)``,
+    see ``engine/sweep.py``) so that serial, parallel and sharded runs
+    see identical streams.  This rule flags randomness that cannot be
     replayed: any ``random.*`` stdlib call (process-global state), the
     legacy numpy global-state API (``np.random.seed`` /
     ``np.random.rand`` / ``np.random.shuffle`` …), and **argument-less**
     ``np.random.default_rng()`` / ``np.random.SeedSequence()`` (both
-    pull OS entropy).
+    pull OS entropy); tests and benchmarks still draw from numpy.
 
-    **Comply** by deriving a ``Generator`` from the run's seed:
-    ``np.random.default_rng(np.random.SeedSequence(seed, spawn_key=...))``.
-    Modules carrying the ``seed-paths`` role (the sanctioned derivation
-    layer) are exempt.
+    **Comply** by deriving a generator from the run's seed:
+    ``repro.rng.default_rng(seed, spawn_key=...)``, whose seed is a
+    required argument.  Modules carrying the ``seed-paths`` role (the
+    sanctioned derivation layer) are exempt.
     """
 
     code = "DET002"
@@ -128,7 +128,8 @@ class UnseededRandomness(Rule):
                     ctx,
                     node,
                     f"stdlib {name}() uses process-global RNG state; "
-                    "derive a numpy Generator from the run seed instead",
+                    "derive repro.rng.default_rng(seed, spawn_key=...) "
+                    "from the run seed instead",
                 )
                 continue
             parts = name.split(".")
@@ -138,8 +139,9 @@ class UnseededRandomness(Rule):
                     yield self.finding(
                         ctx,
                         node,
-                        f"legacy numpy global-state RNG {name}(); use a "
-                        "seeded np.random.default_rng(...) Generator",
+                        f"legacy numpy global-state RNG {name}(); derive "
+                        "repro.rng.default_rng(seed, spawn_key=...) from "
+                        "the run seed",
                     )
                 elif leaf in ("default_rng", "SeedSequence") and not (
                     node.args or node.keywords
@@ -147,8 +149,9 @@ class UnseededRandomness(Rule):
                     yield self.finding(
                         ctx,
                         node,
-                        f"bare {name}() seeds from OS entropy; pass the "
-                        "run's derived SeedSequence",
+                        f"bare {name}() seeds from OS entropy; use "
+                        "repro.rng.default_rng(seed, spawn_key=...) with "
+                        "the run seed",
                     )
 
 

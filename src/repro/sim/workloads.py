@@ -13,10 +13,9 @@ and this module provides the two standard generators:
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.exceptions import SimulationError
 from repro.model.taskset import TaskSet
+from repro.rng import Generator
 
 Release = tuple[float, str]
 
@@ -40,7 +39,7 @@ def synchronous_periodic_releases(taskset: TaskSet, horizon: float) -> list[Rele
 
 
 def sporadic_releases(
-    rng: np.random.Generator,
+    rng: Generator,
     taskset: TaskSet,
     horizon: float,
     max_jitter: float = 0.5,

@@ -1,8 +1,13 @@
 """Unit tests for the command-line interface."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples" / "jobs"
 
 
 class TestFigure1:
@@ -101,6 +106,44 @@ class TestBreakdown:
         out = capsys.readouterr().out
         assert "Breakdown utilisation" in out
         assert "LP-ILP" in out
+
+
+class TestNegativeSeed:
+    """A negative seed is one ``JobSpecError`` line, never an RNG traceback."""
+
+    @pytest.mark.parametrize("job", ["figure2-small", "splitsweep-small"])
+    def test_job_file(self, job, capsys, tmp_path):
+        payload = json.loads((EXAMPLES / f"{job}.json").read_text())
+        payload["workload"]["seed"] = -1
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(payload))
+        assert main(["sweep-run", "--job", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"sweep-run: {path}: seed must be >= 0, got -1\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("job", ["group2-small", "sensitivity-small"])
+    def test_set_override(self, job, capsys):
+        assert main(["sweep-run", "--job", str(EXAMPLES / f"{job}.json"),
+                     "--set", "workload.seed=-3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "sweep-run: seed must be >= 0, got -3\n"
+        assert captured.out == ""
+
+    def test_alias_flag(self, capsys):
+        assert main(["figure2", "--m", "2", "--tasksets", "1",
+                     "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "figure2: seed must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("command", ["demo", "breakdown"])
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_direct_seeding_commands_refuse_at_parsing(self, command, seed, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--seed", seed])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"seed must be a non-negative integer, got '{seed}'" in err
+        assert "Traceback" not in err
 
 
 class TestSplitSweep:

@@ -46,9 +46,11 @@ def declared_dependencies() -> set[str]:
 
 def test_scan_sees_the_known_imports():
     found = third_party_imports()
-    assert {"numpy", "networkx"} <= set(found)
-    # SciPy is a test oracle only; the runtime solves ρ in-repo.
+    assert "networkx" in found
+    # SciPy and numpy are test oracles only; the runtime solves ρ and
+    # draws its task-sets in-repo.
     assert "scipy" not in found
+    assert "numpy" not in found
 
 
 def test_every_third_party_import_is_declared():
@@ -72,11 +74,11 @@ def run_python(code: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=300)
 
 
-def test_runs_with_scipy_unimportable():
+def run_with_unimportable(name: str) -> None:
     # ``sys.modules[name] = None`` makes every import of it fail, as in an
     # environment that has only the declared dependencies.
     code = ("import sys\n"
-            "sys.modules['scipy'] = None\n"
+            f"sys.modules[{name!r}] = None\n"
             "from repro.cli import main\n"
             f"for argv in {RUNS!r}:\n"
             "    assert main(argv) == 0, argv\n")
@@ -84,12 +86,28 @@ def test_runs_with_scipy_unimportable():
     assert done.returncode == 0, done.stderr
 
 
-def test_scipy_stays_unloaded():
+def run_checking_unloaded(name: str) -> None:
     code = ("import sys\n"
             "from repro.cli import main\n"
-            "assert 'scipy' not in sys.modules, 'import repro.cli'\n"
+            f"assert {name!r} not in sys.modules, 'import repro.cli'\n"
             f"for argv in {RUNS!r}:\n"
             "    assert main(argv) == 0, argv\n"
-            "    assert 'scipy' not in sys.modules, argv\n")
+            f"    assert {name!r} not in sys.modules, argv\n")
     done = run_python(code)
     assert done.returncode == 0, done.stderr
+
+
+def test_runs_with_scipy_unimportable():
+    run_with_unimportable("scipy")
+
+
+def test_scipy_stays_unloaded():
+    run_checking_unloaded("scipy")
+
+
+def test_runs_with_numpy_unimportable():
+    run_with_unimportable("numpy")
+
+
+def test_numpy_stays_unloaded():
+    run_checking_unloaded("numpy")

@@ -4,6 +4,7 @@ shard artifacts and streams.  (Cross-executor bit-identity lives in
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.analyzer import AnalysisMethod
@@ -147,11 +148,18 @@ class TestSweepSpec:
 
     def test_rng_independent_of_order(self):
         spec = _spec()
-        a = spec.taskset_rng(1, 3).integers(0, 1 << 30, 4)
-        b = spec.taskset_rng(0, 0).integers(0, 1 << 30, 4)
-        c = spec.taskset_rng(1, 3).integers(0, 1 << 30, 4)
-        assert list(a) == list(c)
-        assert list(a) != list(b)
+
+        def draws(rng) -> list[int]:
+            return [int(rng.integers(0, 1 << 30)) for _ in range(4)]
+
+        a = draws(spec.taskset_rng(1, 3))
+        b = draws(spec.taskset_rng(0, 0))
+        c = draws(spec.taskset_rng(1, 3))
+        assert a == c
+        assert a != b
+        # The item's stream is numpy's spawn-keyed SeedSequence stream.
+        assert a == draws(np.random.default_rng(
+            np.random.SeedSequence(spec.seed, spawn_key=(1, 3))))
 
     def test_fingerprint_sensitivity(self):
         base = _spec()

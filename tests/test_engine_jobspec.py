@@ -191,6 +191,11 @@ class TestStrictness:
         with pytest.raises(JobSpecError):
             ExecutionPolicy.from_json_dict({"executor": "gpu"})
 
+    @pytest.mark.parametrize("kind", WORKLOAD_KINDS)
+    def test_negative_seed_rejected(self, kind):
+        with pytest.raises(JobSpecError, match="seed must be >= 0, got -1"):
+            Workload(kind=kind, seed=-1)
+
     def test_jobspec_error_is_analysis_error(self):
         # Callers catching the historical broad class keep working.
         with pytest.raises(AnalysisError):

@@ -12,7 +12,7 @@ from repro.generator import (
     generate_task,
     generate_taskset,
 )
-from repro.generator.periods import log_uniform_period, period_from_utilization
+from repro.generator.periods import period_from_utilization
 from repro.generator.profiles import DagProfile, TasksetProfile
 from repro.generator.utilization import utilization_ceiling
 from repro.model import DAGTask, DagBuilder
@@ -51,17 +51,6 @@ class TestPeriods:
     def test_bad_utilization(self, diamond):
         with pytest.raises(GenerationError):
             period_from_utilization(diamond, 0.0)
-
-    def test_log_uniform_bounds(self, rng):
-        for _ in range(50):
-            p = log_uniform_period(rng, 10.0, 1000.0)
-            assert 10.0 <= p <= 1000.0
-
-    def test_log_uniform_validation(self, rng):
-        with pytest.raises(GenerationError):
-            log_uniform_period(rng, 10.0, 5.0)
-        with pytest.raises(GenerationError):
-            log_uniform_period(rng, 0.0, 5.0)
 
 
 class TestGenerateTask:

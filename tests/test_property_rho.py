@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from repro.core.scenarios import (
     ExecutionScenario,
     _max_weight_matching,
+    _numpy_sum,
     execution_scenarios,
     rho_assignment,
 )
@@ -87,6 +88,22 @@ def test_rho_sum_of_eight_is_numpy_not_left_to_right():
     got = rho_assignment(table, ExecutionScenario((1,) * 8))
     assert got.hex() == float(np.array(values).sum()).hex()
     assert got != left_to_right
+
+
+# Lengths 8 to 40 take numpy's eight-accumulator path with 0 to 7
+# trailing terms; the sums are also drawn from ±0.0 alone, whose sign
+# numpy's identity settles.
+@given(terms=st.one_of(
+    st.lists(st.floats(-1e300, 1e300, allow_nan=False), max_size=40),
+    st.lists(NON_NEGATIVE, max_size=40),
+    st.lists(st.sampled_from([0.0, -0.0]), max_size=40),
+    st.lists(st.integers(0, 2**60), max_size=40),
+))
+@settings(max_examples=300, deadline=None)
+def test_numpy_sum_equals_numpy(terms):
+    got = _numpy_sum(terms)
+    assert type(got) is float
+    assert got.hex() == float(np.array(terms, dtype=float).sum()).hex()
 
 
 def test_integer_mu_gives_a_float():
