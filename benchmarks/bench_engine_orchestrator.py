@@ -1,6 +1,6 @@
 """Orchestrator-tier overhead: live merge throughput and dispatch cost.
 
-Three bounds keep the tier honest:
+Two bounds keep the tier honest:
 
 * the live merger must fold thousands of stream item lines per second
   — it runs inside the orchestrator's poll loop, so a slow merge would
@@ -8,13 +8,9 @@ Three bounds keep the tier honest:
 * a whole orchestrated run (subprocess dispatch + stream tailing +
   artifact merge) must cost only bounded overhead on top of the same
   sweep run serially in-process, while producing the bit-identical
-  result — the whole point of the design;
-* daemon dispatch must beat subprocess dispatch on per-shard launch
-  overhead — a :class:`~repro.engine.daemon.WorkerDaemon` forks the
-  already-imported stack, so it skips the interpreter + numpy/repro
-  import bill every ``LocalBackend`` launch pays.
+  result — the whole point of the design.
 
-A fourth test is a long-run guard rather than a bound: a healthy
+A third test is a long-run guard rather than a bound: a healthy
 ``--jobs 2`` shard that works for many stall timeouts must never be
 killed as stalled (about 25 s of wall-clock on two cores).
 
@@ -23,15 +19,10 @@ Sizes via ``REPRO_BENCH_TASKSETS`` / ``REPRO_BENCH_POINTS``.
 
 import dataclasses
 import json
-import sys
-import tempfile
 import time
-from pathlib import Path
 
 from benchmarks.conftest import sweep_grid
 from repro.engine import FORMAT_VERSION, LiveMerger, plan_from_jobspec, run_job
-from repro.engine.backends import DaemonBackend, LocalBackend
-from repro.engine.daemon import WorkerDaemon
 from repro.engine.jobspec import ExecutionPolicy
 from repro.engine.orchestrator import Orchestrator
 from repro.experiments.figure2 import figure2_job
@@ -119,57 +110,6 @@ def test_orchestration_overhead_is_bounded(benchmark, bench_points, bench_taskse
     assert orchestrated_seconds < 2.0 * serial_seconds + 20.0, (
         f"orchestration ({orchestrated_seconds:.1f}s) is out of line with "
         f"the serial run ({serial_seconds:.1f}s)"
-    )
-
-
-def test_daemon_dispatch_beats_subprocess_launch_overhead(benchmark, tmp_path):
-    """Per-shard launch cost: warm fork vs interpreter + import spawn.
-
-    The work order is a near-empty figure2 shard (one utilisation
-    point, one task-set), so both timings are dominated by launch
-    overhead, which is exactly what the daemon exists to remove.
-    """
-    from repro.engine.backends import worker_env
-
-    env = worker_env()
-    launches = 3
-    argv = [
-        sys.executable, "-m", "repro", "figure2",
-        "--m", "2", "--tasksets", "1", "--seed", "1", "--step", "4.0",
-    ]
-
-    def drain(backend, log):
-        handle = backend.launch(argv, log, env=env)
-        while backend.poll(handle) is None:
-            time.sleep(0.002)
-        assert backend.poll(handle) == 0
-
-    start = time.perf_counter()
-    with LocalBackend(slots=1) as backend:
-        for index in range(launches):
-            drain(backend, tmp_path / f"sub{index}.log")
-    subprocess_seconds = (time.perf_counter() - start) / launches
-
-    with tempfile.TemporaryDirectory(prefix="reprod-", dir="/tmp") as sock_dir:
-        daemon = WorkerDaemon(Path(sock_dir) / "bench.sock")
-        daemon.serve_in_thread()
-        try:
-            with DaemonBackend([daemon.socket_path]) as backend:
-                def daemon_launches():
-                    for index in range(launches):
-                        drain(backend, tmp_path / f"daemon{index}.log")
-
-                benchmark.pedantic(daemon_launches, rounds=1, iterations=1)
-        finally:
-            daemon.stop()
-    daemon_seconds = benchmark.stats.stats.mean / launches
-    benchmark.extra_info["subprocess_launch_s"] = subprocess_seconds
-    benchmark.extra_info["daemon_launch_s"] = daemon_seconds
-
-    assert daemon_seconds < subprocess_seconds, (
-        f"daemon dispatch ({daemon_seconds * 1e3:.0f}ms/launch) should beat "
-        f"subprocess dispatch ({subprocess_seconds * 1e3:.0f}ms/launch): "
-        "the fork path is paying the import bill it exists to remove"
     )
 
 

@@ -14,16 +14,14 @@ Sub-commands map one-to-one onto the paper's artefacts:
   ``--job-json '<spec>'``) naming the workload kind and its parameters
   plus the execution policy.  ``--set key=value`` and the engine flags
   layer overrides on top, and the orchestration flags (``--workers`` /
-  ``--backend`` / ``--elastic`` ...) run the same job as a whole
-  sharded orchestration — shards dispatched to local workers, SSH/queue
-  templates or persistent worker daemons, live-merged, retried and
-  validated — instead of a single inline invocation;
+  ``--shards`` / ``--elastic`` ...) run the same job as a whole
+  sharded orchestration — shards run as local subprocesses,
+  live-merged, retried and validated — instead of a single inline
+  invocation;
 * ``sweep-merge`` — recombine ``--shard I/N`` artifacts into the exact
   unsharded result;
 * ``sweep-status`` — inspect a running or finished orchestration
   directory from its streams and artifacts;
-* ``sweep-daemon`` — serve shard work orders from a local socket with
-  the repro stack imported once;
 * ``sweep-cache`` — verdict-cache lifecycle (``stats``, ``compact``,
   ``gc``), safe while sweeps read and write the same directory;
 * ``sweep-db`` — the durable result store: ``publish`` shard
@@ -130,23 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p10.add_argument("out_dir", metavar="DIR", help="orchestration directory")
     p10.set_defaults(handler=_cmd_sweep_status)
 
-    p11 = sub.add_parser(
-        "sweep-daemon",
-        help="serve shard work orders from a local socket (imports the "
-             "repro stack once; forked shards skip the per-launch "
-             "interpreter + import cost)",
-    )
-    p11.add_argument(
-        "--socket", type=str, required=True, metavar="SOCK",
-        help="AF_UNIX socket path to listen on (keep it short, e.g. "
-             "/tmp/repro-worker-1.sock)",
-    )
-    p11.add_argument(
-        "--capacity", type=int, default=1, metavar="N",
-        help="concurrent shard children this daemon hosts",
-    )
-    p11.set_defaults(handler=_cmd_sweep_daemon)
-
     p12 = sub.add_parser(
         "sweep-run",
         help="execute a declarative JobSpec (JSON job file) — inline by "
@@ -160,8 +141,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     source.add_argument(
         "--job-json", type=str, default=None, metavar="JSON",
-        help="the JobSpec JSON inline (how orchestrators and daemons "
-             "embed the job verbatim in work orders)",
+        help="the JobSpec JSON inline (how the orchestrator embeds the "
+             "job verbatim in shard command lines)",
     )
     _add_run_args(p12)
     p12.set_defaults(handler=_cmd_sweep_run, kind=None)
@@ -389,32 +370,14 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
              "--publish)",
     )
     parser.add_argument("--workers", type=int, default=None,
-                        help="orchestrate with this many backend slots")
+                        help="orchestrate with this many shard subprocesses "
+                             "at a time")
     parser.add_argument(
         "--shards", type=int, default=None,
         help="orchestration shard count (default: one per worker)",
     )
     parser.add_argument("--retries", type=int, default=2,
                         help="extra launch attempts per failed/stalled shard")
-    parser.add_argument(
-        "--backend", choices=("local", "template", "daemon"), default=None,
-        help="orchestrate on this backend instead of running inline",
-    )
-    parser.add_argument(
-        "--backend-template", type=str, default=None, metavar="TMPL",
-        help="command template containing {command}, e.g. "
-             "'ssh worker1 {command}' (implies --backend template)",
-    )
-    parser.add_argument(
-        "--daemon-socket", action="append", default=None, metavar="SOCK",
-        dest="daemon_sockets",
-        help="socket of a running sweep-daemon; repeat once per daemon "
-             "(implies --backend daemon)",
-    )
-    parser.add_argument(
-        "--daemon-capacity", type=int, default=None, metavar="N",
-        help="cap concurrent shard jobs packed onto each daemon",
-    )
     parser.add_argument("--elastic", action="store_true",
                         help="re-partition straggling shards onto idle slots")
     parser.add_argument("--elastic-after", type=float, default=2.0, metavar="S",
@@ -670,29 +633,14 @@ def _job_from_args(args: argparse.Namespace):
 
 
 def _orchestrate(job, args: argparse.Namespace):
-    """Run ``job`` as a whole orchestration on the backend the flags
-    describe; returns ``(outcome, out_dir)``."""
-    import shlex
-
-    from repro.engine.backends import make_backend
+    """Run ``job`` as a whole orchestration of local shard subprocesses;
+    returns ``(outcome, out_dir)``."""
+    from repro.engine.backends import LocalBackend
     from repro.engine.orchestrator import Orchestrator, plan_from_jobspec
 
     out_dir = args.out or f"orchestration-{job.kind}-m{job.workload.m}"
-    kind = args.backend or "local"
-    if args.backend_template:
-        kind = "template"
-    if args.daemon_sockets:
-        kind = "daemon"
-    template = (
-        shlex.split(args.backend_template) if args.backend_template else None
-    )
-    with make_backend(
-        kind,
-        slots=args.workers if args.workers is not None else 2,
-        template=template,
-        sockets=args.daemon_sockets,
-        daemon_capacity=args.daemon_capacity,
-    ) as backend:
+    slots = args.workers if args.workers is not None else 2
+    with LocalBackend(slots) as backend:
         outcome = Orchestrator(
             plan_from_jobspec(job),
             out_dir,
@@ -720,9 +668,6 @@ def _cmd_sweep_run(args: argparse.Namespace) -> int:
         or args.shards is not None
         or args.out is not None
         or args.elastic
-        or args.backend is not None
-        or bool(args.backend_template)
-        or bool(args.daemon_sockets)
     )
     try:
         job = _job_from_args(args)
@@ -1104,16 +1049,6 @@ def _cmd_sweep_db(args: argparse.Namespace) -> int:
             return 0
     except ReproError as exc:
         print(f"sweep-db: {exc}", file=sys.stderr)
-        return 1
-
-
-def _cmd_sweep_daemon(args: argparse.Namespace) -> int:
-    from repro.engine.daemon import run_daemon
-
-    try:
-        return run_daemon(args.socket, capacity=args.capacity)
-    except ReproError as exc:
-        print(f"sweep-daemon: {exc}", file=sys.stderr)
         return 1
 
 

@@ -35,23 +35,12 @@ orchestrations.
   command: dispatch, live merge (:mod:`repro.engine.livemerge`),
   retries, elastic re-partitioning;
 * :mod:`repro.engine.backends` — where shard invocations run (local
-  subprocesses, SSH/queue command templates, worker daemons);
-* :mod:`repro.engine.daemon` — the persistent worker daemon: imports
-  the stack once, forks warm shard children on work orders;
+  subprocesses);
 * :mod:`repro.engine.store` / :mod:`repro.engine.validation` — the
   durable sqlite result store and its completeness/drift checks.
 """
 
-from repro.engine.backends import (
-    BACKEND_KINDS,
-    DAEMON_LOST_EXIT,
-    DaemonBackend,
-    DaemonHandle,
-    DispatchBackend,
-    LocalBackend,
-    TemplateBackend,
-    make_backend,
-)
+from repro.engine.backends import LocalBackend
 from repro.engine.checkpoint import (
     FORMAT_VERSION,
     SweepCheckpoint,
@@ -59,12 +48,6 @@ from repro.engine.checkpoint import (
     load_checkpoint,
     read_covered_items,
     save_checkpoint,
-)
-from repro.engine.daemon import (
-    DaemonClient,
-    WorkerDaemon,
-    run_daemon,
-    wait_for_daemon,
 )
 from repro.engine.executors import (
     Executor,
@@ -143,18 +126,7 @@ __all__ = [
     "StreamTail",
     "read_stream",
     "clean_stale_tmps",
-    "BACKEND_KINDS",
-    "DAEMON_LOST_EXIT",
-    "DispatchBackend",
     "LocalBackend",
-    "TemplateBackend",
-    "DaemonBackend",
-    "DaemonHandle",
-    "DaemonClient",
-    "WorkerDaemon",
-    "run_daemon",
-    "wait_for_daemon",
-    "make_backend",
     "ClusterView",
     "LiveMerger",
     "ShardProgress",

@@ -1,53 +1,29 @@
-"""Pluggable dispatch backends: where whole shard invocations run.
+"""Where whole shard invocations run: local subprocesses.
 
 The in-process executors of :mod:`repro.engine.executors` parallelise
-*chunks* within one sweep invocation; a :class:`DispatchBackend`
-parallelises *shard invocations themselves* — each one a full
-``python -m repro <experiment> --shard I/N`` command — on whatever
-substrate can run a command: local subprocesses today, SSH hosts or a
-batch queue tomorrow.  The orchestrator
-(:mod:`repro.engine.orchestrator`) owns the policy (which shard, when,
-retries); backends own the mechanics (start a command, poll it, kill
-it).
+*chunks* within one sweep invocation; a :class:`LocalBackend` runs
+*shard invocations themselves* — each one a full ``python -m repro
+sweep-run --shard I/N ...`` command — as subprocesses of this machine.
+The orchestrator (:mod:`repro.engine.orchestrator`) owns the policy
+(which shard, when, retries); the backend owns the mechanics, through a
+deliberately tiny, non-blocking contract:
 
-The contract is deliberately tiny and non-blocking:
-
-* :meth:`~DispatchBackend.launch` starts a command, appending its
-  stdout/stderr to a log file, and returns an opaque handle;
-* :meth:`~DispatchBackend.poll` returns the exit code, or ``None``
+* :meth:`~LocalBackend.launch` starts a command, appending its
+  stdout/stderr to a log file, and returns the ``Popen`` handle;
+* :meth:`~LocalBackend.poll` returns the exit code, or ``None``
   while still running;
-* :meth:`~DispatchBackend.cancel` kills the job (idempotent);
-* :attr:`~DispatchBackend.slots` is how many jobs may run at once.
-
-:class:`LocalBackend` executes argv directly.  :class:`TemplateBackend`
-wraps the command in a *command template* — e.g. ``["ssh", "worker1",
-"{command}"]`` or ``["sbatch", "--wait", "--wrap", "{command}"]`` —
-substituting the shell-quoted command for the ``{command}``
-placeholder, which is how SSH/queue dispatch drops in without a new
-backend class.  Both run the resulting argv as a local subprocess (for
-the template case, that subprocess *is* the ssh/queue client).
-:class:`DaemonBackend` pushes shard commands over local sockets to a
-pool of persistent :class:`~repro.engine.daemon.WorkerDaemon`
-processes, which fork the already-imported repro stack instead of
-paying an interpreter + import start per shard.
+* :meth:`~LocalBackend.cancel` kills the job (idempotent);
+* :attr:`~LocalBackend.slots` is how many jobs may run at once.
 """
 
 from __future__ import annotations
 
-import itertools
-import shlex
 import subprocess
-import uuid
-from abc import ABC, abstractmethod
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from pathlib import Path
 from types import TracebackType
 
 from repro.exceptions import DispatchError
-
-#: Placeholder a :class:`TemplateBackend` template must contain.
-COMMAND_PLACEHOLDER = "{command}"
 
 
 def worker_env() -> dict[str, str]:
@@ -69,52 +45,8 @@ def worker_env() -> dict[str, str]:
     return env
 
 
-class DispatchBackend(ABC):
-    """Runs shard commands somewhere, up to ``slots`` at a time."""
-
-    #: Maximum concurrently-running jobs the backend can host.
-    slots: int = 1
-
-    @abstractmethod
-    def launch(
-        self,
-        argv: Sequence[str],
-        log_path: str | Path,
-        env: Mapping[str, str] | None = None,
-    ) -> object:
-        """Start ``argv``, teeing output to ``log_path``; return a handle.
-
-        ``env``, when given, *replaces* the child environment (callers
-        build it from ``os.environ`` plus overrides).  Raises
-        :class:`~repro.exceptions.DispatchError` when the job cannot be
-        started at all.
-        """
-
-    @abstractmethod
-    def poll(self, handle: object) -> int | None:
-        """Exit code of the job, or ``None`` while it is still running."""
-
-    @abstractmethod
-    def cancel(self, handle: object) -> None:
-        """Kill the job if still running (idempotent, best-effort)."""
-
-    def close(self) -> None:
-        """Release backend resources (idempotent)."""
-
-    def __enter__(self) -> "DispatchBackend":
-        return self
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: TracebackType | None,
-    ) -> None:
-        self.close()
-
-
-class LocalBackend(DispatchBackend):
-    """Run shard commands as local subprocesses.
+class LocalBackend:
+    """Run shard commands as local subprocesses, up to ``slots`` at a time.
 
     Parameters
     ----------
@@ -135,6 +67,13 @@ class LocalBackend(DispatchBackend):
         log_path: str | Path,
         env: Mapping[str, str] | None = None,
     ) -> subprocess.Popen:
+        """Start ``argv``, appending its output to ``log_path``.
+
+        ``env``, when given, *replaces* the child environment (callers
+        build it from ``os.environ`` plus overrides).  Raises
+        :class:`~repro.exceptions.DispatchError` when the command
+        cannot be started at all.
+        """
         log_path = Path(log_path)
         log_path.parent.mkdir(parents=True, exist_ok=True)
         # Append, not truncate: a retried shard's attempts share one log.
@@ -156,6 +95,7 @@ class LocalBackend(DispatchBackend):
         return proc
 
     def poll(self, handle: object) -> int | None:
+        """Exit code of the job, or ``None`` while it is still running."""
         proc = self._as_proc(handle)
         code = proc.poll()
         if code is not None:
@@ -163,6 +103,7 @@ class LocalBackend(DispatchBackend):
         return code
 
     def cancel(self, handle: object) -> None:
+        """Kill the job if still running (idempotent, best-effort)."""
         proc = self._as_proc(handle)
         if proc.poll() is None:
             proc.kill()
@@ -173,12 +114,24 @@ class LocalBackend(DispatchBackend):
         self._release_log(proc)
 
     def close(self) -> None:
+        """Kill and reap every job still running (idempotent)."""
         for proc in self._procs:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
             self._release_log(proc)
         self._procs.clear()
+
+    def __enter__(self) -> "LocalBackend":
+        return self
+
+    def __exit__(
+        self,
+        exc_type: type[BaseException] | None,
+        exc: BaseException | None,
+        tb: TracebackType | None,
+    ) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -193,331 +146,3 @@ class LocalBackend(DispatchBackend):
         log = self._logs.pop(proc.pid, None)
         if log is not None:
             log.close()
-
-
-class TemplateBackend(LocalBackend):
-    """Dispatch through a command template (SSH, queue clients, ...).
-
-    Every launch substitutes the shard command — shell-quoted into a
-    single string — for the ``{command}`` placeholder in the template,
-    then runs the resulting argv locally.  Examples::
-
-        TemplateBackend(["ssh", "worker1", "{command}"], slots=4)
-        TemplateBackend(["sh", "-c", "{command}"])
-
-    The template must contain the placeholder in at least one element
-    (embedded substrings work: ``"nice -n 10 {command}"``).
-
-    The local client process (ssh, the queue submitter) receives the
-    caller's ``env``, but a remote shell does *not* inherit it — so the
-    variables named in ``forward_env`` (default: ``PYTHONPATH``, the
-    orchestrator's import-path guarantee) are embedded into the command
-    itself as an ``env KEY=VALUE ...`` prefix before substitution.
-    Remote hosts therefore need the same filesystem layout (a shared
-    checkout), not a pre-exported environment.
-    """
-
-    def __init__(
-        self,
-        template: Sequence[str],
-        slots: int = 1,
-        forward_env: Sequence[str] = ("PYTHONPATH",),
-    ) -> None:
-        super().__init__(slots=slots)
-        template = [str(part) for part in template]
-        if not any(COMMAND_PLACEHOLDER in part for part in template):
-            raise DispatchError(
-                f"command template {template!r} lacks the "
-                f"{COMMAND_PLACEHOLDER!r} placeholder"
-            )
-        self.template = template
-        self.forward_env = tuple(forward_env)
-
-    def render(
-        self,
-        argv: Sequence[str],
-        env: Mapping[str, str] | None = None,
-    ) -> list[str]:
-        """The concrete argv for one shard command.
-
-        With ``env``, any ``forward_env`` variables present in it are
-        carried inside the command string (``env KEY=VALUE command``),
-        surviving shells the template crosses.
-
-        Every piece — each shard-command word *and* each forwarded
-        ``KEY=VALUE`` assignment — is quoted individually with
-        :func:`shlex.quote`, so values containing spaces, quotes, or
-        ``:``-adjacent empty ``PYTHONPATH`` segments arrive in the
-        remote shell byte-identical instead of being re-split.
-        """
-        pieces = [shlex.quote(str(part)) for part in argv]
-        if env is not None:
-            forwarded = [
-                shlex.quote(f"{key}={env[key]}")
-                for key in self.forward_env
-                if key in env
-            ]
-            if forwarded:
-                pieces = ["env", *forwarded, *pieces]
-        command = " ".join(pieces)
-        return [
-            part.replace(COMMAND_PLACEHOLDER, command) for part in self.template
-        ]
-
-    def launch(
-        self,
-        argv: Sequence[str],
-        log_path: str | Path,
-        env: Mapping[str, str] | None = None,
-    ) -> subprocess.Popen:
-        return super().launch(self.render(argv, env=env), log_path, env=env)
-
-
-#: Exit code a lost daemon's jobs report, mirroring a SIGKILLed
-#: subprocess (``Popen`` reports killed children as ``-signum``).
-DAEMON_LOST_EXIT = -9
-
-
-@dataclass(slots=True)
-class DaemonHandle:
-    """Backend-side state of one job pushed to one daemon."""
-
-    client: object  # DaemonClient (typed loosely to keep imports lazy)
-    job_id: str
-    exit_code: int | None = None
-
-
-class DaemonBackend(DispatchBackend):
-    """Dispatch shard commands to a pool of persistent worker daemons.
-
-    Each socket names one :class:`~repro.engine.daemon.WorkerDaemon`;
-    the backend attaches to (claims) every daemon at construction — a
-    daemon already claimed by another orchestrator refuses the attach,
-    so two orchestrations can never interleave work orders on one
-    socket.  ``slots`` is the summed capacity of the *live* daemons: it
-    shrinks as daemons die, and the orchestrator's scheduling follows.
-
-    Every :meth:`poll` is a status round-trip on the daemon's socket
-    and therefore doubles as a heartbeat: a daemon that died (SIGKILL,
-    OOM, host gone) surfaces as a socket error, the backend marks the
-    daemon dead, and the affected handles report
-    :data:`DAEMON_LOST_EXIT` — a plain failed job to the orchestrator,
-    whose existing retry/stall healing relaunches the shard on a
-    surviving daemon.
-
-    Parameters
-    ----------
-    sockets:
-        The daemon socket paths (one per daemon).
-    request_timeout:
-        Seconds before one protocol round-trip is declared dead.
-    capacity_limit:
-        Optional per-daemon ceiling on concurrently packed jobs: the
-        effective capacity of each daemon is ``min(declared, limit)``.
-        The CLI's ``--daemon-capacity`` maps here — useful to hold back
-        slots on daemons whose declared capacity is shared with other
-        work.  ``None`` (default) uses each daemon's declared capacity.
-    """
-
-    def __init__(
-        self,
-        sockets: Sequence[str | Path],
-        request_timeout: float = 30.0,
-        capacity_limit: int | None = None,
-    ) -> None:
-        from repro.engine.daemon import DaemonClient
-
-        if not sockets:
-            raise DispatchError("daemon backend needs at least one socket")
-        if capacity_limit is not None and capacity_limit < 1:
-            raise DispatchError(
-                f"daemon capacity limit must be >= 1, got {capacity_limit}"
-            )
-        self._capacity_limit = capacity_limit
-        self._clients = []
-        self._active: dict[int, list[DaemonHandle]] = {}
-        # Globally unique job ids: daemons outlive backends, so a plain
-        # per-backend counter would collide with a previous
-        # orchestration's jobs.
-        self._id_prefix = uuid.uuid4().hex[:8]
-        self._ids = itertools.count(1)
-        try:
-            for path in sockets:
-                client = DaemonClient(path, request_timeout=request_timeout)
-                client.connect_and_attach()
-                self._active[id(client)] = []
-                self._clients.append(client)
-        except DispatchError:
-            self.close()
-            raise
-
-    def _capacity(self, client) -> int:
-        """The daemon's effective capacity (declared, optionally capped)."""
-        if self._capacity_limit is None:
-            return client.capacity
-        return min(client.capacity, self._capacity_limit)
-
-    @property
-    def slots(self) -> int:  # type: ignore[override]
-        return sum(
-            self._capacity(client) for client in self._clients if client.alive
-        )
-
-    def launch(
-        self,
-        argv: Sequence[str],
-        log_path: str | Path,
-        env: Mapping[str, str] | None = None,
-    ) -> DaemonHandle:
-        # The forked child runs in the daemon's cwd, not ours: the log
-        # must be absolute (callers own the argv — the orchestrator
-        # already builds absolute artifact/stream/checkpoint paths).
-        log_path = Path(log_path).resolve()
-        log_path.parent.mkdir(parents=True, exist_ok=True)
-        for client in self._clients:
-            if not client.alive:
-                continue
-            if len(self._active[id(client)]) >= self._capacity(client):
-                continue
-            job_id = f"job-{self._id_prefix}-{next(self._ids)}"
-            try:
-                response = client.request(
-                    {
-                        "op": "submit",
-                        "job_id": job_id,
-                        "argv": [str(part) for part in argv],
-                        "log": str(log_path),
-                        "env": dict(env) if env is not None else None,
-                    }
-                )
-            except DispatchError:
-                self._lose(client)
-                continue
-            if not response.get("ok"):
-                raise DispatchError(
-                    f"daemon on {client.socket_path} rejected the shard: "
-                    f"{response.get('error')}"
-                )
-            handle = DaemonHandle(client=client, job_id=job_id)
-            self._active[id(client)].append(handle)
-            return handle
-        raise DispatchError(
-            "no live daemon slot available "
-            f"({sum(not c.alive for c in self._clients)} of "
-            f"{len(self._clients)} daemons dead)"
-        )
-
-    def poll(self, handle: object) -> int | None:
-        handle = self._as_handle(handle)
-        if handle.exit_code is not None:
-            return handle.exit_code
-        client = handle.client
-        if not client.alive:
-            self._finish(handle, DAEMON_LOST_EXIT)
-            return handle.exit_code
-        try:
-            response = client.request({"op": "status", "job_id": handle.job_id})
-        except DispatchError:
-            self._lose(client)
-            self._finish(handle, DAEMON_LOST_EXIT)
-            return handle.exit_code
-        if not response.get("ok"):
-            # The daemon no longer knows the job (restarted socket?):
-            # indistinguishable from a lost daemon for this handle.
-            self._finish(handle, DAEMON_LOST_EXIT)
-            return handle.exit_code
-        if response.get("state") == "running":
-            return None
-        self._finish(handle, int(response.get("code", DAEMON_LOST_EXIT)))
-        return handle.exit_code
-
-    def cancel(self, handle: object) -> None:
-        handle = self._as_handle(handle)
-        if handle.exit_code is not None:
-            return
-        client = handle.client
-        if client.alive:
-            try:
-                client.request({"op": "kill", "job_id": handle.job_id})
-            except DispatchError:
-                self._lose(client)
-        self._finish(handle, DAEMON_LOST_EXIT)
-
-    def close(self) -> None:
-        """Kill outstanding jobs and detach; the daemons keep serving."""
-        for handles in getattr(self, "_active", {}).values():
-            for handle in list(handles):
-                self.cancel(handle)
-        for client in getattr(self, "_clients", []):
-            client.close()
-
-    # ------------------------------------------------------------------
-    def _lose(self, client) -> None:
-        client.mark_dead()
-        for handle in list(self._active.get(id(client), [])):
-            self._finish(handle, DAEMON_LOST_EXIT)
-
-    def _finish(self, handle: DaemonHandle, code: int) -> None:
-        if handle.exit_code is None:
-            handle.exit_code = code
-        active = self._active.get(id(handle.client))
-        if active is not None and handle in active:
-            active.remove(handle)
-
-    @staticmethod
-    def _as_handle(handle: object) -> DaemonHandle:
-        if not isinstance(handle, DaemonHandle):
-            raise DispatchError(
-                f"foreign job handle {handle!r}; not launched by this backend"
-            )
-        return handle
-
-
-#: Backend kinds accepted by :func:`make_backend`.
-BACKEND_KINDS = ("local", "template", "daemon")
-
-
-def make_backend(
-    kind: str = "local",
-    slots: int = 1,
-    template: Sequence[str] | None = None,
-    sockets: Sequence[str | Path] | None = None,
-    daemon_capacity: int | None = None,
-) -> DispatchBackend:
-    """Construct a dispatch backend by kind.
-
-    ``"local"`` runs shard commands as local subprocesses;
-    ``"template"`` wraps them in ``template`` (which must contain
-    ``{command}``) — the drop-in path for SSH hosts or queue clients;
-    ``"daemon"`` pushes them to the persistent worker daemons listening
-    on ``sockets`` (``slots`` is then derived from the daemons'
-    capacities, not the argument; ``daemon_capacity`` caps how many
-    jobs are packed onto each daemon regardless of what it declares).
-    """
-    if kind not in BACKEND_KINDS:
-        raise DispatchError(
-            f"unknown backend kind {kind!r}; expected one of {BACKEND_KINDS}"
-        )
-    if kind == "daemon":
-        if template is not None:
-            raise DispatchError("--backend-template requires --backend template")
-        if not sockets:
-            raise DispatchError(
-                "daemon backend needs daemon sockets "
-                "(e.g. --daemon-socket /tmp/repro-worker-1.sock)"
-            )
-        return DaemonBackend(sockets, capacity_limit=daemon_capacity)
-    if sockets:
-        raise DispatchError("--daemon-socket requires --backend daemon")
-    if daemon_capacity is not None:
-        raise DispatchError("--daemon-capacity requires --backend daemon")
-    if kind == "template":
-        if template is None:
-            raise DispatchError(
-                "template backend needs a command template "
-                "(e.g. --backend-template 'ssh worker1 {command}')"
-            )
-        return TemplateBackend(template, slots=slots)
-    if template is not None:
-        raise DispatchError("--backend-template requires --backend template")
-    return LocalBackend(slots=slots)

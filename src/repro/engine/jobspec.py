@@ -1,4 +1,4 @@
-"""Declarative job descriptions: one serializable object from CLI to daemon.
+"""Declarative job descriptions: one serializable object from CLI to shard.
 
 Four PRs of organic growth left the execution stack with several
 near-duplicate entry points, each taking the same ever-growing kwarg
@@ -22,9 +22,9 @@ Everything speaks this one schema: ``python -m repro sweep-run --job
 job.json`` executes a spec from disk, its ``figure2`` / ``group2`` /
 ``splitsweep`` aliases build one from their workload flags, the
 orchestrator dispatches per-shard specs as ``sweep-run --job-json
-'<spec>'`` command lines (so daemon work orders embed the JobSpec JSON
-verbatim), and :class:`~repro.engine.session.Session` is the
-programmatic façade.
+'<spec>'`` command lines (so each shard's command line embeds the
+JobSpec JSON verbatim), and :class:`~repro.engine.session.Session` is
+the programmatic façade.
 
 The on-disk format is versioned (:data:`JOBSPEC_VERSION`) and *strict*:
 unknown keys, keys that do not apply to the workload's kind, and
@@ -128,41 +128,65 @@ _EXECUTION_PARSERS = {
     "store_dir": _parse_opt_str,
 }
 
-def _coerce_float_list(name: str):
-    def coerce(value: object) -> tuple[float, ...]:
+# JSON value checkers, called with the dotted key for the message.  A
+# job file's value must already have the field's JSON type: nothing is
+# truncated (2.7 is no integer) and no string or boolean stands in for
+# a number, nor a string for a boolean.
+
+def _malformed(name: str, expected: str, value: object) -> JobSpecError:
+    shown = json.dumps(value, default=repr)
+    return JobSpecError(f"malformed {name}: expected {expected}, got {shown}")
+
+
+def _json_int(name: str, value: object) -> int:
+    if type(value) is not int:  # bool is an int subclass: refused too
+        raise _malformed(name, "a JSON integer", value)
+    return value
+
+
+def _json_float(name: str, value: object) -> float:
+    if type(value) not in (int, float):
+        raise _malformed(name, "a JSON number", value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer too large for a float
+        raise _malformed(name, "a finite JSON number", value) from None
+
+
+def _json_bool(name: str, value: object) -> bool:
+    if not isinstance(value, bool):
+        raise _malformed(name, "a JSON boolean", value)
+    return value
+
+
+def _json_list(check):
+    def coerce(name: str, value: object) -> tuple:
         if not isinstance(value, Sequence) or isinstance(value, str):
-            raise JobSpecError(f"'{name}' must be a list of numbers")
-        return tuple(float(v) for v in value)
+            raise _malformed(name, "a JSON list", value)
+        return tuple(check(f"{name}[{i}]", v) for i, v in enumerate(value))
 
     return coerce
 
 
-def _coerce_int_list(name: str):
-    def coerce(value: object) -> tuple[int, ...]:
-        if not isinstance(value, Sequence) or isinstance(value, str):
-            raise JobSpecError(f"'{name}' must be a list of integers")
-        return tuple(int(v) for v in value)
-
-    return coerce
-
-
-#: JSON value coercers per workload key.  Which keys a payload may use
+#: JSON value checkers per workload key.  Which keys a payload may use
 #: at all comes from the kind's registry entry (strictness: anything
 #: else is rejected, including known fields that do not apply).
 _KEY_CODERS = {
-    "m": int,
-    "n_tasksets": int,
-    "seed": int,
-    "step": lambda value: None if value is None else float(value),
-    "mu_method": str,
-    "rho_solver": str,
-    "utilization": float,
-    "overhead": float,
-    "thresholds": _coerce_float_list("thresholds"),
-    "core_counts": _coerce_int_list("core_counts"),
-    "max_scale": float,
-    "horizon_factor": float,
-    "utilization_factor": float,
+    "m": _json_int,
+    "n_tasksets": _json_int,
+    "seed": _json_int,
+    "step": lambda name, value: (
+        None if value is None else _json_float(name, value)
+    ),
+    "mu_method": lambda name, value: str(value),
+    "rho_solver": lambda name, value: str(value),
+    "utilization": _json_float,
+    "overhead": _json_float,
+    "thresholds": _json_list(_json_float),
+    "core_counts": _json_list(_json_int),
+    "max_scale": _json_float,
+    "horizon_factor": _json_float,
+    "utilization_factor": _json_float,
 }
 
 _EXECUTION_KEYS = ("jobs", "chunk_size", "checkpoint",
@@ -351,15 +375,9 @@ class Workload:
                 f"{kind!r} (allowed: {', '.join(allowed)})"
             )
         kwargs: dict = {"kind": str(kind)}
-        try:
-            for key in allowed:
-                if key == "kind" or key not in payload:
-                    continue
-                kwargs[key] = _KEY_CODERS[key](payload[key])
-        except JobSpecError:
-            raise
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise JobSpecError(f"malformed workload value ({exc})") from exc
+        for key in allowed:
+            if key != "kind" and key in payload:
+                kwargs[key] = _KEY_CODERS[key](f"workload.{key}", payload[key])
         return cls(**kwargs)
 
 
@@ -497,35 +515,32 @@ class ExecutionPolicy:
                 f"(allowed: {', '.join(_EXECUTION_KEYS)})"
             )
         kwargs: dict = {}
-        try:
-            if "jobs" in payload:
-                kwargs["jobs"] = int(payload["jobs"])
-            if "chunk_size" in payload and payload["chunk_size"] is not None:
-                kwargs["chunk_size"] = int(payload["chunk_size"])
-            for key in ("checkpoint", "stream", "shard_out", "cache_dir"):
-                if key in payload and payload[key] is not None:
-                    kwargs[key] = str(payload[key])
-            # Additive fields: absent in older job files, which stay
-            # valid at the same JOBSPEC_VERSION.
-            if "cache" in payload and payload["cache"] is not None:
-                kwargs["cache"] = str(payload["cache"])
-            if "publish" in payload and payload["publish"] is not None:
-                kwargs["publish"] = bool(payload["publish"])
-            if "store_dir" in payload and payload["store_dir"] is not None:
-                kwargs["store_dir"] = str(payload["store_dir"])
-            if "shard" in payload and payload["shard"] is not None:
+        if "jobs" in payload:
+            kwargs["jobs"] = _json_int("execution.jobs", payload["jobs"])
+        if "chunk_size" in payload and payload["chunk_size"] is not None:
+            kwargs["chunk_size"] = _json_int(
+                "execution.chunk_size", payload["chunk_size"]
+            )
+        for key in ("checkpoint", "stream", "shard_out", "cache_dir"):
+            if key in payload and payload[key] is not None:
+                kwargs[key] = str(payload[key])
+        # Additive fields: absent in older job files, which stay
+        # valid at the same JOBSPEC_VERSION.
+        if "cache" in payload and payload["cache"] is not None:
+            kwargs["cache"] = str(payload["cache"])
+        if "publish" in payload and payload["publish"] is not None:
+            kwargs["publish"] = _json_bool("execution.publish", payload["publish"])
+        if "store_dir" in payload and payload["store_dir"] is not None:
+            kwargs["store_dir"] = str(payload["store_dir"])
+        if "shard" in payload and payload["shard"] is not None:
+            try:
                 kwargs["shard"] = parse_shard(str(payload["shard"]))
-            if "items" in payload and payload["items"] is not None:
-                items = payload["items"]
-                if not isinstance(items, Sequence) or isinstance(items, str):
-                    raise JobSpecError("'items' must be a list of integers")
-                kwargs["items"] = tuple(int(i) for i in items)
-        except JobSpecError:
-            raise
-        except ShardError as exc:
-            raise JobSpecError(str(exc)) from exc
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise JobSpecError(f"malformed execution value ({exc})") from exc
+            except ShardError as exc:
+                raise JobSpecError(str(exc)) from exc
+        if "items" in payload and payload["items"] is not None:
+            kwargs["items"] = _json_list(_json_int)(
+                "execution.items", payload["items"]
+            )
         return cls(**kwargs)
 
 

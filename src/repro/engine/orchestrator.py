@@ -13,9 +13,8 @@ bit-identically); a human still had to launch every shard and run
    --job-json '<spec>' --shard I/N --shard-out ... --stream ...
    [--checkpoint ...]`` invocation — the declarative
    :class:`~repro.engine.jobspec.JobSpec` embedded verbatim in the
-   work order, placement appended as overrides — on a pluggable
-   :class:`~repro.engine.backends.DispatchBackend`
-   (local subprocess pool by default; SSH/queue templates drop in);
+   command line, placement appended as overrides — run as a local
+   subprocess by a :class:`~repro.engine.backends.LocalBackend`;
 3. **observe** — a :class:`~repro.engine.livemerge.LiveMerger` tails
    every shard's JSONL stream as it grows and folds completed items
    into a cluster-wide progress view;
@@ -55,7 +54,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.exceptions import DispatchError, OrchestrationError, ShardError
-from repro.engine.backends import DispatchBackend, LocalBackend, worker_env
+from repro.engine.backends import LocalBackend, worker_env
 from repro.engine.checkpoint import (
     FORMAT_VERSION,
     clean_stale_tmps,
@@ -188,9 +187,8 @@ class Orchestrator:
         checkpoints).  A directory owned by a *different* sweep is
         rejected.
     backend:
-        Where shard commands run; default a
-        :class:`~repro.engine.backends.LocalBackend` with ``workers``
-        slots.
+        The :class:`~repro.engine.backends.LocalBackend` running shard
+        commands; default one with ``workers`` slots.
     workers:
         Slot count for the default backend (ignored when ``backend`` is
         given).
@@ -230,7 +228,7 @@ class Orchestrator:
         self,
         plan: OrchestrationPlan,
         out_dir: str | Path,
-        backend: DispatchBackend | None = None,
+        backend: LocalBackend | None = None,
         workers: int = 1,
         shards: int | None = None,
         retries: int = 2,
@@ -263,9 +261,9 @@ class Orchestrator:
         if max_splits < 0:
             raise OrchestrationError(f"max_splits must be >= 0, got {max_splits}")
         self.plan = plan
-        # Absolute: daemon-backend shard children run in the *daemon's*
-        # working directory, so relative artifact/stream/log paths
-        # would land there instead of where this orchestrator tails.
+        # Absolute: the shard command lines name their artifact, stream
+        # and checkpoint paths, which must not depend on the working
+        # directory of whichever process reads them.
         self.out_dir = Path(out_dir).resolve()
         self.backend = backend if backend is not None else LocalBackend(workers)
         self.shard_count = shards if shards is not None else self.backend.slots
@@ -308,11 +306,12 @@ class Orchestrator:
                     try:
                         self._launch(job, merger)
                     except DispatchError as exc:
-                        # The slot vanished between the slots check and
-                        # the launch (an idle daemon died).  That is a
-                        # failed attempt, not a fatal orchestration
-                        # error: the slot count has shrunk, surviving
-                        # slots keep healing.
+                        # The command could not be started (Popen
+                        # raised OSError: out of processes or file
+                        # descriptors, say).  That is a failed attempt,
+                        # not a fatal orchestration error: the shard is
+                        # retried after the next poll cycle, within its
+                        # retry budget.
                         job.attempts += 1
                         job.state = "failed"
                         if job.attempts > self.retries:
@@ -324,12 +323,6 @@ class Orchestrator:
                         pending.append(index)
                         break  # let the poll/sleep cycle pass first
                     running.add(index)
-                if pending and not running and self.backend.slots < 1:
-                    raise OrchestrationError(
-                        "backend has no live slots left to run "
-                        f"{len(pending)} pending shard(s); did every "
-                        "daemon die?"
-                    )
 
                 view = merger.poll()
                 now = time.monotonic()
@@ -691,12 +684,11 @@ class Orchestrator:
         base = f"shard-{job.shard.index + 1}of{job.shard.count}.sub{split_id}"
         planned = job.planned_items(self.plan.total_items)
         # Snapshot the straggler's checkpoint under a fresh name and
-        # read the covered set from the *snapshot*: if the kill could
-        # not reach the process (its daemon died with it), the orphan
-        # keeps writing the original path, and items it finishes after
-        # this point belong to the other sub-shards — folding them into
-        # sub-shard 1's checkpoint would poison its planned-items
-        # validation.
+        # read the covered set from the *snapshot*: if the kill has not
+        # landed yet, the dying process may still write the original
+        # path, and items it finishes after this point belong to the
+        # other sub-shards — folding them into sub-shard 1's checkpoint
+        # would poison its planned-items validation.
         checkpoint0 = self.out_dir / f"{base}-seed.checkpoint.json"
         try:
             shutil.copyfile(job.checkpoint, checkpoint0)
@@ -818,10 +810,9 @@ def plan_from_jobspec(job) -> OrchestrationPlan:
     """The :class:`OrchestrationPlan` dispatching one declarative job.
 
     Every shard invocation becomes ``python -m repro sweep-run
-    --job-json '<spec>'`` — the work order (local argv, SSH template
-    command, or daemon submit message) carries the JobSpec JSON
-    verbatim, and the orchestrator appends only per-shard placement
-    flags (``--shard``, ``--shard-out``, ``--stream``,
+    --job-json '<spec>'`` — the shard's command line carries the
+    JobSpec JSON verbatim, and the orchestrator appends only per-shard
+    placement flags (``--shard``, ``--shard-out``, ``--stream``,
     ``--checkpoint``, ``--shard-items``), which ``sweep-run`` layers
     over the embedded spec.  The dispatched spec is the job's
     :meth:`~repro.engine.jobspec.JobSpec.for_worker` form: its own
@@ -830,9 +821,8 @@ def plan_from_jobspec(job) -> OrchestrationPlan:
     """
     worker = job.for_worker()
     if worker.execution.cache != "off":
-        # Daemon-backend shard children run in the daemon's working
-        # directory; resolve the cache directory now so every worker
-        # (and a later resume from another cwd) shares one cache.
+        # Resolve the cache directory now, so every shard (and a later
+        # resume from another working directory) shares one cache.
         from repro.engine.vcache import DEFAULT_CACHE_DIR
 
         cache_dir = worker.execution.cache_dir or DEFAULT_CACHE_DIR

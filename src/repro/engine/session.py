@@ -10,11 +10,9 @@ policy picks executors/paths, and the session merely routes —
   :class:`~repro.engine.sweep.SweepEngine`, built from the job's
   execution policy — serially for ``jobs == 1``, on a process pool
   otherwise;
-* :meth:`Session.submit` dispatches a job **asynchronously** onto any
-  :class:`~repro.engine.backends.DispatchBackend` — local subprocesses
-  by default, SSH/queue templates or persistent worker daemons alike —
-  as a ``python -m repro sweep-run --job-json '<spec>'`` command line,
-  so the work order carries the job description verbatim.  The
+* :meth:`Session.submit` launches a job **asynchronously** as a local
+  ``python -m repro sweep-run --job-json '<spec>'`` subprocess, so the
+  command line carries the job description verbatim.  The
   returned :class:`JobHandle` supports :meth:`Session.status`,
   :meth:`Session.wait` and :meth:`Session.result` (which loads the
   job's shard artifact and rebuilds the experiment result through the
@@ -35,7 +33,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.exceptions import DispatchError, JobSpecError
-from repro.engine.backends import DispatchBackend, LocalBackend, worker_env
+from repro.engine.backends import LocalBackend, worker_env
 from repro.engine.jobspec import JobSpec, save_job
 from repro.engine.executors import make_executor
 from repro.engine.shard import load_shard
@@ -69,26 +67,20 @@ class JobHandle:
 class Session:
     """Execute :class:`~repro.engine.jobspec.JobSpec` values uniformly.
 
+    :meth:`submit` launches on the session's own single-slot
+    :class:`~repro.engine.backends.LocalBackend`, created on first use
+    and released by :meth:`close`; inline :meth:`run` never touches it.
+
     Parameters
     ----------
-    backend:
-        Where :meth:`submit` dispatches job invocations; ``None``
-        lazily creates a single-slot
-        :class:`~repro.engine.backends.LocalBackend` on first submit.
-        Inline :meth:`run` never touches the backend.
     out_dir:
         Directory owning submit-time files (job copy, artifact, log)
         for jobs whose policy does not name a ``shard_out``.  Only
         required when such a job is submitted.
     """
 
-    def __init__(
-        self,
-        backend: DispatchBackend | None = None,
-        out_dir: str | Path | None = None,
-    ) -> None:
-        self._backend = backend
-        self._owns_backend = False
+    def __init__(self, out_dir: str | Path | None = None) -> None:
+        self._backend: LocalBackend | None = None
         self.out_dir = Path(out_dir) if out_dir is not None else None
         self._submits = 0
 
@@ -146,7 +138,7 @@ class Session:
     # ------------------------------------------------------------------
     # Asynchronous submission
     def submit(self, job: JobSpec, name: str | None = None) -> JobHandle:
-        """Dispatch ``job`` onto the backend; returns immediately.
+        """Launch ``job`` as a subprocess; returns immediately.
 
         The job must produce an artifact for :meth:`result` to load:
         a policy without ``shard_out`` gets one assigned under the
@@ -250,18 +242,16 @@ class Session:
         return result
 
     # ------------------------------------------------------------------
-    def _ensure_backend(self) -> DispatchBackend:
+    def _ensure_backend(self) -> LocalBackend:
         if self._backend is None:
             self._backend = LocalBackend(slots=1)
-            self._owns_backend = True
         return self._backend
 
     def close(self) -> None:
-        """Release the session's own backend (a borrowed one is kept)."""
-        if self._owns_backend and self._backend is not None:
+        """Kill any submitted job still running and release the backend."""
+        if self._backend is not None:
             self._backend.close()
             self._backend = None
-            self._owns_backend = False
 
     def __enter__(self) -> "Session":
         return self

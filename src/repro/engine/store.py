@@ -21,7 +21,7 @@ Design contract
   kind's registered row codec (a grid sweep's one row per item is its
   per-method verdict tuple).  Records are keyed by item, never by
   which shard or chunk produced them, so an inline run and a 16-shard
-  daemon run of the same workload publish byte-identical row sets.
+  orchestrated run of the same workload publish byte-identical row sets.
 * **Idempotent publication.**  A run is keyed by ``(fingerprint,
   content_hash)`` — the workload identity plus a SHA-256 over the
   canonical rows.  Re-publishing the same merge inserts zero rows and

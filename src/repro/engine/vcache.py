@@ -15,8 +15,7 @@ The salt is a SHA-256 over the source bytes of every module an item's
 verdict depends on (:data:`SALTED_SOURCES`), the RNG port included, so
 an edit to the generator, the draws or the analysis can never replay a
 stale verdict and no constant needs a hand bump.  It is computed once per
-process; the worker daemon computes it before it forks, so a forked
-worker keys with the code it runs.
+process.
 
 Layout: a cache directory (default ``results/cache/``) holding
 
@@ -45,10 +44,11 @@ shard (the shard was truncated underneath it) is distrusted wholesale
 and the shard is scanned instead.  An indexed entry that no longer
 parses at fetch time is counted *stale* and treated as a miss.
 
-Daemon safety: write shards are keyed by pid and lazily reopened after
-a fork, so any number of worker processes (including daemon-spawned
-ones) can append concurrently; each sees its own writes immediately via
-the in-memory store and everyone else's on the next cache open.
+Fork safety: write shards are keyed by pid and lazily reopened after
+a fork, so any number of worker processes (shard subprocesses and the
+process-pool workers they fork) can append concurrently; each sees its
+own writes immediately via the in-memory store and everyone else's on
+the next cache open.
 
 Lifecycle: :func:`cache_stats`, :func:`compact_cache` and
 :func:`gc_cache` (the ``sweep-cache`` CLI) bound a long-lived cache
@@ -106,9 +106,8 @@ _SALT: str | None = None
 def code_salt() -> str:
     """SHA-256 over the :data:`SALTED_SOURCES` bytes.
 
-    Computed once per process (about 2 ms) and kept: the worker daemon
-    calls this before it forks, so a forked worker keys with the code
-    it runs even if the files change under the daemon.
+    Computed once per process (about 2 ms) and kept for the process's
+    lifetime.
     """
     global _SALT
     if _SALT is None:

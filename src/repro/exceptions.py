@@ -15,8 +15,8 @@ rejected the input:
   directory, corrupt or version-skewed entries);
 * :class:`JobSpecError` — malformed declarative job descriptions
   (unknown keys, version skew, kind/policy mismatches);
-* :class:`DispatchError` / :class:`OrchestrationError` — distributed
-  orchestration failures (backend launches, exhausted shard retries);
+* :class:`DispatchError` / :class:`OrchestrationError` — orchestration
+  failures (shard launches, exhausted shard retries);
 * :class:`StoreError` — durable result-store problems (corrupt or
   version-skewed databases, incomplete publications, malformed rows);
 * :class:`LintError` — repro-lint cannot run (bad config, unparseable
@@ -78,7 +78,8 @@ class JobSpecError(AnalysisError):
 
 
 class DispatchError(AnalysisError):
-    """A dispatch backend failed to launch, poll or cancel a shard job."""
+    """The local backend failed to launch, poll or cancel a shard
+    subprocess."""
 
 
 class OrchestrationError(AnalysisError):

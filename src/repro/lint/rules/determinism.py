@@ -1,7 +1,7 @@
 """Determinism rules: the bit-identical conformance invariant, statically.
 
-Serial == parallel == sharded == orchestrated == daemon/elastic, bit
-for bit, is the repo's core contract.  These rules catch the three
+Serial == parallel == sharded == orchestrated == elastic, bit for
+bit, is the repo's core contract.  These rules catch the three
 classic ways a diff silently breaks it — filesystem iteration order,
 unseeded randomness, unordered-collection reduction — plus wall-clock
 values leaking into content that must be reproducible.

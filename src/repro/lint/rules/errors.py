@@ -88,8 +88,8 @@ class UntypedRaise(Rule):
     have caught everything this layer can raise".  A stray
     ``ValueError`` or ``KeyError`` escaping a public function breaks
     every caller that honours the contract — it surfaces as an
-    unhandled crash in orchestrators and daemons instead of a healed,
-    typed failure.
+    unhandled crash in the orchestrator and its shard workers instead
+    of a healed, typed failure.
 
     Flags ``raise SomeType(...)`` on public paths (public function, no
     leading ``_`` on the function or its class) of modules carrying the

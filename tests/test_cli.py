@@ -146,6 +146,23 @@ class TestNegativeSeed:
         assert "Traceback" not in err
 
 
+class TestJobFileValueTypes:
+    def test_non_integer_job_file_value_is_one_line_error(self, capsys, tmp_path):
+        # A job file's 2016.9 is refused like `--set workload.seed=2016.9`,
+        # not truncated to seed 2016.
+        payload = json.loads((EXAMPLES / "figure2-small.json").read_text())
+        payload["workload"]["seed"] = 2016.9
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(payload))
+        assert main(["sweep-run", "--job", str(path), "--dry-run"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"sweep-run: {path}: malformed workload.seed: expected a JSON "
+            "integer, got 2016.9\n"
+        )
+        assert captured.out == ""
+
+
 class TestSplitSweep:
     def test_overhead_free_run(self, capsys):
         assert main(["splitsweep", "--m", "2", "--tasksets", "3",
@@ -465,14 +482,6 @@ class TestSweepOrchestrate:
         out = capsys.readouterr().out
         assert "observed cost: 0.0500s/item\n" in out
         assert "chunk" not in out
-
-    def test_template_without_placeholder_is_clean_error(self, capsys, tmp_path):
-        code = main(self.ARGS + [
-            "--out", str(tmp_path / "orch"),
-            "--backend-template", "ssh worker1",
-        ])
-        assert code == 1
-        assert "{command}" in capsys.readouterr().err
 
     def test_bad_worker_count_is_clean_error(self, capsys, tmp_path):
         code = main([

@@ -29,6 +29,7 @@ is exercised over many shapes, not one blessed example.
 """
 
 import dataclasses
+import signal
 import tempfile
 from pathlib import Path
 
@@ -45,8 +46,9 @@ from repro.engine import (
     SweepSpec,
     read_stream,
 )
+from repro.engine.backends import LocalBackend
 from repro.engine.jobspec import ExecutionPolicy
-from repro.engine.orchestrator import plan_from_jobspec
+from repro.engine.orchestrator import load_manifest, plan_from_jobspec
 from repro.engine.registry import merge_artifacts
 from repro.engine.session import run_job
 from repro.experiments.figure2 import figure2_job
@@ -71,6 +73,50 @@ def _strip(result: SweepResult) -> SweepResult:
 def _reference(spec: SweepSpec) -> SweepResult:
     """The baseline every mode must reproduce: serial, chunk size 1."""
     return _strip(SweepEngine().run(spec))
+
+
+class _KillsOneShard(LocalBackend):
+    """A local backend whose :meth:`progress` SIGKILLs one shard worker.
+
+    Passed as the orchestrator's backend *and* progress callback: once
+    any shard stream is live, the newest shard subprocess still running
+    is SIGKILLed (as an OOM killer or a stray ``kill -9`` would).  A
+    process that exits on its own before the signal lands does not
+    count; the next poll tries again.
+    """
+
+    def __init__(self, slots: int) -> None:
+        super().__init__(slots)
+        self.launched: list[tuple[list[str], object]] = []
+        self.killed: list[str] | None = None
+
+    def launch(self, argv, log_path, env=None):
+        proc = super().launch(argv, log_path, env=env)
+        self.launched.append((list(argv), proc))
+        return proc
+
+    def progress(self, view) -> None:
+        if self.killed is not None or all(
+            s.state == "waiting" for s in view.shards
+        ):
+            return
+        for argv, proc in reversed(self.launched):
+            if proc.poll() is None:
+                proc.kill()
+                if proc.wait() == -signal.SIGKILL:
+                    self.killed = argv
+                    return
+
+    def assert_killed_shard_relaunched(self, out_dir: Path) -> None:
+        """The killed shard was retried: its manifest entry shows a
+        second launch."""
+        assert self.killed is not None, "no shard worker was killed"
+        artifact = Path(self.killed[self.killed.index("--shard-out") + 1])
+        attempts = [
+            entry["attempts"] for entry in load_manifest(out_dir)["shards"]
+            if entry["artifact"] == artifact.name
+        ]
+        assert attempts and attempts[0] >= 2, attempts
 
 
 class _InterruptingExecutor:
@@ -493,69 +539,22 @@ class TestElasticConformance:
         assert len(artifacts) > 2  # sub-shards present
         assert _strip(merge_artifacts(artifacts)) == reference
 
-
-class TestDaemonConformance:
-    """Daemon-backend orchestration reproduces the serial result."""
-
-    KWARGS = dict(m=2, n_tasksets=6, seed=11, step=0.5)
-
-    @pytest.fixture
-    def daemon_pool(self):
-        import tempfile as tf
-
-        from repro.engine.daemon import WorkerDaemon
-
-        with tf.TemporaryDirectory(prefix="reprod-", dir="/tmp") as tmp:
-            daemons = []
-            for index in range(3):
-                daemon = WorkerDaemon(Path(tmp) / f"w{index}.sock")
-                daemon.serve_in_thread()
-                daemons.append(daemon)
-            try:
-                yield daemons
-            finally:
-                for daemon in daemons:
-                    daemon.stop()
-
-    def test_daemon_orchestration_bit_identical(self, daemon_pool, tmp_path):
-        from repro.engine.backends import DaemonBackend
+    def test_killed_shard_with_elastic_bit_identical(self, tmp_path):
+        # Elastic splits plus a shard worker SIGKILLed mid-run, healed
+        # back to the exact serial result.
         from repro.engine.orchestrator import Orchestrator
 
-        reference = _strip(run_job(figure2_job(**self.KWARGS)))
-        plan = plan_from_jobspec(figure2_job(**self.KWARGS))
-        with DaemonBackend([d.socket_path for d in daemon_pool]) as backend:
-            outcome = Orchestrator(
-                plan, tmp_path / "orch", backend=backend, poll_interval=0.05,
-            ).run()
-        assert _strip(outcome.result) == reference
-        assert outcome.retries == 0
-
-    def test_daemon_killed_mid_run_with_elastic_still_bit_identical(
-        self, daemon_pool, tmp_path
-    ):
-        # The acceptance-criteria case: daemons + elastic splits + a
-        # daemon dying mid-run, healed back to the exact serial result.
-        from repro.engine.backends import DaemonBackend
-        from repro.engine.orchestrator import Orchestrator
-
-        reference = _strip(run_job(figure2_job(**self.KWARGS)))
-        plan = plan_from_jobspec(figure2_job(**self.KWARGS))
-        killed = {"done": False}
-
-        def progress(view):
-            if not killed["done"] and any(
-                s.state != "waiting" for s in view.shards
-            ):
-                daemon_pool[0].stop()  # socket dies like a SIGKILL
-                killed["done"] = True
-
-        with DaemonBackend([d.socket_path for d in daemon_pool]) as backend:
+        kwargs = dict(m=2, n_tasksets=6, seed=11, step=0.5)
+        reference = _strip(run_job(figure2_job(**kwargs)))
+        plan = plan_from_jobspec(figure2_job(**kwargs))
+        with _KillsOneShard(slots=3) as backend:
             outcome = Orchestrator(
                 plan, tmp_path / "orch", backend=backend, shards=2,
                 retries=3, poll_interval=0.05,
-                elastic=True, elastic_after=0.0, progress=progress,
+                elastic=True, elastic_after=0.0, progress=backend.progress,
             ).run()
-        assert killed["done"]
+        backend.assert_killed_shard_relaunched(tmp_path / "orch")
+        assert outcome.splits >= 1
         assert _strip(outcome.result) == reference
 
 
@@ -638,17 +637,11 @@ class TestCacheConformance:
             paths2.append(path)
         assert _strip(merge_artifacts(paths2)) == reference
 
-    def test_daemon_killed_mid_run_with_warm_cache_bit_identical(
-        self, tmp_path
-    ):
-        # The acceptance-criteria case with the cache in the loop: a
-        # pre-warmed verdict cache, daemon workers, an elastic split,
-        # and a daemon killed mid-run — healed to the exact serial
-        # result, with cache hits visible in the cluster view.
-        import tempfile as tf
-
-        from repro.engine.backends import DaemonBackend
-        from repro.engine.daemon import WorkerDaemon
+    def test_killed_shard_with_warm_cache_bit_identical(self, tmp_path):
+        # The killed-worker case with the cache in the loop: a
+        # pre-warmed verdict cache, an elastic split, and a shard
+        # worker SIGKILLed mid-run — healed to the exact serial result,
+        # with cache hits visible in the cluster view.
         from repro.engine.jobspec import JobSpec, Workload
         from repro.engine.orchestrator import Orchestrator
 
@@ -665,35 +658,14 @@ class TestCacheConformance:
         assert _strip(run_job(warmup)) == reference
 
         plan = plan_from_jobspec(warmup)
-        killed = {"done": False}
-
-        with tf.TemporaryDirectory(prefix="reprod-", dir="/tmp") as tmp:
-            daemons = []
-            for index in range(3):
-                daemon = WorkerDaemon(Path(tmp) / f"w{index}.sock")
-                daemon.serve_in_thread()
-                daemons.append(daemon)
-
-            def progress(view):
-                if not killed["done"] and any(
-                    s.state != "waiting" for s in view.shards
-                ):
-                    daemons[0].stop()  # socket dies like a SIGKILL
-                    killed["done"] = True
-
-            try:
-                with DaemonBackend(
-                    [d.socket_path for d in daemons]
-                ) as backend:
-                    outcome = Orchestrator(
-                        plan, tmp_path / "orch", backend=backend, shards=2,
-                        retries=3, poll_interval=0.05,
-                        elastic=True, elastic_after=0.0, progress=progress,
-                    ).run()
-            finally:
-                for daemon in daemons:
-                    daemon.stop()
-        assert killed["done"]
+        with _KillsOneShard(slots=3) as backend:
+            outcome = Orchestrator(
+                plan, tmp_path / "orch", backend=backend, shards=2,
+                retries=3, poll_interval=0.05,
+                elastic=True, elastic_after=0.0, progress=backend.progress,
+            ).run()
+        backend.assert_killed_shard_relaunched(tmp_path / "orch")
+        assert outcome.splits >= 1
         assert _strip(outcome.result) == reference
         assert outcome.view.cache_hits > 0
         assert outcome.view.cache_misses == 0  # every verdict pre-warmed
@@ -743,8 +715,8 @@ class TestRegistryKindConformance:
 
     sensitivity / simulate / timing run through the same JobSpec
     surface as the grid sweeps, so they inherit the same sentence:
-    serial == parallel == sharded == orchestrated == daemon-dispatched
-    (timing compared on its deterministic projection).
+    serial == parallel == sharded == orchestrated (timing compared on
+    its deterministic projection).
     """
 
     def _serial(self, workload_kwargs):
@@ -799,37 +771,6 @@ class TestRegistryKindConformance:
         ).run()
         assert _registry_project(kind, outcome.result) == reference
         assert outcome.view.done_items == plan.total_items
-
-    @_REGISTRY_KINDS
-    def test_daemon_dispatched_identical(self, workload_kwargs, tmp_path):
-        import tempfile as tf
-
-        from repro.engine.backends import DaemonBackend
-        from repro.engine.daemon import WorkerDaemon
-        from repro.engine.orchestrator import Orchestrator
-
-        reference = self._serial(workload_kwargs)
-        kind = workload_kwargs["kind"]
-        plan = plan_from_jobspec(_registry_job(workload_kwargs))
-        with tf.TemporaryDirectory(prefix="reprod-", dir="/tmp") as tmp:
-            daemons = []
-            for index in range(2):
-                daemon = WorkerDaemon(Path(tmp) / f"w{index}.sock")
-                daemon.serve_in_thread()
-                daemons.append(daemon)
-            try:
-                with DaemonBackend(
-                    [d.socket_path for d in daemons]
-                ) as backend:
-                    outcome = Orchestrator(
-                        plan, tmp_path / "orch", backend=backend,
-                        poll_interval=0.05,
-                    ).run()
-            finally:
-                for daemon in daemons:
-                    daemon.stop()
-        assert _registry_project(kind, outcome.result) == reference
-        assert outcome.retries == 0
 
 
 #: One small workload per registered kind, for the one-engine matrix.

@@ -1,7 +1,7 @@
 """The declarative JobSpec: round-trips, strictness, overrides.
 
 The job schema is the contract every tier speaks (CLI flags, job
-files, orchestrator work orders, daemon submits), so these tests pin
+files, the orchestrator's shard command lines), so these tests pin
 it hard: a golden checked-in fixture, exact ``from_json(to_json(s)) ==
 s`` round-trips (hypothesis-generated), strict unknown-key /
 version-skew / kind-mismatch rejection, and override layering.
@@ -369,6 +369,69 @@ class TestNonFiniteInputs:
         job = _figure2_job()
         with pytest.raises(JobSpecError):
             job.with_overrides(dict([parse_set_override(override)]))
+
+
+class TestJsonValueTypes:
+    """A job file's value must already have its field's JSON type.
+
+    Nothing is truncated or coerced: 2.7 is no core count, ``true`` is
+    no seed, ``"false"`` is no boolean.  Each refusal is one
+    ``JobSpecError`` line naming the key.
+    """
+
+    @staticmethod
+    def _refused(section: str, key: str, payload: dict) -> None:
+        with pytest.raises(JobSpecError, match=rf"malformed {section}\.{key}\b") as info:
+            JobSpec.from_json(json.dumps(payload))
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("figure2", "m", 2.7),
+        ("figure2", "m", True),
+        ("figure2", "m", "2"),
+        ("figure2", "n_tasksets", 20.0),
+        ("figure2", "n_tasksets", "20"),
+        ("figure2", "seed", 2016.9),
+        ("figure2", "seed", False),
+        ("figure2", "seed", "2016"),
+        ("timing", "core_counts", [4, 8.5]),
+        ("timing", "core_counts", [4, True]),
+        ("timing", "core_counts", ["4"]),
+        ("figure2", "step", "0.25"),
+        ("figure2", "step", True),
+        ("splitsweep", "utilization", "1.75"),
+        ("splitsweep", "overhead", False),
+        ("splitsweep", "thresholds", [100.0, "25"]),
+        ("splitsweep", "thresholds", [True]),
+        ("sensitivity", "max_scale", "8"),
+        ("simulate", "horizon_factor", True),
+        ("timing", "utilization_factor", "0.5"),
+    ])
+    def test_workload_value_of_wrong_type_refused(self, kind, key, value):
+        self._refused("workload", key, {
+            "version": JOBSPEC_VERSION,
+            "workload": {"kind": kind, key: value},
+        })
+
+    @pytest.mark.parametrize("key, value", [
+        ("jobs", 1.9),
+        ("jobs", True),
+        ("jobs", "2"),
+        ("chunk_size", 3.0),
+        ("chunk_size", "3"),
+        ("items", [0, 1.5]),
+        ("items", [True]),
+        ("items", ["1"]),
+        ("publish", "false"),
+        ("publish", 0),
+        ("publish", 1),
+    ])
+    def test_execution_value_of_wrong_type_refused(self, key, value):
+        self._refused("execution", key, {
+            "version": JOBSPEC_VERSION,
+            "workload": {"kind": "figure2"},
+            "execution": {key: value},
+        })
 
 
 class TestExecutorField:

@@ -2,7 +2,7 @@
 
 Covers the behavioural contract: inline job execution is bit-identical
 to running the workload's engine spec directly, submitted jobs run
-asynchronously on dispatch backends and rebuild their results from
+asynchronously as local subprocesses and rebuild their results from
 shard artifacts, job files resume through their checkpoints, and the
 ``sweep-run`` subcommand reproduces its alias subcommands' artifacts
 bit-for-bit (fingerprints included).
