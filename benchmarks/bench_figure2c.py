@@ -3,8 +3,10 @@
 The paper notes the trend of (a)/(b) is maintained with a slightly
 larger LP-ILP-to-FP-ideal distance. (Its x-axis label reads "Number of
 tasks"; we follow the surrounding text and sweep utilisation — see
-DESIGN.md.) Sized down by default: LP-ILP at m = 16 evaluates 231+176
-scenarios per task.
+DESIGN.md.) Sized down by default, like the other panels. LP-ILP at
+m = 16 reads Δ^16 and Δ^15 off one knapsack table per blocking term
+instead of solving 231 + 176 scenario assignments (DESIGN.md, "Δ in one
+table").
 """
 
 from benchmarks.conftest import sweep_grid

@@ -1,6 +1,6 @@
-"""Fast-kernel floors: verdict cache and RTA memoisation.
+"""Fast-kernel floors: verdict cache, RTA memoisation, LP-ILP table.
 
-Two floors keep the analysis kernel honest, and each doubles as a
+Three floors keep the analysis kernel honest, and each doubles as a
 bit-identity check (the optimised paths must change *nothing* but the
 wall-clock):
 
@@ -12,7 +12,11 @@ wall-clock):
   the fixpoint's ``I^hp_k`` query stream at least 1.5x faster than the
   seed kernel's per-call :func:`higher_priority_interference` on the
   group-2 shape (parallel-only task-sets), while summing to the
-  bit-identical total.
+  bit-identical total;
+* the LP-ILP knapsack table must compute ``(Δ^16, Δ^15)`` at least 20x
+  faster than the scenario path (one assignment per partition of 16
+  and of 15) over every ``lp(k)`` of a group-1 corpus, with every term
+  ``float.hex``-identical.
 
 Each run appends its numbers to ``BENCH_kernel.json`` at the repo root
 — the checked-in benchmark trajectory.  Sizes are tunable via
@@ -27,9 +31,11 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.blocking import _knapsack_deltas, _lp_ilp_single
 from repro.core.interference import InterferenceMemo, higher_priority_interference
+from repro.core.workload import mu_array_shared
 from repro.engine import SweepEngine, SweepSpec
-from repro.generator.profiles import GROUP2
+from repro.generator.profiles import GROUP1, GROUP2
 from repro.generator.taskset_gen import generate_taskset
 
 SEED = 2016
@@ -218,4 +224,56 @@ def test_interference_memo_beats_seed_kernel(bench_tasksets, bench_check):
         f"InterferenceMemo is only {speedup:.2f}x faster than the seed "
         f"kernel ({memo_seconds:.4f}s vs {seed_seconds:.4f}s) on the "
         "group-2 shape; the memoised hot path has regressed"
+    )
+
+
+def test_lp_ilp_table_beats_scenario_path(bench_check):
+    # Figure 2(c)'s shape: group-1 task-sets at m = 16 across the
+    # utilisations where LP-ILP runs. Each lp(k) is one blocking term's
+    # input, its μ arrays computed once up front.
+    m = 16
+    corpus = []
+    for i in range(16):
+        taskset = generate_taskset(
+            np.random.default_rng(SEED + i), 2.0 + i % 8, GROUP1
+        )
+        tasks = taskset.tasks
+        for k in range(len(tasks) - 1):
+            corpus.append({t.name: mu_array_shared(t, m) for t in tasks[k + 1:]})
+
+    def run_table():
+        return [_knapsack_deltas(mu.values(), m) for mu in corpus]
+
+    def run_scenarios():
+        return [
+            (_lp_ilp_single(mu, m, "assignment"),
+             _lp_ilp_single(mu, m - 1, "assignment"))
+            for mu in corpus
+        ]
+
+    table = run_table()
+    assert None not in table  # generated μ are small integers
+    assert [(a.hex(), b.hex()) for a, b in table] == [
+        (a.hex(), b.hex()) for a, b in run_scenarios()
+    ]
+
+    table_seconds = _best_of(run_table)
+    scenario_seconds = _best_of(run_scenarios, rounds=1)
+    speedup = scenario_seconds / table_seconds
+    _record(
+        "lp_ilp_table",
+        {
+            "m": m,
+            "lp_sets": len(corpus),
+            "scenario_seconds": round(scenario_seconds, 4),
+            "table_seconds": round(table_seconds, 4),
+            "speedup": round(speedup, 1),
+            "floor": 20.0,
+        },
+        check=bench_check,
+    )
+    assert speedup >= 20.0, (
+        f"the LP-ILP knapsack table is only {speedup:.1f}x faster than the "
+        f"scenario path ({table_seconds:.4f}s vs {scenario_seconds:.4f}s) "
+        "at m = 16; the table has regressed"
     )

@@ -13,13 +13,21 @@ tasks (first blocking, ``Δ^m_k``), and can be blocked again by at most
   workload ``ρ_k[s_l]`` over all execution scenarios ``s_l ∈ e_m``
   (resp. ``e_{m−1}``).
 
+With non-negative μ the LP-ILP maximum over scenarios equals the best
+choice of per-task core counts summing to at most ``m``, a
+multiple-choice knapsack. :func:`lp_ilp_deltas` reads both terms off
+one table over ``lp(k)``'s μ arrays when every entry is a small
+non-negative integer, so the sums are exact and the floats are those of
+the scenario path bit for bit; any other input takes the scenario path
+(DESIGN.md, "Δ in one table").
+
 On the paper's Figure-1 example with ``m = 4`` these give
 ``Δ⁴ = 20 vs 19`` and ``Δ³ = 16 vs 15`` (LP-max vs LP-ILP).
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from typing import Literal
 
 from repro.exceptions import AnalysisError
@@ -85,6 +93,10 @@ def lp_ilp_deltas(
     3. ``Δ^m_k = max_{s_l ∈ e_m} ρ_k[s_l]`` and likewise over
        ``e_{m−1}``.
 
+    Steps 2 and 3 collapse into one knapsack table when the assignment
+    solver runs on small non-negative integer μ (:func:`_knapsack_deltas`);
+    the result is the same float.
+
     Parameters
     ----------
     lp_tasks:
@@ -125,10 +137,56 @@ def lp_ilp_deltas(
                 mu_cache[task.name] = mu
         mu_by_task[task.name] = mu
 
+    if rho_solver == "assignment":
+        deltas = _knapsack_deltas(mu_by_task.values(), m)
+        if deltas is not None:
+            return deltas
     return (
         _lp_ilp_single(mu_by_task, m, rho_solver),
         _lp_ilp_single(mu_by_task, m - 1, rho_solver),
     )
+
+
+def _knapsack_deltas(
+    mus: Iterable[Sequence[float]], m: int
+) -> tuple[float, float] | None:
+    """``(Δ^m, Δ^{m−1})`` from one multiple-choice knapsack table.
+
+    ``f[c]`` is the largest ``Σ μ_i[c_i]`` over per-task core counts
+    with ``Σ c_i ≤ c``; each task in turn may take ``j ≥ 1`` cores for
+    ``μ_i[j]`` on top of ``f[c − j]``. With μ ≥ 0 that is the maximum of
+    ``rho_assignment`` over the partitions of ``c``, and ``f`` never
+    falls as ``c`` grows, so a ``μ_i[j]`` no larger than an earlier
+    entry of the same task cannot raise it and is skipped.
+
+    Returns ``None``, leaving the caller to the scenario path, unless
+    every entry read is an int, or an integer-valued float, in
+    ``[0, 2^53 / (8m)]``: then every sum either path forms is an exact
+    integer, so both return the same float (DESIGN.md, "Δ in one table").
+    """
+    cap = 2.0**53 / (8 * m)
+    f = [0.0] * (m + 1)
+    for mu in mus:
+        row = mu[:m]
+        if len(row) < m:
+            return None
+        g = f[:]
+        best = 0.0
+        for j, x in enumerate(row, 1):
+            kind = type(x)
+            if kind is float:
+                if not (0.0 <= x <= cap and x.is_integer()):
+                    return None
+            elif kind is not int or not 0 <= x <= cap:
+                return None
+            if x > best:
+                best = x
+                for c in range(j, m + 1):
+                    value = f[c - j] + x
+                    if value > g[c]:
+                        g[c] = value
+        f = g
+    return f[m], f[m - 1]
 
 
 def _lp_ilp_single(

@@ -26,6 +26,13 @@ With non-negative μ the assignment optimum equals the paper ILP optimum
 whenever the latter is feasible (leaving a part idle never helps), which
 tests assert on random instances.
 
+The LP-ILP bound needs only the largest ρ over all of ``e_m``. For
+small non-negative integer μ, :mod:`repro.core.blocking` reads that
+maximum off one knapsack table over per-task core counts, bit for bit
+the maximum of :func:`rho_assignment`; the per-scenario solvers serve
+every other input, the Table II/III reproduction and the tests
+(DESIGN.md, "Δ in one table").
+
 The port keeps scipy's tie-breaking and numpy's summation order, so ρ
 is the float scipy and numpy gave, bit for bit; both are only test
 oracles (see DESIGN.md, "Bit-identical ρ without SciPy" and "A

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -159,6 +160,19 @@ def _json_bool(name: str, value: object) -> bool:
     return value
 
 
+def _json_str(name: str, value: object) -> str:
+    if not isinstance(value, str):
+        raise _malformed(name, "a JSON string", value)
+    return value
+
+
+def _json_path(name: str, value: object) -> str:
+    # A ``Path`` built in code is a string once serialised.
+    if not isinstance(value, (str, os.PathLike)):
+        raise _malformed(name, "a JSON string", value)
+    return os.fspath(value)
+
+
 def _json_list(check):
     def coerce(name: str, value: object) -> tuple:
         if not isinstance(value, Sequence) or isinstance(value, str):
@@ -178,8 +192,8 @@ _KEY_CODERS = {
     "step": lambda name, value: (
         None if value is None else _json_float(name, value)
     ),
-    "mu_method": lambda name, value: str(value),
-    "rho_solver": lambda name, value: str(value),
+    "mu_method": _json_str,
+    "rho_solver": _json_str,
     "utilization": _json_float,
     "overhead": _json_float,
     "thresholds": _json_list(_json_float),
@@ -192,6 +206,9 @@ _KEY_CODERS = {
 _EXECUTION_KEYS = ("jobs", "chunk_size", "checkpoint",
                    "stream", "shard_out", "shard", "items",
                    "cache", "cache_dir", "publish", "store_dir")
+
+#: Execution fields holding a path (``None`` when unset).
+_PATH_KEYS = ("checkpoint", "stream", "shard_out", "cache_dir", "store_dir")
 
 #: Workload field defaults, for the registry-driven strictness check
 #: (fields outside a kind's key set must hold exactly these values).
@@ -216,6 +233,10 @@ _FIELD_DEFAULTS = {
 #: NaN step silently collapses the grid to one point.
 _FLOAT_FIELDS = ("step", "utilization", "thresholds", "overhead",
                  "max_scale", "horizon_factor", "utilization_factor")
+
+#: Workload fields whose ``None`` means "the kind's default".
+_OPTIONAL_FIELDS = {name for name, default in _FIELD_DEFAULTS.items()
+                    if default is None}
 
 
 @dataclass(frozen=True, slots=True)
@@ -299,6 +320,12 @@ class Workload:
                     f"{self.kind} workloads take no {name!r}"
                     + (f" ({hint})" if hint else "")
                 )
+        # A value set in code obeys the job-file rules too, so every
+        # constructible workload serialises to a file that loads back.
+        for name, check in _KEY_CODERS.items():
+            value = getattr(self, name)
+            if value is not None or name not in _OPTIONAL_FIELDS:
+                object.__setattr__(self, name, check(f"workload.{name}", value))
         for name in _FLOAT_FIELDS:
             value = getattr(self, name)
             values = value if isinstance(value, (tuple, list)) else (value,)
@@ -439,6 +466,21 @@ class ExecutionPolicy:
     store_dir: str | None = None
 
     def __post_init__(self) -> None:
+        # The job-file rules, applied to values set in code too.
+        _json_int("execution.jobs", self.jobs)
+        if self.chunk_size is not None:
+            _json_int("execution.chunk_size", self.chunk_size)
+        if self.shard is not None and not isinstance(self.shard, ShardSpec):
+            raise JobSpecError(
+                f"malformed execution.shard: expected a shard such as "
+                f"'1/4', got {self.shard!r}"
+            )
+        _json_str("execution.cache", self.cache)
+        _json_bool("execution.publish", self.publish)
+        for name in _PATH_KEYS:
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, _json_path(f"execution.{name}", value))
         if self.jobs < 1:
             raise JobSpecError(f"jobs must be >= 1, got {self.jobs}")
         if self.chunk_size is not None and self.chunk_size < 1:
@@ -450,14 +492,10 @@ class ExecutionPolicy:
                 f"unknown cache mode {self.cache!r}; "
                 f"expected one of {CACHE_MODES}"
             )
-        for name in ("checkpoint", "stream", "shard_out", "cache_dir",
-                     "store_dir"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, str(value))
-        object.__setattr__(self, "publish", bool(self.publish))
         if self.items is not None:
-            items = tuple(sorted({int(i) for i in self.items}))
+            items = tuple(sorted(set(
+                _json_list(_json_int)("execution.items", self.items)
+            )))
             if not items:
                 raise JobSpecError("items subset names no work items")
             if items[0] < 0:
@@ -514,33 +552,18 @@ class ExecutionPolicy:
                 f"unknown execution key {unknown[0]!r} "
                 f"(allowed: {', '.join(_EXECUTION_KEYS)})"
             )
-        kwargs: dict = {}
-        if "jobs" in payload:
-            kwargs["jobs"] = _json_int("execution.jobs", payload["jobs"])
-        if "chunk_size" in payload and payload["chunk_size"] is not None:
-            kwargs["chunk_size"] = _json_int(
-                "execution.chunk_size", payload["chunk_size"]
-            )
-        for key in ("checkpoint", "stream", "shard_out", "cache_dir"):
-            if key in payload and payload[key] is not None:
-                kwargs[key] = str(payload[key])
-        # Additive fields: absent in older job files, which stay
-        # valid at the same JOBSPEC_VERSION.
-        if "cache" in payload and payload["cache"] is not None:
-            kwargs["cache"] = str(payload["cache"])
-        if "publish" in payload and payload["publish"] is not None:
-            kwargs["publish"] = _json_bool("execution.publish", payload["publish"])
-        if "store_dir" in payload and payload["store_dir"] is not None:
-            kwargs["store_dir"] = str(payload["store_dir"])
-        if "shard" in payload and payload["shard"] is not None:
+        # The constructor checks each value's type. ``null`` leaves a
+        # field at its default, except ``jobs``; fields added since
+        # version 1 (cache, publish, store_dir) may be absent.
+        kwargs = {
+            key: value for key, value in payload.items()
+            if key in _EXECUTION_KEYS and (value is not None or key == "jobs")
+        }
+        if "shard" in kwargs:
             try:
-                kwargs["shard"] = parse_shard(str(payload["shard"]))
+                kwargs["shard"] = parse_shard(str(kwargs["shard"]))
             except ShardError as exc:
                 raise JobSpecError(str(exc)) from exc
-        if "items" in payload and payload["items"] is not None:
-            kwargs["items"] = _json_list(_json_int)(
-                "execution.items", payload["items"]
-            )
         return cls(**kwargs)
 
 

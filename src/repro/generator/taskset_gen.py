@@ -90,15 +90,17 @@ def generate_taskset(
         drawn.append((dag, utilization))
         total += utilization
 
-    tasks = [
-        DAGTask(
-            f"tau{i + 1}",
-            dag,
-            period=period_from_utilization(dag, utilization),
-        )
+    # Sorted before the tasks exist (implicit deadlines: D = T), so each
+    # task is built once, with its priority.
+    named = [
+        (f"tau{i + 1}", dag, period_from_utilization(dag, utilization))
         for i, (dag, utilization) in enumerate(drawn)
     ]
-    return assign_priorities_dm(tasks)
+    named.sort(key=lambda entry: _dm_key(entry[2], entry[1].volume, entry[0]))
+    return TaskSet([
+        DAGTask(name, dag, period=period, priority=priority)
+        for priority, (name, dag, period) in enumerate(named)
+    ])
 
 
 def assign_priorities_dm(tasks: list[DAGTask]) -> TaskSet:
@@ -110,10 +112,16 @@ def assign_priorities_dm(tasks: list[DAGTask]) -> TaskSet:
     """
     if not tasks:
         raise GenerationError("cannot assign priorities to an empty task list")
-    ordered = sorted(tasks, key=lambda t: (t.deadline, -t.volume, t.name))
+    ordered = sorted(tasks, key=lambda t: _dm_key(t.deadline, t.volume, t.name))
     return TaskSet(
         [task.with_priority(priority) for priority, task in enumerate(ordered)]
     )
+
+
+def _dm_key(deadline: float, volume: float, name: str) -> tuple:
+    """Deadline-monotonic rank: shorter deadline, then larger volume,
+    then name."""
+    return (deadline, -volume, name)
 
 
 def _draw_dag(rng: Generator, profile: TasksetProfile) -> DAG:

@@ -3,11 +3,12 @@
 The :class:`DAG` is the structural half of a DAG task ``G_k = (V_k, E_k)``
 (paper Section III-A): nodes are NPRs labelled with WCETs, edges are
 precedence constraints. The class is an immutable container with O(1)
-adjacency queries. Its topological order is computed at construction,
-by the same Kahn pass that rejects cycles. The heavier algorithms
-(longest path, parallelism sets) live in :mod:`repro.graph` and take a
-``DAG`` as input; the longest path ``L`` is memoised on the instance, so
-each DAG pays for it once.
+adjacency queries. Its topological order is computed at construction:
+it is the insertion order when every edge points forward in it (as in
+every generated DAG), and otherwise comes from the same Kahn pass that
+rejects cycles. The heavier algorithms (longest path, parallelism sets)
+live in :mod:`repro.graph` and take a ``DAG`` as input; the longest
+path ``L`` is memoised on the instance, so each DAG pays for it once.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ class DAG:
         succ: list[list[str]] = [[] for _ in rank]
         pred: list[list[str]] = [[] for _ in rank]
         edge_set: dict[Edge, None] = {}
+        forward = True
         for u, v in edges:
             if u not in rank:
                 raise ModelError(f"edge ({u!r}, {v!r}): unknown source node {u!r}")
@@ -76,16 +78,24 @@ class DAG:
             if (u, v) in edge_set:
                 raise ModelError(f"duplicate edge ({u!r}, {v!r})")
             edge_set[(u, v)] = None
-            succ[rank[u]].append(v)
-            pred[rank[v]].append(u)
+            ru, rv = rank[u], rank[v]
+            forward = forward and ru < rv
+            succ[ru].append(v)
+            pred[rv].append(u)
         self._edges: tuple[Edge, ...] = tuple(edge_set)
         self._succ: dict[str, tuple[str, ...]] = dict(zip(rank, map(tuple, succ)))
         self._pred: dict[str, tuple[str, ...]] = dict(zip(rank, map(tuple, pred)))
 
+        names = list(rank)
+        if forward:
+            # Every edge raises the insertion rank, so no cycle exists
+            # and node ``i`` is the least ready rank once ``0..i-1``
+            # are out: the Kahn order below is the insertion order.
+            self._order: tuple[str, ...] = tuple(names)
+            return
         # One Kahn pass both rejects cycles and fixes the topological
         # order.  Popping the ready node of least insertion rank breaks
         # ties by insertion order.
-        names = list(rank)
         indegree = [len(p) for p in pred]
         ready = [i for i, count in enumerate(indegree) if not count]
         order: list[str] = []
@@ -99,7 +109,7 @@ class DAG:
                     heappush(ready, j)
         if len(order) != len(names):
             raise CycleError("graph contains a directed cycle")
-        self._order: tuple[str, ...] = tuple(order)
+        self._order = tuple(order)
 
     # ------------------------------------------------------------------
     # basic accessors

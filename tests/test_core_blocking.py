@@ -1,8 +1,12 @@
 """Unit tests for :mod:`repro.core.blocking` (Δ^m, Δ^{m−1})."""
 
+import math
+
 import pytest
 
+from repro.core import blocking
 from repro.core.blocking import lp_ilp_deltas, lp_max_deltas
+from repro.core.workload import mu_array
 from repro.exceptions import AnalysisError
 from repro.experiments.figure1 import (
     DELTA3_LP_ILP,
@@ -10,7 +14,10 @@ from repro.experiments.figure1 import (
     DELTA4_LP_ILP,
     DELTA4_LP_MAX,
 )
+from repro.generator.profiles import GROUP1
+from repro.generator.taskset_gen import generate_taskset
 from repro.model import DAGTask, DagBuilder
+from repro.rng import default_rng
 
 
 class TestPaperExample:
@@ -116,3 +123,76 @@ class TestMonotonicity:
         full = lp_ilp_deltas(fig1_tasks, 4)
         assert full[0] >= partial[0]
         assert full[1] >= partial[1]
+
+
+def _independent_tasks(n: int) -> list[DAGTask]:
+    """``n`` one-node tasks; a test supplies their μ through the cache."""
+    return [
+        DAGTask(f"t{i}", DagBuilder().node(f"v{i}", 1).build(), period=100.0)
+        for i in range(n)
+    ]
+
+
+class TestKnapsackTable:
+    """Small non-negative integer μ take the knapsack table; every other
+    input keeps the scenario path (DESIGN.md, "Δ in one table")."""
+
+    @pytest.fixture
+    def scenario_calls(self, monkeypatch):
+        calls: list[tuple[int, str]] = []
+        scenario_path = blocking._lp_ilp_single
+
+        def counted(mu_by_task, m, rho_solver):
+            calls.append((m, rho_solver))
+            return scenario_path(mu_by_task, m, rho_solver)
+
+        monkeypatch.setattr(blocking, "_lp_ilp_single", counted)
+        return calls
+
+    def test_integer_mu_take_the_table(self, scenario_calls):
+        cache = {"t0": [5, 9.0, 12.0], "t1": [7.0, 7, 0.0]}
+        assert lp_ilp_deltas(_independent_tasks(2), 3, mu_cache=cache) == (16.0, 12.0)
+        assert scenario_calls == []
+
+    @pytest.mark.parametrize("mu", [
+        [2.5, 4.0, 4.0],  # fractional, as split NPRs give
+        [-1.0, 6.0, 6.0],  # negative
+        [2.0**60, 0.0, 0.0],  # beyond the exactness cap
+        [True, 2, 3],  # not a number type
+    ], ids=["fractional", "negative", "huge", "bool"])
+    def test_other_mu_take_the_scenario_path(self, mu, scenario_calls):
+        cache = {"t0": mu, "t1": [3, 5, 6]}
+        assert blocking._knapsack_deltas(list(cache.values()), 3) is None
+        lp_ilp_deltas(_independent_tasks(2), 3, mu_cache=cache)
+        assert scenario_calls == [(3, "assignment"), (2, "assignment")]
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_mu_still_raises(self, bad, scenario_calls):
+        cache = {"t0": [4, bad], "t1": [3, 5]}
+        with pytest.raises(AnalysisError, match="non-finite"):
+            lp_ilp_deltas(_independent_tasks(2), 2, mu_cache=cache)
+        assert scenario_calls
+
+    def test_ilp_solver_takes_the_scenario_path(self, fig1_tasks, scenario_calls):
+        lp_ilp_deltas(fig1_tasks, 4, rho_solver="ilp")
+        assert scenario_calls == [(4, "ilp"), (3, "ilp")]
+
+    @pytest.mark.parametrize("m, utilizations", [
+        (8, (2.0, 3.0, 4.0, 5.0, 6.0, 7.0)),
+        (16, (4.0, 8.0, 12.0)),
+    ])
+    def test_generated_sets_match_the_scenario_path(self, m, utilizations):
+        # Every task's lp(k) in real group-1 task-sets: the table is
+        # taken, and its terms are the scenario path's, bit for bit.
+        for i, utilization in enumerate(utilizations):
+            tasks = generate_taskset(default_rng(2016 + i), utilization, GROUP1).tasks
+            for k in range(len(tasks) - 1):
+                lp = tasks[k + 1:]
+                mu = {task.name: mu_array(task, m) for task in lp}
+                assert blocking._knapsack_deltas(list(mu.values()), m) is not None
+                got = lp_ilp_deltas(lp, m)
+                want = tuple(
+                    blocking._lp_ilp_single(mu, cores, "assignment")
+                    for cores in (m, m - 1)
+                )
+                assert [d.hex() for d in got] == [d.hex() for d in want], (i, k)

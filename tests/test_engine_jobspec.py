@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.jobspec import (
     JOBSPEC_VERSION,
@@ -406,6 +407,8 @@ class TestJsonValueTypes:
         ("sensitivity", "max_scale", "8"),
         ("simulate", "horizon_factor", True),
         ("timing", "utilization_factor", "0.5"),
+        ("figure2", "mu_method", 5),
+        ("figure2", "rho_solver", ["ilp"]),
     ])
     def test_workload_value_of_wrong_type_refused(self, kind, key, value):
         self._refused("workload", key, {
@@ -425,6 +428,9 @@ class TestJsonValueTypes:
         ("publish", "false"),
         ("publish", 0),
         ("publish", 1),
+        ("checkpoint", 5),
+        ("stream", ["s.jsonl"]),
+        ("cache", True),
     ])
     def test_execution_value_of_wrong_type_refused(self, key, value):
         self._refused("execution", key, {
@@ -512,3 +518,95 @@ class TestPlacement:
             ExecutionPolicy(placement="strided")
         with pytest.raises(JobSpecError, match="no field 'placement'"):
             _figure2_job().with_overrides({"execution.placement": "strided"})
+
+
+#: Typed override values of every JSON shape, a few of the wrong one
+#: for each field, plus strings the ``--set`` parsers accept.
+_OVERRIDE_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 2**40),
+    st.floats(),
+    st.text(max_size=6),
+    st.sampled_from([
+        "figure2", "splitsweep", "search", "ilp", "assignment", "off",
+        "read", "readwrite", "1/2", "2/3", "0,4,2", "none", "8", "0.5",
+        "true",
+    ]),
+    st.builds(lambda i: ShardSpec(i, 4), st.integers(0, 3)),
+    st.lists(
+        st.one_of(st.integers(-1, 64), st.floats(0, 100), st.booleans(),
+                  st.text(max_size=2)),
+        max_size=4,
+    ),
+    st.lists(st.integers(0, 64), min_size=1, max_size=4).map(tuple),
+)
+_OVERRIDE_KEYS = st.sampled_from(
+    [f"workload.{key}" for key in (
+        "kind", "m", "n_tasksets", "seed", "step", "mu_method",
+        "rho_solver", "utilization", "thresholds", "overhead",
+        "core_counts", "max_scale", "horizon_factor", "utilization_factor",
+    )]
+    + [f"execution.{key}" for key in (
+        "jobs", "chunk_size", "checkpoint", "stream", "shard_out", "shard",
+        "items", "cache", "cache_dir", "publish", "store_dir",
+    )]
+)
+
+
+class TestTypedValues:
+    """A value set in code obeys the job-file rules: the constructors
+    refuse what ``from_json`` would refuse, so every spec that can be
+    built can also be written and read back."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("workload.m", 2.7),
+        ("workload.m", True),
+        ("workload.seed", 7.0),
+        ("workload.n_tasksets", 20.0),
+        ("workload.step", True),
+        ("workload.mu_method", 5),
+        ("execution.jobs", 1.5),
+        ("execution.jobs", True),
+        ("execution.chunk_size", 2.0),
+        ("execution.items", (0, 1.5)),
+        ("execution.items", (True,)),
+        ("execution.items", 3),
+        ("execution.publish", 1),
+        ("execution.cache", None),
+        ("execution.shard", (1, 4)),
+        ("execution.checkpoint", 5),
+    ])
+    def test_override_of_wrong_type_refused(self, key, value):
+        with pytest.raises(JobSpecError, match=rf"malformed {key}\b") as info:
+            _figure2_job().with_overrides({key: value})
+        assert "\n" not in str(info.value)
+
+    def test_constructor_refuses_instead_of_truncating(self):
+        with pytest.raises(JobSpecError, match=r"malformed execution\.items\[0\]"):
+            ExecutionPolicy(items=(1.9,))
+        with pytest.raises(JobSpecError, match=r"malformed workload\.m\b"):
+            Workload(kind="figure2", m=2.7)
+        with pytest.raises(JobSpecError, match=r"malformed workload\.thresholds\[1\]"):
+            Workload(kind="splitsweep", thresholds=(10.0, "5"))
+
+    def test_numbers_widen_to_float_as_in_a_file(self):
+        workload = Workload(kind="splitsweep", utilization=2, thresholds=(50, 25))
+        assert type(workload.utilization) is float
+        assert all(type(t) is float for t in workload.thresholds)
+        assert workload == JobSpec.from_json(JobSpec(workload).to_json()).workload
+
+    @settings(max_examples=300, deadline=None)
+    @given(job=job_specs(), overrides=st.dictionaries(
+        _OVERRIDE_KEYS, _OVERRIDE_VALUES, min_size=1, max_size=3,
+    ))
+    def test_every_accepted_override_round_trips(self, job, overrides):
+        try:
+            patched = job.with_overrides(overrides)
+        except JobSpecError as exc:
+            assert "\n" not in str(exc)
+            return
+        text = patched.to_json()
+        again = JobSpec.from_json(text)
+        assert again == patched
+        assert again.to_json() == text

@@ -1,6 +1,8 @@
 """Unit tests for :mod:`repro.model.dag`."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.exceptions import CycleError, ModelError
 from repro.model import DAG, Node
@@ -128,3 +130,71 @@ class TestEquality:
 
     def test_not_equal_to_other_type(self, diamond):
         assert diamond != "diamond"
+
+
+def least_rank_kahn(names, edges) -> tuple[str, ...]:
+    """Kahn's algorithm, popping the ready node of least insertion rank.
+
+    The reference order. It is shorter than ``names`` exactly when the
+    edges contain a cycle.
+    """
+    indegree = {name: 0 for name in names}
+    for _, v in edges:
+        indegree[v] += 1
+    ready = [name for name in names if not indegree[name]]
+    order = []
+    while ready:
+        current = min(ready, key=names.index)
+        ready.remove(current)
+        order.append(current)
+        for u, v in edges:
+            if u == current:
+                indegree[v] -= 1
+                if not indegree[v]:
+                    ready.append(v)
+    return tuple(order)
+
+
+@st.composite
+def shuffled_dags(draw):
+    """``(names, edges)`` of a random DAG whose nodes are inserted in
+    index order (every edge forward) or shuffled (some edges backward),
+    with the edges listed in any order."""
+    n = draw(st.integers(1, 12))
+    edges = [
+        (f"n{i}", f"n{j}")
+        for i in range(n) for j in range(i + 1, n)
+        if draw(st.booleans())
+    ]
+    names = [f"n{i}" for i in range(n)]
+    if draw(st.booleans()):
+        names = draw(st.permutations(names))
+    return list(names), draw(st.permutations(edges))
+
+
+class TestTopologicalOrder:
+    """Forward-edge inputs skip the Kahn pass; the order must not change."""
+
+    @given(shuffled_dags())
+    def test_order_is_the_least_rank_kahn_order(self, case):
+        names, edges = case
+        dag = make({name: 1 for name in names}, edges)
+        assert dag.topological_order == least_rank_kahn(names, edges)
+        if all(names.index(u) < names.index(v) for u, v in edges):
+            assert dag.topological_order == tuple(names)
+
+    @given(shuffled_dags(), st.data())
+    def test_a_cycle_still_raises(self, case, data):
+        names, edges = case
+        if not edges:
+            return
+        u, v = data.draw(st.sampled_from(edges))
+        with pytest.raises(CycleError):
+            make({name: 1 for name in names}, [*edges, (v, u)])
+
+    def test_forward_chain_closed_by_a_back_edge_raises(self):
+        nodes = {f"n{i}": 1 for i in range(5)}
+        chain = [(f"n{i}", f"n{i + 1}") for i in range(4)]
+        assert make(nodes, chain).topological_order == tuple(nodes)
+        with pytest.raises(CycleError):
+            make(nodes, [*chain, ("n4", "n0")])

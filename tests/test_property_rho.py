@@ -5,6 +5,9 @@
 pairs, including among equal-weight optima, and return the same float:
 the reference below is the old formula, kept verbatim. Floats are
 compared with ``float.hex`` so a last-bit difference fails.
+
+The LP-ILP knapsack table must in turn return, for integer μ, the
+float the scenario path (one assignment per partition) returns.
 """
 
 import numpy as np
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.blocking import _knapsack_deltas, _lp_ilp_single
 from repro.core.scenarios import (
     ExecutionScenario,
     _max_weight_matching,
@@ -113,3 +117,49 @@ def test_integer_mu_gives_a_float():
         got = rho_assignment(table, ExecutionScenario(parts))
         assert type(got) is float
         assert got.hex() == scipy_rho(table, ExecutionScenario(parts)).hex()
+
+
+@st.composite
+def integer_mu_lists(draw, m: int, top: int):
+    """``|lp(k)|`` μ arrays of ints and integer-valued floats in ``0..top``.
+
+    Half are shaped like a real μ array (rising, then zero past the
+    task's width); the rest are arbitrary.
+    """
+    value = st.integers(0, top)
+    entry = st.one_of(value, value.map(float))
+    mus = []
+    for _ in range(draw(st.integers(0, 20))):
+        mu = draw(st.lists(entry, min_size=m, max_size=m))
+        if draw(st.booleans()):
+            width = draw(st.integers(1, m))
+            mu = sorted(mu[:width]) + [0.0] * (m - width)
+        mus.append(mu)
+    return mus
+
+
+def assert_table_is_scenario_maximum(mus: list, m: int) -> None:
+    got = _knapsack_deltas(mus, m)
+    assert got is not None
+    table = {f"t{i}": mu for i, mu in enumerate(mus)}
+    for value, cores in zip(got, (m, m - 1)):
+        assert type(value) is float
+        assert value.hex() == _lp_ilp_single(table, cores, "assignment").hex(), cores
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_knapsack_table_equals_scenario_path(data):
+    m = data.draw(st.integers(1, 16))
+    assert_table_is_scenario_maximum(data.draw(integer_mu_lists(m, 2**20)), m)
+
+
+# At the exactness cap, 2^53 / (8m), the matching's duals are the
+# largest integers either path forms (DESIGN.md, "Δ in one table").
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_knapsack_table_is_exact_up_to_its_cap(data):
+    m = data.draw(st.integers(1, 12))
+    assert_table_is_scenario_maximum(
+        data.draw(integer_mu_lists(m, 2**53 // (8 * m))), m
+    )
