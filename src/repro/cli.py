@@ -13,15 +13,10 @@ Sub-commands map one-to-one onto the paper's artefacts:
   :class:`~repro.engine.jobspec.JobSpec` (``--job job.json`` or
   ``--job-json '<spec>'``) naming the workload kind and its parameters
   plus the execution policy.  ``--set key=value`` and the engine flags
-  layer overrides on top, and the orchestration flags (``--workers`` /
-  ``--shards`` / ``--elastic`` ...) run the same job as a whole
-  sharded orchestration — shards run as local subprocesses,
-  live-merged, retried and validated — instead of a single inline
-  invocation;
+  layer overrides on top.  One host runs a job with ``--jobs N``;
+  several hosts each run one ``--shard I/N`` of it;
 * ``sweep-merge`` — recombine ``--shard I/N`` artifacts into the exact
   unsharded result;
-* ``sweep-status`` — inspect a running or finished orchestration
-  directory from its streams and artifacts;
 * ``sweep-cache`` — verdict-cache lifecycle (``stats``, ``compact``,
   ``gc``), safe while sweeps read and write the same directory;
 * ``sweep-db`` — the durable result store: ``publish`` shard
@@ -29,10 +24,10 @@ Sub-commands map one-to-one onto the paper's artefacts:
   and drift, ``export-csv`` bit-identically to the CSV writers.
 
 ``figure2``, ``group2`` and ``splitsweep`` are aliases of ``sweep-run``:
-their few workload flags build the job, and every execution,
-orchestration and output flag of ``sweep-run`` applies unchanged
-(``--jobs``, ``--shard``, ``--stream``, ``--checkpoint``, ``--cache``,
-``--workers``, ``--csv``, ``--dry-run`` ...).  One handler runs every
+their few workload flags build the job, and every execution and
+output flag of ``sweep-run`` applies unchanged (``--jobs``,
+``--shard``, ``--stream``, ``--checkpoint``, ``--cache``, ``--csv``,
+``--dry-run`` ...).  One handler runs every
 sweep, so flags, errors and output are the same whichever way a job
 starts.
 """
@@ -42,7 +37,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.exceptions import ReproError, ShardError
+from repro.exceptions import ReproError, ShardError, StoreError
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
@@ -121,18 +116,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p8.add_argument("--chart", action="store_true", help="print an ASCII chart")
     p8.set_defaults(handler=_cmd_sweep_merge)
 
-    p10 = sub.add_parser(
-        "sweep-status",
-        help="inspect a running or finished orchestration directory",
-    )
-    p10.add_argument("out_dir", metavar="DIR", help="orchestration directory")
-    p10.set_defaults(handler=_cmd_sweep_status)
-
     p12 = sub.add_parser(
         "sweep-run",
-        help="execute a declarative JobSpec (JSON job file) — inline by "
-             "default, or as a whole orchestrated sweep with the "
-             "orchestration flags",
+        help="execute a declarative JobSpec (JSON job file)",
     )
     source = p12.add_mutually_exclusive_group(required=True)
     source.add_argument(
@@ -141,8 +127,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     source.add_argument(
         "--job-json", type=str, default=None, metavar="JSON",
-        help="the JobSpec JSON inline (how the orchestrator embeds the "
-             "job verbatim in shard command lines)",
+        help="the JobSpec JSON inline, for scripts that build jobs "
+             "without writing a file",
     )
     _add_run_args(p12)
     p12.set_defaults(handler=_cmd_sweep_run, kind=None)
@@ -245,16 +231,6 @@ def _shard_arg(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _items_arg(text: str):
-    """argparse type for ``--shard-items`` (comma list, validated)."""
-    from repro.engine.shard import parse_items
-
-    try:
-        return parse_items(text)
-    except ShardError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
 def _seed_arg(text: str) -> int:
     """argparse type for ``demo``/``breakdown --seed``: a non-negative int."""
     try:
@@ -293,11 +269,10 @@ def _add_workload_args(parser: argparse.ArgumentParser, kind: str) -> None:
 
 
 def _add_run_args(parser: argparse.ArgumentParser) -> None:
-    """``sweep-run``'s execution, orchestration and output flags.
+    """``sweep-run``'s execution and output flags.
 
     Execution flags default to ``None`` so a job file's value survives
-    when the flag is not given.  Any orchestration flag switches from
-    one inline invocation to a whole sharded orchestration of the job.
+    when the flag is not given.
     """
     parser.add_argument(
         "--set", action="append", default=[], metavar="KEY=VALUE",
@@ -315,8 +290,7 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
                         help="print the effective spec and exit without running")
     parser.add_argument(
         "-j", "--jobs", type=int, default=None,
-        help="worker processes, per shard when orchestrated (results are "
-             "identical for any value)",
+        help="worker processes (results are identical for any value)",
     )
     parser.add_argument(
         "--checkpoint", type=str, default=None,
@@ -342,11 +316,6 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
              "finishes",
     )
     parser.add_argument(
-        "--shard-items", type=_items_arg, default=None, metavar="I,J,...",
-        help="evaluate only these work items of the shard's slice (the "
-             "orchestrator's elastic sub-shard dispatch)",
-    )
-    parser.add_argument(
         "--cache", choices=("off", "read", "readwrite"), default=None,
         help="verdict cache keyed on each grid item's coordinates: "
              "'readwrite' records every analysed item, 'read' only "
@@ -369,33 +338,6 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
         help="result-store directory (default: results; implies "
              "--publish)",
     )
-    parser.add_argument("--workers", type=int, default=None,
-                        help="orchestrate with this many shard subprocesses "
-                             "at a time")
-    parser.add_argument(
-        "--shards", type=int, default=None,
-        help="orchestration shard count (default: one per worker)",
-    )
-    parser.add_argument("--retries", type=int, default=2,
-                        help="extra launch attempts per failed/stalled shard")
-    parser.add_argument("--elastic", action="store_true",
-                        help="re-partition straggling shards onto idle slots")
-    parser.add_argument("--elastic-after", type=float, default=2.0, metavar="S",
-                        help="seconds a shard must run before it may be split")
-    parser.add_argument("--max-splits", type=int, default=8, metavar="N",
-                        help="ceiling on elastic re-partitions")
-    parser.add_argument(
-        "--out", type=str, default=None, metavar="DIR",
-        help="orchestration directory (default: orchestration-<kind>-m<M>); "
-             "reuse it to resume an interrupted run",
-    )
-    parser.add_argument("--poll-interval", type=float, default=0.2,
-                        help="seconds between dispatch/stream polls")
-    parser.add_argument("--stall-timeout", type=float, default=None, metavar="S",
-                        help="relaunch a shard with no stream progress for S "
-                             "seconds")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress live progress lines")
     parser.add_argument("--csv", type=str, default=None,
                         help="write series to CSV")
     parser.add_argument("--chart", action="store_true",
@@ -596,7 +538,6 @@ def _job_from_args(args: argparse.Namespace):
             ("shard", "execution.shard"),
             ("shard_out", "execution.shard_out"),
             ("stream", "execution.stream"),
-            ("shard_items", "execution.items"),
             ("cache", "execution.cache"),
             ("cache_dir", "execution.cache_dir"),
             ("publish", "execution.publish"),
@@ -632,43 +573,12 @@ def _job_from_args(args: argparse.Namespace):
     return job
 
 
-def _orchestrate(job, args: argparse.Namespace):
-    """Run ``job`` as a whole orchestration of local shard subprocesses;
-    returns ``(outcome, out_dir)``."""
-    from repro.engine.backends import LocalBackend
-    from repro.engine.orchestrator import Orchestrator, plan_from_jobspec
-
-    out_dir = args.out or f"orchestration-{job.kind}-m{job.workload.m}"
-    slots = args.workers if args.workers is not None else 2
-    with LocalBackend(slots) as backend:
-        outcome = Orchestrator(
-            plan_from_jobspec(job),
-            out_dir,
-            backend=backend,
-            shards=args.shards,
-            retries=args.retries,
-            poll_interval=args.poll_interval,
-            stall_timeout=args.stall_timeout,
-            elastic=args.elastic,
-            elastic_after=args.elastic_after,
-            max_splits=args.max_splits,
-            progress=None if args.quiet else _orchestrate_progress(),
-        ).run()
-    return outcome, out_dir
-
-
 def _cmd_sweep_run(args: argparse.Namespace) -> int:
     """``sweep-run`` and its ``figure2``/``group2``/``splitsweep`` aliases."""
     from repro.engine.jobspec import save_job
     from repro.engine.registry import kind_spec
     from repro.engine.session import run_job
 
-    orchestrated = (
-        args.workers is not None
-        or args.shards is not None
-        or args.out is not None
-        or args.elastic
-    )
     try:
         job = _job_from_args(args)
         if args.save_job:
@@ -677,25 +587,16 @@ def _cmd_sweep_run(args: argparse.Namespace) -> int:
         if args.dry_run:
             print(job.to_json())
             return 0
-        if orchestrated:
-            outcome, out_dir = _orchestrate(job, args)
-            result = outcome.result
-        else:
-            result = run_job(job)
+        result = run_job(job)
         spec = kind_spec(job.kind)
         shard = job.execution.shard
-        if orchestrated:
-            note = f", {len(outcome.attempts)} shards"
-        else:
-            note = f", shard {shard.label}" if shard else ""
+        note = f", shard {shard.label}" if shard else ""
         print(spec.render(result, job.workload, note))
         _print_outputs(spec, result, args)
     except ReproError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1
-    if orchestrated:
-        _print_orchestration_summary(outcome, out_dir)
-    elif shard is not None:
+    if shard is not None:
         print(
             f"\nshard {shard.label} artifact written to "
             f"{job.execution.shard_out}\n"
@@ -718,139 +619,6 @@ def _cmd_sweep_merge(args: argparse.Namespace) -> int:
     except ReproError as exc:
         print(f"sweep-merge: {exc}", file=sys.stderr)
         return 1
-    return 0
-
-
-def _orchestrate_progress():
-    """Progress callback printing one line per cluster-state change."""
-    last = {"done": -1, "states": None}
-
-    def callback(view) -> None:
-        states = tuple(s.state for s in view.shards)
-        if view.done_items == last["done"] and states == last["states"]:
-            return
-        last["done"] = view.done_items
-        last["states"] = states
-        running = sum(s.state == "running" for s in view.shards)
-        finished = sum(s.state == "finished" for s in view.shards)
-        restarts = sum(s.restarts for s in view.shards)
-        line = (
-            f"[{view.done_items}/{view.total_items} items, "
-            f"{100 * view.fraction_done:.0f}%] shards: {running} running, "
-            f"{finished} finished"
-        )
-        if restarts:
-            line += f", {restarts} restarted"
-        print(line, flush=True)
-
-    return callback
-
-
-def _print_orchestration_summary(outcome, out_dir) -> None:
-    shard_count = len(outcome.attempts)
-    retry_note = (
-        f", {outcome.retries} shard retr{'y' if outcome.retries == 1 else 'ies'}"
-        if outcome.retries else ""
-    )
-    split_note = (
-        f", {outcome.splits} elastic split{'' if outcome.splits == 1 else 's'}"
-        if outcome.splits else ""
-    )
-    print(f"\norchestrated {shard_count} shard invocations in "
-          f"{outcome.elapsed_seconds:.1f}s{retry_note}{split_note}; "
-          f"artifacts + manifest in {out_dir}")
-    view = outcome.view
-    if view.cache_hits or view.cache_misses:
-        health = ""
-        if view.cache_swept or view.cache_stale:
-            health = (f" ({view.cache_swept} swept, "
-                      f"{view.cache_stale} stale)")
-        print(f"verdict cache: {view.cache_hits} hits / "
-              f"{view.cache_misses} misses{health}")
-    publication = getattr(outcome, "publication", None)
-    if publication:
-        note = (
-            "deduplicated, no new rows" if publication["deduplicated"]
-            else f"{publication['rows_added']} rows added"
-        )
-        print(f"published run {publication['run_id']} "
-              f"({publication['row_count']} rows, {note}) "
-              f"-> {publication['store']}")
-
-
-def _cmd_sweep_status(args: argparse.Namespace) -> int:
-    from repro.engine.orchestrator import read_status
-    from repro.experiments.reporting import format_table
-
-    try:
-        status = read_status(args.out_dir)
-    except ReproError as exc:
-        print(f"sweep-status: {exc}", file=sys.stderr)
-        return 1
-
-    manifest = status.manifest
-    view = status.view
-    labels = {
-        int(entry["index"]): str(
-            entry.get("label")
-            or f"{int(entry['index']) + 1}/{manifest['shard_count']}"
-        )
-        for entry in manifest["shards"]
-    }
-    rows = []
-    for shard in view.shards:
-        phase = "complete" if status.artifacts_done[shard.index] else shard.state
-        rows.append([
-            labels.get(shard.index, f"{shard.index + 1}/{len(view.shards)}"),
-            phase,
-            shard.done_items,
-            shard.restarts,
-        ])
-    print(format_table(
-        ["shard", "state", "items done", "restarts"],
-        rows,
-        title=(f"{manifest['experiment']} orchestration in {args.out_dir} "
-               f"(manifest state: {status.state})"),
-    ))
-    print(f"\nprogress: {view.done_items}/{view.total_items} items "
-          f"({100 * view.fraction_done:.0f}%)")
-    cache_total = view.cache_hits + view.cache_misses
-    if cache_total:
-        # cache_total == 0 (fresh orchestration, nothing analysed yet)
-        # must not divide: no traffic means no hit-rate line at all.
-        health = ""
-        if view.cache_swept or view.cache_stale:
-            health = (f"; {view.cache_swept} swept, "
-                      f"{view.cache_stale} stale")
-        print(f"verdict cache: {view.cache_hits} hits / "
-              f"{view.cache_misses} misses "
-              f"({100 * view.cache_hits / cache_total:.0f}% hit rate"
-              f"{health})")
-    if view.timed_items:
-        print(f"observed cost: {view.timed_seconds / view.timed_items:.4f}s/item")
-    if status.complete:
-        print(f"all {len(view.shards)} shard artifacts complete; merged "
-              f"result via: python -m repro sweep-merge "
-              f"{args.out_dir}/shard-*.artifact.json")
-    publication = manifest.get("publication")
-    if publication is None:
-        print("published: no")
-    else:
-        from repro.engine.store import ResultStore
-
-        run_id = int(publication["run_id"])
-        try:
-            with ResultStore(publication["store"]) as store:
-                rows = store.row_count(run_id)
-        except ReproError:
-            # Manifest says published, but the store moved or broke —
-            # report the recorded count and say so.
-            print(f"published: yes ({publication['row_count']} rows at "
-                  f"publish time; store {publication['store']} "
-                  f"unreadable now)")
-        else:
-            print(f"published: yes ({rows} rows) -> run {run_id} in "
-                  f"{publication['store']}")
     return 0
 
 
@@ -895,8 +663,6 @@ def _store_run_id(store, args: argparse.Namespace) -> int:
     ``--run`` wins; otherwise the latest run matching the
     ``--fingerprint``/``--kind`` filters (``runs()`` orders by id).
     """
-    from repro.exceptions import StoreError
-
     if args.run is not None:
         return args.run
     records = store.runs(fingerprint=args.fingerprint, kind=args.kind)
@@ -911,7 +677,7 @@ def _store_run_id(store, args: argparse.Namespace) -> int:
 def _cmd_sweep_db(args: argparse.Namespace) -> int:
     import json as json_module
 
-    from repro.engine.store import open_store, publish_artifacts
+    from repro.engine.store import open_store, publish_artifacts, store_path
     from repro.engine.validation import validate_store
     from repro.experiments.reporting import format_table
 
@@ -949,6 +715,14 @@ def _cmd_sweep_db(args: argparse.Namespace) -> int:
                       f"({report.row_count} rows, {note}) -> {report.path}")
             return 0
 
+        database = store_path(args.store_dir)
+        if not database.is_file():
+            # Only publish creates a store: reading a misspelled
+            # directory must fail, not report an empty store as valid.
+            raise StoreError(
+                f"no result store at {database}; publish a run first or "
+                "check --store-dir"
+            )
         with open_store(args.store_dir) as store:
             if args.action == "runs":
                 records = store.runs(

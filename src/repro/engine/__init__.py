@@ -7,16 +7,15 @@ from the workload-kind registry and runs it on :class:`SweepEngine`:
 per-item rows over chunked work, reduced in item order — the
 ``(utilisation, task-set)`` grid of figure2/group2 and the corpus
 sweeps of splitsweep, sensitivity, simulate and timing alike.  Every
-kind is bit-identical across executors, chunkings, shards, resumes and
-orchestrations.
+kind is bit-identical across executors, chunkings, shards and resumes.
 
 * :mod:`repro.engine.jobspec` — the declarative, serializable
   :class:`JobSpec` every tier speaks;
 * :mod:`repro.engine.registry` — the workload-kind registry mapping
   each kind to its validator, sweep, row codec, reduction and render
   hooks (the one place a new kind plugs in);
-* :mod:`repro.engine.session` — the :class:`Session` façade running,
-  submitting and resuming jobs;
+* :mod:`repro.engine.session` — the :class:`Session` façade running
+  and resuming jobs;
 * :mod:`repro.engine.sweep` — :class:`SweepSpec` (a grid sweep),
   :class:`CorpusSweep` (a sweep over a corpus built up front) and
   :class:`SweepEngine` (how every sweep runs);
@@ -31,22 +30,15 @@ orchestrations.
   (:class:`SweepPoint`, :class:`SweepResult`);
 * :mod:`repro.engine.vcache` — the verdict cache, keyed on each grid
   item's generation coordinates;
-* :mod:`repro.engine.orchestrator` — a whole sharded job as one
-  command: dispatch, live merge (:mod:`repro.engine.livemerge`),
-  retries, elastic re-partitioning;
-* :mod:`repro.engine.backends` — where shard invocations run (local
-  subprocesses);
 * :mod:`repro.engine.store` / :mod:`repro.engine.validation` — the
   durable sqlite result store and its completeness/drift checks.
 """
 
-from repro.engine.backends import LocalBackend
 from repro.engine.checkpoint import (
     FORMAT_VERSION,
     SweepCheckpoint,
     clean_stale_tmps,
     load_checkpoint,
-    read_covered_items,
     save_checkpoint,
 )
 from repro.engine.executors import (
@@ -64,7 +56,6 @@ from repro.engine.jobspec import (
     load_job,
     save_job,
 )
-from repro.engine.livemerge import ClusterView, LiveMerger, ShardProgress
 from repro.engine.registry import (
     KindSpec,
     kind_spec,
@@ -73,25 +64,16 @@ from repro.engine.registry import (
     register_kind,
     workload_kinds,
 )
-from repro.engine.orchestrator import (
-    OrchestrationOutcome,
-    OrchestrationPlan,
-    OrchestrationStatus,
-    Orchestrator,
-    plan_from_jobspec,
-    read_status,
-)
-from repro.engine.session import JobHandle, JobStatus, Session, run_job
+from repro.engine.session import Session, run_job
 from repro.engine.results import SweepPoint, SweepResult
 from repro.engine.shard import (
     ShardArtifact,
     ShardSpec,
     load_shard,
-    parse_items,
     parse_shard,
     save_shard,
 )
-from repro.engine.streaming import StreamDump, StreamTail, StreamWriter, read_stream
+from repro.engine.streaming import StreamDump, StreamWriter, read_stream
 from repro.engine.sweep import (
     DEFAULT_METHODS,
     CorpusSweep,
@@ -117,25 +99,12 @@ __all__ = [
     "ShardSpec",
     "ShardArtifact",
     "parse_shard",
-    "parse_items",
     "save_shard",
     "load_shard",
-    "read_covered_items",
     "StreamWriter",
     "StreamDump",
-    "StreamTail",
     "read_stream",
     "clean_stale_tmps",
-    "LocalBackend",
-    "ClusterView",
-    "LiveMerger",
-    "ShardProgress",
-    "Orchestrator",
-    "OrchestrationPlan",
-    "OrchestrationOutcome",
-    "OrchestrationStatus",
-    "plan_from_jobspec",
-    "read_status",
     "JOBSPEC_VERSION",
     "WORKLOAD_KINDS",
     "KindSpec",
@@ -149,8 +118,6 @@ __all__ = [
     "ExecutionPolicy",
     "load_job",
     "save_job",
-    "JobHandle",
-    "JobStatus",
     "Session",
     "run_job",
 ]

@@ -136,51 +136,51 @@ def load_checkpoint(
         )
     except AnalysisError:
         raise
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (
+        OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
+        AttributeError,
+    ) as exc:
         raise CheckpointError(
             f"checkpoint {path} is unreadable ({exc}); delete it to restart"
         ) from exc
 
 
-def read_covered_items(path: str | Path) -> set[int]:
-    """Best-effort covered-item set of a checkpoint file.
-
-    The orchestrator's elastic re-partitioner reads a *killed*
-    straggler's checkpoint to learn which items are already done before
-    splitting the remainder across idle slots.  A missing, corrupt or
-    truncated file — the process may have died at any byte — must not
-    abort the orchestration, so unlike :func:`load_checkpoint` this
-    never raises: anything unreadable is simply "nothing covered yet"
-    and the whole slice is re-partitioned.
-    """
-    try:
-        checkpoint = load_checkpoint(path)
-    except CheckpointError:
-        return set()
-    return checkpoint.covered_items() if checkpoint is not None else set()
-
-
-def write_json_atomic(path: str | Path, payload: dict) -> None:
+def write_json_atomic(
+    path: str | Path,
+    payload: dict,
+    error: type[AnalysisError] = AnalysisError,
+) -> None:
     """Serialise ``payload`` to ``path`` atomically (:func:`write_text_atomic`)."""
-    write_text_atomic(path, json.dumps(payload))
+    write_text_atomic(path, json.dumps(payload), error)
 
 
-def write_text_atomic(path: str | Path, text: str) -> None:
+def write_text_atomic(
+    path: str | Path,
+    text: str,
+    error: type[AnalysisError] = AnalysisError,
+) -> None:
     """Write ``text`` to ``path`` via a unique tmp file + rename.
 
     The tmp name embeds the pid so concurrent writers (e.g. two shard
     runs told to checkpoint next to each other) never clobber each
     other's half-written file; ``os.replace`` makes the final publish
-    atomic on POSIX and Windows alike.
+    atomic on POSIX and Windows alike.  A path that cannot be written
+    (its parent is a file, it names a directory, no permission) raises
+    ``error``, the caller's typed error, naming the path.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            tmp.write_text(text)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+    except OSError as exc:
+        # ``error`` is the caller's typed AnalysisError subclass.
+        # repro-lint: disable=ERR001
+        raise error(f"cannot write {path}: {exc}") from exc
 
 
 def clean_stale_tmps(target: str | Path) -> list[Path]:
@@ -191,23 +191,17 @@ def clean_stale_tmps(target: str | Path) -> list[Path]:
     and ``os.replace`` orphans it; resumed runs would otherwise let
     them accumulate in the output directory forever.
 
-    ``target`` is either a *file* path — clean the temps of that one
-    atomic-write target (``<name>.<pid>.tmp`` siblings) — or a
-    *directory* — clean every ``*.tmp`` directly inside it (the
-    orchestrator sweeps its whole output directory on start/resume).
-    Only call for targets no live process is writing: a concurrent
-    writer's in-flight temp would be yanked from under its rename.
+    ``target`` is the atomic-write target whose temps
+    (``<name>.<pid>.tmp`` siblings) are cleaned.  Only call for targets
+    no live process is writing: a concurrent writer's in-flight temp
+    would be yanked from under its rename.
     """
     target = Path(target)
+    removed: list[Path] = []
     # Sorted so the sweep (and its returned list) is independent of
     # filesystem directory order — resume behaviour must not vary by
     # host (repro-lint DET001).
-    if target.is_dir():
-        candidates = sorted(target.glob("*.tmp"))
-    else:
-        candidates = sorted(target.parent.glob(f"{target.name}.*.tmp"))
-    removed: list[Path] = []
-    for tmp in candidates:
+    for tmp in sorted(target.parent.glob(f"{target.name}.*.tmp")):
         try:
             tmp.unlink()
         except OSError:  # pragma: no cover - racing unlink is fine
@@ -222,4 +216,4 @@ def save_checkpoint(path: str | Path, checkpoint: SweepCheckpoint) -> None:
         "version": FORMAT_VERSION,
         "fingerprint": checkpoint.fingerprint,
         "records": records_json(checkpoint.records),
-    })
+    }, CheckpointError)

@@ -3,7 +3,7 @@
 Four PRs of organic growth left the execution stack with several
 near-duplicate entry points, each taking the same ever-growing kwarg
 forest (``jobs``, ``checkpoint``, ``shard``, ``shard_out``, ``stream``,
-``items``, ``chunk_size``, ...).  A :class:`JobSpec` replaces all of
+``chunk_size``, ...).  A :class:`JobSpec` replaces all of
 that with a single frozen, JSON-round-trippable value with two
 sections:
 
@@ -15,16 +15,14 @@ sections:
   execute;
 * the **execution policy** (:class:`ExecutionPolicy`): *how* to run it
   — worker count, chunk sizing, checkpoint / stream /
-  shard-artifact paths, and an optional shard (or explicit item subset)
-  restricting the invocation to a slice of the item space.
+  shard-artifact paths, and an optional shard restricting the
+  invocation to a slice of the item space.
 
 Everything speaks this one schema: ``python -m repro sweep-run --job
-job.json`` executes a spec from disk, its ``figure2`` / ``group2`` /
-``splitsweep`` aliases build one from their workload flags, the
-orchestrator dispatches per-shard specs as ``sweep-run --job-json
-'<spec>'`` command lines (so each shard's command line embeds the
-JobSpec JSON verbatim), and :class:`~repro.engine.session.Session` is
-the programmatic façade.
+job.json`` executes a spec from disk (``--job-json '<spec>'`` takes
+it inline), its ``figure2`` / ``group2`` / ``splitsweep`` aliases
+build one from their workload flags, and
+:class:`~repro.engine.session.Session` is the programmatic façade.
 
 The on-disk format is versioned (:data:`JOBSPEC_VERSION`) and *strict*:
 unknown keys, keys that do not apply to the workload's kind, and
@@ -45,7 +43,7 @@ from pathlib import Path
 
 from repro.exceptions import JobSpecError, ShardError
 from repro.engine.registry import kind_spec, workload_kinds
-from repro.engine.shard import ShardSpec, parse_items, parse_shard
+from repro.engine.shard import ShardSpec, parse_shard
 from repro.engine.vcache import CACHE_MODES
 
 #: Bump when the JobSpec JSON schema changes; older files are rejected.
@@ -122,7 +120,6 @@ _EXECUTION_PARSERS = {
     "stream": _parse_opt_str,
     "shard_out": _parse_opt_str,
     "shard": lambda text: parse_shard(text) if text.strip().lower() not in ("", "none", "null") else None,
-    "items": lambda text: parse_items(text) if text.strip().lower() not in ("", "none", "null") else None,
     "cache": str,
     "cache_dir": _parse_opt_str,
     "publish": _parse_bool,
@@ -204,7 +201,7 @@ _KEY_CODERS = {
 }
 
 _EXECUTION_KEYS = ("jobs", "chunk_size", "checkpoint",
-                   "stream", "shard_out", "shard", "items",
+                   "stream", "shard_out", "shard",
                    "cache", "cache_dir", "publish", "store_dir")
 
 #: Execution fields holding a path (``None`` when unset).
@@ -369,11 +366,6 @@ class Workload:
         """Whether the verdict cache applies to this kind."""
         return kind_spec(self.kind).supports_cache
 
-    @property
-    def merge_kind(self) -> str:
-        """The shard-artifact ``kind`` tag this workload produces."""
-        return kind_spec(self.kind).artifact_kind
-
     # ------------------------------------------------------------------
     def to_json_dict(self) -> dict:
         """Only the keys applicable to the kind are emitted (and later
@@ -430,9 +422,6 @@ class ExecutionPolicy:
         Shard-artifact path written on completion.
     shard:
         Evaluate only this slice of the item space.
-    items:
-        Explicit work-item subset within the shard's slice (the
-        orchestrator's elastic sub-shard dispatch).
     cache:
         Verdict-cache mode: ``"off"`` (default), ``"read"`` (hit the
         cache, never write) or ``"readwrite"``.  The grid sweeps key
@@ -446,8 +435,8 @@ class ExecutionPolicy:
     publish:
         Publish the merged result into the durable result store
         (:mod:`repro.engine.store`) on completion.  Only whole-run
-        invocations publish: a sharded or item-subset invocation is
-        rejected, and the orchestrator publishes once after merging.
+        invocations publish: a sharded invocation is rejected; publish
+        its merged artifacts with ``sweep-db publish`` instead.
     store_dir:
         Result-store directory; ``None`` means the default
         (``results/store.db``) when publishing is on.
@@ -459,7 +448,6 @@ class ExecutionPolicy:
     stream: str | None = None
     shard_out: str | None = None
     shard: ShardSpec | None = None
-    items: tuple[int, ...] | None = None
     cache: str = "off"
     cache_dir: str | None = None
     publish: bool = False
@@ -492,17 +480,6 @@ class ExecutionPolicy:
                 f"unknown cache mode {self.cache!r}; "
                 f"expected one of {CACHE_MODES}"
             )
-        if self.items is not None:
-            items = tuple(sorted(set(
-                _json_list(_json_int)("execution.items", self.items)
-            )))
-            if not items:
-                raise JobSpecError("items subset names no work items")
-            if items[0] < 0:
-                raise JobSpecError(
-                    f"work-item indexes must be >= 0, got {items[0]}"
-                )
-            object.__setattr__(self, "items", items)
 
     # ------------------------------------------------------------------
     def to_json_dict(self) -> dict:
@@ -513,7 +490,6 @@ class ExecutionPolicy:
             "stream": self.stream,
             "shard_out": self.shard_out,
             "shard": self.shard.label if self.shard is not None else None,
-            "items": list(self.items) if self.items is not None else None,
             "cache": self.cache,
             "cache_dir": self.cache_dir,
             "publish": self.publish,
@@ -544,8 +520,17 @@ class ExecutionPolicy:
                 "thread executor was removed and jobs > 1 always runs a "
                 "process pool; drop the key"
             )
+        # Likewise "items": null (every job file written while elastic
+        # sub-shards existed carries it); a whole slice is the only
+        # unit of work left, so the key is dropped.
+        if payload.get("items") is not None:
+            raise JobSpecError(
+                "execution.items is not supported: item subsets were "
+                "removed with the orchestrator; run a --shard I/N slice "
+                "instead and drop the key"
+            )
         unknown = sorted(
-            set(payload) - {"placement", "executor", *_EXECUTION_KEYS}
+            set(payload) - {"placement", "executor", "items", *_EXECUTION_KEYS}
         )
         if unknown:
             raise JobSpecError(
@@ -582,15 +567,11 @@ class JobSpec:
                 "items by their generation coordinates; this kind's items "
                 "have none)"
             )
-        if self.execution.publish and (
-            self.execution.shard is not None
-            or self.execution.items is not None
-        ):
+        if self.execution.publish and self.execution.shard is not None:
             raise JobSpecError(
                 "execution.publish requires a whole-run invocation; a "
-                "sharded or item-subset invocation cannot publish a "
-                "complete row set (orchestrated runs publish once, after "
-                "the merge)"
+                "sharded invocation cannot publish a complete row set "
+                "(publish the merged shards with 'sweep-db publish')"
             )
 
     # Convenience passthroughs ----------------------------------------
@@ -709,23 +690,6 @@ class JobSpec:
         )
         return JobSpec(workload=workload, execution=execution)
 
-    def for_worker(self) -> "JobSpec":
-        """The spec an orchestrated shard invocation starts from.
-
-        Per-shard placement (shard, artifact/stream/checkpoint paths,
-        item subsets) is appended by the orchestrator as ``sweep-run``
-        flag overrides, so the base worker spec must not carry any —
-        two shards sharing one would clobber each other's files.
-        """
-        return JobSpec(
-            workload=self.workload,
-            execution=replace(
-                self.execution,
-                checkpoint=None, stream=None, shard_out=None,
-                shard=None, items=None, publish=False, store_dir=None,
-            ),
-        )
-
 
 def parse_set_override(text: str) -> tuple[str, str]:
     """Split one CLI ``--set key=value`` pair (value stays a string)."""
@@ -762,5 +726,5 @@ def save_job(path: str | Path, job: JobSpec) -> Path:
     from repro.engine.checkpoint import write_json_atomic
 
     path = Path(path)
-    write_json_atomic(path, job.to_json_dict())
+    write_json_atomic(path, job.to_json_dict(), JobSpecError)
     return path

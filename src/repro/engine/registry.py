@@ -19,9 +19,9 @@ record supplying everything the stack needs to know about it:
 
 Every kind runs on the one engine, so a new scenario is one
 ``register_kind`` call plus an experiments module; ``jobspec``,
-``session``, ``shard``, the store, the orchestrator and the CLI all
-dispatch through :func:`kind_spec` / :func:`spec_for_artifact` instead
-of branching on kind names.
+``session``, ``shard``, the store and the CLI all dispatch through
+:func:`kind_spec` / :func:`spec_for_artifact` instead of branching on
+kind names.
 
 The registrations live at the bottom of this module; every callable
 imports its experiment module lazily so importing the engine stays

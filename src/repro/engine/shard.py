@@ -24,15 +24,14 @@ which the kind's reduction
 (:func:`~repro.engine.registry.merge_artifacts`) turns into exactly the
 result a single-process serial run produces (wall-clock aside).
 
-Elastic re-partitioning (the orchestrator splitting a straggling
-shard's remaining items across idle slots) produces *sub-shard*
-artifacts: several artifacts carrying the same :class:`ShardSpec`
-coordinates, each covering a disjoint subset of that shard's slice.
-:func:`validate_shard_set` therefore accepts any number of artifacts
-per shard index as long as their item sets are pairwise disjoint and
-the union over all artifacts covers the item space exactly — the merge
-result is bit-identical either way, because records are keyed by item
-index, never by which invocation produced them.
+:func:`validate_shard_set` checks coverage item by item, not shard by
+shard: it accepts any number of artifacts per shard index as long as
+their item sets are pairwise disjoint and the union over all artifacts
+covers the item space exactly.  So the *sub-shard* artifacts that
+orchestration directories of earlier versions hold (several artifacts
+with one shard's coordinates, each covering part of its slice) still
+merge — bit-identically, because records are keyed by item index,
+never by which invocation produced them.
 """
 
 from __future__ import annotations
@@ -82,9 +81,6 @@ class ShardSpec:
             raise ShardError(f"total item count must be >= 0, got {total}")
         return range(self.index, total, self.count)
 
-    def owns(self, item: int) -> bool:
-        return item % self.count == self.index
-
 
 def parse_shard(text: str) -> ShardSpec:
     """Parse the CLI's one-based ``I/N`` form into a :class:`ShardSpec`.
@@ -109,35 +105,6 @@ def parse_shard(text: str) -> ShardSpec:
             "(shards are one-based on the command line)"
         )
     return ShardSpec(index - 1, count)
-
-
-def parse_items(text: str) -> tuple[int, ...]:
-    """Parse the CLI's ``--shard-items`` comma list into item indexes.
-
-    The orchestrator uses this to dispatch elastic *sub-shards*: an
-    invocation that evaluates only an explicit subset of its
-    ``--shard I/N`` slice.  Rejects empty lists, non-integers and
-    negative indexes with a :class:`~repro.exceptions.ShardError`;
-    duplicates are collapsed and the result is sorted.
-    """
-    items: set[int] = set()
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        try:
-            item = int(piece)
-        except ValueError as exc:
-            raise ShardError(
-                f"malformed item list {text!r}; expected comma-separated "
-                "integers, e.g. --shard-items 3,9,15"
-            ) from exc
-        if item < 0:
-            raise ShardError(f"work-item indexes must be >= 0, got {item}")
-        items.add(item)
-    if not items:
-        raise ShardError(f"item list {text!r} names no work items")
-    return tuple(sorted(items))
 
 
 @dataclass(slots=True)
@@ -194,7 +161,7 @@ def save_shard(path: str | Path, artifact: ShardArtifact) -> Path:
         "meta": artifact.meta,
         "records": records_json(artifact.records),
         "elapsed_seconds": artifact.elapsed_seconds,
-    })
+    }, ShardError)
     return path
 
 
@@ -256,10 +223,11 @@ def validate_shard_set(artifacts: list[ShardArtifact]) -> None:
     missing shards, items outside a shard's slice, or per-item
     gaps/overlaps in coverage.
 
-    Several artifacts may share one shard index (elastic sub-shards of
-    a re-partitioned straggler) as long as their item sets are pairwise
-    disjoint; two *full* artifacts of the same shard still fail — as an
-    item-level overlap rather than a duplicate-index error.
+    Several artifacts may share one shard index (the sub-shards of an
+    earlier version's orchestration directory) as long as their item
+    sets are pairwise disjoint; two *full* artifacts of the same shard
+    still fail — as an item-level overlap rather than a duplicate-index
+    error.
     """
     if not artifacts:
         raise ShardError("no shard artifacts to merge")

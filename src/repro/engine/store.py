@@ -21,7 +21,7 @@ Design contract
   kind's registered row codec (a grid sweep's one row per item is its
   per-method verdict tuple).  Records are keyed by item, never by
   which shard or chunk produced them, so an inline run and a 16-shard
-  orchestrated run of the same workload publish byte-identical row sets.
+  run of the same workload publish byte-identical row sets.
 * **Idempotent publication.**  A run is keyed by ``(fingerprint,
   content_hash)`` — the workload identity plus a SHA-256 over the
   canonical rows.  Re-publishing the same merge inserts zero rows and
@@ -633,8 +633,8 @@ def publish_artifacts(
 ) -> PublicationReport:
     """Open the store under ``store_dir``, publish, close.
 
-    The one-shot publication path shared by ``Session``, the
-    orchestrator's finalisation and the ``sweep-db publish`` CLI.
+    The one-shot publication path shared by ``Session`` and the
+    ``sweep-db publish`` CLI.
     """
     with open_store(store_dir) as store:
         return store.publish(artifacts, job=job, source=source)

@@ -12,9 +12,9 @@ supplies four things —
   :mod:`repro.engine.registry`);
 
 — and :class:`SweepEngine` does the rest for all of them: strided
-shards, explicit item subsets, fixed-size chunks on the serial or the
-process-pool executor (:mod:`repro.engine.executors`),
-checkpoint/resume, JSONL streams and shard artifacts.
+shards, fixed-size chunks on the serial or the process-pool executor
+(:mod:`repro.engine.executors`), checkpoint/resume, JSONL streams and
+shard artifacts.
 
 Two item shapes exist.  A utilisation-grid sweep (figure2, group2;
 :class:`SweepSpec`) evaluates item ``point * n_tasksets + index`` on
@@ -350,8 +350,7 @@ def _run_chunk(payload, cache: VerdictCache | None = None) -> list[ItemResult]:
     kind's top-level evaluation function and one payload per item.
     Each item is timed *in the worker*; its verdict-cache deltas are
     the handle's counters diffed around the item (``None`` with the
-    cache off).  Both are published on the item's stream line for
-    ``sweep-status``.
+    cache off).  Both are published on the item's stream line.
     """
     evaluate, start, stop, item_payloads = payload
     done: list[ItemResult] = []
@@ -389,10 +388,9 @@ def _run_batch(payload) -> list[ItemResult]:
 
 #: Most items in one pool chunk.  A pool run writes an item's stream
 #: line and checkpoint entry only when the item's chunk returns, so the
-#: cap bounds the silence between them by the cost of a few items, not
-#: by a share of the run: a long run's healthy shards must keep beating
-#: ``--stall-timeout``, and a killed run loses at most one short chunk
-#: per worker.
+#: cap bounds how coarse checkpoints and stream lines get by the cost
+#: of a few items, not by a share of the run: a killed run loses at
+#: most one short chunk per worker.
 MAX_POOL_CHUNK = 16
 
 
@@ -495,7 +493,6 @@ class SweepEngine:
         shard: ShardSpec | None = None,
         shard_out: str | Path | None = None,
         stream: str | Path | None = None,
-        items: Sequence[int] | None = None,
     ):
         """Execute the sweep (resuming from a checkpoint when present).
 
@@ -526,42 +523,18 @@ class SweepEngine:
             JSONL stream path; every completed item is appended and
             flushed the moment it finishes (checkpoint-restored items
             are replayed first so the file is self-contained).
-        items:
-            Explicit work-item subset (within the shard's slice) to
-            evaluate instead of the whole slice — the elastic
-            *sub-shard* path: the orchestrator splits a straggling
-            shard's remaining items across idle slots, and the
-            resulting artifacts (same shard coordinates, disjoint item
-            subsets) reassemble bit-identically through
-            :func:`~repro.engine.registry.merge_artifacts`.  An item's
-            rows depend only on its index, so any subset produces
-            exactly the per-item results of the full run.
         """
         from repro.engine.registry import spec_for_artifact
 
         start_time = time.perf_counter()
         kind = spec_for_artifact(spec.kind)
-        if shard is None and (shard_out is not None or items is not None):
+        if shard is None and shard_out is not None:
             shard = ShardSpec(0, 1)
-        if items is not None:
-            planned = sorted({int(item) for item in items})
-            if not planned:
-                raise AnalysisError("items subset names no work items")
-            bad = [
-                i for i in planned
-                if not 0 <= i < spec.total_items or not shard.owns(i)
-            ]
-            if bad:
-                raise AnalysisError(
-                    f"item {bad[0]} is outside shard {shard.label}'s slice "
-                    f"of the {spec.total_items}-item space"
-                )
-        else:
-            planned = (
-                list(shard.items(spec.total_items))
-                if shard is not None
-                else list(range(spec.total_items))
-            )
+        planned = (
+            list(shard.items(spec.total_items))
+            if shard is not None
+            else list(range(spec.total_items))
+        )
 
         fingerprint = spec.fingerprint()
         # A shard's checkpoint covers a different item subset, so it must

@@ -261,7 +261,7 @@ class VerdictCache:
             except (OSError, ValueError):
                 current = None
             if current != marker:  # absent, or left by an older version
-                write_json_atomic(meta, marker)
+                write_json_atomic(meta, marker, CacheError)
         elif self.directory.exists() and not self.directory.is_dir():
             raise CacheError(f"cache path {self.directory} is not a directory")
 

@@ -15,8 +15,6 @@ rejected the input:
   directory, corrupt or version-skewed entries);
 * :class:`JobSpecError` — malformed declarative job descriptions
   (unknown keys, version skew, kind/policy mismatches);
-* :class:`DispatchError` / :class:`OrchestrationError` — orchestration
-  failures (shard launches, exhausted shard retries);
 * :class:`StoreError` — durable result-store problems (corrupt or
   version-skewed databases, incomplete publications, malformed rows);
 * :class:`LintError` — repro-lint cannot run (bad config, unparseable
@@ -75,17 +73,6 @@ class JobSpecError(AnalysisError):
     """A declarative job description is malformed: an unknown workload
     kind or field, a format-version skew, an override naming no field,
     or an execution policy the workload kind does not support."""
-
-
-class DispatchError(AnalysisError):
-    """The local backend failed to launch, poll or cancel a shard
-    subprocess."""
-
-
-class OrchestrationError(AnalysisError):
-    """A distributed sweep cannot complete: exhausted retries, a corrupt
-    orchestration manifest, or an output directory owned by a different
-    sweep."""
 
 
 class StoreError(AnalysisError):

@@ -67,9 +67,8 @@ def figure2_spec(
     """The exact :class:`~repro.engine.SweepSpec` one Figure-2 run uses.
 
     The single source of the sweep's identity: a ``kind="figure2"``
-    job executes it, and the orchestrator uses its fingerprint and item
-    count to dispatch and validate shard invocations without running
-    anything locally.
+    job executes it, and its fingerprint validates every shard
+    invocation of the sweep.
     """
     if m < 1:
         raise AnalysisError(f"core count m must be >= 1, got {m}")
@@ -96,8 +95,8 @@ def figure2_job(
     execution: ExecutionPolicy | None = None,
 ) -> JobSpec:
     """The declarative :class:`~repro.engine.jobspec.JobSpec` of one
-    Figure-2 run — what the CLI subcommand, ``sweep-run`` job files and
-    the orchestrator all build."""
+    Figure-2 run — what the CLI subcommand and ``sweep-run`` job files
+    both build."""
     return JobSpec(
         workload=Workload(
             kind="figure2", m=m, n_tasksets=n_tasksets, seed=seed,

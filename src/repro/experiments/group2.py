@@ -39,9 +39,8 @@ def group2_spec(
 ) -> SweepSpec:
     """The exact :class:`~repro.engine.SweepSpec` one group-2 run uses.
 
-    Shared by ``kind="group2"`` jobs and the orchestrator, so dispatched
-    shard invocations are fingerprint-validated against the same
-    identity.
+    Every ``kind="group2"`` job runs it, so its shard invocations are
+    fingerprint-validated against the same identity.
     """
     return SweepSpec(
         m=m,

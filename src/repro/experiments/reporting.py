@@ -13,6 +13,7 @@ from collections.abc import Sequence
 from pathlib import Path
 
 from repro.engine.results import SweepResult
+from repro.exceptions import AnalysisError
 
 
 def format_table(
@@ -124,18 +125,23 @@ def write_csv(
     Atomic (pid-unique tmp + rename, like every artifact writer in the
     stack): a CSV is often the final published result of a long sweep,
     and a crash mid-write must not leave a torn file at the real name.
+    A path that cannot be written raises
+    :class:`~repro.exceptions.AnalysisError` naming it.
     """
     target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
     tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
     try:
-        with tmp.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(headers)
-            writer.writerows(rows)
-        os.replace(tmp, target)
-    finally:
-        tmp.unlink(missing_ok=True)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            with tmp.open("w", newline="") as handle:
+                writer = csv.writer(handle)
+                writer.writerow(headers)
+                writer.writerows(rows)
+            os.replace(tmp, target)
+        finally:
+            tmp.unlink(missing_ok=True)
+    except OSError as exc:
+        raise AnalysisError(f"cannot write {target}: {exc}") from exc
     return target
 
 

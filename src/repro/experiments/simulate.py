@@ -18,8 +18,8 @@ counts verdicts and violations; ``violations == 0`` is the validation.
 Execution shape: a :class:`~repro.engine.sweep.CorpusSweep` on the one
 sweep engine (corpus regenerated from the seed, one item per task-set,
 corpus-order reduction), registered as a first-class JobSpec kind by
-:mod:`repro.engine.registry` — shardable, resumable and
-orchestratable, bit-identical across all of them.
+:mod:`repro.engine.registry` — parallel, shardable and resumable,
+bit-identical across all of them.
 """
 
 from __future__ import annotations

@@ -173,8 +173,8 @@ def splitsweep_job(
     execution=None,
 ):
     """The declarative :class:`~repro.engine.jobspec.JobSpec` of one
-    split-sweep run — what the CLI subcommand, ``sweep-run`` job files
-    and the orchestrator all build.  The job form fixes the paper's
+    split-sweep run — what the CLI subcommand and ``sweep-run`` job
+    files both build.  The job form fixes the paper's
     GROUP1 corpus and LP-ILP analysis."""
     from repro.engine.jobspec import ExecutionPolicy, JobSpec, Workload
 

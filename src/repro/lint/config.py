@@ -51,8 +51,7 @@ DEFAULT_ROLES: dict[str, tuple[str, ...]] = {
     "merge-paths": (
         "repro.engine.shard",
         "repro.engine.results",
-        "repro.engine.livemerge",
-        "repro.engine.vcache",
+            "repro.engine.vcache",
         "repro.experiments.splitsweep",
     ),
     # Modules that publish artifacts/checkpoints/streams on disk.
@@ -61,8 +60,7 @@ DEFAULT_ROLES: dict[str, tuple[str, ...]] = {
         "repro.engine.shard",
         "repro.engine.streaming",
         "repro.engine.vcache",
-        "repro.engine.orchestrator",
-        "repro.experiments.reporting",
+            "repro.experiments.reporting",
     ),
     # Writers of versioned on-disk formats; must reference the schema
     # version constants they stamp.

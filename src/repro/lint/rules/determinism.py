@@ -1,7 +1,7 @@
 """Determinism rules: the bit-identical conformance invariant, statically.
 
-Serial == parallel == sharded == orchestrated == elastic, bit for
-bit, is the repo's core contract.  These rules catch the three
+Serial == parallel == sharded == resumed, bit for bit, is the repo's
+core contract.  These rules catch the three
 classic ways a diff silently breaks it — filesystem iteration order,
 unseeded randomness, unordered-collection reduction — plus wall-clock
 values leaking into content that must be reproducible.
@@ -34,8 +34,8 @@ class UnsortedDirectoryIteration(Rule):
     / ``os.scandir`` / ``glob.glob`` return entries in whatever order
     the filesystem reports — which differs across machines, mounts and
     even repeated runs.  Any resume, merge or sweep that iterates such
-    a listing raw can produce host-dependent results (the orchestrator's
-    sub-shard reuse order was the first real catch).
+    a listing raw can produce host-dependent results (a sub-shard
+    reuse order was the first real catch).
 
     **Comply** by wrapping the call in ``sorted(...)``.  Consuming the
     listing order-insensitively (``len``, ``set``, ``max``, ``any``,

@@ -22,8 +22,6 @@ DEFAULT_ALLOWED_RAISES = (
     "ShardError",
     "CacheError",
     "JobSpecError",
-    "DispatchError",
-    "OrchestrationError",
     "LintError",
     "NotImplementedError",
 )
@@ -87,9 +85,8 @@ class UntypedRaise(Rule):
     The engine/core API contract is "catch ``AnalysisError`` and you
     have caught everything this layer can raise".  A stray
     ``ValueError`` or ``KeyError`` escaping a public function breaks
-    every caller that honours the contract — it surfaces as an
-    unhandled crash in the orchestrator and its shard workers instead
-    of a healed, typed failure.
+    every caller that honours the contract — it surfaces as a traceback
+    from the CLI or a shard run instead of a one-line, typed failure.
 
     Flags ``raise SomeType(...)`` on public paths (public function, no
     leading ``_`` on the function or its class) of modules carrying the

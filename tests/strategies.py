@@ -103,7 +103,7 @@ def job_specs(draw):
     """Random declarative jobs for the JobSpec round-trip property.
 
     Covers every workload kind, optional fields both set and unset,
-    and execution policies with shards/items/paths — the full surface
+    and execution policies with shards and paths — the full surface
     ``from_json(to_json(s)) == s`` must hold over.  Specs are never
     executed, so sizes are unconstrained.
     """
@@ -186,14 +186,6 @@ def job_specs(draw):
     execution_kwargs["checkpoint"] = draw(
         st.one_of(st.none(), st.just("out/ckpt.json"))
     )
-    if shard is not None:
-        items = draw(st.one_of(st.none(), st.lists(
-            st.integers(0, 50), min_size=1, max_size=8, unique=True,
-        )))
-        if items is not None:
-            execution_kwargs["items"] = tuple(
-                item * shard.count + shard.index for item in items
-            )
     return JobSpec(workload=workload, execution=ExecutionPolicy(**execution_kwargs))
 
 

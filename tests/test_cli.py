@@ -400,96 +400,26 @@ class TestAliases:
         assert printed["execution"]["jobs"] == 2
 
 
-class TestSweepOrchestrate:
-    """A sweep subcommand given orchestration flags runs orchestrated."""
+class TestUnwritableOutput:
+    """An output path that cannot be written ends the run with the
+    CLI's one-line error and exit 1, never a traceback."""
 
-    ARGS = [
-        "figure2", "--m", "2", "--tasksets", "4",
-        "--seed", "11", "--step", "0.5", "--workers", "2",
-        "--poll-interval", "0.05", "--quiet",
-    ]
+    RUN = ["figure2", "--m", "2", "--tasksets", "2", "--step", "1.0"]
 
-    def test_orchestrated_run_matches_serial_csv(self, capsys, tmp_path):
-        orch_csv = tmp_path / "orch.csv"
-        code = main(self.ARGS + [
-            "--out", str(tmp_path / "orch"), "--csv", str(orch_csv),
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "Figure 2 (m=2, 4 task-sets/point, 2 shards)" in out
-        assert "orchestrated 2 shard invocations" in out
-        ref_csv = tmp_path / "ref.csv"
-        assert main(["figure2", "--m", "2", "--tasksets", "4", "--seed", "11",
-                     "--step", "0.5", "--csv", str(ref_csv)]) == 0
-        assert orch_csv.read_text() == ref_csv.read_text()
-
-    def test_status_after_completion(self, capsys, tmp_path):
-        out_dir = tmp_path / "orch"
-        assert main(self.ARGS + ["--out", str(out_dir)]) == 0
-        capsys.readouterr()
-        assert main(["sweep-status", str(out_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "manifest state: complete" in out
-        assert "100%" in out
-        assert "artifacts complete" in out
-
-    def test_status_on_missing_directory_is_clean_error(self, capsys, tmp_path):
-        assert main(["sweep-status", str(tmp_path / "nope")]) == 1
-        err = capsys.readouterr().err
-        assert "sweep-status:" in err
-
-    def test_status_zero_cache_traffic_omits_hit_rate(
-        self, capsys, monkeypatch, tmp_path
-    ):
-        # A fresh orchestration has no cache traffic yet; the hit-rate
-        # line must be absent, not a ZeroDivisionError or "nan%".
-        from types import SimpleNamespace
-
-        import repro.engine.orchestrator as orchestrator
-        from repro.engine.livemerge import ClusterView
-
-        status = SimpleNamespace(
-            manifest={"shards": [], "shard_count": 2, "experiment": "figure2"},
-            view=ClusterView(total_items=10, done_items=0, shards=()),
-            artifacts_done=[],
-            state="running",
-            complete=False,
-        )
-        monkeypatch.setattr(orchestrator, "read_status", lambda _out: status)
-        assert main(["sweep-status", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "verdict cache" not in out
-        assert "observed cost" not in out
-        assert "nan" not in out
-        assert "0/10 items (0%)" in out
-
-    def test_status_reports_mean_item_cost(self, capsys, monkeypatch, tmp_path):
-        from types import SimpleNamespace
-
-        import repro.engine.orchestrator as orchestrator
-        from repro.engine.livemerge import ClusterView
-
-        status = SimpleNamespace(
-            manifest={"shards": [], "shard_count": 2, "experiment": "figure2"},
-            view=ClusterView(total_items=10, done_items=4, shards=(),
-                             timed_items=4, timed_seconds=0.2),
-            artifacts_done=[],
-            state="running",
-            complete=False,
-        )
-        monkeypatch.setattr(orchestrator, "read_status", lambda _out: status)
-        assert main(["sweep-status", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "observed cost: 0.0500s/item\n" in out
-        assert "chunk" not in out
-
-    def test_bad_worker_count_is_clean_error(self, capsys, tmp_path):
-        code = main([
-            "figure2", "--m", "2", "--tasksets", "2",
-            "--workers", "0", "--out", str(tmp_path / "orch"), "--quiet",
-        ])
-        assert code == 1
-        assert capsys.readouterr().err.startswith("figure2:")
+    @pytest.mark.parametrize(
+        "flag", ["--checkpoint", "--stream", "--csv", "--shard-out", "--save-job"]
+    )
+    def test_one_line_error(self, flag, capsys, tmp_path):
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        shard = ["--shard", "1/2"] if flag == "--shard-out" else []
+        # A parent path that is a file, then a directory as the target.
+        for target in (blocker / "out", tmp_path):
+            assert main(self.RUN + shard + [flag, str(target)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("figure2: ")
+            assert str(target) in err
+            assert len(err.splitlines()) == 1
 
 
 class TestDispatch:
@@ -499,7 +429,8 @@ class TestDispatch:
         assert "figure1" in out
         assert "sweep-merge" in out
         assert "sweep-run" in out
-        assert "sweep-status" in out
+        assert "sweep-db" in out
+        assert "sweep-status" not in out
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):

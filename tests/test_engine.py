@@ -24,7 +24,6 @@ from repro.engine.shard import (
     ShardArtifact,
     ShardSpec,
     load_shard,
-    parse_items,
     parse_shard,
     save_shard,
 )
@@ -288,7 +287,7 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
-    def test_clean_stale_tmps_file_and_dir_modes(self, tmp_path):
+    def test_clean_stale_tmps_cleans_only_its_targets_temps(self, tmp_path):
         from repro.engine import clean_stale_tmps
 
         target = tmp_path / "cp.json"
@@ -300,9 +299,12 @@ class TestCheckpoint:
             path.write_text("half-written")
         removed = clean_stale_tmps(target)
         assert sorted(removed) == sorted([orphan_a, orphan_b])
-        assert unrelated.exists()  # file mode cleans only its own temps
+        assert unrelated.exists()  # only the target's own temps go
         assert target.exists()
-        assert clean_stale_tmps(tmp_path) == [unrelated]  # dir mode: all
+        # A directory is a target like any other: the temps inside it
+        # belong to other writers and stay.
+        assert clean_stale_tmps(tmp_path) == []
+        assert unrelated.exists()
 
     def test_clean_stale_tmps_order_is_host_independent(
         self, tmp_path, monkeypatch
@@ -326,9 +328,6 @@ class TestCheckpoint:
             return iter(sorted(real_glob(self, pattern), reverse=True))
 
         monkeypatch.setattr(pathlib.Path, "glob", reversed_glob)
-        assert clean_stale_tmps(tmp_path) == sorted(orphans)
-        for path in orphans:
-            path.write_text("half-written")
         assert clean_stale_tmps(tmp_path / "cp.json") == sorted(orphans)
 
     def test_engine_resume_cleans_orphaned_tmps(self, tmp_path):
@@ -546,73 +545,33 @@ class TestShardMerge:
             merge_artifacts([corrupt])
 
 
-class TestParseItems:
-    def test_parses_sorts_and_dedupes(self):
-        assert parse_items("9,3,3,15") == (3, 9, 15)
-        assert parse_items(" 1 , 2 ,") == (1, 2)
-
-    @pytest.mark.parametrize("bad", ["", ",", "a,b", "1,-2", "1.5"])
-    def test_rejects_malformed(self, bad):
-        with pytest.raises(ShardError):
-            parse_items(bad)
-
-
-class TestItemSubsetRuns:
-    """Explicit item subsets: the elastic sub-shard execution path."""
-
-    def test_items_outside_slice_rejected(self):
-        spec = _spec()
-        with pytest.raises(AnalysisError, match="outside shard"):
-            SweepEngine().run(spec, shard=ShardSpec(0, 2), items=[1])
-        with pytest.raises(AnalysisError, match="outside shard"):
-            SweepEngine().run(spec, items=[spec.total_items])
-
-    def test_empty_items_rejected(self):
-        with pytest.raises(AnalysisError, match="no work items"):
-            SweepEngine().run(_spec(), shard=ShardSpec(0, 2), items=[])
-
-    def test_items_without_shard_default_to_whole_space(self, tmp_path):
-        # items alone means "shard 1/1 restricted to these items".
-        spec = _spec()
-        path = tmp_path / "sub.json"
-        SweepEngine().run(spec, shard_out=path, items=[0, 3, 5])
-        artifact = load_shard(path)
-        assert artifact.shard == ShardSpec(0, 1)
-        assert artifact.covered_items() == {0, 3, 5}
-
-    def test_subset_checkpoint_resumes_into_superset(self, tmp_path):
-        # Sub-shard 1 inherits the straggler's checkpoint: a checkpoint
-        # covering part of the slice must resume cleanly into a run
-        # whose planned items are checkpoint-covered plus new ones.
-        spec = _spec()
-        shard = ShardSpec(0, 2)
-        checkpoint = tmp_path / "cp.json"
-        items = list(shard.items(spec.total_items))
-        SweepEngine(checkpoint_path=checkpoint).run(
-            spec, shard=shard, items=items[:2]
-        )
-        out = tmp_path / "sub.json"
-        SweepEngine(checkpoint_path=checkpoint).run(
-            spec, shard=shard, shard_out=out, items=items[:4]
-        )
-        assert load_shard(out).covered_items() == set(items[:4])
-
-
 class TestSubShardMerge:
-    """Multiple disjoint artifacts per shard index are mergeable."""
+    """Multiple disjoint artifacts per shard index are mergeable: the
+    sub-shard artifacts of an orchestration directory written by an
+    earlier version still merge, and overlaps and gaps are still
+    refused item by item."""
+
+    @staticmethod
+    def _sub_shards(spec, tmp_path, subsets):
+        """Shard 1/2's artifact split into one artifact per item subset,
+        as an elastic split wrote them, plus the whole shard 2/2."""
+        whole0 = tmp_path / "s0.json"
+        SweepEngine().run(spec, shard=ShardSpec(0, 2), shard_out=whole0)
+        records = load_shard(whole0).records
+        paths = []
+        for j, subset in enumerate(subsets):
+            artifact = load_shard(whole0)
+            artifact.records = {item: records[item] for item in subset}
+            paths.append(save_shard(tmp_path / f"s0-{j}.json", artifact))
+        whole1 = tmp_path / "s1.json"
+        SweepEngine().run(spec, shard=ShardSpec(1, 2), shard_out=whole1)
+        return paths + [whole1]
 
     def test_disjoint_sub_shards_merge(self, tmp_path):
         spec = _spec()
-        shard0 = ShardSpec(0, 2)
-        items = list(shard0.items(spec.total_items))
-        paths = []
-        for j, subset in enumerate((items[0::2], items[1::2])):
-            path = tmp_path / f"s0-{j}.json"
-            SweepEngine().run(spec, shard=shard0, shard_out=path, items=subset)
-            paths.append(path)
-        whole = tmp_path / "s1.json"
-        SweepEngine().run(spec, shard=ShardSpec(1, 2), shard_out=whole)
-        merged = merge_artifacts(paths + [whole])
+        items = list(ShardSpec(0, 2).items(spec.total_items))
+        paths = self._sub_shards(spec, tmp_path, (items[0::2], items[1::2]))
+        merged = merge_artifacts(paths)
         reference = SweepEngine().run(spec)
         assert [p.schedulable for p in merged.points] == [
             p.schedulable for p in reference.points
@@ -620,26 +579,17 @@ class TestSubShardMerge:
 
     def test_overlapping_sub_shards_rejected(self, tmp_path):
         spec = _spec()
-        shard0 = ShardSpec(0, 2)
-        items = list(shard0.items(spec.total_items))
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        SweepEngine().run(spec, shard=shard0, shard_out=a, items=items)
-        SweepEngine().run(spec, shard=shard0, shard_out=b, items=items[:2])
-        whole = tmp_path / "s1.json"
-        SweepEngine().run(spec, shard=ShardSpec(1, 2), shard_out=whole)
+        items = list(ShardSpec(0, 2).items(spec.total_items))
+        paths = self._sub_shards(spec, tmp_path, (items, items[:2]))
         with pytest.raises(ShardError, match="overlap"):
-            merge_artifacts([a, b, whole])
+            merge_artifacts(paths)
 
     def test_sub_shards_with_gap_rejected(self, tmp_path):
         spec = _spec()
-        shard0 = ShardSpec(0, 2)
-        items = list(shard0.items(spec.total_items))
-        a = tmp_path / "a.json"
-        SweepEngine().run(spec, shard=shard0, shard_out=a, items=items[:2])
-        whole = tmp_path / "s1.json"
-        SweepEngine().run(spec, shard=ShardSpec(1, 2), shard_out=whole)
+        items = list(ShardSpec(0, 2).items(spec.total_items))
+        paths = self._sub_shards(spec, tmp_path, (items[:2],))
         with pytest.raises(ShardError, match="gap|uncovered"):
-            merge_artifacts([a, whole])
+            merge_artifacts(paths)
 
 
 class TestVersionOneFiles:

@@ -10,16 +10,13 @@ the whole mode matrix —
 * sharding: any partition into 1..4 shards, merged via
   :func:`~repro.engine.registry.merge_artifacts`;
 * interruption: a run killed mid-sweep and resumed from its checkpoint,
-  sharded or not;
-* streaming: the JSONL stream's item records reduce to the final counts;
-* orchestration: a whole sweep dispatched as shard subprocesses by the
-  orchestrator tier — including a shard that fails and is retried —
-  merges back to the exact serial result.
+  sharded or not — including a real ``sweep-run --jobs 2`` process
+  group SIGKILLed mid-run, with the verdict cache cold and warm;
+* streaming: the JSONL stream's item records reduce to the final counts.
 
 Experiment-level cases start every run the way the CLI does: as a
 :class:`~repro.engine.jobspec.JobSpec`, through
-:func:`~repro.engine.session.run_job` or
-:func:`~repro.engine.orchestrator.plan_from_jobspec`.
+:func:`~repro.engine.session.run_job`, or as the CLI itself.
 
 "Bit for bit" means full :class:`~repro.engine.SweepResult` dataclass
 equality with only the wall-clock field zeroed (:func:`_strip`): same
@@ -28,9 +25,14 @@ hypothesis-generated (``tests/strategies.sweep_specs``) so the matrix
 is exercised over many shapes, not one blessed example.
 """
 
+import contextlib
 import dataclasses
+import os
 import signal
+import subprocess
+import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -46,9 +48,8 @@ from repro.engine import (
     SweepSpec,
     read_stream,
 )
-from repro.engine.backends import LocalBackend
+from repro.cli import main
 from repro.engine.jobspec import ExecutionPolicy
-from repro.engine.orchestrator import load_manifest, plan_from_jobspec
 from repro.engine.registry import merge_artifacts
 from repro.engine.session import run_job
 from repro.experiments.figure2 import figure2_job
@@ -73,50 +74,6 @@ def _strip(result: SweepResult) -> SweepResult:
 def _reference(spec: SweepSpec) -> SweepResult:
     """The baseline every mode must reproduce: serial, chunk size 1."""
     return _strip(SweepEngine().run(spec))
-
-
-class _KillsOneShard(LocalBackend):
-    """A local backend whose :meth:`progress` SIGKILLs one shard worker.
-
-    Passed as the orchestrator's backend *and* progress callback: once
-    any shard stream is live, the newest shard subprocess still running
-    is SIGKILLed (as an OOM killer or a stray ``kill -9`` would).  A
-    process that exits on its own before the signal lands does not
-    count; the next poll tries again.
-    """
-
-    def __init__(self, slots: int) -> None:
-        super().__init__(slots)
-        self.launched: list[tuple[list[str], object]] = []
-        self.killed: list[str] | None = None
-
-    def launch(self, argv, log_path, env=None):
-        proc = super().launch(argv, log_path, env=env)
-        self.launched.append((list(argv), proc))
-        return proc
-
-    def progress(self, view) -> None:
-        if self.killed is not None or all(
-            s.state == "waiting" for s in view.shards
-        ):
-            return
-        for argv, proc in reversed(self.launched):
-            if proc.poll() is None:
-                proc.kill()
-                if proc.wait() == -signal.SIGKILL:
-                    self.killed = argv
-                    return
-
-    def assert_killed_shard_relaunched(self, out_dir: Path) -> None:
-        """The killed shard was retried: its manifest entry shows a
-        second launch."""
-        assert self.killed is not None, "no shard worker was killed"
-        artifact = Path(self.killed[self.killed.index("--shard-out") + 1])
-        attempts = [
-            entry["attempts"] for entry in load_manifest(out_dir)["shards"]
-            if entry["artifact"] == artifact.name
-        ]
-        assert attempts and attempts[0] >= 2, attempts
 
 
 class _InterruptingExecutor:
@@ -398,166 +355,6 @@ class TestExperimentConformance:
         ) == run_job(splitsweep_job(**kwargs))
 
 
-class TestOrchestratorConformance:
-    """The one-command cluster run reproduces the serial result exactly."""
-
-    KWARGS = dict(m=2, n_tasksets=4, seed=11, step=0.5)
-
-    def _reference(self):
-        return _strip(run_job(figure2_job(**self.KWARGS)))
-
-    def test_orchestrated_figure2_bit_identical(self, tmp_path):
-        from repro.engine.orchestrator import Orchestrator
-
-        plan = plan_from_jobspec(figure2_job(**self.KWARGS))
-        outcome = Orchestrator(
-            plan, tmp_path / "orch", workers=3, poll_interval=0.05
-        ).run()
-        assert _strip(outcome.result) == self._reference()
-        assert outcome.view.done_items == plan.total_items
-        assert outcome.retries == 0
-
-    def test_failed_shard_retried_and_still_bit_identical(self, tmp_path):
-        import sys
-
-        from repro.engine.backends import LocalBackend
-        from repro.engine.orchestrator import Orchestrator
-
-        class FlakyBackend(LocalBackend):
-            """First launch of shard 2/3 dies immediately (exit 3)."""
-
-            def __init__(self):
-                super().__init__(slots=3)
-                self.sabotaged = 0
-
-            def launch(self, argv, log_path, env=None):
-                argv = list(argv)
-                if self.sabotaged == 0 and "--shard" in argv:
-                    if argv[argv.index("--shard") + 1] == "2/3":
-                        self.sabotaged += 1
-                        argv = [sys.executable, "-c", "import sys; sys.exit(3)"]
-                return super().launch(argv, log_path, env=env)
-
-        plan = plan_from_jobspec(figure2_job(**self.KWARGS))
-        with FlakyBackend() as backend:
-            outcome = Orchestrator(
-                plan, tmp_path / "orch", backend=backend, retries=2,
-                poll_interval=0.05,
-            ).run()
-        assert backend.sabotaged == 1
-        assert outcome.retries == 1
-        assert outcome.attempts[1] == 2  # shard 2/3 needed a second launch
-        assert _strip(outcome.result) == self._reference()
-
-    def test_orchestrated_splitsweep_identical(self, tmp_path):
-        from repro.engine.orchestrator import Orchestrator
-
-        kwargs = dict(
-            m=2, utilization=1.2, thresholds=[100.0, 25.0], n_tasksets=5,
-            seed=9, overhead=0.5,
-        )
-        reference = run_job(splitsweep_job(**kwargs))
-        outcome = Orchestrator(
-            plan_from_jobspec(splitsweep_job(**kwargs)), tmp_path / "orch",
-            workers=2, poll_interval=0.05,
-        ).run()
-        assert outcome.result == reference
-
-
-class TestElasticConformance:
-    """Elastic re-partitioning keeps the bit-identical contract.
-
-    Sub-shard artifacts (same shard coordinates, disjoint item subsets,
-    the first inheriting the straggler's checkpoint) must reassemble
-    into exactly the serial result — at the merge level for arbitrary
-    hypothesis-generated partitions, and end to end through an
-    orchestrator that really splits stragglers onto idle slots.
-    """
-
-    @CONFORMANCE
-    @given(
-        spec=sweep_specs(),
-        shard_count=st.integers(1, 3),
-        data=st.data(),
-    )
-    def test_any_elastic_partition_merges_bit_identical(
-        self, spec, shard_count, data
-    ):
-        reference = _reference(spec)
-        with tempfile.TemporaryDirectory() as tmp:
-            paths = []
-            for index in range(shard_count):
-                shard = ShardSpec(index, shard_count)
-                items = list(shard.items(spec.total_items))
-                if len(items) >= 2 and data.draw(
-                    st.booleans(), label=f"split shard {index}"
-                ):
-                    # Split this shard like the orchestrator would:
-                    # covered prefix inherited by sub-shard 1, the rest
-                    # strided over 2..parts sub-shards.
-                    parts = data.draw(
-                        st.integers(2, min(4, len(items))),
-                        label=f"parts of shard {index}",
-                    )
-                    cut = data.draw(
-                        st.integers(0, len(items) - parts),
-                        label=f"covered prefix of shard {index}",
-                    )
-                    covered, remaining = items[:cut], items[cut:]
-                    groups = [remaining[p::parts] for p in range(parts)]
-                    subsets = [sorted(covered + groups[0]), *groups[1:]]
-                    for part, subset in enumerate(subsets):
-                        path = Path(tmp) / f"s{index}.{part}.json"
-                        SweepEngine().run(
-                            spec, shard=shard, shard_out=path, items=subset
-                        )
-                        paths.append(path)
-                else:
-                    path = Path(tmp) / f"s{index}.json"
-                    SweepEngine().run(spec, shard=shard, shard_out=path)
-                    paths.append(path)
-            assert _strip(merge_artifacts(paths)) == reference
-
-    def test_orchestrated_elastic_split_bit_identical(self, tmp_path):
-        # 2 shards on 3 slots: the idle slot forces a split immediately
-        # (elastic_after=0), so the merged result really is assembled
-        # from sub-shard artifacts.
-        from repro.engine.orchestrator import Orchestrator
-
-        kwargs = dict(m=2, n_tasksets=6, seed=11, step=0.5)
-        reference = _strip(run_job(figure2_job(**kwargs)))
-        plan = plan_from_jobspec(figure2_job(**kwargs))
-        outcome = Orchestrator(
-            plan, tmp_path / "orch", workers=3, shards=2,
-            poll_interval=0.05, elastic=True, elastic_after=0.0,
-        ).run()
-        assert outcome.splits >= 1
-        assert _strip(outcome.result) == reference
-        # The artifacts on disk are themselves a mergeable set — the
-        # sweep-merge glob path works on an elastically-split run.
-        artifacts = sorted((tmp_path / "orch").glob("shard-*.artifact.json"))
-        assert len(artifacts) > 2  # sub-shards present
-        assert _strip(merge_artifacts(artifacts)) == reference
-
-    def test_killed_shard_with_elastic_bit_identical(self, tmp_path):
-        # Elastic splits plus a shard worker SIGKILLed mid-run, healed
-        # back to the exact serial result.
-        from repro.engine.orchestrator import Orchestrator
-
-        kwargs = dict(m=2, n_tasksets=6, seed=11, step=0.5)
-        reference = _strip(run_job(figure2_job(**kwargs)))
-        plan = plan_from_jobspec(figure2_job(**kwargs))
-        with _KillsOneShard(slots=3) as backend:
-            outcome = Orchestrator(
-                plan, tmp_path / "orch", backend=backend, shards=2,
-                retries=3, poll_interval=0.05,
-                elastic=True, elastic_after=0.0, progress=backend.progress,
-            ).run()
-        backend.assert_killed_shard_relaunched(tmp_path / "orch")
-        assert outcome.splits >= 1
-        assert _strip(outcome.result) == reference
-
-
 class TestCacheConformance:
     """The verdict cache never changes a result — only how fast it lands.
 
@@ -637,38 +434,96 @@ class TestCacheConformance:
             paths2.append(path)
         assert _strip(merge_artifacts(paths2)) == reference
 
-    def test_killed_shard_with_warm_cache_bit_identical(self, tmp_path):
-        # The killed-worker case with the cache in the loop: a
-        # pre-warmed verdict cache, an elastic split, and a shard
-        # worker SIGKILLed mid-run — healed to the exact serial result,
-        # with cache hits visible in the cluster view.
-        from repro.engine.jobspec import JobSpec, Workload
-        from repro.engine.orchestrator import Orchestrator
 
-        kwargs = dict(m=2, n_tasksets=6, seed=11, step=0.5)
-        reference = _strip(run_job(figure2_job(**kwargs)))
-        cache_dir = tmp_path / "cache"
-        # Warm the cache in-process: same workload, so same task-sets.
-        warmup = JobSpec(
-            workload=Workload(kind="figure2", **kwargs),
-            execution=ExecutionPolicy(
-                cache="readwrite", cache_dir=str(cache_dir)
-            ),
+#: ``python -m repro`` in a child process that checkpoints after every
+#: chunk (the engine throttles saves to one per 5 s, longer than these
+#: runs last) and holds still after its first save, so a SIGKILL sent
+#: once the checkpoint exists lands mid-run: after a checkpoint, before
+#: the last item.
+_HOLDS_AFTER_FIRST_CHECKPOINT = """
+import sys
+import time
+
+from repro.cli import main
+from repro.engine import sweep
+
+init, save = sweep.SweepEngine.__init__, sweep.save_checkpoint
+
+
+def every_chunk(self, *args, **kwargs):
+    init(self, *args, **{**kwargs, "checkpoint_interval": 0.0})
+
+
+def save_then_hold(path, checkpoint):
+    save(path, checkpoint)
+    time.sleep(600)
+
+
+sweep.SweepEngine.__init__ = every_chunk
+sweep.save_checkpoint = save_then_hold
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+class TestKilledProcessConformance:
+    """A real ``sweep-run --jobs 2 --checkpoint`` process group,
+    SIGKILLed mid-run and re-run, reproduces the serial result — with
+    the verdict cache cold and warm."""
+
+    SWEEP = ["figure2", "--m", "2", "--tasksets", "12", "--seed", "11",
+             "--step", "0.5"]
+
+    def _kill_mid_run(self, argv: list[str], checkpoint: Path) -> None:
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
         )
-        assert _strip(run_job(warmup)) == reference
+        with subprocess.Popen(
+            [sys.executable, "-c", _HOLDS_AFTER_FIRST_CHECKPOINT, *argv],
+            env=env, start_new_session=True,
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        ) as proc:
+            try:
+                deadline = time.monotonic() + 120
+                while not checkpoint.exists():
+                    assert proc.poll() is None, proc.stderr.read().decode()
+                    assert time.monotonic() < deadline, "no checkpoint written"
+                    time.sleep(0.01)
+            finally:
+                # The whole group: the CLI process and its pool workers.
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(proc.pid, signal.SIGKILL)
+        assert proc.returncode == -signal.SIGKILL
 
-        plan = plan_from_jobspec(warmup)
-        with _KillsOneShard(slots=3) as backend:
-            outcome = Orchestrator(
-                plan, tmp_path / "orch", backend=backend, shards=2,
-                retries=3, poll_interval=0.05,
-                elastic=True, elastic_after=0.0, progress=backend.progress,
-            ).run()
-        backend.assert_killed_shard_relaunched(tmp_path / "orch")
-        assert outcome.splits >= 1
-        assert _strip(outcome.result) == reference
-        assert outcome.view.cache_hits > 0
-        assert outcome.view.cache_misses == 0  # every verdict pre-warmed
+    @pytest.mark.parametrize("cache", ["cold", "warm"])
+    def test_killed_run_resumes_bit_identical(self, cache, tmp_path):
+        from repro.engine.streaming import iter_stream
+
+        reference = tmp_path / "serial.csv"
+        assert main(self.SWEEP + ["--csv", str(reference)]) == 0
+        cache_dir = tmp_path / "cache"
+        mode = "readwrite"
+        if cache == "warm":
+            assert main(self.SWEEP + ["--cache-dir", str(cache_dir)]) == 0
+            mode = "read"
+        checkpoint = tmp_path / "cp.json"
+        run = self.SWEEP + [
+            "--jobs", "2", "--checkpoint", str(checkpoint),
+            "--cache", mode, "--cache-dir", str(cache_dir),
+        ]
+        self._kill_mid_run(run, checkpoint)
+
+        stream, resumed = tmp_path / "resumed.jsonl", tmp_path / "resumed.csv"
+        assert main(run + ["--stream", str(stream), "--csv", str(resumed)]) == 0
+        assert resumed.read_bytes() == reference.read_bytes()
+        items = [line for line in iter_stream(stream) if line["type"] == "item"]
+        replayed = [line for line in items if line["replayed"]]
+        fresh = [line for line in items if not line["replayed"]]
+        assert replayed and fresh
+        if cache == "warm":
+            assert sum(line["cache"]["misses"] for line in fresh) == 0
+            assert sum(line["cache"]["hits"] for line in fresh) == len(fresh)
 
 
 #: Small workloads of the registry-promoted kinds (PR 7), one per kind.
@@ -715,8 +570,8 @@ class TestRegistryKindConformance:
 
     sensitivity / simulate / timing run through the same JobSpec
     surface as the grid sweeps, so they inherit the same sentence:
-    serial == parallel == sharded == orchestrated (timing compared on
-    its deterministic projection).
+    serial == parallel == sharded (timing compared on its deterministic
+    projection).
     """
 
     def _serial(self, workload_kwargs):
@@ -759,19 +614,6 @@ class TestRegistryKindConformance:
         merged = merge_artifacts(artifacts)
         assert _registry_project(kind, merged) == reference
 
-    @_REGISTRY_KINDS
-    def test_orchestrated_identical(self, workload_kwargs, tmp_path):
-        from repro.engine.orchestrator import Orchestrator
-
-        reference = self._serial(workload_kwargs)
-        kind = workload_kwargs["kind"]
-        plan = plan_from_jobspec(_registry_job(workload_kwargs))
-        outcome = Orchestrator(
-            plan, tmp_path / "orch", workers=2, poll_interval=0.05
-        ).run()
-        assert _registry_project(kind, outcome.result) == reference
-        assert outcome.view.done_items == plan.total_items
-
 
 #: One small workload per registered kind, for the one-engine matrix.
 _EVERY_KIND = {
@@ -798,7 +640,7 @@ def _every_kind_project(kind: str, result):
 class TestEveryKindOneEngine:
     """Every registered kind runs on the one engine, so every kind gets
     every execution mode: serial == jobs=2 == sharded-then-merged ==
-    interrupted-then-resumed == elastically orchestrated."""
+    interrupted-then-resumed."""
 
     def test_matrix_covers_every_registered_kind(self):
         from repro.engine.registry import workload_kinds
@@ -844,17 +686,3 @@ class TestEveryKindOneEngine:
         assert done == {0, 1}  # two items finished before the kill
         resumed = run_job(job)
         assert _every_kind_project(kind, resumed) == self._serial(kind)
-
-    @pytest.mark.parametrize("kind", sorted(_EVERY_KIND))
-    def test_elastic_orchestration_identical(self, kind, tmp_path):
-        # 2 shards on 3 slots: the idle slot forces a split at once
-        # (elastic_after=0), so sub-shard artifacts build the result.
-        from repro.engine.orchestrator import Orchestrator
-
-        plan = plan_from_jobspec(_registry_job(_EVERY_KIND[kind]))
-        outcome = Orchestrator(
-            plan, tmp_path / "orch", workers=3, shards=2,
-            poll_interval=0.05, elastic=True, elastic_after=0.0,
-        ).run()
-        assert outcome.splits >= 1
-        assert _every_kind_project(kind, outcome.result) == self._serial(kind)

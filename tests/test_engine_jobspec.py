@@ -1,7 +1,7 @@
 """The declarative JobSpec: round-trips, strictness, overrides.
 
-The job schema is the contract every tier speaks (CLI flags, job
-files, the orchestrator's shard command lines), so these tests pin
+The job schema is the contract every entry point speaks (CLI flags,
+job files, ``--job-json`` command lines), so these tests pin
 it hard: a golden checked-in fixture, exact ``from_json(to_json(s)) ==
 s`` round-trips (hypothesis-generated), strict unknown-key /
 version-skew / kind-mismatch rejection, and override layering.
@@ -153,10 +153,10 @@ class TestStrictness:
 
     def test_splitsweep_accepts_engine_policy(self):
         # Every kind runs on the one engine, so every kind takes the
-        # engine's checkpoint, chunk-size and item-subset knobs.
+        # engine's checkpoint, chunk-size and shard knobs.
         workload = Workload(kind="splitsweep", m=2, n_tasksets=3)
         job = JobSpec(workload=workload, execution=ExecutionPolicy(
-            checkpoint="c.json", chunk_size=4, items=(0, 1),
+            checkpoint="c.json", chunk_size=4, shard=ShardSpec(0, 2),
         ))
         assert JobSpec.from_json(job.to_json()) == job
 
@@ -224,13 +224,11 @@ class TestOverrides:
             "workload.m": "8",
             "workload.step": "0.5",
             "execution.shard": "2/4",
-            "execution.items": "9,1,5",
             "execution.chunk_size": "none",
         })
         assert patched.workload.m == 8
         assert patched.workload.step == 0.5
         assert patched.execution.shard == ShardSpec(1, 4)
-        assert patched.execution.items == (1, 5, 9)
         assert patched.execution.chunk_size is None
 
     def test_override_round_trips(self):
@@ -299,19 +297,6 @@ class TestWorkloadSemantics:
             sweep = workload.sweep_spec()
             assert sweep.fingerprint() == workload.fingerprint()
             assert sweep.total_items == workload.total_items
-
-    def test_for_worker_strips_placement(self):
-        job = _figure2_job(
-            jobs=3, checkpoint="c.json", stream="s.jsonl",
-            shard_out="a.json", shard=ShardSpec(0, 2), items=(0, 2),
-        )
-        worker = job.for_worker()
-        assert worker.execution.jobs == 3
-        assert worker.execution.checkpoint is None
-        assert worker.execution.stream is None
-        assert worker.execution.shard_out is None
-        assert worker.execution.shard is None
-        assert worker.execution.items is None
 
 
 class TestNonFiniteInputs:
@@ -422,9 +407,6 @@ class TestJsonValueTypes:
         ("jobs", "2"),
         ("chunk_size", 3.0),
         ("chunk_size", "3"),
-        ("items", [0, 1.5]),
-        ("items", [True]),
-        ("items", ["1"]),
         ("publish", "false"),
         ("publish", 0),
         ("publish", 1),
@@ -470,11 +452,46 @@ class TestExecutorField:
 
     def test_parent_orchestration_work_order_still_loads(self):
         # The JobSpec JSON a work order of an older orchestration
-        # directory embeds (sweep-run --job-json '<spec>').
+        # directory embeds (sweep-run --job-json '<spec>'), with the
+        # "executor" and "items" keys of the version that wrote it.
         payload = _figure2_job(jobs=2, chunk_size=3).to_json_dict()
-        payload["execution"] = {"executor": "process", **payload["execution"]}
+        payload["execution"] = {
+            "executor": "process", **payload["execution"], "items": None,
+        }
         job = JobSpec.from_json(json.dumps(payload))
         assert job == _figure2_job(jobs=2, chunk_size=3)
+
+
+class TestItemsField:
+    """Job files written while elastic item subsets existed carry an
+    ``execution.items`` key; ``null`` still loads, a subset is refused."""
+
+    @staticmethod
+    def _with_items(value):
+        payload = _figure2_job().to_json_dict()
+        payload["execution"]["items"] = value
+        return payload
+
+    def test_null_items_is_dropped(self):
+        job = JobSpec.from_json_dict(self._with_items(None))
+        assert job == _figure2_job()
+        assert "items" not in job.to_json_dict()["execution"]
+        assert job.fingerprint() == _figure2_job().fingerprint()
+
+    def test_item_subset_is_a_removed_policy(self, tmp_path):
+        with pytest.raises(JobSpecError, match="item subsets were removed") as info:
+            JobSpec.from_json_dict(self._with_items([0, 2]))
+        assert "\n" not in str(info.value)
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(self._with_items([0, 2])))
+        with pytest.raises(JobSpecError, match="item subsets were removed"):
+            load_job(path)
+
+    def test_items_is_no_longer_a_field(self):
+        with pytest.raises(TypeError):
+            ExecutionPolicy(items=(0, 1))
+        with pytest.raises(JobSpecError, match="no field 'items'"):
+            _figure2_job().with_overrides({"execution.items": "0,1"})
 
 
 class TestPlacement:
@@ -549,7 +566,7 @@ _OVERRIDE_KEYS = st.sampled_from(
     )]
     + [f"execution.{key}" for key in (
         "jobs", "chunk_size", "checkpoint", "stream", "shard_out", "shard",
-        "items", "cache", "cache_dir", "publish", "store_dir",
+        "cache", "cache_dir", "publish", "store_dir",
     )]
 )
 
@@ -569,9 +586,6 @@ class TestTypedValues:
         ("execution.jobs", 1.5),
         ("execution.jobs", True),
         ("execution.chunk_size", 2.0),
-        ("execution.items", (0, 1.5)),
-        ("execution.items", (True,)),
-        ("execution.items", 3),
         ("execution.publish", 1),
         ("execution.cache", None),
         ("execution.shard", (1, 4)),
@@ -583,8 +597,8 @@ class TestTypedValues:
         assert "\n" not in str(info.value)
 
     def test_constructor_refuses_instead_of_truncating(self):
-        with pytest.raises(JobSpecError, match=r"malformed execution\.items\[0\]"):
-            ExecutionPolicy(items=(1.9,))
+        with pytest.raises(JobSpecError, match=r"malformed execution\.chunk_size\b"):
+            ExecutionPolicy(chunk_size=1.9)
         with pytest.raises(JobSpecError, match=r"malformed workload\.m\b"):
             Workload(kind="figure2", m=2.7)
         with pytest.raises(JobSpecError, match=r"malformed workload\.thresholds\[1\]"):

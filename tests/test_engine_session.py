@@ -1,18 +1,14 @@
 """The Session façade and the ``sweep-run`` CLI.
 
 Covers the behavioural contract: inline job execution is bit-identical
-to running the workload's engine spec directly, submitted jobs run
-asynchronously as local subprocesses and rebuild their results from
-shard artifacts, job files resume through their checkpoints, and the
-``sweep-run`` subcommand reproduces its alias subcommands' artifacts
-bit-for-bit (fingerprints included).
+to running the workload's engine spec directly, job files resume
+through their checkpoints, and the ``sweep-run`` subcommand reproduces
+its alias subcommands' artifacts bit-for-bit (fingerprints included).
 """
 
 import dataclasses
 import json
 from pathlib import Path
-
-import pytest
 
 from repro.cli import main
 from repro.engine import ShardSpec
@@ -25,7 +21,6 @@ from repro.engine.jobspec import (
 )
 from repro.engine.session import Session, run_job
 from repro.engine.shard import load_shard
-from repro.exceptions import DispatchError, JobSpecError
 
 
 def _strip(result):
@@ -118,71 +113,11 @@ class TestSessionRun:
         checkpoint = tmp_path / "ckpt.json"
         job = _figure2_job(checkpoint=checkpoint)
         job_file = save_job(tmp_path / "job.json", job)
-        with Session() as session:
-            first = session.resume(job_file)
+        first = Session().resume(job_file)
         assert checkpoint.exists()
         # A second resume replays the finished checkpoint (no recompute
         # needed for correctness — counts must still be identical).
-        with Session() as session:
-            assert _strip(session.resume(job_file)) == _strip(first)
-
-
-class TestSessionSubmit:
-    def test_submit_wait_result(self, tmp_path):
-        with Session(out_dir=tmp_path) as session:
-            handle = session.submit(_figure2_job())
-            status = session.wait(handle, timeout=120.0)
-            assert status.state == "done"
-            result = session.result(handle)
-        assert _strip(result) == _strip(_engine_figure2())
-        # The dispatched spec is recorded next to the artifact.
-        recorded = load_job(handle.job_file)
-        assert recorded.workload == _figure2_job().workload
-        assert recorded.execution.shard_out is not None
-
-    def test_sharded_submit_yields_its_artifact(self, tmp_path):
-        # A job restricted to one shard cannot merge alone; result()
-        # hands back the shard artifact for a later merge instead of
-        # failing the coverage validation.
-        from repro.engine.registry import merge_artifacts
-        from repro.engine.shard import ShardArtifact
-
-        with Session(out_dir=tmp_path) as session:
-            handles = [
-                session.submit(_figure2_job(shard=ShardSpec(index, 2)))
-                for index in range(2)
-            ]
-            partials = [session.result(handle) for handle in handles]
-        assert all(isinstance(p, ShardArtifact) for p in partials)
-        assert _strip(merge_artifacts(partials)) == _strip(_engine_figure2())
-
-    def test_submit_requires_somewhere_to_write(self):
-        with Session() as session:
-            with pytest.raises(JobSpecError, match="out_dir"):
-                session.submit(_figure2_job())
-
-    def test_failed_job_surfaces_log(self, tmp_path):
-        # A spec whose checkpoint path is an unwritable directory makes
-        # the child fail fast.
-        bad = _figure2_job(checkpoint=tmp_path)  # a directory, not a file
-        with Session(out_dir=tmp_path) as session:
-            handle = session.submit(bad)
-            with pytest.raises(DispatchError, match="failed"):
-                session.result(handle)
-
-    def test_submit_registry_kind_rebuilds_result(self, tmp_path):
-        # A registry-promoted kind goes through the same submit path:
-        # the work order is a sweep-run --job-json command line, and
-        # result() rebuilds the typed result from the shard artifact.
-        job = JobSpec(workload=Workload(
-            kind="sensitivity", m=2, n_tasksets=3, seed=5,
-            utilization=1.0, max_scale=4.0,
-        ))
-        inline = run_job(job)
-        with Session(out_dir=tmp_path) as session:
-            handle = session.submit(job)
-            assert session.wait(handle, timeout=120.0).state == "done"
-            assert session.result(handle) == inline
+        assert _strip(Session().resume(job_file)) == _strip(first)
 
     def test_resume_registry_kind_job_file(self, tmp_path):
         job = JobSpec(workload=Workload(
@@ -190,8 +125,7 @@ class TestSessionSubmit:
             utilization=1.5, horizon_factor=2.0,
         ))
         job_file = save_job(tmp_path / "job.json", job)
-        with Session() as session:
-            assert session.resume(job_file) == run_job(job)
+        assert Session().resume(job_file) == run_job(job)
 
 
 class TestSweepRunCli:
@@ -262,26 +196,6 @@ class TestSweepRunCli:
         assert main(["sweep-run", "--job", self._job_file(tmp_path),
                      "--set", "workload.warp=9"]) == 1
         assert "warp" in capsys.readouterr().err
-
-    def test_orchestrated_sweep_run_matches_inline(self, tmp_path):
-        inline_csv = tmp_path / "inline.csv"
-        assert main(["sweep-run", "--job", self._job_file(tmp_path),
-                     "--csv", str(inline_csv)]) == 0
-        orch_csv = tmp_path / "orch.csv"
-        assert main([
-            "sweep-run", "--job", self._job_file(tmp_path),
-            "--workers", "2", "--out", str(tmp_path / "orch"),
-            "--csv", str(orch_csv), "--quiet",
-        ]) == 0
-        assert orch_csv.read_bytes() == inline_csv.read_bytes()
-        manifest = json.loads(
-            (tmp_path / "orch" / "orchestration.json").read_text()
-        )
-        assert manifest["experiment"] == "figure2"
-        # The dispatched worker command embeds the job JSON verbatim.
-        argv = manifest["argv"]
-        embedded = json.loads(argv[argv.index("--job-json") + 1])
-        assert embedded["workload"]["kind"] == "figure2"
 
     def test_shard_without_shard_out_derives_default_path(
         self, tmp_path, monkeypatch, capsys

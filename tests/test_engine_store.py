@@ -285,19 +285,10 @@ class TestPolicyPlumbing:
         assert job.execution.publish is False
         assert job.execution.store_dir is None
 
-    def test_for_worker_strips_publishing(self):
-        job = _job("figure2", publish=True, store_dir="results/x")
-        worker = job.for_worker()
-        assert worker.execution.publish is False
-        assert worker.execution.store_dir is None
-
     def test_sharded_publish_is_rejected(self):
         with pytest.raises(JobSpecError, match="whole-run"):
             _job("figure2", publish=True, shard=ShardSpec(0, 2),
                  shard_out="s.json")
-        with pytest.raises(JobSpecError, match="whole-run"):
-            _job("figure2", publish=True, items=(0, 1),
-                 shard=None, shard_out="s.json")
 
 
 class TestCli:
@@ -319,6 +310,31 @@ class TestCli:
         assert main(["sweep-db", "validate", "--store-dir", store_dir]) == 1
         out = capsys.readouterr().out
         assert "incomplete" in out
+
+    @pytest.mark.parametrize("action", ["runs", "query", "validate", "export-csv"])
+    def test_read_of_missing_store_is_refused(self, action, tmp_path, capsys):
+        # A misspelled --store-dir must not read as a valid empty store
+        # (validate used to pass) nor leave a new store.db behind.
+        typo = tmp_path / "typo-store"
+        argv = ["sweep-db", action, "--store-dir", str(typo)]
+        if action == "export-csv":
+            argv += ["--csv", str(tmp_path / "out.csv")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sweep-db: no result store at")
+        assert len(err.splitlines()) == 1
+        assert not typo.exists()
+
+    def test_publish_creates_a_missing_store(self, tmp_path, capsys):
+        artifact = tmp_path / "a.json"
+        run_job(_job("timing").with_overrides(
+            {"execution.shard_out": str(artifact)}
+        ))
+        store_dir = tmp_path / "new-store"
+        assert main(["sweep-db", "publish", str(artifact),
+                     "--store-dir", str(store_dir)]) == 0
+        assert store_path(store_dir).is_file()
+        assert main(["sweep-db", "validate", "--store-dir", str(store_dir)]) == 0
 
     def test_sweep_db_export_csv_matches_legacy(self, tmp_path, capsys):
         result, report = _run_and_publish(_job("sensitivity"), tmp_path)
