@@ -205,8 +205,13 @@ def test_interference_memo_beats_seed_kernel(bench_tasksets, bench_check):
 
     assert run_memo() == run_seed()  # bit-identical totals, always
 
-    memo_seconds = _best_of(run_memo)
-    seed_seconds = _best_of(run_seed)
+    # Both bodies take a few milliseconds, so host speed drifts across
+    # back-to-back batches; alternating the two puts each round pair
+    # on the same footing, and the minimums drop the slow rounds.
+    memo_seconds = seed_seconds = float("inf")
+    for _ in range(15):
+        memo_seconds = min(memo_seconds, _best_of(run_memo, rounds=1))
+        seed_seconds = min(seed_seconds, _best_of(run_seed, rounds=1))
     speedup = seed_seconds / memo_seconds
     _record(
         "interference_memo",

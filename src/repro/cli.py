@@ -17,8 +17,8 @@ Sub-commands map one-to-one onto the paper's artefacts:
   several hosts each run one ``--shard I/N`` of it;
 * ``sweep-merge`` — recombine ``--shard I/N`` artifacts into the exact
   unsharded result;
-* ``sweep-cache`` — verdict-cache lifecycle (``stats``, ``compact``,
-  ``gc``), safe while sweeps read and write the same directory;
+* ``sweep-cache`` — verdict-cache lifecycle (``stats``, ``compact``),
+  safe while sweeps read and write the same directory;
 * ``sweep-db`` — the durable result store: ``publish`` shard
   artifacts, list ``runs``, ``query`` rows, ``validate`` completeness
   and drift, ``export-csv`` bit-identically to the CSV writers.
@@ -35,6 +35,7 @@ starts.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from repro.exceptions import ReproError, ShardError, StoreError
@@ -42,11 +43,20 @@ from repro.exceptions import ReproError, ShardError, StoreError
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_help()
-        return 2
-    return args.handler(args)
+    try:
+        args = parser.parse_args(argv)
+        if args.command is None:
+            parser.print_help()
+            return 2
+        code = args.handler(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout went away (``repro ... | head``).  Point
+        # stdout at devnull, so the interpreter's flush at exit cannot
+        # fail again, and exit 1 quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -135,28 +145,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p13 = sub.add_parser(
         "sweep-cache",
-        help="inspect, compact or garbage-collect a verdict-cache "
-             "directory (safe concurrent with active sweeps)",
+        help="inspect or compact a verdict-cache directory (safe "
+             "concurrent with active sweeps; delete it to reclaim space)",
     )
     p13.add_argument(
-        "action", choices=("stats", "compact", "gc"),
+        "action", choices=("stats", "compact"),
         help="stats: file/entry/byte summary; compact: fold every "
              "committed verdict into one consolidated shard and drop "
-             "quiescent source files; gc: delete quiescent shard files "
-             "by age and/or size budget",
+             "quiescent source files",
     )
     p13.add_argument(
         "--cache-dir", type=str, default=None, metavar="DIR",
         help="cache directory (default: results/cache)",
-    )
-    p13.add_argument(
-        "--max-bytes", type=int, default=None, metavar="N",
-        help="gc: shrink the directory to at most N bytes of shards "
-             "(oldest quiescent files first)",
-    )
-    p13.add_argument(
-        "--max-age-days", type=float, default=None, metavar="D",
-        help="gc: delete quiescent shard files older than D days",
     )
     p13.add_argument(
         "--json", action="store_true",
@@ -625,25 +625,12 @@ def _cmd_sweep_merge(args: argparse.Namespace) -> int:
 def _cmd_sweep_cache(args: argparse.Namespace) -> int:
     import json as json_module
 
-    from repro.engine.vcache import (
-        DEFAULT_CACHE_DIR,
-        cache_stats,
-        compact_cache,
-        gc_cache,
-    )
+    from repro.engine.vcache import DEFAULT_CACHE_DIR, cache_stats, compact_cache
 
     directory = args.cache_dir if args.cache_dir is not None else DEFAULT_CACHE_DIR
+    action = cache_stats if args.action == "stats" else compact_cache
     try:
-        if args.action == "stats":
-            summary = cache_stats(directory)
-        elif args.action == "compact":
-            summary = compact_cache(directory)
-        else:
-            summary = gc_cache(
-                directory,
-                max_bytes=args.max_bytes,
-                max_age_days=args.max_age_days,
-            )
+        summary = action(directory)
     except ReproError as exc:
         print(f"sweep-cache: {exc}", file=sys.stderr)
         return 1

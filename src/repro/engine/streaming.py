@@ -17,8 +17,8 @@ the final table.  The line schema:
   restored from a checkpoint rather than computed by this run;
   ``elapsed_seconds`` is the item's wall-time in its worker;
   ``cache`` carries the item's verdict-cache ``{"hits", "misses",
-  "swept", "stale"}`` deltas when a cache is enabled — both absent on
-  replayed lines;
+  "swept"}`` deltas when a cache is enabled — both absent on replayed
+  lines;
 * ``{"type": "summary", "done_items": ..., "elapsed_seconds": ...}`` —
   final line of a run that finished.
 

@@ -335,12 +335,7 @@ ItemResult = tuple[int, list, float, dict[str, int] | None]
 
 def _cache_counters(cache: VerdictCache) -> dict[str, int]:
     """The handle's lookup and health counters, as a stream line's keys."""
-    return {
-        "hits": cache.hits,
-        "misses": cache.misses,
-        "swept": cache.swept,
-        "stale": cache.stale,
-    }
+    return {"hits": cache.hits, "misses": cache.misses, "swept": cache.swept}
 
 
 def _run_chunk(payload, cache: VerdictCache | None = None) -> list[ItemResult]:

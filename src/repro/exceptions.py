@@ -65,7 +65,8 @@ class CacheError(AnalysisError):
 
     Individual bad entries are swept (skipped and recomputed) by the
     cache itself, never silently trusted; this error surfaces when the
-    cache cannot operate at all (bad mode, unusable directory).
+    cache cannot operate at all (bad mode, unusable directory, or a
+    ``sweep-cache`` action on a directory that holds no cache).
     """
 
 

@@ -1,13 +1,17 @@
 """Unit tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 
-EXAMPLES = Path(__file__).resolve().parents[1] / "examples" / "jobs"
+ROOT = Path(__file__).resolve().parents[1]
+EXAMPLES = ROOT / "examples" / "jobs"
 
 
 class TestFigure1:
@@ -420,6 +424,30 @@ class TestUnwritableOutput:
             assert err.startswith("figure2: ")
             assert str(target) in err
             assert len(err.splitlines()) == 1
+
+
+class TestClosedStdout:
+    """A reader that closes the pipe early (``repro ... | head``) ends
+    the run with exit 1 and nothing on stderr, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["figure1"],
+        ["sweep-run", "--job", str(EXAMPLES / "figure2-small.json"), "--dry-run"],
+    ], ids=["figure1", "dry-run"])
+    def test_quiet_exit_1(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # gone before the child writes a byte
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", *argv],
+                cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                timeout=300,
+            )
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in proc.stderr
+        assert (proc.returncode, proc.stderr) == (1, "")
 
 
 class TestDispatch:

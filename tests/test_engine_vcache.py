@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import math
 import os
 import threading
 
@@ -27,7 +26,6 @@ from repro.engine.vcache import (
     _parse_entry,
     cache_stats,
     compact_cache,
-    gc_cache,
 )
 from repro.exceptions import CacheError
 from repro.generator.profiles import GROUP1, GROUP2
@@ -42,9 +40,22 @@ def _spec(**overrides) -> SweepSpec:
     return SweepSpec(**fields)
 
 
+#: A pid no process has: above every kernel's pid limit.  (``0`` will
+#: not do: ``os.kill(0, 0)`` signals the caller's process group.)
+DEAD_PID = 2**31 - 1
+
+
 def _row(i: int) -> tuple[bool, ...]:
     """A distinct three-method row per ``i`` in 0..7."""
     return tuple(bool(i >> bit & 1) for bit in range(3))
+
+
+def _line(key: str, row: tuple[bool, ...]) -> str:
+    """An entry's JSONL line, newline excluded."""
+    return json.dumps(
+        {"version": CACHE_VERSION, "key": key, "row": list(row)},
+        separators=(",", ":"),
+    )
 
 
 def _strip(result):
@@ -183,6 +194,15 @@ class TestVerdictCache:
         shard = sorted((tmp_path / "c").glob("shard-*.jsonl"))[0]
         assert len(shard.read_text().splitlines()) == 1
 
+    def test_put_writes_one_line_to_one_file(self, tmp_path):
+        with VerdictCache(tmp_path / "c", mode="readwrite") as cache:
+            cache.put("k", _row(5))
+        shard = f"shard-{os.getpid()}.jsonl"
+        assert sorted(p.name for p in (tmp_path / "c").iterdir()) == [
+            "CACHE_META.json", shard,
+        ]
+        assert (tmp_path / "c" / shard).read_text() == _line("k", _row(5)) + "\n"
+
 
 class TestStaleEntrySweeping:
     def _populate(self, directory):
@@ -228,15 +248,21 @@ class TestStaleEntrySweeping:
         assert _evaluate_sweep_item((spec, 5), reader) == row
         assert reader.stats() == {"hits": 1, "misses": 0}
 
-
-def _count_parses(monkeypatch) -> list:
-    parses = []
-    real = vcache_module._parse_entry
-    monkeypatch.setattr(
-        vcache_module, "_parse_entry",
-        lambda line: parses.append(1) or real(line),
-    )
-    return parses
+    def test_writer_terminates_a_torn_tail(self, tmp_path):
+        # This pid's shard ends in a fragment (an earlier process of the
+        # same pid was killed mid-append): the next entry starts on a
+        # line of its own, so only the fragment is swept.
+        directory = tmp_path / "c"
+        directory.mkdir()
+        shard = directory / f"shard-{os.getpid()}.jsonl"
+        shard.write_text(_line("torn", _row(1))[:30])
+        with VerdictCache(directory, mode="readwrite") as cache:
+            cache.put("k", _row(2))
+        assert shard.read_text() == (
+            _line("torn", _row(1))[:30] + "\n" + _line("k", _row(2)) + "\n")
+        reader = VerdictCache(directory, mode="read")
+        assert reader.get("k") == _row(2)
+        assert reader.swept == 1
 
 
 def _lookup(key, cache):
@@ -245,9 +271,9 @@ def _lookup(key, cache):
 
 
 class TestLazyOpen:
-    """Open cost is pinned to the index, not the entries: opening a
-    cache and looking up one key decodes exactly one entry, however
-    many the directory holds."""
+    """A handle reads the cache files once, on its first lookup: a bad
+    line costs only its own entry, and its count lands on the item
+    whose lookup read it."""
 
     N = 8
 
@@ -261,42 +287,18 @@ class TestLazyOpen:
         lines = shard.read_bytes().split(b"\n")
         for i, line in enumerate(lines):
             if f'"key":"{key}"'.encode() in line:
-                # Garble the entry in place (same length: every other
-                # entry's indexed offset stays valid).
                 lines[i] = line[:-10] + b"x" * 10
         shard.write_bytes(b"\n".join(lines))
-
-    def test_one_lookup_decodes_one_payload(self, tmp_path, monkeypatch):
-        self._populate(tmp_path / "c")
-        parses = _count_parses(monkeypatch)
-        reader = VerdictCache(tmp_path / "c", mode="read")
-        assert reader.get("k3") == _row(3)
-        assert len(parses) == 1  # not N: the other entries stay on disk
-        assert reader.swept == 0  # the index covered the whole shard
-        for i in range(self.N):
-            reader.get(f"k{i}")
-        assert len(parses) == self.N  # k3 re-served from memory
-        assert reader.stats() == {"hits": self.N + 1, "misses": 0}
 
     def test_corrupt_neighbour_does_not_poison_other_entries(self, tmp_path):
         self._populate(tmp_path / "c")
         self._garble(tmp_path / "c", "k5")
         reader = VerdictCache(tmp_path / "c", mode="read")
         assert reader.get("k3") == _row(3)
-        assert reader.get("k5") is None  # stale entry → recorded miss
-        assert reader.stale == 1
+        assert reader.swept == 1  # the garbled line, read with the rest
+        assert reader.get("k5") is None  # swept entry → recorded miss
         assert reader.get("k6") == _row(6)
         assert reader.stats() == {"hits": 2, "misses": 1}
-
-    def test_missing_index_falls_back_to_full_scan(self, tmp_path):
-        self._populate(tmp_path / "c")
-        shard = sorted((tmp_path / "c").glob("shard-*.jsonl"))[0]
-        shard.with_suffix(".idx").unlink()  # foreign-writer shard
-        reader = VerdictCache(tmp_path / "c", mode="read")
-        for i in range(self.N):
-            assert reader.get(f"k{i}") == _row(i)
-        assert reader.stats() == {"hits": self.N, "misses": 0}
-        assert reader.swept == 0
 
     def test_run_chunk_attributes_health_counters(self, tmp_path):
         # Each item's stream-line deltas are the shared handle's
@@ -306,9 +308,9 @@ class TestLazyOpen:
         cache = VerdictCache(tmp_path / "c", mode="read")
         done = _run_chunk((_lookup, 0, 3, ["k3", "k5", "k6"]), cache)
         assert [stats for *_, stats in done] == [
-            {"hits": 1, "misses": 0, "swept": 0, "stale": 0},
-            {"hits": 0, "misses": 1, "swept": 0, "stale": 1},
-            {"hits": 1, "misses": 0, "swept": 0, "stale": 0},
+            {"hits": 1, "misses": 0, "swept": 1},  # its lookup read the files
+            {"hits": 0, "misses": 1, "swept": 0},
+            {"hits": 1, "misses": 0, "swept": 0},
         ]
         assert cache.stats() == {"hits": 2, "misses": 1}
 
@@ -410,18 +412,21 @@ class TestCoordinateKeys:
         assert _strip(warm) == _strip(cold)
 
     def test_version_1_entries_are_swept_never_served(self, tmp_path):
-        # A version-1 entry under the item's current key, indexed the
-        # way version 1 indexed it: the old index is ignored, the entry
-        # is swept, and the lookup misses.
+        # A version-1 cache: its marker, and an entry under the item's
+        # current key with the sidecar index version 1 wrote.  The
+        # entry is swept and the lookup misses.
         spec = _spec()
         key = spec.item_key(1, 1)
         (tmp_path / "c").mkdir()
+        (tmp_path / "c" / "CACHE_META.json").write_text(json.dumps(
+            {"format": "repro.vcache/sharded-jsonl", "cache_version": 1}))
         line = json.dumps(
             {"version": 1, "key": key, "verdict": {"m": 2, "analyses": []}},
             separators=(",", ":"),
         ) + "\n"
-        (tmp_path / "c" / "old.jsonl").write_text(line)
-        (tmp_path / "c" / "old.idx").write_text(json.dumps(
+        old = tmp_path / "c" / f"shard-{DEAD_PID}.jsonl"
+        old.write_text(line)
+        old.with_suffix(".idx").write_text(json.dumps(
             {"v": 1, "key": key, "off": 0, "len": len(line)}) + "\n")
         reader = VerdictCache(tmp_path / "c", mode="read")
         assert reader.get(key) is None
@@ -429,7 +434,7 @@ class TestCoordinateKeys:
         assert cache_stats(tmp_path / "c")["entries"] == 0
         compacted = compact_cache(tmp_path / "c")
         assert (compacted["entries"], compacted["swept"]) == (0, 1)
-        assert not (tmp_path / "c" / "old.jsonl").exists()
+        assert not old.exists() and not old.with_suffix(".idx").exists()
 
     def test_writer_restamps_a_version_1_marker(self, tmp_path):
         (tmp_path / "c").mkdir()
@@ -443,22 +448,59 @@ class TestCoordinateKeys:
 
 
 class TestCacheLifecycle:
-    def test_stats_summarises_without_decoding(self, tmp_path, monkeypatch):
+    def test_stats_counts_entries_and_swept_lines(self, tmp_path):
         with VerdictCache(tmp_path / "c", mode="readwrite") as writer:
             for i in range(4):
                 writer.put(f"k{i}", _row(i))
-        parses = _count_parses(monkeypatch)
+        (tmp_path / "c" / f"shard-{DEAD_PID}.jsonl").write_text(
+            _line("k0", _row(0)) + "\n" + _line("k9", _row(1))[:20]
+        )
         summary = cache_stats(tmp_path / "c")
-        assert summary["entries"] == 4
-        assert summary["files"] == 1
+        assert summary["entries"] == 4  # k0 twice is one entry
+        assert summary["swept"] == 1  # the torn line
+        assert summary["files"] == 2
         assert summary["live_writers"] == 1  # our own pid-named shard
-        assert summary["swept"] == 0
-        assert summary["data_bytes"] > 0 and summary["index_bytes"] > 0
-        assert parses == []  # stats never touches an indexed entry
+        assert summary["data_bytes"] == sum(
+            p.stat().st_size for p in (tmp_path / "c").glob("*.jsonl"))
 
     def test_stats_requires_an_existing_directory(self, tmp_path):
         with pytest.raises(CacheError):
             cache_stats(tmp_path / "nope")
+
+    @pytest.mark.parametrize("action", ["stats", "compact"])
+    def test_directory_without_marker_is_refused(self, action, tmp_path, capsys):
+        # A sweep's output directory is not a cache: its stream must
+        # survive a mistaken --cache-dir.
+        (tmp_path / "results").mkdir()
+        stream = tmp_path / "results" / "run.jsonl"
+        stream.write_text(_line("k", _row(1)) + "\n")
+        code = main(["sweep-cache", action, "--cache-dir",
+                     str(tmp_path / "results")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("sweep-cache: ") and err.count("\n") == 1
+        assert "CACHE_META.json" in err
+        assert sorted(p.name for p in (tmp_path / "results").iterdir()) == [
+            "run.jsonl"
+        ]
+        assert stream.read_text() == _line("k", _row(1)) + "\n"
+
+    def test_files_the_cache_never_wrote_are_left_alone(self, tmp_path):
+        with VerdictCache(tmp_path / "c", mode="readwrite") as writer:
+            writer.put("k", _row(1))
+        foreign = {
+            name: _line("x", _row(2)) + "\n"
+            for name in ("notes.jsonl", "shard-x.jsonl", "compact.jsonl")
+        }
+        for name, text in foreign.items():
+            (tmp_path / "c" / name).write_text(text)
+        assert cache_stats(tmp_path / "c")["files"] == 1
+        reader = VerdictCache(tmp_path / "c", mode="read")
+        assert reader.get("x") is None and reader.get("k") == _row(1)
+        summary = compact_cache(tmp_path / "c")
+        assert summary["entries"] == 1
+        for name, text in foreign.items():
+            assert (tmp_path / "c" / name).read_text() == text
 
     def test_compact_folds_quiescent_shards_bit_identically(self, tmp_path):
         on_two, on_four = _spec(m=2), _spec(m=4)
@@ -466,9 +508,8 @@ class TestCacheLifecycle:
             row_two = _evaluate_sweep_item((on_two, 5), writer)
             row_four = _evaluate_sweep_item((on_four, 5), writer)
         shard = sorted((tmp_path / "c").glob("shard-*.jsonl"))[0]
-        # Quiescent source: not named after a live pid.
-        shard.rename(tmp_path / "c" / "legacy.jsonl")
-        shard.with_suffix(".idx").rename(tmp_path / "c" / "legacy.idx")
+        # Quiescent source: named after a pid that is not alive.
+        shard.rename(tmp_path / "c" / f"shard-{DEAD_PID}.jsonl")
         summary = compact_cache(tmp_path / "c")
         assert summary["entries"] == 2
         assert summary["files_removed"] == 1
@@ -482,18 +523,55 @@ class TestCacheLifecycle:
         assert reader.stats() == {"hits": 2, "misses": 0}
 
     def test_compact_sweeps_torn_lines_and_dedupes(self, tmp_path):
-        (tmp_path / "c").mkdir()
-        line = json.dumps(
-            {"version": CACHE_VERSION, "key": "dup", "row": list(_row(5))},
-            separators=(",", ":"),
-        )
-        (tmp_path / "c" / "a.jsonl").write_text(line + "\n" + line[: 20])
-        (tmp_path / "c" / "b.jsonl").write_text(line + "\n")
-        summary = compact_cache(tmp_path / "c")
+        directory = tmp_path / "c"
+        VerdictCache(directory, mode="readwrite").close()  # the marker
+        line = _line("dup", _row(5))
+        (directory / "compact-0.jsonl").write_text(line + "\n")
+        (directory / f"shard-{DEAD_PID}.jsonl").write_text(
+            line + "\n" + line[: 20])
+        summary = compact_cache(directory)
         assert summary["entries"] == 1  # duplicates fold to one line
         assert summary["swept"] == 1  # the torn tail never travels
-        compacted = tmp_path / "c" / summary["output"]
+        assert summary["output"] == "compact-1.jsonl"
+        assert summary["files_removed"] == 2
+        compacted = directory / summary["output"]
         assert compacted.read_text() == line + "\n"
+
+    def test_parent_layout_is_served_and_compacted(self, tmp_path):
+        # A directory as the sidecar-index layout left it: a compacted
+        # generation and a quiescent shard, each with its ``.idx``.
+        spec = _spec()
+        directory = tmp_path / "c"
+        cold = SweepEngine(cache="readwrite", cache_dir=directory).run(spec)
+        shard = sorted(directory.glob("shard-*.jsonl"))[0]
+        lines = shard.read_text().splitlines(keepends=True)
+        shard.unlink()
+        half = len(lines) // 2
+        for name, part in (("compact-0", lines[:half]),
+                           (f"shard-{DEAD_PID}", lines[half:])):
+            (directory / f"{name}.jsonl").write_text("".join(part))
+            index, off = [], 0
+            for line in part:
+                key = json.loads(line)["key"]
+                index.append(json.dumps(
+                    {"v": 2, "key": key, "off": off, "len": len(line)},
+                    separators=(",", ":")) + "\n")
+                off += len(line)
+            (directory / f"{name}.idx").write_text("".join(index))
+        assert cache_stats(directory)["entries"] == spec.total_items
+        for step in ("as left", "compacted"):
+            sweep_module._RUN_CACHES.clear()  # read the files anew
+            stream = tmp_path / f"{step}.jsonl"
+            warm = SweepEngine(cache="read", cache_dir=directory).run(
+                spec, stream=stream)
+            assert _stream_totals(stream) == (spec.total_items, 0), step
+            assert _strip(warm) == _strip(cold)
+            if step == "as left":
+                summary = compact_cache(directory)
+                assert summary["files_removed"] == 2
+        assert sorted(p.name for p in directory.iterdir()) == [
+            "CACHE_META.json", "compact-1.jsonl",
+        ]
 
     def test_compact_keeps_live_writer_shards(self, tmp_path):
         writer = VerdictCache(tmp_path / "c", mode="readwrite")
@@ -542,63 +620,4 @@ class TestCacheLifecycle:
         for i in range(total):
             assert reader.get(f"k{i}") == _row(i % 8)
         assert reader.stats() == {"hits": total, "misses": 0}
-        assert reader.swept == 0 and reader.stale == 0
-
-    @staticmethod
-    def _gc_fixture(directory):
-        """An old, a new and a live shard of one entry each."""
-        directory.mkdir()
-        line = json.dumps(
-            {"version": CACHE_VERSION, "key": "old", "row": list(_row(1))},
-            separators=(",", ":"),
-        ) + "\n"
-        old = directory / "old.jsonl"
-        old.write_text(line)
-        two_days_ago = os.path.getmtime(old) - 2 * 86400
-        os.utime(old, (two_days_ago, two_days_ago))
-        new = directory / "new.jsonl"
-        new.write_text(line)
-        live = directory / f"shard-{os.getpid()}.jsonl"
-        live.write_text(line)
-        return old, new, live
-
-    def test_gc_by_age_and_by_size(self, tmp_path):
-        old, new, live = self._gc_fixture(tmp_path / "c")
-        by_age = gc_cache(tmp_path / "c", max_age_days=1.0)
-        assert by_age["files_removed"] == 1
-        assert not old.exists() and new.exists() and live.exists()
-        by_size = gc_cache(tmp_path / "c", max_bytes=0)
-        assert by_size["files_removed"] == 1
-        assert not new.exists()
-        assert live.exists()  # a live pid's shard is never collected
-
-    def test_gc_requires_a_criterion(self, tmp_path):
-        (tmp_path / "c").mkdir()
-        with pytest.raises(CacheError):
-            gc_cache(tmp_path / "c")
-
-    @pytest.mark.parametrize("budget", [
-        dict(max_bytes=-1),
-        dict(max_age_days=-1.0),
-        dict(max_age_days=math.nan),
-        dict(max_age_days=math.inf),
-    ], ids=["negative-bytes", "negative-age", "nan-age", "inf-age"])
-    def test_gc_rejects_a_negative_or_non_finite_budget(self, budget, tmp_path):
-        shards = self._gc_fixture(tmp_path / "c")
-        with pytest.raises(CacheError, match="finite number >= 0"):
-            gc_cache(tmp_path / "c", **budget)
-        assert all(shard.exists() for shard in shards)
-
-    @pytest.mark.parametrize("flags", [
-        ["--max-bytes", "-1"],
-        ["--max-age-days", "-1"],
-        ["--max-age-days", "nan"],
-    ], ids=["negative-bytes", "negative-age", "nan-age"])
-    def test_gc_cli_bad_budget_is_one_line_error(self, flags, tmp_path, capsys):
-        shards = self._gc_fixture(tmp_path / "c")
-        code = main(["sweep-cache", "gc", "--cache-dir", str(tmp_path / "c"),
-                     *flags])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.startswith("sweep-cache: ") and err.count("\n") == 1
-        assert all(shard.exists() for shard in shards)
+        assert reader.swept == 0
