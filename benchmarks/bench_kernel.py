@@ -114,12 +114,8 @@ def test_warm_verdict_cache_replays_5x_faster(
     cold = SweepEngine(cache="readwrite", cache_dir=cache_dir).run(spec)
     cold_seconds = time.perf_counter() - begin
 
-    # Drop the in-process cache handle so the warm run really loads the
+    # Each run opens its own cache handle, so the warm run loads the
     # persisted shards from disk, like a fresh process would.
-    from repro.engine import sweep as sweep_module
-
-    sweep_module._RUN_CACHES.clear()
-
     begin = time.perf_counter()
     warm = SweepEngine(cache="read", cache_dir=cache_dir).run(spec)
     warm_seconds = time.perf_counter() - begin

@@ -132,7 +132,7 @@ def _solver(dag: DAG, method: MuMethod) -> Callable[[int], float]:
             return 0.0
         if c == 1:
             # The paper computes μ[1] directly as the largest NPR.
-            return max(node.wcet for node in dag.nodes)
+            return max(dag.node_wcets)
         return solve(c)
 
     return mu

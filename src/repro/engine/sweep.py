@@ -53,6 +53,7 @@ every completed item as one JSONL line the moment it finishes
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import time
 from collections.abc import Callable, Sequence
@@ -304,18 +305,23 @@ class CorpusSweep:
         return [corpus[item] for item in items]
 
 
-#: ``(mode, directory)`` describing the verdict cache of one run;
-#: ``None`` = cache off.  Travels inside executor payloads, so it must
-#: stay a plain picklable value.
-CacheConfig = tuple[str, str] | None
+#: ``(mode, directory, run)`` describing the verdict cache of one run;
+#: ``None`` = cache off.  ``run`` numbers the runs of the process that
+#: planned them (:data:`_RUN_NUMBERS`).  Travels inside executor
+#: payloads, so it must stay a plain picklable value.
+CacheConfig = tuple[str, str, int] | None
 
+_RUN_NUMBERS = itertools.count()
 
-#: Process-level verdict-cache handles keyed by ``(mode, directory)``.
-#: Pool workers reuse one handle (and its in-memory entry map) across
-#: every chunk they evaluate; the handle's own per-pid shard files keep
-#: concurrent writers from ever sharing a file (see
+#: The verdict-cache handle of the run this process last evaluated
+#: items for, keyed by its :data:`CacheConfig`.  Pool workers reuse it
+#: (and its in-memory entry map) across every chunk of one run.  A
+#: chunk of another run closes it and opens its own, so no run is served
+#: from an earlier run's map: not a later run on a reused pool, nor a
+#: worker forked while its parent held a handle.  The handle's per-pid
+#: shard files keep concurrent writers from ever sharing a file (see
 #: :mod:`repro.engine.vcache`).
-_RUN_CACHES: dict[tuple[str, str], VerdictCache] = {}
+_RUN_CACHES: dict[tuple[str, str, int], VerdictCache] = {}
 
 
 def _cache_for(config: CacheConfig) -> VerdictCache | None:
@@ -323,7 +329,10 @@ def _cache_for(config: CacheConfig) -> VerdictCache | None:
         return None
     cache = _RUN_CACHES.get(config)
     if cache is None:
-        mode, directory = config
+        for previous in _RUN_CACHES.values():
+            previous.close()
+        _RUN_CACHES.clear()
+        mode, directory, _ = config
         cache = VerdictCache(directory, mode=mode)
         _RUN_CACHES[config] = cache
     return cache
@@ -569,15 +578,17 @@ class SweepEngine:
                 MAX_POOL_CHUNK, max(1, math.ceil(len(remaining) / (8 * jobs)))
             )
 
-        # The cache config rides inside every executor payload: pool
-        # workers open their own handle (with per-pid write shards) on
-        # first use, so no cross-process state needs coordinating here.
+        # The cache config rides inside every executor payload: each
+        # process evaluating this run's items opens the run's own handle
+        # (with per-pid write shards) on first use, so no cross-process
+        # state needs coordinating here.
         cache_config: CacheConfig = None
         if self.cache != "off":
             cache_config = (
                 self.cache,
                 self.cache_dir if self.cache_dir is not None
                 else DEFAULT_CACHE_DIR,
+                next(_RUN_NUMBERS),
             )
 
         meta = spec.meta

@@ -22,19 +22,22 @@ def longest_path_length(dag: DAG) -> float:
     Computed by dynamic programming over a topological order:
     ``dist(v) = C(v) + max(dist(p) for p in pred(v), default 0)``.
     A single node's longest path is its own WCET. The result is
-    memoised on the DAG instance (DAGs are immutable).
+    memoised on the DAG instance (DAGs are immutable); the generator
+    seeds the memo with the value it carries out of its construction
+    (:meth:`repro.model.dag.DAG._trusted`), so a generated DAG never
+    runs the pass.
     """
     cached = dag.__dict__.get("_longest_path")
     if cached is not None:
         return cached
     # Runs once per DAG: read the adjacency directly, not through the
     # checked per-node accessors.
-    pred = dag._pred
-    nodes = dag._nodes
+    pred = dag._adjacency()[1]
+    wcet = dag.wcets()
     dist: dict[str, float] = {}
     best = 0.0
     for name in dag.topological_order:
-        length = max([dist[p] for p in pred[name]], default=0.0) + nodes[name].wcet
+        length = max([dist[p] for p in pred[name]], default=0.0) + wcet[name]
         dist[name] = length
         if length > best:
             best = length

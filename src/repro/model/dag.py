@@ -3,17 +3,30 @@
 The :class:`DAG` is the structural half of a DAG task ``G_k = (V_k, E_k)``
 (paper Section III-A): nodes are NPRs labelled with WCETs, edges are
 precedence constraints. The class is an immutable container with O(1)
-adjacency queries. Its topological order is computed at construction:
-it is the insertion order when every edge points forward in it (as in
-every generated DAG), and otherwise comes from the same Kahn pass that
-rejects cycles. The heavier algorithms (longest path, parallelism sets)
-live in :mod:`repro.graph` and take a ``DAG`` as input; the longest
-path ``L`` is memoised on the instance, so each DAG pays for it once.
+adjacency queries.
+
+A DAG keeps its node names and WCETs in insertion order and its
+topological order.  The public constructor checks its input and keeps
+the structure it builds on the way: the :class:`Node` objects, the
+edges by name and the name-keyed successor and predecessor maps.  The
+generator's trusted constructor (:meth:`DAG._trusted`) checks nothing
+and keeps the edges as forward ``(source, destination)`` index pairs;
+the rest is derived from them in one pass, on the first read of any of
+it.  So a generated DAG that is only asked for its size, volume and
+longest path never builds a ``Node`` (DESIGN.md, "Generation builds
+only what is read").
+
+The topological order is the insertion order when every edge points
+forward in it (as in every generated DAG), and otherwise comes from the
+same Kahn pass that rejects cycles. The heavier algorithms (longest
+path, parallelism sets) live in :mod:`repro.graph` and take a ``DAG`` as
+input; the longest path ``L`` is memoised on the instance, so each DAG
+pays for it once.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import cached_property
 from heapq import heappop, heappush
 
@@ -44,7 +57,10 @@ class DAG:
         If the edge set contains a directed cycle.
     """
 
-    __slots__ = ("_nodes", "_succ", "_pred", "_edges", "_order", "__dict__")
+    __slots__ = (
+        "_names", "_wcets", "_order", "_links", "_nodes", "_edges", "_succ", "_pred",
+        "__dict__",
+    )
 
     def __init__(
         self,
@@ -55,15 +71,15 @@ class DAG:
             node_objs = [Node(name, wcet) for name, wcet in nodes.items()]
         else:
             node_objs = list(nodes)
-        self._nodes: dict[str, Node] = {}
+        by_name: dict[str, Node] = {}
         for node in node_objs:
             if not isinstance(node, Node):
                 raise ModelError(f"expected Node, got {type(node).__name__}")
-            if node.name in self._nodes:
+            if node.name in by_name:
                 raise ModelError(f"duplicate node name {node.name!r}")
-            self._nodes[node.name] = node
+            by_name[node.name] = node
 
-        rank = {name: i for i, name in enumerate(self._nodes)}
+        rank = {name: i for i, name in enumerate(by_name)}
         succ: list[list[str]] = [[] for _ in rank]
         pred: list[list[str]] = [[] for _ in rank]
         edge_set: dict[Edge, None] = {}
@@ -82,34 +98,94 @@ class DAG:
             forward = forward and ru < rv
             succ[ru].append(v)
             pred[rv].append(u)
-        self._edges: tuple[Edge, ...] = tuple(edge_set)
-        self._succ: dict[str, tuple[str, ...]] = dict(zip(rank, map(tuple, succ)))
-        self._pred: dict[str, tuple[str, ...]] = dict(zip(rank, map(tuple, pred)))
-
-        names = list(rank)
+        names = tuple(rank)
         if forward:
             # Every edge raises the insertion rank, so no cycle exists
             # and node ``i`` is the least ready rank once ``0..i-1``
             # are out: the Kahn order below is the insertion order.
-            self._order: tuple[str, ...] = tuple(names)
-            return
-        # One Kahn pass both rejects cycles and fixes the topological
-        # order.  Popping the ready node of least insertion rank breaks
-        # ties by insertion order.
-        indegree = [len(p) for p in pred]
-        ready = [i for i, count in enumerate(indegree) if not count]
-        order: list[str] = []
-        while ready:
-            current = heappop(ready)
-            order.append(names[current])
-            for child in succ[current]:
-                j = rank[child]
-                indegree[j] -= 1
-                if not indegree[j]:
-                    heappush(ready, j)
-        if len(order) != len(names):
-            raise CycleError("graph contains a directed cycle")
-        self._order = tuple(order)
+            self._order = names
+        else:
+            # One Kahn pass both rejects cycles and fixes the topological
+            # order.  Popping the ready node of least insertion rank
+            # breaks ties by insertion order.
+            indegree = [len(p) for p in pred]
+            ready = [i for i, count in enumerate(indegree) if not count]
+            order: list[str] = []
+            while ready:
+                current = heappop(ready)
+                order.append(names[current])
+                for child in succ[current]:
+                    j = rank[child]
+                    indegree[j] -= 1
+                    if not indegree[j]:
+                        heappush(ready, j)
+            if len(order) != len(names):
+                raise CycleError("graph contains a directed cycle")
+            self._order = tuple(order)
+        self._names = names
+        self._wcets = tuple(node.wcet for node in by_name.values())
+        # The structure is at hand already; the edges stay by name.
+        self._links = None
+        self._nodes = by_name
+        self._edges = tuple(edge_set)
+        self._succ = dict(zip(names, map(tuple, succ)))
+        self._pred = dict(zip(names, map(tuple, pred)))
+
+    @classmethod
+    def _trusted(
+        cls,
+        names: Sequence[str],
+        wcets: Sequence[float],
+        links: Sequence[tuple[int, int]],
+        volume: float | None = None,
+        longest_path: float | None = None,
+    ) -> DAG:
+        """A DAG from arrays its caller guarantees valid; nothing is checked.
+
+        For the generator, whose construction guarantees the invariants
+        the public constructor would check: ``names`` are unique
+        non-empty strings, ``wcets`` are positive, and ``links`` are
+        distinct ``(u, v)`` index pairs with ``u < v`` (so no self-loop,
+        no cycle, and the insertion order is topological).  ``volume``
+        and ``longest_path``, when given, seed the memos of
+        :attr:`volume` and :func:`~repro.graph.paths.longest_path_length`;
+        they must equal what those compute, value and type.
+        """
+        dag = cls.__new__(cls)
+        dag._names = tuple(names)
+        dag._wcets = tuple(wcets)
+        dag._order = dag._names
+        dag._links = tuple(links)
+        dag._nodes = dag._edges = dag._succ = dag._pred = None
+        if volume is not None:
+            dag.__dict__["volume"] = volume
+        if longest_path is not None:
+            dag.__dict__["_longest_path"] = longest_path
+        return dag
+
+    def _derive(self) -> None:
+        """Build a trusted DAG's nodes, name edges and adjacency maps.
+
+        Runs on the first read of any of them; the public constructor
+        fills them itself.
+        """
+        names = self._names
+        links = self._links
+        succ: list[list[str]] = [[] for _ in names]
+        pred: list[list[str]] = [[] for _ in names]
+        for u, v in links:
+            succ[u].append(names[v])
+            pred[v].append(names[u])
+        self._nodes = {name: Node(name, wcet) for name, wcet in zip(names, self._wcets)}
+        self._edges = tuple((names[u], names[v]) for u, v in links)
+        self._succ = dict(zip(names, map(tuple, succ)))
+        self._pred = dict(zip(names, map(tuple, pred)))
+
+    def _adjacency(self) -> tuple[dict[str, tuple[str, ...]], dict[str, tuple[str, ...]]]:
+        """The ``(successors, predecessors)`` maps, keyed by name."""
+        if self._succ is None:
+            self._derive()
+        return self._succ, self._pred
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -117,31 +193,46 @@ class DAG:
     @property
     def node_names(self) -> tuple[str, ...]:
         """Node names in insertion order."""
-        return tuple(self._nodes)
+        return self._names
+
+    @property
+    def node_wcets(self) -> tuple[float, ...]:
+        """Node WCETs in insertion order (parallel to :attr:`node_names`)."""
+        return self._wcets
 
     @property
     def nodes(self) -> tuple[Node, ...]:
         """Node objects in insertion order."""
+        if self._nodes is None:
+            self._derive()
         return tuple(self._nodes.values())
 
     @property
     def edges(self) -> tuple[Edge, ...]:
         """Edges in insertion order."""
+        if self._edges is None:
+            self._derive()
         return self._edges
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self._names)
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._nodes)
+        return iter(self._names)
 
     def __contains__(self, name: object) -> bool:
+        if self._nodes is None:
+            self._derive()
         return name in self._nodes
 
     def node(self, name: str) -> Node:
         """Return the :class:`Node` called ``name``."""
+        nodes = self._nodes
+        if nodes is None:
+            self._derive()
+            nodes = self._nodes
         try:
-            return self._nodes[name]
+            return nodes[name]
         except KeyError:
             raise ModelError(f"unknown node {name!r}") from None
 
@@ -151,12 +242,13 @@ class DAG:
 
     def wcets(self) -> dict[str, float]:
         """Mapping of node name to WCET, in insertion order."""
-        return {name: node.wcet for name, node in self._nodes.items()}
+        return dict(zip(self._names, self._wcets))
 
     def has_edge(self, u: str, v: str) -> bool:
         """True when the direct precedence edge ``(u, v)`` exists."""
-        return v in self._succ.get(u, ())
+        return v in self._adjacency()[0].get(u, ())
 
+    # ``node`` derives the structure, so the maps below are built.
     def successors(self, name: str) -> tuple[str, ...]:
         """Direct successors of ``name`` (out-neighbours)."""
         self.node(name)
@@ -192,25 +284,26 @@ class DAG:
 
         Equals the task's WCET on a dedicated single-core platform.
         """
-        return sum(node.wcet for node in self._nodes.values())
+        return sum(self._wcets)
 
     @cached_property
     def sources(self) -> tuple[str, ...]:
         """Nodes with no predecessors, in insertion order."""
-        return tuple(n for n in self._nodes if not self._pred[n])
+        pred = self._adjacency()[1]
+        return tuple(n for n in self._names if not pred[n])
 
     @cached_property
     def sinks(self) -> tuple[str, ...]:
         """Nodes with no successors, in insertion order."""
-        return tuple(n for n in self._nodes if not self._succ[n])
+        succ = self._adjacency()[0]
+        return tuple(n for n in self._names if not succ[n])
 
     @property
     def topological_order(self) -> tuple[str, ...]:
         """A deterministic topological order (Kahn's algorithm).
 
         Ties are broken by node insertion order, so the result is stable
-        across runs for the same construction sequence.  Computed once,
-        at construction.
+        across runs for the same construction sequence.  Computed once.
         """
         return self._order
 
@@ -220,14 +313,14 @@ class DAG:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DAG):
             return NotImplemented
-        return self.wcets() == other.wcets() and set(self._edges) == set(other._edges)
+        return self.wcets() == other.wcets() and set(self.edges) == set(other.edges)
 
     def __hash__(self) -> int:
         cached = self.__dict__.get("_hash")
         if cached is None:
-            cached = hash((tuple(sorted(self.wcets().items())), frozenset(self._edges)))
+            cached = hash((tuple(sorted(self.wcets().items())), frozenset(self.edges)))
             self.__dict__["_hash"] = cached
         return cached
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"DAG(|V|={len(self)}, |E|={len(self._edges)}, vol={self.volume:g})"
+        return f"DAG(|V|={len(self)}, |E|={len(self.edges)}, vol={self.volume:g})"

@@ -118,7 +118,7 @@ class DAGTask:
 
     def npr_wcets(self) -> list[float]:
         """WCETs of all NPRs, in node insertion order."""
-        return [node.wcet for node in self.graph.nodes]
+        return list(self.graph.node_wcets)
 
     def largest_nprs(self, count: int) -> list[float]:
         """The ``count`` largest NPR WCETs, descending (padded nothing).
@@ -129,7 +129,7 @@ class DAGTask:
         """
         if count < 0:
             raise ModelError(f"count must be >= 0, got {count}")
-        return sorted((n.wcet for n in self.graph.nodes), reverse=True)[:count]
+        return sorted(self.graph.node_wcets, reverse=True)[:count]
 
     # ------------------------------------------------------------------
     def with_priority(self, priority: int) -> "DAGTask":

@@ -366,6 +366,50 @@ class TestCacheSessionCounters:
         assert warm == cold
 
 
+class TestRunScopedHandles:
+    """Each engine run reads the cache through a handle of its own, in
+    the parent and in every pool worker, so a later run in one process
+    sees the cache files as they are when it starts."""
+
+    @staticmethod
+    def _filled(tmp_path):
+        spec = _spec()
+        directory = tmp_path / "c"
+        SweepEngine(cache="readwrite", cache_dir=directory).run(spec)
+        return spec, directory
+
+    @staticmethod
+    def _totals(engine, spec, stream):
+        engine.run(spec, stream=stream)
+        return _stream_totals(stream)
+
+    def test_a_later_run_does_not_reuse_an_earlier_runs_entries(self, tmp_path):
+        spec, directory = self._filled(tmp_path)
+        reader = SweepEngine(cache="read", cache_dir=directory)
+        assert self._totals(reader, spec, tmp_path / "a.jsonl") == (
+            spec.total_items, 0)
+        for path in sorted(directory.glob("*.jsonl")):
+            path.unlink()
+        assert self._totals(reader, spec, tmp_path / "b.jsonl") == (
+            0, spec.total_items)
+        # Workers forked now would inherit the parent's handle.
+        with MultiprocessExecutor(2) as pool:
+            forked = SweepEngine(executor=pool, cache="read", cache_dir=directory)
+            assert self._totals(forked, spec, tmp_path / "c.jsonl") == (
+                0, spec.total_items)
+
+    def test_a_reused_pool_opens_a_handle_per_run(self, tmp_path):
+        spec, directory = self._filled(tmp_path)
+        with MultiprocessExecutor(2) as pool:
+            engine = SweepEngine(executor=pool, cache="read", cache_dir=directory)
+            assert self._totals(engine, spec, tmp_path / "a.jsonl") == (
+                spec.total_items, 0)
+            for path in sorted(directory.glob("*.jsonl")):
+                path.unlink()
+            assert self._totals(engine, spec, tmp_path / "b.jsonl") == (
+                0, spec.total_items)
+
+
 class TestCoordinateKeys:
     """Keys are the items' generation coordinates plus a code salt."""
 
@@ -560,7 +604,6 @@ class TestCacheLifecycle:
             (directory / f"{name}.idx").write_text("".join(index))
         assert cache_stats(directory)["entries"] == spec.total_items
         for step in ("as left", "compacted"):
-            sweep_module._RUN_CACHES.clear()  # read the files anew
             stream = tmp_path / f"{step}.jsonl"
             warm = SweepEngine(cache="read", cache_dir=directory).run(
                 spec, stream=stream)

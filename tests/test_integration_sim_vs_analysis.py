@@ -12,6 +12,7 @@ import pytest
 
 from repro.core import AnalysisMethod, analyze_taskset
 from repro.generator import GROUP1, GROUP2, generate_taskset
+from repro.rng import default_rng as repro_rng
 from repro.sim import simulate, sporadic_releases, synchronous_periodic_releases
 
 #: (profile, m, target utilization) combinations exercised.
@@ -91,3 +92,42 @@ def test_fp_ideal_is_not_sound_for_lp_scheduling():
     # The LP analyses account for it.
     lp = analyze_taskset(taskset, 1, AnalysisMethod.LP_ILP)
     assert result.max_response("hi") <= lp.task("hi").response
+
+
+@pytest.mark.parametrize(
+    "seed,profile,m,target,observed,lp_max,lp_ilp",
+    [
+        (37, GROUP1, 2, 1.0, 289.77414193631233, 282.5, 281.5),
+        (500020, GROUP2, 4, 2.0, 435.37649263005005, 402.25, 400.25),
+    ],
+    ids=["seed37-group1-m2", "seed500020-group2-m4"],
+)
+def test_paper_lp_bounds_are_exceeded_after_a_parallelism_dip(
+    seed, profile, m, target, observed, lp_max, lp_ilp
+):
+    """The paper's LP-max and LP-ILP bounds are not sound (DESIGN.md,
+    "Blocking after a parallelism dip").
+
+    When the highest-priority task's ready nodes fall below the free
+    cores, a lower-priority NPR takes an idle core; when the task's
+    parallelism recovers it is blocked again, with no higher-priority
+    release, and ``p_k = min(q_k, h_k) = 0`` charges only ``Δ^m``.  One
+    stream draws the set and then its three sporadic release patterns,
+    so these cases also pin the generator and ``sporadic_releases``
+    streams through the simulator.
+    """
+    rng = repro_rng(seed)
+    taskset = generate_taskset(rng, target, profile)
+    top = taskset.tasks[0].name
+    horizon = 3.0 * max(t.period for t in taskset)
+    worst = 0.0
+    for _ in range(3):
+        releases = sporadic_releases(rng, taskset, horizon, max_jitter=0.3)
+        worst = max(worst, simulate(taskset, m, releases).max_response(top))
+    assert worst == observed
+    for method, bound in ((AnalysisMethod.LP_MAX, lp_max),
+                          (AnalysisMethod.LP_ILP, lp_ilp)):
+        analysis = analyze_taskset(taskset, m, method)
+        assert analysis.schedulable
+        assert analysis.task(top).response == bound
+        assert worst > bound

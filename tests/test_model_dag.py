@@ -1,11 +1,18 @@
 """Unit tests for :mod:`repro.model.dag`."""
 
+import pickle
+
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import repro.model.dag as dag_module
 from repro.exceptions import CycleError, ModelError
-from repro.model import DAG, Node
+from repro.generator.dag_gen import random_dag, sequential_dag
+from repro.generator.profiles import DagProfile
+from repro.graph.paths import longest_path_length
+from repro.model import DAG, DAGTask, Node
+from repro.rng import default_rng
 
 
 def make(nodes, edges=()):
@@ -198,3 +205,164 @@ class TestTopologicalOrder:
         assert make(nodes, chain).topological_order == tuple(nodes)
         with pytest.raises(CycleError):
             make(nodes, [*chain, ("n4", "n0")])
+
+
+# ----------------------------------------------------------------------
+# Trusted construction, structure built on first read
+# ----------------------------------------------------------------------
+def snapshot(dag):
+    """Every accessor's value, with the types of the numbers."""
+    names = dag.node_names
+    return {
+        "len": len(dag),
+        "iter": list(dag),
+        "names": names,
+        "node_wcets": [(w, type(w)) for w in dag.node_wcets],
+        "nodes": dag.nodes,
+        "node": [dag.node(n) for n in names],
+        "wcet": [(dag.wcet(n), type(dag.wcet(n))) for n in names],
+        "wcets": dag.wcets(),
+        "contains": [n in dag for n in names] + ["zz" in dag],
+        "edges": dag.edges,
+        "has_edge": [(u, v) for u in names for v in names if dag.has_edge(u, v)],
+        "successors": [dag.successors(n) for n in names],
+        "predecessors": [dag.predecessors(n) for n in names],
+        "siblings": [dag.siblings(n) for n in names],
+        "sources": dag.sources,
+        "sinks": dag.sinks,
+        "order": dag.topological_order,
+        "volume": (dag.volume, type(dag.volume)),
+        "longest_path": float.hex(longest_path_length(dag)),
+    }
+
+
+def public_twin(dag):
+    """The same graph through the checked public constructor."""
+    return DAG([Node(n, w) for n, w in zip(dag.node_names, dag.node_wcets)], dag.edges)
+
+
+def trusted_twin(dag):
+    """The same graph through the trusted constructor."""
+    rank = {name: i for i, name in enumerate(dag.node_names)}
+    links = [(rank[u], rank[v]) for u, v in dag.edges]
+    return DAG._trusted(dag.node_names, dag.node_wcets, links)
+
+
+def no_node(*args, **kwargs):
+    raise AssertionError("a Node was built")
+
+
+def generated(seed, sequential=False, profile=DagProfile()):
+    draw = sequential_dag if sequential else random_dag
+    return draw(default_rng(seed), profile)
+
+
+#: Hand-built graphs: forward, backward (Kahn-ordered) and float WCETs.
+HAND_BUILT = {
+    "diamond": ({"s": 1, "a": 2, "b": 3, "t": 4},
+                [("s", "a"), ("s", "b"), ("a", "t"), ("b", "t")]),
+    "backward": ({"c": 3, "b": 2.5, "a": 1},
+                 [("a", "b"), ("b", "c"), ("a", "c")]),
+    "disconnected": ({"x": 0.5, "y": 7}, []),
+}
+
+
+class TestGeneratedDags:
+    """Generated DAGs answer every accessor as the public constructor's
+    DAG does, while building their structure only when it is read."""
+
+    @pytest.mark.parametrize("sequential", [False, True])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_every_accessor_matches_the_public_constructor(self, seed, sequential):
+        dag = generated(seed, sequential)
+        assert snapshot(dag) == snapshot(public_twin(generated(seed, sequential)))
+
+    @pytest.mark.parametrize("sequential", [False, True])
+    def test_carried_volume_and_longest_path_equal_the_computed_ones(self, sequential):
+        for seed in range(40):
+            dag = generated(seed, sequential)
+            carried = dag.__dict__["volume"], dag.__dict__["_longest_path"]
+            twin = public_twin(dag)
+            assert type(carried[0]) is int and carried[0] == twin.volume
+            assert float.hex(carried[1]) == float.hex(longest_path_length(twin))
+
+    def test_past_the_exactness_gate_the_dag_computes_its_own(self):
+        profile = DagProfile(wcet_min=2**52, wcet_max=2**53)
+        dag = generated(3, profile=profile)
+        assert "volume" not in dag.__dict__
+        assert "_longest_path" not in dag.__dict__
+        twin = public_twin(dag)
+        assert dag.volume == twin.volume
+        assert float.hex(longest_path_length(dag)) == float.hex(
+            longest_path_length(twin))
+
+    def test_size_volume_and_longest_path_build_no_node(self, monkeypatch):
+        dag = generated(5)
+        monkeypatch.setattr(dag_module, "Node", no_node)
+        task = DAGTask("t", dag, period=10 * dag.volume)
+        assert (task.q, task.n_nodes) == (len(dag) - 1, len(dag))
+        assert task.largest_nprs(3) == sorted(dag.node_wcets, reverse=True)[:3]
+        assert task.npr_wcets() == list(dag.node_wcets)
+        assert task.volume == dag.volume and task.longest_path > 0
+        assert pickle.loads(pickle.dumps(dag)).node_names == dag.node_names
+
+    def test_fp_ideal_and_lp_max_analyses_build_no_node(self, monkeypatch):
+        from repro.core.analyzer import AnalysisMethod, analyze_taskset_multi
+        from repro.generator import GROUP1, generate_taskset
+
+        monkeypatch.setattr(dag_module, "Node", no_node)
+        methods = (AnalysisMethod.FP_IDEAL, AnalysisMethod.LP_MAX)
+        for index in range(20):
+            taskset = generate_taskset(
+                default_rng(2016, spawn_key=(0, index)), 2.0, GROUP1)
+            analyze_taskset_multi(taskset, 4, methods)
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_pickle_round_trip(self, read_first):
+        dag = generated(7)
+        if read_first:
+            snapshot(dag)
+        clone = pickle.loads(pickle.dumps(dag))
+        assert clone == dag and hash(clone) == hash(dag)
+        assert snapshot(clone) == snapshot(generated(7))
+
+    def test_equality_and_hash_across_constructors(self):
+        dag = generated(9)
+        twin = public_twin(generated(9))
+        assert dag == twin and hash(dag) == hash(twin)
+        assert dag != generated(10)
+
+
+class TestHandBuiltDags:
+    @pytest.mark.parametrize("case", ["diamond", "disconnected"])
+    def test_trusted_arrays_match_the_public_constructor(self, case):
+        nodes, edges = HAND_BUILT[case]
+        public = DAG(nodes, edges)
+        trusted = trusted_twin(public)
+        assert snapshot(trusted) == snapshot(public)
+        assert trusted == public and hash(trusted) == hash(public)
+
+    @pytest.mark.parametrize("case", sorted(HAND_BUILT))
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_pickle_round_trip(self, case, read_first):
+        nodes, edges = HAND_BUILT[case]
+        dag = DAG(nodes, edges)
+        if read_first:
+            snapshot(dag)
+        clone = pickle.loads(pickle.dumps(dag))
+        assert clone == dag and hash(clone) == hash(dag)
+        assert snapshot(clone) == snapshot(DAG(nodes, edges))
+
+    def test_volume_and_longest_path_types(self):
+        ints = DAG(*HAND_BUILT["diamond"])
+        assert (ints.volume, type(ints.volume)) == (10, int)
+        assert (longest_path_length(ints), type(longest_path_length(ints))) == (8.0, float)
+        mixed = DAG(*HAND_BUILT["backward"])
+        assert (mixed.volume, type(mixed.volume)) == (6.5, float)
+
+    @given(shuffled_dags(), st.lists(st.integers(1, 100), min_size=12, max_size=12))
+    def test_forward_arrays_derive_the_public_constructors_structure(self, case, wcets):
+        names, edges = case
+        assume(all(names.index(u) < names.index(v) for u, v in edges))
+        public = DAG(dict(zip(names, wcets)), edges)
+        assert snapshot(trusted_twin(public)) == snapshot(public)
