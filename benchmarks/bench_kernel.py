@@ -1,6 +1,6 @@
-"""Fast-kernel floors: verdict cache, RTA memoisation, LP-ILP table.
+"""Fast-kernel floors: verdict cache, RTA memoisation, LP-ILP table, μ DP.
 
-Three floors keep the analysis kernel honest, and each doubles as a
+Four floors keep the analysis kernel honest, and each doubles as a
 bit-identity check (the optimised paths must change *nothing* but the
 wall-clock):
 
@@ -16,7 +16,10 @@ wall-clock):
 * the LP-ILP knapsack table must compute ``(Δ^16, Δ^15)`` at least 20x
   faster than the scenario path (one assignment per partition of 16
   and of 15) over every ``lp(k)`` of a group-1 corpus, with every term
-  ``float.hex``-identical.
+  ``float.hex``-identical;
+* the μ cotree DP must compute ``μ[2..16]`` of every DAG of that corpus
+  at least 3x faster than the branch-and-bound search it short-cuts,
+  with every entry ``float.hex``-identical.
 
 Each run appends its numbers to ``BENCH_kernel.json`` at the repo root
 — the checked-in benchmark trajectory.  Sizes are tunable via
@@ -33,7 +36,7 @@ import numpy as np
 
 from repro.core.blocking import _knapsack_deltas, _lp_ilp_single
 from repro.core.interference import InterferenceMemo, higher_priority_interference
-from repro.core.workload import mu_array_shared
+from repro.core.workload import _mu_cotree, _mu_search, mu_array
 from repro.engine import SweepEngine, SweepSpec
 from repro.generator.profiles import GROUP1, GROUP2
 from repro.generator.taskset_gen import generate_taskset
@@ -228,19 +231,24 @@ def test_interference_memo_beats_seed_kernel(bench_tasksets, bench_check):
     )
 
 
+def _group1_m16_tasksets():
+    """Figure 2(c)'s shape: group-1 task-sets across the utilisations
+    where LP-ILP runs at m = 16."""
+    return [
+        generate_taskset(np.random.default_rng(SEED + i), 2.0 + i % 8, GROUP1)
+        for i in range(16)
+    ]
+
+
 def test_lp_ilp_table_beats_scenario_path(bench_check):
-    # Figure 2(c)'s shape: group-1 task-sets at m = 16 across the
-    # utilisations where LP-ILP runs. Each lp(k) is one blocking term's
-    # input, its μ arrays computed once up front.
+    # Each lp(k) is one blocking term's input, its μ arrays computed
+    # once up front.
     m = 16
     corpus = []
-    for i in range(16):
-        taskset = generate_taskset(
-            np.random.default_rng(SEED + i), 2.0 + i % 8, GROUP1
-        )
+    for taskset in _group1_m16_tasksets():
         tasks = taskset.tasks
         for k in range(len(tasks) - 1):
-            corpus.append({t.name: mu_array_shared(t, m) for t in tasks[k + 1:]})
+            corpus.append({t.name: mu_array(t, m) for t in tasks[k + 1:]})
 
     def run_table():
         return [_knapsack_deltas(mu.values(), m) for mu in corpus]
@@ -277,4 +285,50 @@ def test_lp_ilp_table_beats_scenario_path(bench_check):
         f"the LP-ILP knapsack table is only {speedup:.1f}x faster than the "
         f"scenario path ({table_seconds:.4f}s vs {scenario_seconds:.4f}s) "
         "at m = 16; the table has regressed"
+    )
+
+
+def test_mu_cotree_beats_search(bench_check):
+    # Every task's μ input in the LP-ILP table's corpus: fork–join and
+    # chain DAGs with integer WCETs, so the DP takes each one.
+    m = 16
+    dags = [task.graph for taskset in _group1_m16_tasksets() for task in taskset.tasks]
+
+    def run_cotree():
+        return [_mu_cotree(dag, m)[2:] for dag in dags]
+
+    def run_search():
+        out = []
+        for dag in dags:
+            search = _mu_search(dag)
+            out.append([search(c) if c <= len(dag) else 0.0 for c in range(2, m + 1)])
+        return out
+
+    assert [[x.hex() for x in row] for row in run_cotree()] == [
+        [x.hex() for x in row] for row in run_search()
+    ]
+
+    # Alternate the two, as for the interference memo: host speed
+    # drifts across back-to-back batches.
+    cotree_seconds = search_seconds = float("inf")
+    for _ in range(5):
+        cotree_seconds = min(cotree_seconds, _best_of(run_cotree, rounds=1))
+        search_seconds = min(search_seconds, _best_of(run_search, rounds=1))
+    speedup = search_seconds / cotree_seconds
+    _record(
+        "mu_cotree",
+        {
+            "m": m,
+            "dags": len(dags),
+            "search_seconds": round(search_seconds, 4),
+            "cotree_seconds": round(cotree_seconds, 4),
+            "speedup": round(speedup, 1),
+            "floor": 3.0,
+        },
+        check=bench_check,
+    )
+    assert speedup >= 3.0, (
+        f"the μ cotree DP is only {speedup:.1f}x faster than the search "
+        f"({cotree_seconds:.4f}s vs {search_seconds:.4f}s) at m = 16; "
+        "the DP has regressed"
     )

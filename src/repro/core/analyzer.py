@@ -17,9 +17,15 @@ engine calls :func:`analyze_taskset_multi` once per work item.
 
 Example
 -------
->>> from repro import analyze_taskset, AnalysisMethod
+The lower-priority tasks of the paper's Figure 1, on ``m = 4`` cores;
+the first suffers the paper's LP-ILP ``Δ⁴ = 19``:
+
+>>> from repro import TaskSet, analyze_taskset, AnalysisMethod
+>>> from repro.experiments.figure1 import figure1_lp_tasks
+>>> taskset = TaskSet(figure1_lp_tasks())
 >>> result = analyze_taskset(taskset, m=4, method=AnalysisMethod.LP_ILP)
->>> result.schedulable, result.responses          # doctest: +SKIP
+>>> result.schedulable, result.tasks[0].delta_m
+(True, 19.0)
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ from repro.core.scenarios import (
     rho_assignment,
     rho_ilp,
 )
-from repro.core.workload import MuMethod, mu_array_shared
+from repro.core.workload import MuMethod, mu_array
 from repro.model.task import DAGTask
 
 RhoSolver = Literal["assignment", "ilp"]
@@ -132,7 +132,7 @@ def lp_ilp_deltas(
                     f"cached mu array of {task.name!r} has {len(mu)} entries, need {m}"
                 )
         else:
-            mu = mu_array_shared(task, m, method=mu_method)
+            mu = mu_array(task, m, method=mu_method)
             if mu_cache is not None:
                 mu_cache[task.name] = mu
         mu_by_task[task.name] = mu

@@ -16,8 +16,10 @@ cost.  For non-integer WCETs the ILP objectives can differ in the last
 bit: the search, like the exhaustive oracle :func:`mu_bruteforce`, sums
 each antichain heaviest first and returns the largest such float.
 
-* ``"search"`` (default) — bitmask branch-and-bound over classes of
-  interchangeable NPRs; fastest, used by the production analysis path;
+* ``"search"`` (default) — max and max-plus merges along the DAG's
+  series–parallel decomposition when its WCETs are integers, else a
+  bitmask branch-and-bound over classes of interchangeable NPRs;
+  fastest, used by the production analysis path;
 * ``"ilp"`` — a clean pairwise-conflict binary ILP
   (``b_j + b_k <= 1`` for every *non*-parallel pair) solved by
   :mod:`repro.ilp`;
@@ -30,12 +32,13 @@ each antichain heaviest first and returns the largest such float.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from functools import partial
 from typing import Literal
 
 from repro.exceptions import AnalysisError
 from repro.graph.parallel import par_sets_oracle, parallel_masks
+from repro.graph.topology import reach_masks
 from repro.ilp import BinaryProgram, solve
 from repro.model.dag import DAG
 from repro.model.task import DAGTask
@@ -77,36 +80,8 @@ def mu_array(
     if method not in _MU_METHODS:
         raise AnalysisError(f"unknown mu method {method!r}; choose from {_MU_METHODS}")
     dag = task.graph if isinstance(task, DAGTask) else task
-    mu = _solver(dag, method)
+    mu = _solver(dag, method, m)
     return [mu(c) for c in range(1, m + 1)]
-
-
-#: Process-level μ memo keyed by DAG *content* (DAG equality/hash ignore
-#: node insertion order), core count and method.  μ is a pure function
-#: of those three, so the memo is exact; it carries μ arrays across
-#: task-sets — e.g. between adjacent utilization points of a sweep job
-#: that regenerate structurally identical DAGs.  Bounded: cleared
-#: wholesale when full (sweep access patterns have no useful LRU order).
-_MU_SHARED: dict[tuple[DAG, int, str], tuple[float, ...]] = {}
-_MU_SHARED_MAX = 1024
-
-
-def mu_array_shared(task: DAGTask | DAG, m: int, method: MuMethod = "search") -> list[float]:
-    """:func:`mu_array` through the process-level content-addressed memo.
-
-    Returns a fresh list on every call (callers may stash it in
-    per-analysis caches); the memo itself stores immutable tuples.
-    """
-    dag = task.graph if isinstance(task, DAGTask) else task
-    key = (dag, m, method)
-    hit = _MU_SHARED.get(key)
-    if hit is not None:
-        return list(hit)
-    values = mu_array(dag, m, method)
-    if len(_MU_SHARED) >= _MU_SHARED_MAX:
-        _MU_SHARED.clear()
-    _MU_SHARED[key] = tuple(values)
-    return values
 
 
 def mu_value(dag: DAG, c: int, method: MuMethod = "search") -> float:
@@ -115,13 +90,18 @@ def mu_value(dag: DAG, c: int, method: MuMethod = "search") -> float:
         raise AnalysisError(f"core count c must be >= 1, got {c}")
     if method not in _MU_METHODS:
         raise AnalysisError(f"unknown mu method {method!r}; choose from {_MU_METHODS}")
-    return _solver(dag, method)(c)
+    return _solver(dag, method, c)(c)
 
 
-def _solver(dag: DAG, method: MuMethod) -> Callable[[int], float]:
-    """``c ↦ μ[c]`` for one DAG; the search builds its tables once."""
+def _solver(dag: DAG, method: MuMethod, m: int) -> Callable[[int], float]:
+    """``c ↦ μ[c]`` for one DAG and ``c <= m``.
+
+    The search takes the cotree DP's table when the DP applies, and
+    otherwise builds its own tables once.
+    """
     if method == "search":
-        solve = _mu_search(dag)
+        table = _mu_cotree(dag, m)
+        solve = table.__getitem__ if table is not None else _mu_search(dag)
     elif method == "ilp":
         solve = partial(_mu_ilp_pairwise, dag)
     else:
@@ -136,6 +116,115 @@ def _solver(dag: DAG, method: MuMethod) -> Callable[[int], float]:
         return solve(c)
 
     return mu
+
+
+# ----------------------------------------------------------------------
+# the search's exact fast path: max and max-plus on the cotree
+# ----------------------------------------------------------------------
+#: Integers below this add exactly in a float.
+_EXACT = 2**53
+
+
+def _mu_cotree(dag: DAG, m: int) -> list[float] | None:
+    """``μ[c]`` at index ``c`` for ``2 <= c <= m``, or None.
+
+    Splits the node set recursively (DESIGN.md, "μ on the cotree"):
+
+    * parts that the *parallel* relation leaves disconnected are in
+      series, so an antichain lies within one part: μ is the entrywise
+      max of the parts';
+    * parts that the *comparability* relation leaves disconnected run
+      in parallel, so an antichain is a union of antichains of the
+      parts: μ is the max-plus merge of the parts'.
+
+    A part split by one relation is connected in it, so its own parts
+    are split by the other.  Returns None, leaving the caller to the
+    search, when a set neither relation splits (the DAG holds an "N")
+    or when the sums may be inexact: every WCET must be an int or an
+    integer-valued float and the volume below 2^53.  Then every sum is
+    an exact integer, and ``float`` of the maximum is the search's
+    float.  Entries past the width are 0.0; entries 0 and 1 are unused.
+    """
+    wcets = dag.node_wcets
+    for wcet in wcets:
+        kind = type(wcet)
+        if kind is float:
+            if not wcet.is_integer():
+                return None
+        elif kind is not int:
+            return None
+    if not dag.volume < _EXACT:
+        return None
+    bits = [1 << i for i in range(len(wcets))]
+    comparable = [below | above for below, above in zip(*reach_masks(dag, bits))]
+    full = (1 << len(wcets)) - 1
+    par = [full ^ mask ^ bit for mask, bit in zip(comparable, bits)]
+    # Top-down, each split set after the set it came from.
+    splits: list[tuple[int, list[int], bool]] = []
+    pending: list[tuple[int, bool | None]] = [(full, None)]
+    while pending:
+        nodes, in_series = pending.pop()
+        if not nodes & (nodes - 1):
+            continue  # one node (or none)
+        if in_series is None:  # the whole DAG: either relation may split it
+            parts = _components(nodes, par)
+            in_series = len(parts) > 1
+            if not in_series:
+                parts = _components(nodes, comparable)
+        else:
+            parts = _components(nodes, par if in_series else comparable)
+        if len(parts) == 1:
+            return None
+        splits.append((nodes, parts, in_series))
+        pending.extend((part, not in_series) for part in parts)
+    # Bottom-up: ``tables[S][c]`` is μ of node set S, for c up to its
+    # width (capped at m), with ``tables[S][0] = 0``.
+    tables: dict[int, list[float]] = {bit: [0, w] for bit, w in zip(bits, wcets)}
+    for nodes, parts, in_series in reversed(splits):
+        if in_series:
+            merged = [0] * max(len(tables[part]) for part in parts)
+            for part in parts:
+                for c, value in enumerate(tables[part]):
+                    if value > merged[c]:
+                        merged[c] = value
+        else:
+            merged = tables[parts[0]]
+            for part in parts[1:]:
+                merged = _max_plus(merged, tables[part], m)
+        tables[nodes] = merged
+    top = tables.get(full, ())
+    return [float(top[c]) if c < len(top) else 0.0 for c in range(m + 1)]
+
+
+def _components(nodes: int, adjacency: Sequence[int]) -> list[int]:
+    """The connected components of ``adjacency`` restricted to ``nodes``."""
+    parts = []
+    rest = nodes
+    while rest:
+        part = frontier = rest & -rest
+        rest ^= part
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            grown = adjacency[low.bit_length() - 1] & rest
+            if grown:
+                rest ^= grown
+                part |= grown
+                frontier |= grown
+        parts.append(part)
+    return parts
+
+
+def _max_plus(a: list[float], b: list[float], m: int) -> list[float]:
+    """``out[c] = max(a[i] + b[c − i])``: μ of two parts in parallel."""
+    size = min(len(a) + len(b) - 1, m + 1)
+    out = a[:size] + [0] * (size - len(a))  # b[0] = 0
+    for j in range(1, len(b)):
+        y = b[j]
+        for i in range(min(len(a), size - j)):
+            if a[i] + y > out[i + j]:
+                out[i + j] = a[i] + y
+    return out
 
 
 # ----------------------------------------------------------------------

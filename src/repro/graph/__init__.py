@@ -21,7 +21,6 @@ from repro.graph.parallel import (
     is_parallel,
     par_sets_oracle,
     parallel_pairs,
-    parallelism_graph,
 )
 from repro.graph.properties import (
     antichains,
@@ -40,7 +39,6 @@ __all__ = [
     "algorithm1_par_sets",
     "par_sets_oracle",
     "parallel_pairs",
-    "parallelism_graph",
     "is_parallel",
     "antichains",
     "is_antichain",

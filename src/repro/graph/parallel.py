@@ -13,9 +13,7 @@ order. This module provides:
   Algorithm 1 (Section V-A1), with an optional correction knob (see
   below);
 * :func:`parallel_pairs` / :func:`is_parallel` — the pair relation
-  ``IsPar`` used by the μ ILP of Section V-A2;
-* :func:`parallelism_graph` — the relation as a :mod:`networkx` graph
-  (parallel nodes are adjacent), in which antichains are cliques.
+  ``IsPar`` used by the μ ILP of Section V-A2.
 
 Fidelity note
 -------------
@@ -32,14 +30,11 @@ reachability, which is sound for any single-source DAG;
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import TYPE_CHECKING, Literal
+from typing import Literal
 
 from repro.exceptions import GraphError
-from repro.graph.topology import ancestors_map, descendants_map
+from repro.graph.topology import ancestors_map, descendants_map, reach_masks
 from repro.model.dag import DAG
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 
 def par_sets_oracle(dag: DAG) -> dict[str, frozenset[str]]:
@@ -62,30 +57,22 @@ def parallel_masks(dag: DAG, names: Sequence[str]) -> list[int]:
 
     Bit ``j`` of entry ``i`` is set iff ``names[j]`` may run in parallel
     with ``names[i]``: the same relation as :func:`par_sets_oracle`,
-    from reachability held as bitsets (one backward topological pass
-    for the descendants, one forward pass for the ancestors).
+    from reachability held as bitsets
+    (:func:`~repro.graph.topology.reach_masks`).
 
     ``names`` may be any subset of the nodes, in any order.  The masks
     are then ``Par(v)`` restricted to that subset: reachability still
     runs through the nodes left out, which only have no bit.
     """
-    bit = dict.fromkeys(dag.node_names, 0)
-    bit.update((name, 1 << i) for i, name in enumerate(names))
-    order = dag.topological_order
-    below: dict[str, int] = {}
-    for name in reversed(order):
-        reach = 0
-        for child in dag.successors(name):
-            reach |= bit[child] | below[child]
-        below[name] = reach
-    above: dict[str, int] = {}
-    for name in order:
-        reach = 0
-        for parent in dag.predecessors(name):
-            reach |= bit[parent] | above[parent]
-        above[name] = reach
+    rank = {name: i for i, name in enumerate(dag.node_names)}
+    bits = [0] * len(rank)
+    for j, name in enumerate(names):
+        bits[rank[name]] = 1 << j
+    below, above = reach_masks(dag, bits)
     everything = (1 << len(names)) - 1
-    return [everything & ~(bit[n] | below[n] | above[n]) for n in names]
+    return [
+        everything & ~(bits[i] | below[i] | above[i]) for i in map(rank.__getitem__, names)
+    ]
 
 
 def algorithm1_par_sets(
@@ -168,26 +155,3 @@ def is_parallel(dag: DAG, u: str, v: str) -> bool:
     dag.node(v)
     succ = descendants_map(dag)
     return v not in succ[u] and u not in succ[v]
-
-
-def parallelism_graph(dag: DAG) -> nx.Graph:
-    """The parallelism relation as an undirected :mod:`networkx` graph.
-
-    Nodes carry a ``wcet`` attribute; an edge joins every pair of NPRs
-    that may execute in parallel. Antichains of the DAG are exactly the
-    cliques of this graph, which is how :mod:`repro.core.workload`
-    searches for the worst-case parallel workload ``μ_i[c]``.
-    """
-    import networkx as nx
-
-    graph = nx.Graph()
-    for node in dag.nodes:
-        graph.add_node(node.name, wcet=node.wcet)
-    par = par_sets_oracle(dag)
-    for v, others in par.items():
-        for w in others:
-            if v < w:
-                graph.add_edge(v, w)
-            else:
-                graph.add_edge(w, v)
-    return graph

@@ -8,6 +8,8 @@ of nodes *reachable* from ``v`` (not just direct successors), and
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.model.dag import DAG
 
 
@@ -52,6 +54,36 @@ def descendants_map(dag: DAG) -> dict[str, frozenset[str]]:
             acc |= succ[child]
         succ[name] = frozenset(acc)
     return succ
+
+
+def reach_masks(dag: DAG, bits: Sequence[int]) -> tuple[list[int], list[int]]:
+    """``SUCC(v)`` and ``PRED(v)`` of every node as bitmasks.
+
+    Entry ``i`` of each list belongs to node ``i`` in insertion order,
+    and ``bits[j]`` is node ``j``'s bit in the masks (0 leaves it out;
+    reachability still runs through it).  One backward and one forward
+    pass over a topological order, on index edges, so no ``Node`` is
+    built.
+    """
+    order, links = dag._index_edges()
+    children: list[list[int]] = [[] for _ in bits]
+    parents: list[list[int]] = [[] for _ in bits]
+    for u, v in links:
+        children[u].append(v)
+        parents[v].append(u)
+    below = [0] * len(bits)
+    for u in reversed(order):
+        reach = 0
+        for v in children[u]:
+            reach |= bits[v] | below[v]
+        below[u] = reach
+    above = [0] * len(bits)
+    for v in order:
+        reach = 0
+        for u in parents[v]:
+            reach |= bits[u] | above[u]
+        above[v] = reach
+    return below, above
 
 
 def ancestors_map(dag: DAG) -> dict[str, frozenset[str]]:

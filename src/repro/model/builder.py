@@ -13,7 +13,7 @@ fixtures) read close to their figure:
 ...     .build()
 ... )
 >>> dag.volume
-7.0
+7
 """
 
 from __future__ import annotations

@@ -187,6 +187,19 @@ class DAG:
             self._derive()
         return self._succ, self._pred
 
+    def _index_edges(self) -> tuple[Sequence[int], Sequence[tuple[int, int]]]:
+        """A topological order and the edges, as insertion indices.
+
+        Builds no ``Node``: a trusted DAG has its forward links, and its
+        insertion order is topological; a public one maps its names.
+        """
+        if self._links is not None:
+            return range(len(self._names)), self._links
+        rank = {name: i for i, name in enumerate(self._names)}
+        return [rank[name] for name in self._order], [
+            (rank[u], rank[v]) for u, v in self._edges
+        ]
+
     # ------------------------------------------------------------------
     # basic accessors
     # ------------------------------------------------------------------
@@ -321,6 +334,14 @@ class DAG:
             cached = hash((tuple(sorted(self.wcets().items())), frozenset(self.edges)))
             self.__dict__["_hash"] = cached
         return cached
+
+    def __getstate__(self) -> tuple[dict | None, dict]:
+        # A string hash depends on the process's hash seed, so the cached
+        # hash stays behind; the volume and longest-path memos travel.
+        memos, slots = super().__getstate__()
+        if memos:
+            memos = {key: value for key, value in memos.items() if key != "_hash"}
+        return memos, slots
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DAG(|V|={len(self)}, |E|={len(self.edges)}, vol={self.volume:g})"

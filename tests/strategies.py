@@ -208,3 +208,54 @@ def mu_tables(
         arr = [float(v) for v in drawn] + [0.0] * (m - cut)
         table[f"t{i}"] = arr
     return table
+
+
+@st.composite
+def series_parallel_dags(
+    draw,
+    max_leaves: int = 12,
+    max_wcet: int = 30,
+    shuffled: bool = False,
+) -> DAG:
+    """Random vertex series–parallel DAGs, the shape of every fork–join graph.
+
+    A drawn tree of series and parallel compositions over single nodes;
+    a series composition joins each part's sinks to the next part's
+    sources.  Nodes are numbered part by part, so every edge points
+    forward and the DAG comes from ``DAG._trusted``.  With
+    ``shuffled=True`` it goes through the public constructor instead,
+    its nodes and edges in a drawn order, so some edges point backward
+    in insertion order.  WCETs are ints or integer-valued floats.
+    """
+    tree = draw(st.recursive(
+        st.none(),
+        lambda parts: st.tuples(st.booleans(), st.lists(parts, min_size=2, max_size=4)),
+        max_leaves=max_leaves,
+    ))
+    links: list[tuple[int, int]] = []
+    count = 0
+
+    def compose(part) -> tuple[list[int], list[int]]:
+        """Number ``part``'s nodes; return its sources and sinks."""
+        nonlocal count
+        if part is None:
+            count += 1
+            return [count - 1], [count - 1]
+        in_series, parts = part
+        ends = [compose(p) for p in parts]
+        if not in_series:
+            return [s for e in ends for s in e[0]], [t for e in ends for t in e[1]]
+        for (_, sinks), (sources, _) in zip(ends, ends[1:]):
+            links.extend((u, v) for u in sinks for v in sources)
+        return ends[0][0], ends[-1][1]
+
+    compose(tree)
+    weight = st.integers(1, max_wcet)
+    wcets = draw(st.lists(st.one_of(weight, weight.map(float)),
+                          min_size=count, max_size=count))
+    names = [f"v{i}" for i in range(count)]
+    if not shuffled:
+        return DAG._trusted(names, wcets, links)
+    order = draw(st.permutations(range(count)))
+    edges = draw(st.permutations([(names[u], names[v]) for u, v in links]))
+    return DAG([Node(names[i], wcets[i]) for i in order], edges)

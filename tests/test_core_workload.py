@@ -1,11 +1,16 @@
 """Unit tests for :mod:`repro.core.workload` (μ_i[c], paper Table I)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.workload import mu_array, mu_bruteforce, mu_value
+from repro.core.workload import _mu_cotree, _mu_search, mu_array, mu_bruteforce, mu_value
 from repro.exceptions import AnalysisError
 from repro.experiments.figure1 import TABLE1_EXPECTED
-from repro.model import DagBuilder
+from repro.model import DAG, DagBuilder
+from repro.model.transforms import split_all_nodes
+
+from tests.strategies import series_parallel_dags
 
 ALL_METHODS = ("search", "ilp", "ilp-paper")
 
@@ -105,3 +110,72 @@ class TestMuSemantics:
         )
         assert mu_value(dag, 3).hex() == (3.1000000000000005).hex()
         assert mu_bruteforce(dag, 3).hex() == (3.1000000000000005).hex()
+
+
+def typed_hex(values):
+    return [(type(x), float(x).hex()) for x in values]
+
+
+class TestMuCotree:
+    """The cotree DP returns the search's μ, by type and ``float.hex``,
+    and leaves every DAG it cannot split exactly to the search."""
+
+    @staticmethod
+    def assert_dp_is_exact(dag, m):
+        table = _mu_cotree(dag, m)
+        assert table is not None  # series–parallel: the DP always splits
+        search = _mu_search(dag)
+        for c in range(2, m + 1):
+            searched = search(c) if c <= len(dag) else 0.0
+            assert typed_hex([table[c]]) == typed_hex([searched])
+            assert typed_hex([table[c]]) == typed_hex([mu_bruteforce(dag, c)])
+        assert typed_hex(mu_array(dag, m)) == typed_hex([max(dag.node_wcets), *table[2:]])
+        assert [mu_value(dag, c) for c in range(1, m + 1)] == mu_array(dag, m)
+
+    @given(series_parallel_dags(), st.integers(1, 8))
+    @settings(max_examples=150, deadline=None)
+    def test_trusted_dags(self, dag, m):
+        self.assert_dp_is_exact(dag, m)
+
+    @given(series_parallel_dags(shuffled=True), st.integers(1, 8))
+    @settings(max_examples=150, deadline=None)
+    def test_public_dags_with_backward_edges(self, dag, m):
+        self.assert_dp_is_exact(dag, m)
+
+    def test_table1_comes_from_the_dp(self, fig1_tasks):
+        for task in fig1_tasks:
+            assert _mu_cotree(task.graph, 4) is not None
+            assert mu_array(task, 4) == TABLE1_EXPECTED[task.name]
+
+    def test_just_below_the_exactness_gate(self):
+        dag = DAG({"a": 2**52, "b": 2**52 - 1})
+        assert _mu_cotree(dag, 2)[2] == mu_bruteforce(dag, 2) == 2.0**53 - 1
+
+    # a->c, b->c, b->d: neither relation splits {a, b, c, d}.
+    N_EDGES = [("a", "c"), ("b", "c"), ("b", "d")]
+
+    @pytest.mark.parametrize(
+        "nodes, edges",
+        [
+            pytest.param({"a": 4, "b": 3, "c": 2, "d": 1}, N_EDGES, id="N"),
+            pytest.param({"a": 4, "b": 3, "c": 2, "d": 1, "e": 5}, N_EDGES, id="N-beside-a-node"),
+            pytest.param({"s": 1, "a": 0.7, "b": 1.1, "c": 1.3, "t": 0.1},
+                         [("s", "a"), ("s", "b"), ("s", "c"), ("a", "t"), ("b", "t"), ("c", "t")],
+                         id="tenths"),
+            pytest.param({"a": 1 / 3, "b": 2 / 3, "c": 4 / 3}, [("a", "c")], id="thirds"),
+            pytest.param({"a": 2**52, "b": 2**52}, [], id="volume-2^53"),
+        ],
+    )
+    def test_what_the_dp_cannot_split_exactly_takes_the_search(self, nodes, edges):
+        dag = DAG(nodes, edges)
+        assert _mu_cotree(dag, 4) is None
+        expected = [max(dag.node_wcets)] + [mu_bruteforce(dag, c) for c in range(2, 5)]
+        assert typed_hex(mu_array(dag, 4)) == typed_hex(expected)
+
+    def test_split_wcets_take_the_search(self):
+        dag = DAG({"s": 10, "a": 7, "b": 5, "t": 2}, [("s", "a"), ("s", "b"), ("a", "t"), ("b", "t")])
+        split = split_all_nodes(dag, 4.0)  # 10 -> 3 x 10/3, 7 -> 2 x 3.5, 5 -> 2 x 2.5
+        assert _mu_cotree(dag, 4) is not None
+        assert _mu_cotree(split, 4) is None
+        expected = [max(split.node_wcets)] + [mu_bruteforce(split, c) for c in range(2, 5)]
+        assert typed_hex(mu_array(split, 4)) == typed_hex(expected)

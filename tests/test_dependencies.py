@@ -46,9 +46,9 @@ def declared_dependencies() -> set[str]:
 
 def test_scan_sees_the_known_imports():
     found = third_party_imports()
-    assert "networkx" in found
-    # SciPy and numpy are test oracles only; the runtime solves ρ and
-    # draws its task-sets in-repo.
+    # networkx, SciPy and numpy are test oracles only; the runtime
+    # computes the poset width, solves ρ and draws its task-sets in-repo.
+    assert "networkx" not in found
     assert "scipy" not in found
     assert "numpy" not in found
 

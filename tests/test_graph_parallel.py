@@ -8,7 +8,6 @@ from repro.graph import (
     is_parallel,
     par_sets_oracle,
     parallel_pairs,
-    parallelism_graph,
 )
 from repro.model import DagBuilder
 
@@ -96,17 +95,3 @@ class TestPairsAndGraph:
     def test_is_parallel_validates(self, diamond):
         with pytest.raises(GraphError, match="identical"):
             is_parallel(diamond, "a", "a")
-
-    def test_parallelism_graph_structure(self, fig1_tau3):
-        graph = parallelism_graph(fig1_tau3)
-        assert set(graph.nodes) == set(fig1_tau3.node_names)
-        # The fan-out leaves form a clique; the source is isolated.
-        leaves = ["v3,2", "v3,3", "v3,4", "v3,5"]
-        for i, u in enumerate(leaves):
-            for v in leaves[i + 1 :]:
-                assert graph.has_edge(u, v)
-        assert graph.degree("v3,1") == 0
-
-    def test_parallelism_graph_weights(self, diamond):
-        graph = parallelism_graph(diamond)
-        assert graph.nodes["b"]["wcet"] == 3

@@ -1,6 +1,10 @@
 """Unit tests for :mod:`repro.model.dag`."""
 
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given
@@ -366,3 +370,58 @@ class TestHandBuiltDags:
         assume(all(names.index(u) < names.index(v) for u, v in edges))
         public = DAG(dict(zip(names, wcets)), edges)
         assert snapshot(trusted_twin(public)) == snapshot(public)
+
+
+class TestPickleAcrossHashSeeds:
+    """A DAG pickled in one process hashes as an equal DAG does in the
+    process that loads it, whatever either process's hash seed."""
+
+    #: Builds the DAGs, a hand-built and a generated one, with a task
+    #: around each; ``DUMP`` pickles them hashed, ``LOAD`` compares.
+    BUILD = (
+        "import pickle, sys\n"
+        "from repro.generator.dag_gen import random_dag\n"
+        "from repro.model import DAG, DAGTask\n"
+        "from repro.rng import default_rng\n"
+        "dags = [DAG({'s': 1, 'a': 2, 'b': 3, 't': 4},\n"
+        "            [('s', 'a'), ('s', 'b'), ('a', 't'), ('b', 't')]),\n"
+        "        random_dag(default_rng(7))]\n"
+        "tasks = [DAGTask(f't{i}', d, period=10 * d.volume) for i, d in enumerate(dags)]\n"
+    )
+    DUMP = BUILD + (
+        "[hash(x) for x in dags + tasks]\n"
+        "with open(sys.argv[1], 'wb') as f:\n"
+        "    pickle.dump((dags, tasks), f)\n"
+    )
+    LOAD = BUILD + (
+        "with open(sys.argv[1], 'rb') as f:\n"
+        "    loaded_dags, loaded_tasks = pickle.load(f)\n"
+        "for loaded, fresh in zip(loaded_dags, dags):\n"
+        "    assert loaded == fresh\n"
+        "    assert hash(loaded) == hash(fresh), 'hash'\n"
+        "    assert loaded in {fresh}, 'set membership'\n"
+        "    assert loaded.__dict__['volume'] == fresh.volume\n"
+        "assert set(loaded_tasks) == set(tasks), 'task set'\n"
+        "assert all(t in set(tasks) for t in loaded_tasks), 'task membership'\n"
+    )
+
+    def run(self, code, seed, path):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=str(seed))
+        done = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
+    @pytest.mark.parametrize("dump_seed, load_seed", [(7, 123), (123, 7)])
+    def test_hash_and_sets_follow_the_loading_process(self, tmp_path, dump_seed, load_seed):
+        path = tmp_path / "dags.pickle"
+        self.run(self.DUMP, dump_seed, path)
+        self.run(self.LOAD, load_seed, path)
+
+    def test_pickle_keeps_the_memos_but_not_the_hash(self):
+        dag = generated(11)
+        hash(dag)
+        state = pickle.loads(pickle.dumps(dag)).__dict__
+        assert "_hash" not in state
+        assert state["volume"] == dag.volume
+        assert state["_longest_path"] == longest_path_length(dag)

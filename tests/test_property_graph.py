@@ -1,5 +1,6 @@
 """Property-based tests on graph algorithms (hypothesis)."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -78,3 +79,18 @@ class TestParallelismProperties:
     def test_all_enumerated_antichains_pass_is_antichain(self, dag):
         for chain in antichains(dag, max_size=3):
             assert is_antichain(dag, chain)
+
+    @given(random_dags(max_nodes=16, edge_probability=0.2))
+    def test_width_equals_networkx_dilworth(self, dag):
+        """networkx, a test oracle only, matches the comparability graph
+        by Hopcroft–Karp; the width is |V| minus the matching."""
+        nx = pytest.importorskip("networkx")
+        succ = descendants_map(dag)
+        bipartite = nx.Graph()
+        left = [("L", name) for name in dag.node_names]
+        bipartite.add_nodes_from(left)
+        bipartite.add_nodes_from(("R", name) for name in dag.node_names)
+        bipartite.add_edges_from(
+            (("L", u), ("R", v)) for u in dag.node_names for v in succ[u])
+        matching = nx.bipartite.maximum_matching(bipartite, top_nodes=left)
+        assert max_parallelism(dag) == len(dag) - len(matching) // 2
