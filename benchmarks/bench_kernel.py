@@ -1,6 +1,7 @@
-"""Fast-kernel floors: verdict cache, RTA memoisation, LP-ILP table, μ DP.
+"""Fast-kernel floors: verdict cache, RTA memoisation, LP-ILP table, μ DP,
+trusted split.
 
-Four floors keep the analysis kernel honest, and each doubles as a
+Five floors keep the analysis kernel honest, and each doubles as a
 bit-identity check (the optimised paths must change *nothing* but the
 wall-clock):
 
@@ -19,7 +20,11 @@ wall-clock):
   ``float.hex``-identical;
 * the μ cotree DP must compute ``μ[2..16]`` of every DAG of that corpus
   at least 3x faster than the branch-and-bound search it short-cuts,
-  with every entry ``float.hex``-identical.
+  with every entry ``float.hex``-identical;
+* ``split_all_nodes`` plus the longest path must be at least 2x faster
+  than building the same DAGs through the public constructor plus the
+  longest-path pass, on the ``splitsweep-m4`` corpus at four NPR caps,
+  with every DAG ``==`` and every L ``float.hex``-identical.
 
 Each run appends its numbers to ``BENCH_kernel.json`` at the repo root
 — the checked-in benchmark trajectory.  Sizes are tunable via
@@ -331,4 +336,64 @@ def test_mu_cotree_beats_search(bench_check):
         f"the μ cotree DP is only {speedup:.1f}x faster than the search "
         f"({cotree_seconds:.4f}s vs {search_seconds:.4f}s) at m = 16; "
         "the DP has regressed"
+    )
+
+
+def test_trusted_split_beats_public_constructor(bench_check):
+    # The splitsweep-m4 corpus (seed 2016, 20 group-1 sets at U = 1.75),
+    # split at four NPR caps: the trusted split with its carried L
+    # against building the same DAGs through the public constructor and
+    # running the longest-path pass.
+    from repro.graph.paths import longest_path_length
+    from repro.model.dag import DAG
+    from repro.model.transforms import split_all_nodes
+    from repro.rng import default_rng
+
+    rng = default_rng(SEED)
+    dags = [task.graph for _ in range(20) for task in generate_taskset(rng, 1.75, GROUP1)]
+    cases = [(dag, cap) for dag in dags for cap in (50.0, 25.0, 10.0, 5.0)]
+
+    def run_split():
+        out = []
+        for dag, cap in cases:
+            split = split_all_nodes(dag, cap)
+            out.append((split, longest_path_length(split)))
+        return out
+
+    inputs = [
+        (dict(zip(split.node_names, split.node_wcets)), split.edges)
+        for split, _ in run_split()
+    ]
+
+    def run_public():
+        out = []
+        for nodes, edges in inputs:
+            dag = DAG(nodes, edges)
+            out.append((dag, longest_path_length(dag)))
+        return out
+
+    split, public = run_split(), run_public()
+    assert [dag for dag, _ in split] == [dag for dag, _ in public]
+    assert [length.hex() for _, length in split] == [length.hex() for _, length in public]
+
+    split_seconds = public_seconds = float("inf")
+    for _ in range(5):
+        split_seconds = min(split_seconds, _best_of(run_split, rounds=1))
+        public_seconds = min(public_seconds, _best_of(run_public, rounds=1))
+    speedup = public_seconds / split_seconds
+    _record(
+        "trusted_split",
+        {
+            "dags": len(cases),
+            "public_seconds": round(public_seconds, 4),
+            "split_seconds": round(split_seconds, 4),
+            "speedup": round(speedup, 1),
+            "floor": 2.0,
+        },
+        check=bench_check,
+    )
+    assert speedup >= 2.0, (
+        f"splitting is only {speedup:.1f}x faster than the public constructor "
+        f"({split_seconds:.4f}s vs {public_seconds:.4f}s); the trusted split "
+        "path has regressed"
     )

@@ -77,8 +77,6 @@ def mu_array(
     """
     if m < 1:
         raise AnalysisError(f"core count m must be >= 1, got {m}")
-    if method not in _MU_METHODS:
-        raise AnalysisError(f"unknown mu method {method!r}; choose from {_MU_METHODS}")
     dag = task.graph if isinstance(task, DAGTask) else task
     mu = _solver(dag, method, m)
     return [mu(c) for c in range(1, m + 1)]
@@ -88,8 +86,6 @@ def mu_value(dag: DAG, c: int, method: MuMethod = "search") -> float:
     """``μ[c]`` for a single core count ``c`` (0 when unattainable)."""
     if c < 1:
         raise AnalysisError(f"core count c must be >= 1, got {c}")
-    if method not in _MU_METHODS:
-        raise AnalysisError(f"unknown mu method {method!r}; choose from {_MU_METHODS}")
     return _solver(dag, method, c)(c)
 
 
@@ -99,6 +95,8 @@ def _solver(dag: DAG, method: MuMethod, m: int) -> Callable[[int], float]:
     The search takes the cotree DP's table when the DP applies, and
     otherwise builds its own tables once.
     """
+    if method not in _MU_METHODS:
+        raise AnalysisError(f"unknown mu method {method!r}; choose from {_MU_METHODS}")
     if method == "search":
         table = _mu_cotree(dag, m)
         solve = table.__getitem__ if table is not None else _mu_search(dag)
@@ -253,14 +251,16 @@ def _mu_search(dag: DAG) -> Callable[[int], float]:
     sum over all ``c``-antichains of the full DAG (DESIGN.md, "μ over
     classes of interchangeable NPRs").
     """
-    order = sorted(dag.node_names, key=lambda n: (-dag.wcet(n), n))
-    heaviest: dict[int, str] = {}
-    for name, par in zip(order, parallel_masks(dag, order)):
-        heaviest.setdefault(par, name)
-    names = list(heaviest.values())
-    weights = [dag.wcet(name) for name in names]
-    masks = parallel_masks(dag, names)
-    n = len(names)
+    names, wcets = dag.node_names, dag.node_wcets
+    order = sorted(range(len(names)), key=lambda i: (-wcets[i], names[i]))
+    heaviest: dict[int, int] = {}  # Par over ``order`` -> first position
+    for position, par in enumerate(parallel_masks(dag, order)):
+        heaviest.setdefault(par, position)
+    positions = list(heaviest.values())
+    weights = [wcets[order[p]] for p in positions]
+    # Par restricted to the classes: bit ``j`` for the ``j``-th class.
+    masks = [sum(1 << j for j, p in enumerate(positions) if par >> p & 1) for par in heaviest]
+    n = len(positions)
 
     def optimistic(start: int, candidates: int, need: int, weight: float) -> float:
         bits = candidates >> start

@@ -7,8 +7,8 @@ order. This module provides:
 * :func:`par_sets_oracle` — the reachability-based definition, computed
   from the transitive closure (always correct);
 * :func:`parallel_masks` — the same sets as integer bitmasks over any
-  subset of the nodes, from bitset reachability (what the μ search
-  consumes);
+  subset of the nodes, given by index, from bitset reachability (what
+  the μ search consumes);
 * :func:`algorithm1_par_sets` — a faithful transcription of the paper's
   Algorithm 1 (Section V-A1), with an optional correction knob (see
   below);
@@ -52,27 +52,25 @@ def par_sets_oracle(dag: DAG) -> dict[str, frozenset[str]]:
     }
 
 
-def parallel_masks(dag: DAG, names: Sequence[str]) -> list[int]:
-    """``Par(v)`` of each node of ``names`` as a bitmask over ``names``.
+def parallel_masks(dag: DAG, nodes: Sequence[int]) -> list[int]:
+    """``Par(v)`` of each node of ``nodes`` as a bitmask over ``nodes``.
 
-    Bit ``j`` of entry ``i`` is set iff ``names[j]`` may run in parallel
-    with ``names[i]``: the same relation as :func:`par_sets_oracle`,
-    from reachability held as bitsets
-    (:func:`~repro.graph.topology.reach_masks`).
+    ``nodes`` holds insertion indices.  Bit ``j`` of entry ``i`` is set
+    iff node ``nodes[j]`` may run in parallel with node ``nodes[i]``:
+    the same relation as :func:`par_sets_oracle`, from reachability
+    held as bitsets (:func:`~repro.graph.topology.reach_masks`), so no
+    ``Node`` is built.
 
-    ``names`` may be any subset of the nodes, in any order.  The masks
+    ``nodes`` may be any subset of the nodes, in any order.  The masks
     are then ``Par(v)`` restricted to that subset: reachability still
     runs through the nodes left out, which only have no bit.
     """
-    rank = {name: i for i, name in enumerate(dag.node_names)}
-    bits = [0] * len(rank)
-    for j, name in enumerate(names):
-        bits[rank[name]] = 1 << j
+    bits = [0] * len(dag)
+    for j, i in enumerate(nodes):
+        bits[i] = 1 << j
     below, above = reach_masks(dag, bits)
-    everything = (1 << len(names)) - 1
-    return [
-        everything & ~(bits[i] | below[i] | above[i]) for i in map(rank.__getitem__, names)
-    ]
+    everything = (1 << len(nodes)) - 1
+    return [everything & ~(bits[i] | below[i] | above[i]) for i in nodes]
 
 
 def algorithm1_par_sets(

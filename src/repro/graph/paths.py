@@ -8,6 +8,8 @@ many cores; ``vol(G_k)`` the makespan on one core.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.model.dag import DAG
 
 
@@ -23,26 +25,14 @@ def longest_path_length(dag: DAG) -> float:
     ``dist(v) = C(v) + max(dist(p) for p in pred(v), default 0)``.
     A single node's longest path is its own WCET. The result is
     memoised on the DAG instance (DAGs are immutable); the generator
-    seeds the memo with the value it carries out of its construction
-    (:meth:`repro.model.dag.DAG._trusted`), so a generated DAG never
-    runs the pass.
+    and the NPR split seed the memo with the value they carry out of
+    their construction (:meth:`repro.model.dag.DAG._trusted`), so a
+    generated or forward split DAG never runs the pass.
     """
     cached = dag.__dict__.get("_longest_path")
-    if cached is not None:
-        return cached
-    # Runs once per DAG: read the adjacency directly, not through the
-    # checked per-node accessors.
-    pred = dag._adjacency()[1]
-    wcet = dag.wcets()
-    dist: dict[str, float] = {}
-    best = 0.0
-    for name in dag.topological_order:
-        length = max([dist[p] for p in pred[name]], default=0.0) + wcet[name]
-        dist[name] = length
-        if length > best:
-            best = length
-    dag.__dict__["_longest_path"] = best
-    return best
+    if cached is None:
+        cached = dag.__dict__["_longest_path"] = max(_distances(dag)[1], default=0.0)
+    return cached
 
 
 def longest_path_nodes(dag: DAG) -> tuple[str, ...]:
@@ -51,23 +41,32 @@ def longest_path_nodes(dag: DAG) -> tuple[str, ...]:
     Useful for reporting which chain is critical; the *length* of the
     returned chain always equals :func:`longest_path_length`.
     """
-    dist: dict[str, float] = {}
-    back: dict[str, str | None] = {}
-    for name in dag.topological_order:
-        best_pred: str | None = None
-        best_dist = 0.0
-        for p in dag.predecessors(name):
-            if dist[p] > best_dist:
-                best_dist = dist[p]
-                best_pred = p
-        dist[name] = best_dist + dag.wcet(name)
-        back[name] = best_pred
-    if not dist:
-        return ()
-    end = max(dist, key=lambda n: (dist[n], -dag.topological_order.index(n)))
+    order, dist, back = _distances(dag)
     chain: list[str] = []
-    cursor: str | None = end
-    while cursor is not None:
-        chain.append(cursor)
+    # The first node of greatest ``dist`` in topological order.
+    cursor = max(order, key=dist.__getitem__, default=-1)
+    while cursor >= 0:
+        chain.append(dag.node_names[cursor])
         cursor = back[cursor]
     return tuple(reversed(chain))
+
+
+def _distances(dag: DAG) -> tuple[Sequence[int], list[float], list[int]]:
+    """A topological order, and ``dist(v)`` and the first predecessor
+    attaining its max (−1 for none) by node index.
+
+    Reads index edges and the WCET tuple, so no ``Node`` is built.
+    """
+    order, links = dag._index_edges()
+    wcets = dag.node_wcets
+    parents: list[list[int]] = [[] for _ in wcets]
+    for u, v in links:
+        parents[v].append(u)
+    dist = [0.0] * len(wcets)
+    back = [-1] * len(wcets)
+    for v in order:
+        for u in parents[v]:
+            if dist[u] > dist[v]:
+                dist[v], back[v] = dist[u], u
+        dist[v] += wcets[v]
+    return order, dist, back

@@ -9,12 +9,12 @@ A DAG keeps its node names and WCETs in insertion order and its
 topological order.  The public constructor checks its input and keeps
 the structure it builds on the way: the :class:`Node` objects, the
 edges by name and the name-keyed successor and predecessor maps.  The
-generator's trusted constructor (:meth:`DAG._trusted`) checks nothing
-and keeps the edges as forward ``(source, destination)`` index pairs;
-the rest is derived from them in one pass, on the first read of any of
-it.  So a generated DAG that is only asked for its size, volume and
-longest path never builds a ``Node`` (DESIGN.md, "Generation builds
-only what is read").
+trusted constructor (:meth:`DAG._trusted`) of the generator and the NPR
+split checks nothing and keeps the edges as forward ``(source,
+destination)`` index pairs; the rest is derived from them in one pass,
+on the first read of any of it.  So a generated or split DAG that is
+only asked for its size, WCETs, volume, longest path and μ never builds
+a ``Node`` (DESIGN.md, "Generation builds only what is read").
 
 The topological order is the insertion order when every edge points
 forward in it (as in every generated DAG), and otherwise comes from the
@@ -142,12 +142,13 @@ class DAG:
     ) -> DAG:
         """A DAG from arrays its caller guarantees valid; nothing is checked.
 
-        For the generator, whose construction guarantees the invariants
-        the public constructor would check: ``names`` are unique
-        non-empty strings, ``wcets`` are positive, and ``links`` are
-        distinct ``(u, v)`` index pairs with ``u < v`` (so no self-loop,
-        no cycle, and the insertion order is topological).  ``volume``
-        and ``longest_path``, when given, seed the memos of
+        For the generator and the NPR split of a forward DAG
+        (:mod:`repro.model.transforms`), whose construction guarantees
+        the invariants the public constructor would check: ``names``
+        are unique non-empty strings, ``wcets`` are positive, and
+        ``links`` are distinct ``(u, v)`` index pairs with ``u < v`` (so
+        no self-loop, no cycle, and the insertion order is topological).
+        ``volume`` and ``longest_path``, when given, seed the memos of
         :attr:`volume` and :func:`~repro.graph.paths.longest_path_length`;
         they must equal what those compute, value and type.
         """

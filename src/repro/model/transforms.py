@@ -16,11 +16,10 @@ Pure functions returning new objects (tasks/DAGs are immutable):
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Sequence
 
 from repro.exceptions import ModelError
 from repro.model.dag import DAG
-from repro.model.node import Node
 from repro.model.task import DAGTask
 from repro.model.taskset import TaskSet
 
@@ -56,10 +55,9 @@ def scale_wcets(taskset: TaskSet, factor: float) -> TaskSet:
         raise ModelError(f"scale factor must be > 0, got {factor}")
     scaled_tasks = []
     for task in taskset:
-        dag = DAG(
-            [Node(node.name, node.wcet * factor) for node in task.graph.nodes],
-            task.graph.edges,
-        )
+        graph = task.graph
+        wcets = {n: w * factor for n, w in zip(graph.node_names, graph.node_wcets)}
+        dag = DAG(wcets, graph.edges)
         scaled_tasks.append(
             DAGTask(task.name, dag, task.period, task.deadline, task.priority)
         )
@@ -87,21 +85,21 @@ def split_node(dag: DAG, name: str, parts: int, overhead: float = 0.0) -> DAG:
         Number of sub-NPRs (≥ 1; 1 returns an equivalent graph with the
         node renamed ``{name}#0``).
     overhead:
-        WCET inflation per inserted preemption point (≥ 0); the split
-        node's total WCET becomes ``C + (parts − 1) · overhead``.
+        WCET inflation per inserted preemption point (finite, ≥ 0); the
+        split node's total WCET becomes ``C + (parts − 1) · overhead``.
 
     Raises
     ------
     ModelError
-        On unknown nodes, ``parts < 1``, ``overhead < 0``, or a name
-        collision with the generated sub-node names.
+        On ``parts < 1``, a negative or non-finite ``overhead``, unknown
+        nodes, or a name collision with the generated sub-node names.
     """
     if parts < 1:
         raise ModelError(f"parts must be >= 1, got {parts}")
-    if overhead < 0:
-        raise ModelError(f"overhead must be >= 0, got {overhead}")
-    dag.node(name)
-    return _split(dag, lambda node: parts if node.name == name else 0, overhead)
+    _check_overhead(overhead)
+    if name not in dag.node_names:
+        raise ModelError(f"unknown node {name!r}")
+    return _split(dag, [parts if node == name else 0 for node in dag.node_names], overhead)
 
 
 def split_all_nodes(dag: DAG, max_wcet: float, overhead: float = 0.0) -> DAG:
@@ -119,63 +117,86 @@ def split_all_nodes(dag: DAG, max_wcet: float, overhead: float = 0.0) -> DAG:
     Raises
     ------
     ModelError
-        If ``max_wcet <= 0``, or ``overhead < 0`` while some node is
-        heavy, or a sub-node name collides as in :func:`split_node`.
+        If ``max_wcet`` is not ``> 0`` (NaN included), or ``overhead`` is
+        negative or non-finite while some node is heavy, or a sub-node
+        name collides as in :func:`split_node`.
     """
-    if max_wcet <= 0:
+    if not max_wcet > 0:
         raise ModelError(f"max_wcet must be > 0, got {max_wcet}")
     return _split(
         dag,
-        lambda node: math.ceil(node.wcet / max_wcet) if node.wcet > max_wcet else 0,
+        [math.ceil(wcet / max_wcet) if wcet > max_wcet else 0 for wcet in dag.node_wcets],
         overhead,
     )
 
 
-def _split(dag: DAG, parts_of: Callable[[Node], int], overhead: float) -> DAG:
-    """Replace each node with ``parts_of(node) > 0`` by a chain of that many.
+def _check_overhead(overhead: float) -> None:
+    if overhead < 0:
+        raise ModelError(f"overhead must be >= 0, got {overhead}")
+    if not overhead < math.inf:
+        raise ModelError(f"overhead must be finite, got {overhead}")
+
+
+def _split(dag: DAG, counts: Sequence[int], overhead: float) -> DAG:
+    """Replace node ``i`` by a chain of ``counts[i]`` parts where it is > 0.
 
     Node order is kept with each chain in its node's place; the edges
     are the original ones, re-attached to the chains' ends, followed by
     each chain's own edges in node order.  Name collisions are checked
     against the graph as it stands after the earlier splits, so one
     pass matches splitting the nodes one at a time.  Returns ``dag``
-    itself when no node is split.
+    itself when no node is split.  Builds no ``Node`` when every edge
+    points forward (DESIGN.md, "Splitting builds only what is read").
     """
+    if not any(counts):
+        return dag
+    _check_overhead(overhead)
     present = set(dag.node_names)
-    chains: dict[str, list[str]] = {}
-    nodes: list[Node] = []
-    for node in dag.nodes:
-        parts = parts_of(node)
+    names: list[str] = []
+    wcets: list[float] = []
+    spans: list[range] = []  # each node's chain, by index in the result
+    for name, wcet, parts in zip(dag.node_names, dag.node_wcets, counts):
+        spans.append(range(len(names), len(names) + max(parts, 1)))
         if not parts:
-            nodes.append(node)
+            names.append(name)
+            wcets.append(wcet)
             continue
-        if overhead < 0:
-            raise ModelError(f"overhead must be >= 0, got {overhead}")
-        sub_names = [f"{node.name}#{i}" for i in range(parts)]
+        sub_names = [f"{name}#{i}" for i in range(parts)]
         for sub in sub_names:
             if sub in present:
-                raise ModelError(f"split of {node.name!r} collides with existing {sub!r}")
-        present.remove(node.name)
+                raise ModelError(f"split of {name!r} collides with existing {sub!r}")
+        present.remove(name)
         present.update(sub_names)
-        share = node.wcet / parts
+        share = wcet / parts
         running = 0.0
         for i, sub in enumerate(sub_names):
-            wcet = share if i < parts - 1 else node.wcet - running
-            running += wcet
+            part = share if i < parts - 1 else wcet - running
+            running += part
             if i > 0:
-                wcet += overhead
-            nodes.append(Node(sub, wcet))
-        chains[node.name] = sub_names
-    if not chains:
-        return dag
+                part += overhead
+            if not part > 0:  # the check a ``Node`` makes
+                raise ModelError(f"node {sub!r}: WCET must be > 0, got {part!r}")
+            wcets.append(part)
+        names.extend(sub_names)
 
-    edges = [
-        (chains[u][-1] if u in chains else u, chains[v][0] if v in chains else v)
-        for u, v in dag.edges
-    ]
-    for sub_names in chains.values():
-        edges.extend(zip(sub_names, sub_names[1:]))
-    return DAG(nodes, edges)
+    links = dag._index_edges()[1]
+    split_links = [(spans[u][-1], spans[v][0]) for u, v in links]
+    for span in spans:
+        split_links.extend(zip(span, span[1:]))
+    if not all(u < v for u, v in links):  # ``_trusted`` needs forward links
+        return DAG(dict(zip(names, wcets)), [(names[u], names[v]) for u, v in split_links])
+    # The longest-path pass's float operations, in its order: a chain's
+    # head adds to the max over its node's parents' tails, then each part.
+    parents: list[list[int]] = [[] for _ in spans]
+    for u, v in links:
+        parents[v].append(u)
+    tails: list[float] = []
+    for preds, span in zip(parents, spans):
+        length = max([tails[u] for u in preds], default=0.0)
+        for i in span:
+            length += wcets[i]
+        tails.append(length)
+    return DAG._trusted(names, wcets, split_links, longest_path=max(tails))
 
 
 def with_split_nodes(

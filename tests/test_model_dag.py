@@ -425,3 +425,40 @@ class TestPickleAcrossHashSeeds:
         assert "_hash" not in state
         assert state["volume"] == dag.volume
         assert state["_longest_path"] == longest_path_length(dag)
+
+
+class TestSplitDags:
+    """Split DAGs keep the DAG contract, and a forward input's split
+    builds no ``Node``."""
+
+    def test_split_and_lp_ilp_analysis_build_no_node(self, monkeypatch):
+        from repro.core.analyzer import AnalysisMethod, analyze_taskset
+        from repro.experiments.splitsweep import split_taskset
+        from repro.generator import GROUP1, generate_taskset
+
+        built = []
+        check = Node.__post_init__
+        monkeypatch.setattr(Node, "__post_init__", lambda node: built.append(check(node)))
+        rng = default_rng(2016)
+        for _ in range(3):
+            taskset = generate_taskset(rng, 1.75, GROUP1)
+            for threshold in (50.0, 10.0, 5.0):
+                split = split_taskset(taskset, threshold, overhead=0.5)
+                analyze_taskset(split, 4, AnalysisMethod.LP_ILP)
+        assert len(built) == 0
+
+    @pytest.mark.parametrize("case", ["generated", "diamond", "backward"])
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_every_accessor_matches_the_public_constructor(self, case, read_first):
+        from repro.model.transforms import split_all_nodes
+
+        def source():
+            return generated(4) if case == "generated" else DAG(*HAND_BUILT[case])
+
+        split = split_all_nodes(source(), 1.2, 0.5)
+        twin = public_twin(split_all_nodes(source(), 1.2, 0.5))
+        if read_first:
+            snapshot(split)
+        clone = pickle.loads(pickle.dumps(split))
+        assert snapshot(split) == snapshot(twin) == snapshot(clone)
+        assert split == twin and hash(split) == hash(twin)

@@ -135,3 +135,25 @@ class TestBlockingEffectOfSplitting:
         fine = lp_ilp_deltas(fine_tasks, 4)
         assert fine[0] <= coarse[0]
         assert fine[1] <= coarse[1]
+
+
+class TestNonFiniteArguments:
+    """A NaN or infinite split argument is one error naming it."""
+
+    @staticmethod
+    def dag():
+        return DagBuilder().nodes({"a": 10, "b": 30, "c": 7}).edge("a", "b").edge("b", "c").build()
+
+    def test_nan_threshold_is_rejected(self):
+        with pytest.raises(ModelError, match=r"^max_wcet must be > 0, got nan$"):
+            split_all_nodes(self.dag(), float("nan"))
+
+    @pytest.mark.parametrize("overhead", ["nan", "inf"])
+    def test_non_finite_overhead_is_rejected_by_split_all_nodes(self, overhead):
+        with pytest.raises(ModelError, match=rf"^overhead must be finite, got {overhead}$"):
+            split_all_nodes(self.dag(), 20, float(overhead))
+
+    @pytest.mark.parametrize("overhead", ["nan", "inf"])
+    def test_non_finite_overhead_is_rejected_by_split_node(self, overhead):
+        with pytest.raises(ModelError, match=rf"^overhead must be finite, got {overhead}$"):
+            split_node(self.dag(), "b", 2, float(overhead))

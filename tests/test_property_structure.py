@@ -195,6 +195,11 @@ class TestSplitAllNodes:
 # ----------------------------------------------------------------------
 # μ tables once per mu_array
 # ----------------------------------------------------------------------
+def indices(dag: DAG, names) -> list[int]:
+    """The insertion indices of ``names``, which ``parallel_masks`` takes."""
+    return [dag.node_names.index(name) for name in names]
+
+
 class TestMuTables:
     @given(random_dags(max_nodes=8), st.integers(1, 6))
     @settings(max_examples=100, deadline=None)
@@ -210,7 +215,7 @@ class TestMuTables:
         index = {name: i for i, name in enumerate(names)}
         par = par_sets_oracle(dag)
         expected = [sum(1 << index[other] for other in par[name]) for name in names]
-        assert parallel_masks(dag, names) == expected
+        assert parallel_masks(dag, indices(dag, names)) == expected
 
     @given(shuffled_dags(max_nodes=14), st.data())
     @settings(max_examples=150)
@@ -223,7 +228,7 @@ class TestMuTables:
             sum(1 << index[other] for other in par[name] if other in index)
             for name in subset
         ]
-        assert parallel_masks(dag, subset) == expected
+        assert parallel_masks(dag, indices(dag, subset)) == expected
 
 
 # ----------------------------------------------------------------------
