@@ -179,3 +179,29 @@ class TestMuCotree:
         assert _mu_cotree(split, 4) is None
         expected = [max(split.node_wcets)] + [mu_bruteforce(split, c) for c in range(2, 5)]
         assert typed_hex(mu_array(split, 4)) == typed_hex(expected)
+
+
+class TestSplitSeriesParallelDags:
+    """Split series–parallel DAGs: the carried L is the pass's float, and
+    the search is the oracle's on fractional parts and equal-WCET ties."""
+
+    overheads = st.one_of(st.just(0.0), st.floats(0.01, 3.0))
+
+    @given(series_parallel_dags(), st.floats(0.5, 30.0), overheads)
+    @settings(max_examples=150, deadline=None)
+    def test_carried_longest_path_equals_the_pass(self, dag, max_wcet, overhead):
+        from repro.graph.paths import longest_path_length
+
+        split = split_all_nodes(dag, max_wcet, overhead)
+        if split is not dag:
+            assert "_longest_path" in split.__dict__
+        public = DAG(dict(zip(split.node_names, split.node_wcets)), split.edges)
+        assert longest_path_length(split).hex() == longest_path_length(public).hex()
+
+    @given(series_parallel_dags(max_leaves=6, max_wcet=6), st.floats(1.5, 6.0), overheads)
+    @settings(max_examples=100, deadline=None)
+    def test_search_equals_bruteforce_bits(self, dag, max_wcet, overhead):
+        split = split_all_nodes(dag, max_wcet, overhead)
+        search = _mu_search(split)
+        for c in range(2, min(len(split), 4) + 1):
+            assert search(c).hex() == mu_bruteforce(split, c).hex()
