@@ -18,10 +18,10 @@ Sub-commands map one-to-one onto the paper's artefacts:
 * ``sweep-merge`` — recombine ``--shard I/N`` artifacts into the exact
   unsharded result;
 * ``sweep-cache`` — verdict-cache lifecycle (``stats``, ``compact``),
-  safe while sweeps read and write the same directory;
-* ``sweep-db`` — the durable result store: ``publish`` shard
-  artifacts, list ``runs``, ``query`` rows, ``validate`` completeness
-  and drift, ``export-csv`` bit-identically to the CSV writers.
+  safe while sweeps read and write the same directory.
+
+A run's record is its ``--csv`` and, when asked for, its
+``--shard-out`` artifact.
 
 ``figure2``, ``group2`` and ``splitsweep`` are aliases of ``sweep-run``:
 their few workload flags build the job, and every execution and
@@ -38,7 +38,7 @@ import argparse
 import os
 import sys
 
-from repro.exceptions import ReproError, ShardError, StoreError
+from repro.exceptions import ReproError, ShardError
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
@@ -164,60 +164,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p13.set_defaults(handler=_cmd_sweep_cache)
 
-    p14 = sub.add_parser(
-        "sweep-db",
-        help="durable result store: publish shard artifacts, list runs, "
-             "query rows, validate completeness + drift, export CSV",
-    )
-    p14.add_argument(
-        "action",
-        choices=("publish", "runs", "query", "validate", "export-csv"),
-        help="publish: canonicalise and append a complete artifact set "
-             "(idempotent); runs: list published runs; query: print one "
-             "run's canonical rows; validate: completeness + cross-run "
-             "drift report (exit 1 on findings); export-csv: write one "
-             "run as CSV, bit-identical to the legacy writer",
-    )
-    p14.add_argument(
-        "artifacts", nargs="*", metavar="SHARD.json",
-        help="shard artifacts to publish (publish action; every shard "
-             "of one sweep)",
-    )
-    p14.add_argument(
-        "--store-dir", type=str, default=None, metavar="DIR",
-        help="result-store directory (default: results)",
-    )
-    p14.add_argument(
-        "--job", type=str, default=None, metavar="FILE",
-        help="publish: record this JSON job file as the run's provenance",
-    )
-    p14.add_argument(
-        "--run", type=int, default=None, metavar="ID",
-        help="run id for query/export-csv (default: the latest "
-             "matching run)",
-    )
-    p14.add_argument(
-        "--fingerprint", type=str, default=None,
-        help="filter runs by workload fingerprint",
-    )
-    p14.add_argument(
-        "--kind", type=str, default=None,
-        help="filter runs by artifact kind (sweep, splitsweep, ...)",
-    )
-    p14.add_argument(
-        "--csv", type=str, default=None, metavar="PATH",
-        help="export-csv: output path (required)",
-    )
-    p14.add_argument(
-        "--limit", type=int, default=None, metavar="N",
-        help="query: print at most N rows",
-    )
-    p14.add_argument(
-        "--json", action="store_true",
-        help="print machine-readable JSON instead of tables",
-    )
-    p14.set_defaults(handler=_cmd_sweep_db)
-
     return parser
 
 
@@ -326,17 +272,6 @@ def _add_run_args(parser: argparse.ArgumentParser) -> None:
         "--cache-dir", type=str, default=None, metavar="DIR",
         help="verdict cache directory (default: results/cache; implies "
              "--cache readwrite)",
-    )
-    parser.add_argument(
-        "--publish", action="store_true", default=None,
-        help="publish the merged result into the durable result store "
-             "(append-only sqlite; re-publishing an identical run is a "
-             "deduplicated no-op)",
-    )
-    parser.add_argument(
-        "--store-dir", type=str, default=None, metavar="DIR",
-        help="result-store directory (default: results; implies "
-             "--publish)",
     )
     parser.add_argument("--csv", type=str, default=None,
                         help="write series to CSV")
@@ -540,8 +475,6 @@ def _job_from_args(args: argparse.Namespace):
             ("stream", "execution.stream"),
             ("cache", "execution.cache"),
             ("cache_dir", "execution.cache_dir"),
-            ("publish", "execution.publish"),
-            ("store_dir", "execution.store_dir"),
         )
         if getattr(args, attr) is not None
     }
@@ -554,13 +487,6 @@ def _job_from_args(args: argparse.Namespace):
     ):
         # Naming a cache directory is an intent to use it.
         job = job.with_overrides({"execution.cache": "readwrite"})
-    if (
-        args.publish is None
-        and args.store_dir is not None
-        and not job.execution.publish
-    ):
-        # Likewise, naming a store directory is an intent to publish.
-        job = job.with_overrides({"execution.publish": True})
     if job.execution.shard is not None and job.execution.shard_out is None:
         # A sharded run always persists its artifact, or the slice's
         # work could never be merged.
@@ -642,175 +568,6 @@ def _cmd_sweep_cache(args: argparse.Namespace) -> int:
         if key != "directory":
             print(f"  {key}: {value}")
     return 0
-
-
-def _store_run_id(store, args: argparse.Namespace) -> int:
-    """The run ``sweep-db query``/``export-csv`` should read.
-
-    ``--run`` wins; otherwise the latest run matching the
-    ``--fingerprint``/``--kind`` filters (``runs()`` orders by id).
-    """
-    if args.run is not None:
-        return args.run
-    records = store.runs(fingerprint=args.fingerprint, kind=args.kind)
-    if not records:
-        raise StoreError(
-            "the store has no runs matching the given filters; publish "
-            "first or loosen --fingerprint/--kind"
-        )
-    return records[-1].run_id
-
-
-def _cmd_sweep_db(args: argparse.Namespace) -> int:
-    import json as json_module
-
-    from repro.engine.store import open_store, publish_artifacts, store_path
-    from repro.engine.validation import validate_store
-    from repro.experiments.reporting import format_table
-
-    try:
-        if args.action == "publish":
-            if not args.artifacts:
-                print("sweep-db: publish needs at least one shard "
-                      "artifact (every shard of one sweep)",
-                      file=sys.stderr)
-                return 2
-            job = None
-            if args.job is not None:
-                from repro.engine.jobspec import load_job
-
-                job = load_job(args.job)
-            report = publish_artifacts(
-                args.store_dir, args.artifacts, job=job, source="cli",
-            )
-            if args.json:
-                print(json_module.dumps({
-                    "store": str(report.path),
-                    "run_id": report.run_id,
-                    "kind": report.kind,
-                    "fingerprint": report.fingerprint,
-                    "row_count": report.row_count,
-                    "rows_added": report.rows_added,
-                    "deduplicated": report.deduplicated,
-                }, indent=2, sort_keys=True))
-            else:
-                note = (
-                    "deduplicated, no new rows" if report.deduplicated
-                    else f"{report.rows_added} rows added"
-                )
-                print(f"published {report.kind} run {report.run_id} "
-                      f"({report.row_count} rows, {note}) -> {report.path}")
-            return 0
-
-        database = store_path(args.store_dir)
-        if not database.is_file():
-            # Only publish creates a store: reading a misspelled
-            # directory must fail, not report an empty store as valid.
-            raise StoreError(
-                f"no result store at {database}; publish a run first or "
-                "check --store-dir"
-            )
-        with open_store(args.store_dir) as store:
-            if args.action == "runs":
-                records = store.runs(
-                    fingerprint=args.fingerprint, kind=args.kind,
-                )
-                if args.json:
-                    print(json_module.dumps([
-                        {
-                            "run_id": record.run_id,
-                            "kind": record.kind,
-                            "fingerprint": record.fingerprint,
-                            "total_items": record.total_items,
-                            "expected_rows": record.expected_rows,
-                            "rows": store.row_count(record.run_id),
-                        }
-                        for record in records
-                    ], indent=2, sort_keys=True))
-                    return 0
-                print(format_table(
-                    ["run", "kind", "fingerprint", "items", "rows"],
-                    [
-                        [
-                            record.run_id,
-                            record.kind,
-                            record.fingerprint[:16],
-                            record.total_items,
-                            f"{store.row_count(record.run_id)}"
-                            f"/{record.expected_rows}",
-                        ]
-                        for record in records
-                    ],
-                    title=f"result store {store.path}",
-                ))
-                return 0
-
-            if args.action == "query":
-                run_id = _store_run_id(store, args)
-                record = store.run(run_id)
-                rows = store.rows(run_id)
-                shown = rows if args.limit is None else rows[:args.limit]
-                if args.json:
-                    print(json_module.dumps({
-                        "run_id": run_id,
-                        "kind": record.kind,
-                        "fingerprint": record.fingerprint,
-                        "rows": [
-                            {"item": item, "seq": seq, "payload": payload}
-                            for item, seq, payload in shown
-                        ],
-                    }, indent=2, sort_keys=True))
-                    return 0
-                print(f"run {run_id} ({record.kind}, "
-                      f"{record.fingerprint[:16]}...): "
-                      f"{len(rows)} rows")
-                for item, seq, payload in shown:
-                    print(f"  {item:6d} {seq:4d}  "
-                          f"{json_module.dumps(payload)}")
-                if len(shown) < len(rows):
-                    print(f"  ... {len(rows) - len(shown)} more "
-                          f"(raise --limit)")
-                return 0
-
-            if args.action == "validate":
-                report = validate_store(store)
-                if args.json:
-                    print(json_module.dumps({
-                        "runs_checked": report.runs_checked,
-                        "ok": report.ok,
-                        "incomplete": [
-                            issue.describe() for issue in report.incomplete
-                        ],
-                        "drift": [
-                            issue.describe() for issue in report.drift
-                        ],
-                    }, indent=2, sort_keys=True))
-                    return 0 if report.ok else 1
-                print(f"result store {store.path}: "
-                      f"{report.runs_checked} runs checked")
-                for issue in report.incomplete:
-                    print(f"  incomplete: {issue.describe()}")
-                for issue in report.drift:
-                    print(f"  drift: {issue.describe()}")
-                if report.ok:
-                    print("  complete, no drift")
-                    return 0
-                print(f"  {len(report.incomplete)} incomplete, "
-                      f"{len(report.drift)} drift findings")
-                return 1
-
-            # export-csv
-            if args.csv is None:
-                print("sweep-db: export-csv needs --csv PATH",
-                      file=sys.stderr)
-                return 2
-            run_id = _store_run_id(store, args)
-            path = store.export_csv(run_id, args.csv)
-            print(f"run {run_id} exported to {path}")
-            return 0
-    except ReproError as exc:
-        print(f"sweep-db: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

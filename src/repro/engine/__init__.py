@@ -29,9 +29,11 @@ kind is bit-identical across executors, chunkings, shards and resumes.
 * :mod:`repro.engine.results` — the grid sweep's result types
   (:class:`SweepPoint`, :class:`SweepResult`);
 * :mod:`repro.engine.vcache` — the verdict cache, keyed on each grid
-  item's generation coordinates;
-* :mod:`repro.engine.store` / :mod:`repro.engine.validation` — the
-  durable sqlite result store and its completeness/drift checks.
+  item's generation coordinates.
+
+A finished run's record is its CSV and, when asked for, its shard
+artifact: ``sweep-merge`` checks a shard set for gaps, overlaps and
+mixed sweeps, and two runs compare with ``diff``.
 """
 
 from repro.engine.checkpoint import (

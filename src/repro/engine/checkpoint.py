@@ -15,10 +15,9 @@ so an interrupt mid-save can never destroy the previous snapshot.
 
 The per-item record (:func:`record_json` / :func:`parse_records`,
 ``{"item": i, "rows": [...]}``) is the engine's one record: shard
-artifacts (:mod:`repro.engine.shard`), JSONL stream lines
-(:mod:`repro.engine.streaming`) and the result store's canonical rows
-(:mod:`repro.engine.store`) all carry it.  Bump :data:`FORMAT_VERSION`
-when it changes.
+artifacts (:mod:`repro.engine.shard`) and JSONL stream lines
+(:mod:`repro.engine.streaming`) carry it too.  Bump
+:data:`FORMAT_VERSION` when it changes.
 """
 
 from __future__ import annotations

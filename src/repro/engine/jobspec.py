@@ -72,15 +72,6 @@ def _parse_opt_str(text: str) -> str | None:
     return text
 
 
-def _parse_bool(text: str) -> bool:
-    value = text.strip().lower()
-    if value in ("1", "true", "yes", "on"):
-        return True
-    if value in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
 def _parse_floats(text: str) -> tuple[float, ...]:
     pieces = [p for p in text.replace(",", " ").split() if p]
     if not pieces:
@@ -122,14 +113,12 @@ _EXECUTION_PARSERS = {
     "shard": lambda text: parse_shard(text) if text.strip().lower() not in ("", "none", "null") else None,
     "cache": str,
     "cache_dir": _parse_opt_str,
-    "publish": _parse_bool,
-    "store_dir": _parse_opt_str,
 }
 
 # JSON value checkers, called with the dotted key for the message.  A
 # job file's value must already have the field's JSON type: nothing is
 # truncated (2.7 is no integer) and no string or boolean stands in for
-# a number, nor a string for a boolean.
+# a number.
 
 def _malformed(name: str, expected: str, value: object) -> JobSpecError:
     shown = json.dumps(value, default=repr)
@@ -149,12 +138,6 @@ def _json_float(name: str, value: object) -> float:
         return float(value)
     except OverflowError:  # an integer too large for a float
         raise _malformed(name, "a finite JSON number", value) from None
-
-
-def _json_bool(name: str, value: object) -> bool:
-    if not isinstance(value, bool):
-        raise _malformed(name, "a JSON boolean", value)
-    return value
 
 
 def _json_str(name: str, value: object) -> str:
@@ -202,10 +185,39 @@ _KEY_CODERS = {
 
 _EXECUTION_KEYS = ("jobs", "chunk_size", "checkpoint",
                    "stream", "shard_out", "shard",
-                   "cache", "cache_dir", "publish", "store_dir")
+                   "cache", "cache_dir")
 
 #: Execution fields holding a path (``None`` when unset).
-_PATH_KEYS = ("checkpoint", "stream", "shard_out", "cache_dir", "store_dir")
+_PATH_KEYS = ("checkpoint", "stream", "shard_out", "cache_dir")
+
+#: Execution keys that older job files carry and that are no longer
+#: fields: each maps to the values naming today's behaviour, which load
+#: with the key dropped (every ``--dry-run`` of the version that had
+#: the field wrote one of them), and to the one-line refusal of any
+#: other value.  Values compare with their types, so ``0`` is no
+#: ``false``.
+_RETIRED_KEYS = {
+    "placement": ((None, "strided"),
+                  "execution.placement {!r} is not supported: cache-aware "
+                  "placement was removed and shards are always strided; "
+                  "drop the key"),
+    "executor": ((None, "process"),
+                 "execution.executor {!r} is not supported: the thread "
+                 "executor was removed and jobs > 1 always runs a process "
+                 "pool; drop the key"),
+    "items": ((None,),
+              "execution.items is not supported: item subsets were "
+              "removed with the orchestrator; run a --shard I/N slice "
+              "instead and drop the key"),
+    "publish": ((None, False),
+                "execution.publish {!r} is not supported: the result "
+                "store was removed and a run's record is its --csv or "
+                "--shard-out file; drop the key"),
+    "store_dir": ((None,),
+                  "execution.store_dir {!r} is not supported: the result "
+                  "store was removed and a run's record is its --csv or "
+                  "--shard-out file; drop the key"),
+}
 
 #: Workload field defaults, for the registry-driven strictness check
 #: (fields outside a kind's key set must hold exactly these values).
@@ -432,14 +444,6 @@ class ExecutionPolicy:
     cache_dir:
         Verdict-cache directory; ``None`` means the default
         (``results/cache``) when the cache is on.
-    publish:
-        Publish the merged result into the durable result store
-        (:mod:`repro.engine.store`) on completion.  Only whole-run
-        invocations publish: a sharded invocation is rejected; publish
-        its merged artifacts with ``sweep-db publish`` instead.
-    store_dir:
-        Result-store directory; ``None`` means the default
-        (``results/store.db``) when publishing is on.
     """
 
     jobs: int = 1
@@ -450,8 +454,6 @@ class ExecutionPolicy:
     shard: ShardSpec | None = None
     cache: str = "off"
     cache_dir: str | None = None
-    publish: bool = False
-    store_dir: str | None = None
 
     def __post_init__(self) -> None:
         # The job-file rules, applied to values set in code too.
@@ -464,7 +466,6 @@ class ExecutionPolicy:
                 f"'1/4', got {self.shard!r}"
             )
         _json_str("execution.cache", self.cache)
-        _json_bool("execution.publish", self.publish)
         for name in _PATH_KEYS:
             value = getattr(self, name)
             if value is not None:
@@ -492,46 +493,17 @@ class ExecutionPolicy:
             "shard": self.shard.label if self.shard is not None else None,
             "cache": self.cache,
             "cache_dir": self.cache_dir,
-            "publish": self.publish,
-            "store_dir": self.store_dir,
         }
 
     @classmethod
     def from_json_dict(cls, payload: object) -> "ExecutionPolicy":
         if not isinstance(payload, Mapping):
             raise JobSpecError("'execution' must be a JSON object")
-        # Job files written before cache-aware placement was removed
-        # carry "placement": "strided" (every --dry-run did); the
-        # strided partition is the only one left, so the key is dropped.
-        placement = payload.get("placement")
-        if placement not in (None, "strided"):
-            raise JobSpecError(
-                f"execution.placement {placement!r} is not supported: "
-                "cache-aware placement was removed and shards are always "
-                "strided; drop the key"
-            )
-        # Likewise "executor": "process" (every job file written while
-        # a thread pool existed carries it); a process pool is the only
-        # pool left, so the key is dropped.
-        executor = payload.get("executor")
-        if executor not in (None, "process"):
-            raise JobSpecError(
-                f"execution.executor {executor!r} is not supported: the "
-                "thread executor was removed and jobs > 1 always runs a "
-                "process pool; drop the key"
-            )
-        # Likewise "items": null (every job file written while elastic
-        # sub-shards existed carries it); a whole slice is the only
-        # unit of work left, so the key is dropped.
-        if payload.get("items") is not None:
-            raise JobSpecError(
-                "execution.items is not supported: item subsets were "
-                "removed with the orchestrator; run a --shard I/N slice "
-                "instead and drop the key"
-            )
-        unknown = sorted(
-            set(payload) - {"placement", "executor", "items", *_EXECUTION_KEYS}
-        )
+        for key, (kept, refusal) in _RETIRED_KEYS.items():
+            value = payload.get(key)
+            if not any(type(value) is type(k) and value == k for k in kept):
+                raise JobSpecError(refusal.format(value))
+        unknown = sorted(set(payload) - {*_RETIRED_KEYS, *_EXECUTION_KEYS})
         if unknown:
             raise JobSpecError(
                 f"unknown execution key {unknown[0]!r} "
@@ -539,7 +511,7 @@ class ExecutionPolicy:
             )
         # The constructor checks each value's type. ``null`` leaves a
         # field at its default, except ``jobs``; fields added since
-        # version 1 (cache, publish, store_dir) may be absent.
+        # version 1 (cache) may be absent.
         kwargs = {
             key: value for key, value in payload.items()
             if key in _EXECUTION_KEYS and (value is not None or key == "jobs")
@@ -566,12 +538,6 @@ class JobSpec:
                 "execution.cache (the verdict cache keys the grid sweeps' "
                 "items by their generation coordinates; this kind's items "
                 "have none)"
-            )
-        if self.execution.publish and self.execution.shard is not None:
-            raise JobSpecError(
-                "execution.publish requires a whole-run invocation; a "
-                "sharded invocation cannot publish a complete row set "
-                "(publish the merged shards with 'sweep-db publish')"
             )
 
     # Convenience passthroughs ----------------------------------------

@@ -12,14 +12,14 @@ record supplying everything the stack needs to know about it:
   :class:`~repro.engine.sweep.SweepSpec` grid or a
   :class:`~repro.engine.sweep.CorpusSweep`), which also fixes the
   workload's fingerprint and item count;
-* ``row_codec`` + ``reduce`` — decode one per-item row from artifact,
-  checkpoint or store JSON, and reduce an artifact's records in item
-  order to the kind's result;
+* ``row_codec`` + ``reduce`` — decode one per-item row from artifact
+  or checkpoint JSON, and reduce an artifact's records in item order
+  to the kind's result;
 * ``render`` / ``render_merged`` / ``write_csv`` — CLI presentation.
 
 Every kind runs on the one engine, so a new scenario is one
 ``register_kind`` call plus an experiments module; ``jobspec``,
-``session``, ``shard``, the store and the CLI all dispatch through
+``session``, ``shard`` and the CLI all dispatch through
 :func:`kind_spec` / :func:`spec_for_artifact` instead of branching on
 kind names.
 
@@ -88,7 +88,7 @@ class KindSpec:
     reduce:
         ``reduce(artifact) -> result``: fold an artifact's records, in
         item order, into the kind's result — the one reduction behind
-        inline runs, shard merges and store exports.
+        inline runs and shard merges.
     render / render_merged / write_csv:
         CLI presentation hooks: ``render(result, workload,
         shard_note)``, ``render_merged(result, meta, n_shards)``, and
@@ -202,7 +202,7 @@ def _lazy(module: str, name: str) -> Callable:
 
 
 # ----------------------------------------------------------------------
-# Row codecs (artifact/checkpoint/store JSON -> typed row tuples).  These
+# Row codecs (artifact/checkpoint JSON -> typed row tuples).  These
 # are the kinds' on-disk row schemas; reductions re-validate shapes.
 
 def _sweep_row(row: Sequence) -> tuple:

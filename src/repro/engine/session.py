@@ -38,64 +38,28 @@ class Session:
         for splitsweep, and so on per registered kind — the workload's
         sweep comes from the workload-kind registry, so any registered
         kind runs here without Session changes.
-
-        A policy with ``publish`` on also publishes the completed run
-        into the durable result store (:mod:`repro.engine.store`):
-        the run's shard artifact — a temporary one when the policy
-        names no ``shard_out`` — is canonicalised and appended under
-        the job's workload fingerprint.
         """
         policy = job.execution
-        if not policy.publish:
-            return _run_inline(job)
-
-        import tempfile
-
-        from repro.engine.store import publish_artifacts
-
-        tmp_dir: tempfile.TemporaryDirectory | None = None
-        shard_out = policy.shard_out
-        effective = job
-        if shard_out is None:
-            tmp_dir = tempfile.TemporaryDirectory(prefix="repro-publish-")
-            shard_out = str(Path(tmp_dir.name) / "artifact.json")
-            effective = job.with_overrides(
-                {"execution.shard_out": shard_out}
+        with make_executor(policy.jobs) as executor:
+            engine = SweepEngine(
+                executor=executor,
+                chunk_size=policy.chunk_size,
+                checkpoint_path=policy.checkpoint,
+                cache=policy.cache,
+                cache_dir=policy.cache_dir,
             )
-        try:
-            result = _run_inline(effective)
-            publish_artifacts(
-                policy.store_dir, [shard_out], job=job, source="session",
+            return engine.run(
+                job.workload.sweep_spec(),
+                shard=policy.shard,
+                shard_out=policy.shard_out,
+                stream=policy.stream,
             )
-        finally:
-            if tmp_dir is not None:
-                tmp_dir.cleanup()
-        return result
 
     def resume(self, path: str | Path):
         """Re-run the job stored at ``path`` (checkpoints resume free)."""
         from repro.engine.jobspec import load_job
 
         return self.run(load_job(path))
-
-
-def _run_inline(job: JobSpec):
-    """Run ``job``'s sweep on an engine built from its execution policy."""
-    policy = job.execution
-    with make_executor(policy.jobs) as executor:
-        engine = SweepEngine(
-            executor=executor,
-            chunk_size=policy.chunk_size,
-            checkpoint_path=policy.checkpoint,
-            cache=policy.cache,
-            cache_dir=policy.cache_dir,
-        )
-        return engine.run(
-            job.workload.sweep_spec(),
-            shard=policy.shard,
-            shard_out=policy.shard_out,
-            stream=policy.stream,
-        )
 
 
 def run_job(job: JobSpec):

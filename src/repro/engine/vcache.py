@@ -7,8 +7,8 @@ coordinates*: the profile, the seed, the
 point index and its utilisation, the task-set index, ``m``, the
 methods and the LP-ILP solvers.  :func:`coordinate_key` hashes exactly those
 plus a code salt (:func:`code_salt`), and an entry stores the item's
-row — one boolean per method, the record checkpoints, streams and the
-result store already carry.  A warm replay therefore neither generates
+row — one boolean per method, the record checkpoints, streams and
+shard artifacts already carry.  A warm replay therefore neither generates
 nor analyses a task-set.
 
 The salt is a SHA-256 over the source bytes of every module an item's

@@ -15,8 +15,6 @@ rejected the input:
   directory, corrupt or version-skewed entries);
 * :class:`JobSpecError` — malformed declarative job descriptions
   (unknown keys, version skew, kind/policy mismatches);
-* :class:`StoreError` — durable result-store problems (corrupt or
-  version-skewed databases, incomplete publications, malformed rows);
 * :class:`LintError` — repro-lint cannot run (bad config, unparseable
   input, malformed baseline);
 * :class:`IlpError` / :class:`IlpInfeasibleError` — ILP substrate
@@ -74,13 +72,6 @@ class JobSpecError(AnalysisError):
     """A declarative job description is malformed: an unknown workload
     kind or field, a format-version skew, an override naming no field,
     or an execution policy the workload kind does not support."""
-
-
-class StoreError(AnalysisError):
-    """The durable result store is unusable or rejected a publication:
-    a corrupt or version-skewed database, an incomplete artifact set,
-    or a stored row that does not decode under its kind's codec.  Raw
-    :mod:`sqlite3` exceptions never escape the store API."""
 
 
 class LintError(ReproError):

@@ -126,9 +126,8 @@ def split_sweep_fingerprint(
 def reduce_splitsweep(artifact) -> list[SplitSweepPoint]:
     """Fold a split-sweep artifact's rows, in corpus order, into points.
 
-    The one reduction behind inline runs, shard merges and store
-    exports, so all of them sum in the same order and agree
-    bit-for-bit.
+    The one reduction behind inline runs and shard merges, so both
+    sum in the same order and agree bit-for-bit.
     """
     thresholds = tuple(float(t) for t in artifact.meta["thresholds"])
     rows_in_order = [rows for _, rows in sorted(artifact.records.items())]

@@ -457,7 +457,7 @@ class TestDispatch:
         assert "figure1" in out
         assert "sweep-merge" in out
         assert "sweep-run" in out
-        assert "sweep-db" in out
+        assert "sweep-db" not in out
         assert "sweep-status" not in out
 
     def test_unknown_command_rejected(self):

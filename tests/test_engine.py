@@ -593,9 +593,9 @@ class TestSubShardMerge:
 
 
 class TestVersionOneFiles:
-    """Files written before the per-item record (format and store
-    version 1) fail with one typed, one-line error — never a traceback
-    and never a misread."""
+    """Files written before the per-item record (format version 1)
+    fail with one typed, one-line error — never a traceback and never
+    a misread."""
 
     def _one_line_error(self, argv, capsys, command):
         from repro.cli import main
@@ -645,24 +645,3 @@ class TestVersionOneFiles:
         with pytest.raises(AnalysisError, match="version 1"):
             read_stream(path)
 
-    def test_version_one_store(self, tmp_path, capsys):
-        import sqlite3
-
-        from repro.engine.store import open_store, store_path
-        from repro.exceptions import StoreError
-
-        from repro.cli import main
-
-        open_store(tmp_path).close()
-        con = sqlite3.connect(store_path(tmp_path))
-        with con:
-            con.execute(
-                "UPDATE store_meta SET value = '1' WHERE key = 'store_version'"
-            )
-        con.close()
-        with pytest.raises(StoreError, match="version '1'"):
-            open_store(tmp_path)
-        assert main(["sweep-db", "runs", "--store-dir", str(tmp_path)]) == 1
-        captured = capsys.readouterr()
-        assert captured.err.startswith("sweep-db:")
-        assert len(captured.err.splitlines()) == 1

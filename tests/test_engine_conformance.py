@@ -640,7 +640,7 @@ def _every_kind_project(kind: str, result):
 class TestEveryKindOneEngine:
     """Every registered kind runs on the one engine, so every kind gets
     every execution mode: serial == jobs=2 == sharded-then-merged ==
-    interrupted-then-resumed."""
+    interrupted-then-resumed, and a run's artifact writes its CSV."""
 
     def test_matrix_covers_every_registered_kind(self):
         from repro.engine.registry import workload_kinds
@@ -669,6 +669,25 @@ class TestEveryKindOneEngine:
             paths.append(path)
         merged = merge_artifacts(paths)
         assert _every_kind_project(kind, merged) == self._serial(kind)
+
+    @pytest.mark.parametrize("kind", sorted(_EVERY_KIND))
+    def test_artifact_csv_identical(self, kind, tmp_path):
+        # A whole run's artifact is its record: merged on its own, it
+        # writes the run's CSV byte for byte (timing's wall-clock
+        # columns included, since they come from the same rows).
+        from repro.engine.registry import kind_spec
+        from repro.engine.shard import load_shard
+
+        artifact = tmp_path / "run.json"
+        result = run_job(_registry_job(
+            _EVERY_KIND[kind], shard_out=str(artifact),
+        ))
+        spec = kind_spec(kind)
+        run_csv = spec.write_csv(result, tmp_path / "run.csv")
+        merged_csv = spec.write_csv(
+            merge_artifacts([load_shard(artifact)]), tmp_path / "merged.csv",
+        )
+        assert merged_csv.read_bytes() == run_csv.read_bytes()
 
     @pytest.mark.parametrize("kind", sorted(_EVERY_KIND))
     def test_interrupted_then_resumed_identical(self, kind, tmp_path):

@@ -361,7 +361,7 @@ class TestJsonValueTypes:
     """A job file's value must already have its field's JSON type.
 
     Nothing is truncated or coerced: 2.7 is no core count, ``true`` is
-    no seed, ``"false"`` is no boolean.  Each refusal is one
+    no seed, ``"2"`` is no worker count.  Each refusal is one
     ``JobSpecError`` line naming the key.
     """
 
@@ -407,9 +407,6 @@ class TestJsonValueTypes:
         ("jobs", "2"),
         ("chunk_size", 3.0),
         ("chunk_size", "3"),
-        ("publish", "false"),
-        ("publish", 0),
-        ("publish", 1),
         ("checkpoint", 5),
         ("stream", ["s.jsonl"]),
         ("cache", True),
@@ -537,6 +534,83 @@ class TestPlacement:
             _figure2_job().with_overrides({"execution.placement": "strided"})
 
 
+class TestRetiredStoreKeys:
+    """Job files written while the result store existed carry
+    ``execution.publish`` and ``execution.store_dir``; ``false`` and
+    ``null`` still load with the keys dropped, any other value is one
+    refusal line."""
+
+    @staticmethod
+    def _with(**keys):
+        payload = _figure2_job().to_json_dict()
+        payload["execution"].update(keys)
+        return payload
+
+    @pytest.mark.parametrize(
+        "name", sorted(path.name for path in EXAMPLES.glob("*.json"))
+    )
+    def test_old_example_loads_as_rewritten(self, name, tmp_path):
+        # The checked-in file as it was before the keys went: the same
+        # JSON plus the two values every --dry-run wrote.
+        rewritten = EXAMPLES / name
+        payload = json.loads(rewritten.read_text())
+        payload["execution"].update(publish=False, store_dir=None)
+        old = tmp_path / name
+        old.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        assert load_job(old) == load_job(rewritten)
+        assert load_job(old).to_json_dict() == json.loads(rewritten.read_text())
+
+    @pytest.mark.parametrize("keys", [
+        {"publish": False},
+        {"publish": None},
+        {"store_dir": None},
+        {"publish": False, "store_dir": None},
+    ], ids=["publish-false", "publish-null", "store_dir-null", "both"])
+    def test_kept_values_are_dropped(self, keys):
+        job = JobSpec.from_json(json.dumps(self._with(**keys)))
+        assert job == _figure2_job()
+        assert job.to_json_dict() == _figure2_job().to_json_dict()
+        assert job.fingerprint() == _figure2_job().fingerprint()
+
+    @pytest.mark.parametrize("value", [True, 0, 1, "false"])
+    def test_publish_value_is_refused(self, value):
+        with pytest.raises(
+            JobSpecError,
+            match=r"^execution\.publish .* is not supported: the result "
+                  r"store was removed",
+        ) as info:
+            JobSpec.from_json(json.dumps(self._with(publish=value)))
+        assert "\n" not in str(info.value)
+
+    def test_store_dir_is_refused(self, tmp_path):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(self._with(store_dir="results")))
+        with pytest.raises(
+            JobSpecError,
+            match=r"execution\.store_dir 'results' is not supported: the "
+                  r"result store was removed",
+        ) as info:
+            load_job(path)
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("key", ["publish", "store_dir"])
+    def test_key_is_no_longer_a_field(self, key, capsys):
+        from repro.cli import main
+
+        with pytest.raises(TypeError):
+            ExecutionPolicy(**{key: None})
+        for value in ("true", 1):
+            with pytest.raises(JobSpecError, match=f"^execution has no field '{key}'"):
+                _figure2_job().with_overrides({f"execution.{key}": value})
+        assert main([
+            "sweep-run", "--job", str(EXAMPLES / "figure2-small.json"),
+            "--set", f"execution.{key}=true", "--dry-run",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"sweep-run: execution has no field '{key}'")
+        assert len(err.splitlines()) == 1
+
+
 #: Typed override values of every JSON shape, a few of the wrong one
 #: for each field, plus strings the ``--set`` parsers accept.
 _OVERRIDE_VALUES = st.one_of(
@@ -566,7 +640,7 @@ _OVERRIDE_KEYS = st.sampled_from(
     )]
     + [f"execution.{key}" for key in (
         "jobs", "chunk_size", "checkpoint", "stream", "shard_out", "shard",
-        "cache", "cache_dir", "publish", "store_dir",
+        "cache", "cache_dir",
     )]
 )
 
@@ -586,7 +660,6 @@ class TestTypedValues:
         ("execution.jobs", 1.5),
         ("execution.jobs", True),
         ("execution.chunk_size", 2.0),
-        ("execution.publish", 1),
         ("execution.cache", None),
         ("execution.shard", (1, 4)),
         ("execution.checkpoint", 5),
