@@ -5,8 +5,9 @@ yields results as they complete.  Two implementations:
 
 * :class:`SerialExecutor` — in-process, in-order; zero overhead, exact
   per-item progress ordering;
-* :class:`MultiprocessExecutor` — a :mod:`multiprocessing` pool; results
-  arrive in completion order.
+* :class:`MultiprocessExecutor` — a pool of worker processes
+  (:class:`concurrent.futures.ProcessPoolExecutor`); results arrive in
+  completion order.
 
 :func:`make_executor` picks between them from a worker count.  Every
 executor is a context manager with a uniform, idempotent
@@ -25,13 +26,15 @@ results for the same spec — the cross-executor conformance suite
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from collections.abc import Callable, Iterator, Sequence
 from types import TracebackType
-from typing import Protocol, TypeVar
+from typing import TYPE_CHECKING, Protocol, TypeVar
 
 from repro.exceptions import AnalysisError
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 _P = TypeVar("_P")
 _R = TypeVar("_R")
@@ -105,13 +108,21 @@ class SerialExecutor(_ClosingMixin):
 
 
 class MultiprocessExecutor(_ClosingMixin):
-    """Run payloads on a persistent :mod:`multiprocessing` worker pool.
+    """Run payloads on a persistent pool of worker processes.
 
     The pool is created lazily on the first :meth:`map_unordered` call
     and reused by any later call.  :meth:`close` (or the context
     manager) tears it down deterministically; without it the pool would
     linger until garbage collection (a ``__del__`` fallback still cleans
     up, but don't rely on its timing).
+
+    Teardown never signals a worker.  A worker killed while it writes a
+    result holds the result queue's lock for good, and the pool's own
+    threads then wait on it forever: ``multiprocessing.Pool.terminate()``
+    wedges this way on a loaded single CPU when a call was abandoned
+    with work in flight.  :meth:`close` instead lets workers exit on
+    queue sentinels, after cancelling whatever an abandoned call left
+    queued; payloads already running finish first.
 
     Parameters
     ----------
@@ -127,17 +138,22 @@ class MultiprocessExecutor(_ClosingMixin):
         if jobs < 1:
             raise AnalysisError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
-        self._pool: multiprocessing.pool.Pool | None = None
+        self._pool: ProcessPoolExecutor | None = None
         self._clean = True
 
-    def _ensure_pool(self) -> "multiprocessing.pool.Pool":
+    def _ensure_pool(self) -> "ProcessPoolExecutor":
         if self._pool is None:
-            self._pool = multiprocessing.get_context().Pool(processes=self.jobs)
+            # Imported on first use, so a serial run never loads it.
+            from concurrent.futures import ProcessPoolExecutor
+
+            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
         return self._pool
 
     def map_unordered(
         self, fn: Callable[[_P], _R], payloads: Sequence[_P]
     ) -> Iterator[_R]:
+        from concurrent.futures import as_completed
+
         self._check_open()
         payloads = list(payloads)
         if not payloads:
@@ -145,27 +161,20 @@ class MultiprocessExecutor(_ClosingMixin):
         pool = self._ensure_pool()
         # Flag this call as in-flight until the consumer drains it; an
         # abandoned iterator (interrupt, failed shard) leaves the flag
-        # down permanently, switching close() to hard termination.
+        # down permanently, so close() cancels what is still queued.
         clean_before = self._clean
         self._clean = False
-        yield from pool.imap_unordered(fn, payloads)
+        futures = [pool.submit(fn, payload) for payload in payloads]
+        for future in as_completed(futures):
+            yield future.result()
         self._clean = clean_before
 
     def close(self) -> None:
         if self._pool is not None:
-            if self._clean:
-                # Every call was fully drained, so the workers are idle:
-                # let them exit via queue sentinels.  terminate() here
-                # can SIGTERM a worker while it holds the task-queue
-                # rlock, dead-locking sibling workers in SimpleQueue.get
-                # and this process in pool.join (reliably reproducible
-                # on single-CPU hosts).
-                self._pool.close()
-            else:
-                # A consumer abandoned its result iterator mid-sweep:
-                # don't block teardown on half-finished tasks.
-                self._pool.terminate()
-            self._pool.join()
+            # A drained pool has nothing queued.  After an abandoned
+            # call, cancel its queued payloads rather than wait for
+            # them; the few already handed to a worker still finish.
+            self._pool.shutdown(wait=True, cancel_futures=not self._clean)
             self._pool = None
         super().close()
 

@@ -12,6 +12,8 @@ from repro.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 EXAMPLES = ROOT / "examples" / "jobs"
+#: One example job per registered kind.
+EXAMPLE_JOBS = sorted(path.name for path in EXAMPLES.glob("*.json"))
 
 
 class TestFigure1:
@@ -301,6 +303,38 @@ class TestSweepMerge:
         out = capsys.readouterr().out
         assert "Merged preemption-point sweep" in out
         assert "4 task-sets" in out
+
+
+class TestRunRecord:
+    """A finished run's record is its CSV and its ``--shard-out``
+    artifact, and ``--save-job`` is its provenance, for every kind."""
+
+    @pytest.mark.parametrize("job", EXAMPLE_JOBS)
+    def test_merged_artifact_exports_the_run_csv(self, job, capsys, tmp_path):
+        # timing's wall-clock columns come from the artifact's rows too.
+        run_csv, artifact, merged_csv = (
+            tmp_path / name for name in ("run.csv", "run.json", "merged.csv"))
+        assert main(["sweep-run", "--job", str(EXAMPLES / job),
+                     "--csv", str(run_csv), "--shard-out", str(artifact)]) == 0
+        assert main(["sweep-merge", str(artifact), "--csv", str(merged_csv)]) == 0
+        assert merged_csv.read_bytes() == run_csv.read_bytes()
+
+    @pytest.mark.parametrize("job", EXAMPLE_JOBS)
+    def test_saved_job_reruns_to_the_same_artifact_identity(
+        self, job, capsys, tmp_path
+    ):
+        from repro.engine.shard import load_shard
+
+        saved, first, again = (
+            tmp_path / name for name in ("saved.json", "first.json", "again.json"))
+        assert main(["sweep-run", "--job", str(EXAMPLES / job),
+                     "--save-job", str(saved), "--shard-out", str(first)]) == 0
+        assert main(["sweep-run", "--job", str(saved),
+                     "--shard-out", str(again)]) == 0
+        a, b = load_shard(first), load_shard(again)
+        assert (b.kind, b.fingerprint, b.total_items, b.meta) == (
+            a.kind, a.fingerprint, a.total_items, a.meta)
+        assert sorted(b.records) == sorted(a.records)
 
 
 class TestEngineFlagInterplay:

@@ -3,6 +3,9 @@ shard artifacts and streams.  (Cross-executor bit-identity lives in
 ``tests/test_engine_conformance.py``.)"""
 
 import json
+import os
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,6 +75,21 @@ class TestExecutors:
 
 
 
+def _mark_start_and_finish(payload):
+    """Touch ``<index>.start``, sleep, then touch ``<index>.done``."""
+    directory, index, delay = payload
+    Path(directory, f"{index}.start").touch()
+    time.sleep(delay)
+    Path(directory, f"{index}.done").touch()
+    return index
+
+
+def _reject_negative(payload):
+    if payload < 0:
+        raise AnalysisError(f"negative payload {payload}")
+    return payload
+
+
 class TestExecutorLifecycle:
     """Every executor is a context manager with a uniform close()."""
 
@@ -112,13 +130,9 @@ class TestExecutorLifecycle:
             executor.__enter__()
 
     def test_drained_pool_closes_gracefully(self):
-        # When every call was fully drained the workers sit idle in
-        # SimpleQueue.get holding the task-queue rlock; terminate()
-        # would SIGTERM the holder and wedge its siblings (and then
-        # pool.join) forever on single-CPU hosts.  Fully-drained
-        # executors must therefore take the sentinel-based close()
-        # path, and only an abandoned iterator may flip teardown to
-        # terminate().
+        # A fully-drained executor has nothing queued, so close() only
+        # sends the workers their exit sentinels; only an abandoned
+        # iterator makes teardown cancel queued payloads.
         executor = MultiprocessExecutor(2)
         assert sorted(executor.map_unordered(abs, [-3, 4])) == [3, 4]
         assert executor._clean
@@ -132,10 +146,41 @@ class TestExecutorLifecycle:
         assert not executor._clean
         # A later fully-drained call must not launder the abandonment:
         # half-finished tasks may still be queued, so close() has to
-        # keep terminating.
+        # keep cancelling them.
         assert sorted(executor.map_unordered(abs, [-5])) == [5]
         assert not executor._clean
         executor.close()
+
+    def test_close_after_abandonment_lets_running_payloads_finish(self, tmp_path):
+        # Teardown signals no worker: a worker killed while it writes a
+        # result would hold the result queue's lock for good and wedge
+        # the pool's threads (multiprocessing.Pool.terminate() did, on
+        # a loaded single CPU).  Every payload that started finishes;
+        # the abandoned call's queued rest never starts.
+        executor = MultiprocessExecutor(2)
+        payloads = [(str(tmp_path), i, 0.0 if i == 0 else 0.1)
+                    for i in range(16)]
+        iterator = executor.map_unordered(_mark_start_and_finish, payloads)
+        next(iterator)
+        iterator.close()
+        executor.close()
+        started = {path.stem for path in sorted(tmp_path.glob("*.start"))}
+        finished = {path.stem for path in sorted(tmp_path.glob("*.done"))}
+        assert started == finished
+        assert 0 < len(finished) < len(payloads)
+
+    def test_failing_payload_raises_its_error_and_the_pool_stays_usable(self):
+        with MultiprocessExecutor(2) as executor:
+            with pytest.raises(AnalysisError, match="negative payload -1"):
+                list(executor.map_unordered(_reject_negative, [1, -1]))
+            assert sorted(executor.map_unordered(abs, [-2, 3])) == [2, 3]
+
+    def test_dead_worker_fails_the_call_instead_of_hanging(self):
+        from concurrent.futures.process import BrokenProcessPool
+
+        with MultiprocessExecutor(2) as executor:
+            with pytest.raises(BrokenProcessPool):
+                list(executor.map_unordered(os._exit, [3]))
 
 
 class TestSweepSpec:
@@ -595,7 +640,8 @@ class TestSubShardMerge:
 class TestVersionOneFiles:
     """Files written before the per-item record (format version 1)
     fail with one typed, one-line error — never a traceback and never
-    a misread."""
+    a misread.  A result-store database, which no version reads any
+    more, is left on disk unopened."""
 
     def _one_line_error(self, argv, capsys, command):
         from repro.cli import main
@@ -645,3 +691,21 @@ class TestVersionOneFiles:
         with pytest.raises(AnalysisError, match="version 1"):
             read_stream(path)
 
+    def test_version_one_store(self, tmp_path, monkeypatch, capsys):
+        import sqlite3
+
+        from repro.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        store = tmp_path / "results" / "store.db"
+        store.parent.mkdir()
+        con = sqlite3.connect(store)
+        with con:
+            con.execute("CREATE TABLE store_meta (key TEXT PRIMARY KEY, value TEXT)")
+            con.execute("INSERT INTO store_meta VALUES ('store_version', '1')")
+        con.close()
+        before = store.read_bytes()
+        assert main(["figure2", "--m", "2", "--tasksets", "2", "--step", "0.5",
+                     "--csv", "run.csv"]) == 0
+        assert store.read_bytes() == before
+        assert sorted(path.name for path in store.parent.iterdir()) == ["store.db"]
